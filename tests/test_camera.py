@@ -26,6 +26,11 @@ def _rx(a):
     return np.array([[1, 0, 0], [0, c, -s], [0, s, c]])
 
 
+def _ry(a):
+    c, s = np.cos(a), np.sin(a)
+    return np.array([[c, 0, s], [0, 1, 0], [-s, 0, c]])
+
+
 def _rz(a):
     c, s = np.cos(a), np.sin(a)
     return np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]])
@@ -150,6 +155,39 @@ class TestSolvePnp:
         pose = solve_pnp_planar(BENCH_K, geom, obs)
         np.testing.assert_allclose(pose.transform.translation, t_true, atol=1e-6)
 
+    def test_axis_aligned_exact_views(self):
+        # with a tag axis square to the viewing ray, one column of the seed
+        # rotation's top-left block has unit length, so its third entry is a
+        # root of rounding noise that must not break orthonormality
+        geom = TagGeometry(0.2)
+        rng = np.random.default_rng(16)
+        views = [
+            (_rx(np.pi), (0.3, 0.0, 1.5)),
+            (_rx(np.pi), (0.0, 0.3, 1.5)),
+            (_rx(np.pi + 0.5), (0.0, 0.0, 1.5)),
+        ]
+        for _ in range(50):
+            s, z = rng.uniform(-0.5, 0.5), rng.uniform(0.5, 3.0)
+            views += [
+                (_rx(np.pi), (s, 0.0, z)),
+                (_rx(np.pi), (0.0, s, z)),
+                (_rx(np.pi + s), (0.0, 0.0, z)),
+                (_ry(s) @ _rx(np.pi), (0.0, 0.0, z)),
+            ]
+        for R_true, t_true in views:
+            obs = _project_tag(BENCH_K, geom, R_true, np.array(t_true))
+            pose = solve_pnp_planar(BENCH_K, geom, obs)
+            R = pose.transform.rotation
+            assert np.max(np.abs(R.T @ R - np.eye(3))) < 1e-12
+            np.testing.assert_allclose(R, R_true, atol=1e-9)
+            np.testing.assert_allclose(pose.transform.translation, t_true, atol=1e-9)
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_finite_corners_raise_without_warning(self):
+        obs = TagObservation(0.0, [[1e300, 290], [410, 290], [410, 310], [390, 310]])
+        with pytest.raises(PnPDegenerate):
+            solve_pnp_planar(BENCH_K, TagGeometry(0.2), obs)
+
     def test_collinear_corners(self):
         geom = TagGeometry(0.2)
         obs = TagObservation(0.0, [[0, 0], [10, 0], [20, 0], [30, 0]])
@@ -173,6 +211,51 @@ class TestSolvePnp:
             worst_r = max(worst_r, r_err)
         assert worst_t < 1e-6
         assert worst_r < 1e-6
+
+    def test_noisy_pose_is_a_local_minimum(self):
+        # no +-1e-6 step along any rotation or translation axis lowers the
+        # RMS by more than the 1e-6 relative gain at which refinement stops
+        geom = TagGeometry(0.2)
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            R_true, t_true = _facing_pose(
+                rng, max_tilt=np.radians(25), z_range=(0.5, 2.0), xy_scale=0.25
+            )
+            obs = _project_tag(BENCH_K, geom, R_true, t_true, noise=0.5, rng=rng)
+            pose = solve_pnp_planar(BENCH_K, geom, obs)
+            R, t = pose.transform.rotation, pose.transform.translation
+            rms = reprojection_rms(BENCH_K, geom, pose.transform, obs)
+            for h in (1e-6, -1e-6):
+                bumped = [RigidTransform(rot(h) @ R, t) for rot in (_rx, _ry, _rz)]
+                bumped += [RigidTransform(R, t + h * e) for e in np.eye(3)]
+                for b in bumped:
+                    assert reprojection_rms(BENCH_K, geom, b, obs) > rms * (1 - 1e-6)
+
+    def test_steep_tilt_picks_the_true_pose(self):
+        # mirroring the tag normal about the viewing ray keeps its angle to
+        # the ray, so the mirrored pose faces the camera too and only the
+        # reprojection error tells the two apart
+        geom = TagGeometry(0.2)
+        rng = np.random.default_rng(14)
+        for _ in range(100):
+            phi, tilt = rng.uniform(0, 2 * np.pi), np.radians(rng.uniform(40, 60))
+            R_true = _rz(phi) @ _rx(tilt) @ _rz(-phi) @ _rx(np.pi)
+            x, y = rng.uniform(-0.2, 0.2, size=2)
+            t_true = np.array([x, y, rng.uniform(0.6, 1.5)])
+            obs = _project_tag(BENCH_K, geom, R_true, t_true)
+            pose = solve_pnp_planar(BENCH_K, geom, obs)
+            np.testing.assert_allclose(pose.transform.translation, t_true, atol=1e-6)
+            np.testing.assert_allclose(pose.transform.rotation, R_true, atol=1e-6)
+
+    def test_near_fronto_parallel_noisy_views_converge(self):
+        geom = TagGeometry(0.2)
+        rng = np.random.default_rng(15)
+        for _ in range(200):
+            R_true, t_true = _facing_pose(
+                rng, max_tilt=np.radians(1), z_range=(0.5, 2.0), xy_scale=0.05
+            )
+            obs = _project_tag(BENCH_K, geom, R_true, t_true, noise=0.5, rng=rng)
+            solve_pnp_planar(BENCH_K, geom, obs)  # raises PnPNoConvergence on failure
 
     def test_depth_noise_amplification(self):
         # corner pixel noise hurts recovered depth far more than lateral position
