@@ -4,10 +4,18 @@ An extended Kalman filter integrates gyro rates through the Euler-angle
 kinematics and corrects with the gravity direction seen by the
 accelerometer. Yaw comes from elsewhere (SLAM) and is fused in only when
 building the full body rotation.
+
+The filter runs on Python floats: the state is (roll, pitch) plus the
+three distinct entries (p00, p01, p11) of its symmetric covariance, and
+predict and update are closed-form 2x2 algebra. The numpy matrices of
+``TiltConfig`` and the public ``TiltState`` constructor are checked once,
+where they come in; states built inside the filter get the same checks
+in scalar form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +30,7 @@ def _as_vec3(v) -> np.ndarray:
     a = np.asarray(v, dtype=float)
     if a.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not all(map(math.isfinite, a.tolist())):
         raise ValueError("components must be finite")
     return a
 
@@ -43,6 +51,12 @@ def _as_cov2(M, name: str, positive_definite: bool) -> np.ndarray:
     return P
 
 
+def _entries(P: np.ndarray) -> tuple[float, float, float]:
+    """(p00, p01, p11) of a symmetric 2x2 matrix."""
+    (p00, p01), (_, p11) = P.tolist()
+    return p00, p01, p11
+
+
 @dataclass(frozen=True)
 class ImuSample:
     """One gyro + accelerometer reading. Rejects free-fall/garbage samples."""
@@ -54,7 +68,8 @@ class ImuSample:
     def __post_init__(self):
         g = _as_vec3(self.gyro)
         a = _as_vec3(self.accel)
-        if np.linalg.norm(a) <= 0.1 * GRAVITY:
+        ax, ay, az = a.tolist()
+        if math.sqrt(ax * ax + ay * ay + az * az) <= 0.1 * GRAVITY:
             raise ValueError("accelerometer magnitude below 0.1 g")
         object.__setattr__(self, "gyro", g)
         object.__setattr__(self, "accel", a)
@@ -76,8 +91,23 @@ class TiltState:
         P = _as_cov2(self.covariance, "covariance", positive_definite=False)
         object.__setattr__(self, "covariance", P)
 
-    def mean(self) -> np.ndarray:
-        return np.array([self.roll, self.pitch])
+
+def _tilt_state(roll, pitch, p00, p01, p11) -> TiltState:
+    """TiltState from filter floats, with the constructor's checks in scalar form."""
+    if not (math.isfinite(roll) and math.isfinite(pitch)):
+        raise ValueError("angles must be finite")
+    if abs(pitch) >= math.pi / 2:
+        raise ValueError("pitch out of (-pi/2, pi/2)")
+    if not (math.isfinite(p00) and math.isfinite(p01) and math.isfinite(p11)):
+        raise ValueError("covariance must be a finite 2x2 matrix")
+    # smaller eigenvalue of [[p00, p01], [p01, p11]]
+    if 0.5 * (p00 + p11) - math.hypot(0.5 * (p00 - p11), p01) < -1e-12:
+        raise ValueError("covariance must be positive semi-definite")
+    state = object.__new__(TiltState)
+    object.__setattr__(state, "roll", roll)
+    object.__setattr__(state, "pitch", pitch)
+    object.__setattr__(state, "covariance", np.array([[p00, p01], [p01, p11]]))
+    return state
 
 
 @dataclass(frozen=True)
@@ -98,42 +128,64 @@ class TiltConfig:
         object.__setattr__(self, "p0", _as_cov2(self.p0, "p0", False))
 
 
+def _propagate(roll, pitch, wx, wy, wz, dt):
+    """Euler-kinematics step and its Jacobian's entries a00, a01, a10 (a11 = 1)."""
+    sr, cr = math.sin(roll), math.cos(roll)
+    tp = math.tan(pitch)
+    cp = math.cos(pitch)
+    pitch_rate = wy * cr - wz * sr
+    cross = wy * sr + wz * cr
+    roll_next = roll + dt * (wx + wy * sr * tp + wz * cr * tp)
+    pitch_next = pitch + dt * pitch_rate
+    a00 = 1.0 + dt * tp * pitch_rate
+    a01 = dt * cross * (1.0 / (cp * cp))
+    a10 = -dt * cross
+    return roll_next, pitch_next, a00, a01, a10
+
+
 def predict_mean(roll: float, pitch: float, gyro, dt: float) -> tuple[float, float]:
     """Euler-kinematics propagation of (roll, pitch) by body rates over dt."""
     wx, wy, wz = gyro
-    sr, cr = np.sin(roll), np.cos(roll)
-    tp = np.tan(pitch)
-    roll_next = roll + dt * (wx + wy * sr * tp + wz * cr * tp)
-    pitch_next = pitch + dt * (wy * cr - wz * sr)
+    roll_next, pitch_next, _, _, _ = _propagate(roll, pitch, wx, wy, wz, dt)
     return roll_next, pitch_next
 
 
 def prediction_jacobian(roll: float, pitch: float, gyro, dt: float) -> np.ndarray:
     """d(next state)/d(state) for predict_mean."""
     wx, wy, wz = gyro
-    sr, cr = np.sin(roll), np.cos(roll)
-    tp = np.tan(pitch)
-    sec2 = 1.0 / np.cos(pitch) ** 2
-    return np.array(
-        [
-            [1.0 + dt * tp * (wy * cr - wz * sr), dt * (wy * sr + wz * cr) * sec2],
-            [-dt * (wy * sr + wz * cr), 1.0],
-        ]
+    _, _, a00, a01, a10 = _propagate(roll, pitch, wx, wy, wz, dt)
+    return np.array([[a00, a01], [a10, 1.0]])
+
+
+def _predict(state: TiltState, gyro, dt: float, q) -> TiltState:
+    """Mean through the kinematics, covariance as A P A^T + Q, symmetrised."""
+    if not (0 < dt <= 0.5):
+        raise ValueError(f"dt {dt:.4g} s outside (0, 0.5]")
+    if abs(state.pitch) >= math.pi / 2 - 1e-3:
+        raise PitchSingularity("pitch too close to +/-90 deg for tan(pitch)")
+    wx, wy, wz = _as_vec3(gyro).tolist()
+    roll, pitch, a00, a01, a10 = _propagate(state.roll, state.pitch, wx, wy, wz, dt)
+    p00, p01, p11 = _entries(state.covariance)
+    q00, q01, q11 = q
+    # B = A P, then B A^T + Q
+    b00 = a00 * p00 + a01 * p01
+    b01 = a00 * p01 + a01 * p11
+    b10 = a10 * p00 + p01
+    b11 = a10 * p01 + p11
+    m01 = b00 * a10 + b01 + q01
+    m10 = b10 * a00 + b11 * a01 + q01
+    return _tilt_state(
+        roll,
+        pitch,
+        b00 * a00 + b01 * a01 + q00,
+        0.5 * (m01 + m10),
+        b10 * a10 + b11 + q11,
     )
 
 
 def ekf_predict(state: TiltState, gyro, dt: float, cfg: TiltConfig) -> TiltState:
     """Propagate the state mean and covariance through the gyro kinematics."""
-    if not (0 < dt <= 0.5):
-        raise ValueError(f"dt {dt:.4g} s outside (0, 0.5]")
-    if abs(state.pitch) >= np.pi / 2 - 1e-3:
-        raise PitchSingularity("pitch too close to +/-90 deg for tan(pitch)")
-    gyro = _as_vec3(gyro)
-    roll, pitch = predict_mean(state.roll, state.pitch, gyro, dt)
-    A = prediction_jacobian(state.roll, state.pitch, gyro, dt)
-    P = A @ state.covariance @ A.T + cfg.q
-    P = 0.5 * (P + P.T)
-    return TiltState(roll, pitch, P)
+    return _predict(state, gyro, dt, _entries(cfg.q))
 
 
 def accel_to_tilt(accel) -> tuple[float, float]:
@@ -144,32 +196,60 @@ def accel_to_tilt(accel) -> tuple[float, float]:
     comes from the x axis and roll from the y/z pair. A reading of
     (0, 0, +g), an upside-down sensor, maps to roll = pi, pitch = 0.
     """
-    a = _as_vec3(accel)
-    mag = np.linalg.norm(a)
+    ax, ay, az = _as_vec3(accel).tolist()
+    mag = math.sqrt(ax * ax + ay * ay + az * az)
     if not (0.5 * GRAVITY <= mag <= 1.5 * GRAVITY):
         raise AccelOutOfRange(f"|accel| = {mag:.3g} m/s^2 is not near gravity")
-    roll = np.arctan2(-a[1], -a[2])
-    pitch = np.arctan2(a[0], np.hypot(a[1], a[2]))
-    return float(roll), float(pitch)
+    return math.atan2(-ay, -az), math.atan2(ax, math.hypot(ay, az))
 
 
-def _wrap_pi(x: np.ndarray) -> np.ndarray:
-    return (x + np.pi) % (2 * np.pi) - np.pi
+def _wrap_pi(x: float) -> float:
+    return (x + math.pi) % (2 * math.pi) - math.pi
+
+
+def _update(state: TiltState, accel, r) -> TiltState:
+    """Gain K = P S^-1 with S = P + R inverted in closed form; Joseph-form
+    covariance (I - K) P (I - K)^T + K R K^T, symmetrised."""
+    z_roll, z_pitch = accel_to_tilt(accel)
+    roll, pitch = state.roll, state.pitch
+    p00, p01, p11 = _entries(state.covariance)
+    r00, r01, r11 = r
+    s00, s01, s11 = p00 + r00, p01 + r01, p11 + r11
+    det = s00 * s11 - s01 * s01
+    if det == 0.0:
+        raise ValueError("innovation covariance is singular")
+    k00 = (p00 * s11 - p01 * s01) / det
+    k01 = (p01 * s00 - p00 * s01) / det
+    k10 = (p01 * s11 - p11 * s01) / det
+    k11 = (p11 * s00 - p01 * s01) / det
+    v_roll = _wrap_pi(z_roll - roll)
+    v_pitch = _wrap_pi(z_pitch - pitch)
+    roll = roll + (k00 * v_roll + k01 * v_pitch)
+    pitch = pitch + (k10 * v_roll + k11 * v_pitch)
+    i00, i01, i10, i11 = 1.0 - k00, -k01, -k10, 1.0 - k11
+    # B = (I - K) P and C = K R
+    b00 = i00 * p00 + i01 * p01
+    b01 = i00 * p01 + i01 * p11
+    b10 = i10 * p00 + i11 * p01
+    b11 = i10 * p01 + i11 * p11
+    c00 = k00 * r00 + k01 * r01
+    c01 = k00 * r01 + k01 * r11
+    c10 = k10 * r00 + k11 * r01
+    c11 = k10 * r01 + k11 * r11
+    n01 = (b00 * i10 + b01 * i11) + (c00 * k10 + c01 * k11)
+    n10 = (b10 * i00 + b11 * i01) + (c10 * k00 + c11 * k01)
+    return _tilt_state(
+        roll,
+        pitch,
+        (b00 * i00 + b01 * i01) + (c00 * k00 + c01 * k01),
+        0.5 * (n01 + n10),
+        (b10 * i10 + b11 * i11) + (c10 * k10 + c11 * k11),
+    )
 
 
 def ekf_update(state: TiltState, accel, cfg: TiltConfig) -> TiltState:
     """Correct the state with the accelerometer tilt observation (H = I)."""
-    z = np.array(accel_to_tilt(accel))
-    x = state.mean()
-    innovation = _wrap_pi(z - x)
-    P = state.covariance
-    S = P + cfg.r
-    K = P @ np.linalg.inv(S)
-    x_new = x + K @ innovation
-    IK = np.eye(2) - K
-    P_new = IK @ P @ IK.T + K @ cfg.r @ K.T
-    P_new = 0.5 * (P_new + P_new.T)
-    return TiltState(float(x_new[0]), float(x_new[1]), P_new)
+    return _update(state, accel, _entries(cfg.r))
 
 
 def fuse_full_rotation(tilt: TiltState, yaw: float) -> np.ndarray:
@@ -190,6 +270,8 @@ class TiltTracker:
         self.cfg = cfg if cfg is not None else TiltConfig()
         self.state: TiltState | None = None
         self._t_last: float | None = None
+        self._q = _entries(self.cfg.q)
+        self._r = _entries(self.cfg.r)
 
     def feed(self, sample: ImuSample) -> TiltState:
         if self.state is None:
@@ -198,9 +280,9 @@ class TiltTracker:
         else:
             dt = sample.timestamp - self._t_last
             if dt > 0:
-                self.state = ekf_predict(self.state, sample.gyro, dt, self.cfg)
+                self.state = _predict(self.state, sample.gyro, dt, self._q)
             try:
-                self.state = ekf_update(self.state, sample.accel, self.cfg)
+                self.state = _update(self.state, sample.accel, self._r)
             except AccelOutOfRange:
                 pass
         self._t_last = sample.timestamp

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 
 import numpy as np
 
@@ -33,12 +34,21 @@ _PAYLOAD_KEYS = {
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and np.isfinite(v)
+    """A finite JSON number: a float, or an int (not a bool) a float can hold."""
+    if isinstance(v, float):
+        return math.isfinite(v)
+    if isinstance(v, int) and not isinstance(v, bool):
+        try:
+            float(v)
+        except OverflowError:
+            return False
+        return True
+    return False
 
 
 def _check_vector(value, length, what):
     if (not isinstance(value, list) or len(value) != length
-            or not all(_is_number(v) for v in value)):
+            or not all(map(_is_number, value))):
         raise ValueError(f"{what} must be a list of {length} finite numbers")
 
 

@@ -41,6 +41,10 @@ class StaleSensor(AquaposError):
     """Required sensor sample is missing or older than the staleness bound."""
 
 
+class NonFiniteEstimate(AquaposError):
+    """Estimator arithmetic overflowed to a non-finite result."""
+
+
 class NoSampleYet(AquaposError):
     """Queried a stream before its first sample."""
 

@@ -21,6 +21,7 @@ stream.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +36,7 @@ from .camera import (
     tag_center_pixel,
 )
 from .depth_calibration import IDENTITY_CALIBRATION, CalibrationParams, apply_calibration
-from .errors import AquaposError, NoSampleYet, StaleSensor
+from .errors import AquaposError, NonFiniteEstimate, NoSampleYet, StaleSensor
 from .geometry import (
     RigidTransform,
     compose,
@@ -167,6 +168,11 @@ def _check_fresh(bundle: SensorFrameBundle, sources, bound: float):
             )
 
 
+def _check_finite(method: str, *values):
+    if not all(map(math.isfinite, values)):
+        raise NonFiniteEstimate(f"{method} result is not finite")
+
+
 def estimate_cpnp(
     bundle: SensorFrameBundle,
     rig: RigExtrinsics,
@@ -191,6 +197,7 @@ def estimate_cpnp(
             compose(camera_to_world, tag_pose.transform),
             np.asarray(marker_offset, dtype=float),
         )
+    _check_finite("cpnp", *position)
     return PositionEstimate(
         bundle.timestamp,
         position,
@@ -228,6 +235,7 @@ def estimate_cd(
         plane_z = plane_z + float(np.asarray(marker_offset, dtype=float)[2])
     position = intersect_with_zplane(line, plane_z)
     k = (plane_z - line.point[2]) / line.direction[2]
+    _check_finite("cd", *position, k)
     return PositionEstimate(
         bundle.timestamp,
         position,

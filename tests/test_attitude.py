@@ -14,7 +14,9 @@ from aquapos.attitude import (
     predict_mean,
     prediction_jacobian,
 )
+from aquapos.camera import DEFAULT_INTRINSICS, TagGeometry
 from aquapos.errors import AccelOutOfRange, GimbalLockNear, PitchSingularity
+from aquapos.estimators import EstimationPipeline, default_rig
 
 
 def _gravity_accel(roll, pitch):
@@ -260,3 +262,124 @@ class TestTypesAndTracker:
         # 0.3 g passes sample validation but is outside the quasi-static range
         state = tracker.feed(ImuSample(0.01, [0.1, 0, 0], [0, 0, -0.3 * GRAVITY]))
         assert state.roll == pytest.approx(0.001, abs=1e-12)
+
+
+def _reference_predict(roll, pitch, P, gyro, dt, q):
+    """Matrix form of the prediction: Euler kinematics, A P A^T + Q."""
+    wx, wy, wz = gyro
+    sr, cr, tp = np.sin(roll), np.cos(roll), np.tan(pitch)
+    x = np.array([roll + dt * (wx + wy * sr * tp + wz * cr * tp),
+                  pitch + dt * (wy * cr - wz * sr)])
+    A = np.array([
+        [1.0 + dt * tp * (wy * cr - wz * sr),
+         dt * (wy * sr + wz * cr) / np.cos(pitch) ** 2],
+        [-dt * (wy * sr + wz * cr), 1.0],
+    ])
+    P = A @ P @ A.T + q
+    return x, 0.5 * (P + P.T)
+
+
+def _reference_update(roll, pitch, P, accel, r):
+    """Matrix form of the update: K = P (P + R)^-1 and the Joseph form."""
+    a = np.asarray(accel)
+    z = np.array([np.arctan2(-a[1], -a[2]), np.arctan2(a[0], np.hypot(a[1], a[2]))])
+    x = np.array([roll, pitch])
+    innovation = (z - x + np.pi) % (2 * np.pi) - np.pi
+    K = P @ np.linalg.inv(P + r)
+    IK = np.eye(2) - K
+    P = IK @ P @ IK.T + K @ r @ K.T
+    return x + K @ innovation, 0.5 * (P + P.T)
+
+
+def _random_psd(rng, scale, rank=2):
+    M = rng.normal(size=(2, rank)) * scale
+    return M @ M.T
+
+
+def _assert_matches(step, x, P_ref):
+    """step() agrees with the reference mean x and covariance P_ref, or raises
+    like the TiltState constructor when the reference pitch leaves the range."""
+    if abs(x[1]) >= np.pi / 2:
+        with pytest.raises(ValueError, match="pitch"):
+            step()
+        return False
+    out = step()
+    assert abs(out.roll - x[0]) <= 1e-12 and abs(out.pitch - x[1]) <= 1e-12
+    assert np.max(np.abs(out.covariance - P_ref)) <= 1e-12
+    np.testing.assert_array_equal(out.covariance, out.covariance.T)
+    return True
+
+
+class TestScalarKernels:
+    def test_predict_and_update_match_matrix_formulas(self):
+        rng = np.random.default_rng(25)
+        matched = 0
+        for k in range(1200):
+            # rank-1 q is semi-definite; both are non-diagonal
+            q = _random_psd(rng, rng.uniform(1e-4, 1e-2), rank=1 + k % 2)
+            # a well-conditioned r: with cond(P + R) ~ 1e4 both forms round
+            # the gain to a few 1e-13, which says nothing about either form
+            r_scale = rng.uniform(0.03, 0.3)
+            r = _random_psd(rng, r_scale) + r_scale**2 * np.eye(2)
+            cfg = TiltConfig(q=q, r=r)
+            P = _random_psd(rng, rng.uniform(1e-3, 0.3))
+            s = TiltState(rng.uniform(-np.pi, np.pi), rng.uniform(-1.0, 1.0), P)
+            gyro = rng.uniform(-1.0, 1.0, size=3)
+            dt = rng.uniform(1e-4, 0.25)
+            matched += _assert_matches(
+                lambda: ekf_predict(s, gyro, dt, cfg),
+                *_reference_predict(s.roll, s.pitch, s.covariance, gyro, dt, cfg.q),
+            )
+            # a tilt near the state's, across the +/-pi roll wrap for some
+            accel = (_gravity_accel(s.roll + rng.normal(0.0, 0.5),
+                                    s.pitch + rng.normal(0.0, 0.2))
+                     + rng.normal(0.0, 0.5, size=3))
+            matched += _assert_matches(
+                lambda: ekf_update(s, accel, cfg),
+                *_reference_update(s.roll, s.pitch, s.covariance, accel, cfg.r),
+            )
+        assert matched >= 2000
+
+
+class TestTrackerInvariants:
+    def test_noisy_stream_states_pass_public_checks(self):
+        rng = np.random.default_rng(26)
+        tracker = TiltTracker()
+        t = roll = pitch = 0.0
+        for k in range(2000):
+            t += rng.uniform(0.001, 0.02)
+            roll = np.clip(roll + rng.normal(0, 0.01), -0.6, 0.6)
+            pitch = np.clip(pitch + rng.normal(0, 0.01), -0.6, 0.6)
+            accel = _gravity_accel(roll, pitch) + rng.normal(0, 0.3, size=3)
+            if k % 50 == 7:
+                accel = 0.3 * accel  # outside the quasi-static range: no update
+            s = tracker.feed(ImuSample(t, rng.normal(0, 0.3, size=3), accel))
+            checked = TiltState(s.roll, s.pitch, s.covariance)
+            np.testing.assert_array_equal(checked.covariance, s.covariance)
+
+    @pytest.mark.parametrize(
+        "accel0, t1, error",
+        [
+            # pitch within 1e-3 rad of 90 deg: the next predict is singular
+            ([GRAVITY, 0.0, -0.005], 0.01, PitchSingularity),
+            # a gap longer than the 0.5 s dt bound
+            ([0.0, 0.0, -GRAVITY], 0.6, ValueError),
+        ],
+    )
+    def test_rejected_sample_leaves_state_and_counts(self, accel0, t1, error):
+        first = {"t": 0.0, "kind": "imu", "gyro": [0.0, 0.0, 0.0], "accel": accel0}
+        bad = {"t": t1, "kind": "imu", "gyro": [0.0, 0.1, 0.0],
+               "accel": [0.0, 0.0, -GRAVITY]}
+        tracker = TiltTracker()
+        tracker.feed(ImuSample(first["t"], first["gyro"], first["accel"]))
+        before = tracker.state
+        with pytest.raises(error):
+            tracker.feed(ImuSample(bad["t"], bad["gyro"], bad["accel"]))
+        assert tracker.state is before
+
+        pipeline = EstimationPipeline(default_rig(), DEFAULT_INTRINSICS, TagGeometry(0.2))
+        pipeline.process(first)
+        before = pipeline.tracker.state
+        pipeline.process(bad)
+        assert pipeline.tracker.state is before
+        assert pipeline.counters["imu_rejected"] == 1

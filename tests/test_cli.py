@@ -130,6 +130,32 @@ class TestEstimate:
         assert rc == 1
         assert ":2:" in capsys.readouterr().err
 
+    def test_integer_too_big_for_a_float_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "big.jsonl"
+        data.write_text('{"t":' + "1" * 400 + ',"kind":"depth","raw":1.0}\n',
+                        encoding="utf-8")
+        rc = cli.main(["estimate", str(data), "--out", str(tmp_path / "e.jsonl")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "error:" in err and ":1:" in err
+        assert "Traceback" not in err
+
+    def test_overflowing_cd_frame_is_skipped(self, tmp_path, capsys):
+        data = tmp_path / "huge.jsonl"
+        data.write_text(
+            '{"t":0.0,"kind":"slam","x":0.0,"y":0.0,"yaw":0.0}\n'
+            '{"t":0.0,"kind":"depth","raw":1e300}\n'
+            '{"t":0.01,"kind":"tag",'
+            '"corners":[[1e300,290],[410,290],[410,310],[390,310]]}\n',
+            encoding="utf-8",
+        )
+        out = tmp_path / "e.jsonl"
+        with np.errstate(over="ignore"):
+            rc = cli.main(["estimate", str(data), "--method", "cd", "--out", str(out)])
+        assert rc == 0
+        assert "cd_skipped 1" in capsys.readouterr().out
+        assert out.read_text(encoding="utf-8") == ""
+
     def test_missing_dataset_exits_1(self, tmp_path, capsys):
         rc = cli.main(["estimate", str(tmp_path / "absent.jsonl"),
                        "--out", str(tmp_path / "e.jsonl")])

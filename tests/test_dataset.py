@@ -104,6 +104,15 @@ class TestRecordValidation:
         with pytest.raises(ValueError):
             validate_record({"t": 0.0, "kind": "depth", "raw": float("nan")})
 
+    def test_integer_too_big_for_a_float_names_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"t":' + "1" * 400 + ',"kind":"depth","raw":1.0}\n',
+                        encoding="utf-8")
+        _expect_line_error(path, 1)
+
+    def test_integer_a_float_can_hold_is_a_number(self):
+        validate_record({"t": 10**300, "kind": "depth", "raw": 2})
+
     def test_bool_is_not_a_number(self):
         with pytest.raises(ValueError):
             validate_record({"t": 0.0, "kind": "depth", "raw": True})
