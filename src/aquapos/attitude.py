@@ -264,6 +264,9 @@ class TiltTracker:
     accelerometer; later samples predict with their gyro over the elapsed
     time and then correct with their accelerometer. Out-of-range
     accelerometer readings skip the correction but keep the prediction.
+    A sample that raises leaves the state as it was but still advances the
+    clock, so one gap longer than the predict's dt bound rejects only the
+    sample after it.
     """
 
     def __init__(self, cfg: TiltConfig | None = None):
@@ -274,16 +277,18 @@ class TiltTracker:
         self._r = _entries(self.cfg.r)
 
     def feed(self, sample: ImuSample) -> TiltState:
+        t_last, self._t_last = self._t_last, sample.timestamp
         if self.state is None:
             roll, pitch = accel_to_tilt(sample.accel)
             self.state = TiltState(roll, pitch, self.cfg.p0)
-        else:
-            dt = sample.timestamp - self._t_last
-            if dt > 0:
-                self.state = _predict(self.state, sample.gyro, dt, self._q)
-            try:
-                self.state = _update(self.state, sample.accel, self._r)
-            except AccelOutOfRange:
-                pass
-        self._t_last = sample.timestamp
-        return self.state
+            return self.state
+        state = self.state
+        dt = sample.timestamp - t_last
+        if dt > 0:
+            state = _predict(state, sample.gyro, dt, self._q)
+        try:
+            state = _update(state, sample.accel, self._r)
+        except AccelOutOfRange:
+            pass
+        self.state = state
+        return state

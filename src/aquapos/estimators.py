@@ -153,7 +153,8 @@ def default_rig() -> RigExtrinsics:
 def build_body_to_world(pose: SurfacePoseState, rig: RigExtrinsics) -> RigidTransform:
     """Body-in-world transform from SLAM x/y/yaw, filter tilt, hull height."""
     rotation = euler_zyx_to_rotation(pose.yaw, pose.pitch, pose.roll)
-    return RigidTransform(rotation, np.array([pose.x, pose.y, rig.body_height]))
+    translation = np.array([pose.x, pose.y, rig.body_height], dtype=float)
+    return RigidTransform._unchecked(rotation, translation)
 
 
 def _check_fresh(bundle: SensorFrameBundle, sources, bound: float):
@@ -234,7 +235,7 @@ def estimate_cd(
     if marker_offset is not None:
         plane_z = plane_z + float(np.asarray(marker_offset, dtype=float)[2])
     position = intersect_with_zplane(line, plane_z)
-    k = (plane_z - line.point[2]) / line.direction[2]
+    k = (plane_z - float(line.point[2])) / float(line.direction[2])
     _check_finite("cd", *position, k)
     return PositionEstimate(
         bundle.timestamp,
@@ -242,7 +243,7 @@ def estimate_cd(
         "cd",
         roll=bundle.pose.roll,
         pitch=bundle.pose.pitch,
-        ray_k=float(k),
+        ray_k=k,
         staleness=dict(bundle.staleness),
     )
 

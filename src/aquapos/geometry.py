@@ -45,6 +45,18 @@ class RigidTransform:
         object.__setattr__(self, "translation", t)
 
     @classmethod
+    def _unchecked(cls, rotation: np.ndarray, translation: np.ndarray):
+        """Build from float arrays already known to be a rotation and a 3-vector.
+
+        For transforms made inside the loops from checked ones; skips the
+        orthonormality and determinant checks of the public constructor.
+        """
+        H = object.__new__(cls)
+        object.__setattr__(H, "rotation", rotation)
+        object.__setattr__(H, "translation", translation)
+        return H
+
+    @classmethod
     def identity(cls) -> "RigidTransform":
         return cls(np.eye(3), np.zeros(3))
 
@@ -67,7 +79,7 @@ def transform_point(H: RigidTransform, p) -> np.ndarray:
 
 def compose(H_a: RigidTransform, H_b: RigidTransform) -> RigidTransform:
     """Chain two transforms so compose(A, B) applied to p equals A applied to (B applied to p)."""
-    return RigidTransform(
+    return RigidTransform._unchecked(
         H_a.rotation @ H_b.rotation,
         H_a.rotation @ H_b.translation + H_a.translation,
     )
@@ -76,7 +88,7 @@ def compose(H_a: RigidTransform, H_b: RigidTransform) -> RigidTransform:
 def invert(H: RigidTransform) -> RigidTransform:
     """Inverse transform: (R^T, -R^T t)."""
     Rt = H.rotation.T
-    return RigidTransform(Rt, -Rt @ H.translation)
+    return RigidTransform._unchecked(Rt, -Rt @ H.translation)
 
 
 def euler_zyx_to_rotation(yaw: float, pitch: float, roll: float) -> np.ndarray:
@@ -133,10 +145,10 @@ def intersect_with_zplane(line: PluckerLine, z_plane: float) -> np.ndarray:
     The returned z component is exactly z_plane. Raises ParallelToPlane when
     the line has (near) zero z slope.
     """
-    d = line.direction
-    if abs(d[2]) <= 1e-9:
+    px, py, pz = line.point.tolist()
+    dx, dy, dz = line.direction.tolist()
+    if abs(dz) <= 1e-9:
         raise ParallelToPlane("line is parallel to the z plane")
-    k = (z_plane - line.point[2]) / d[2]
-    return np.array(
-        [line.point[0] + k * d[0], line.point[1] + k * d[1], z_plane], dtype=float
-    )
+    # Python floats overflow to inf without a warning; callers check finiteness
+    k = (z_plane - pz) / dz
+    return np.array([px + k * dx, py + k * dy, z_plane], dtype=float)

@@ -383,3 +383,17 @@ class TestTrackerInvariants:
         pipeline.process(bad)
         assert pipeline.tracker.state is before
         assert pipeline.counters["imu_rejected"] == 1
+
+    def test_gap_rejects_one_sample_and_the_filter_runs_on(self):
+        # a gap over the 0.5 s dt bound rejects the sample after it; the
+        # clock still advances, so the samples that follow predict again
+        pipeline = EstimationPipeline(
+            default_rig(), DEFAULT_INTRINSICS, TagGeometry(0.2)
+        )
+        level = [0.0, 0.0, -GRAVITY]
+        for t in [0.0, 0.01] + [0.70 + 0.01 * k for k in range(100)]:
+            pipeline.process({"t": t, "kind": "imu", "gyro": [0.0, 0.1, 0.0],
+                              "accel": level})
+        assert pipeline.counters["imu_rejected"] == 1
+        # 99 predicts at 0.1 rad/s pitch rate moved the pitch off zero
+        assert pipeline.tracker.state.pitch > 1e-3

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,11 @@ from aquapos.camera import (
     Intrinsics,
     TagGeometry,
     TagObservation,
+    _damped_step,
+    _normal_equations,
     back_project,
     project_point,
     quad_area,
-    reprojection_rms,
     solve_pnp_planar,
     tag_center_pixel,
 )
@@ -55,6 +58,53 @@ def _facing_pose(rng=None, max_tilt=0.0, z_range=(1.5, 1.5), xy_scale=0.0):
     z = rng.uniform(*z_range)
     t = np.array([rng.uniform(-xy_scale, xy_scale) * z, rng.uniform(-xy_scale, xy_scale) * z, z])
     return R_pert @ base, t
+
+
+def _kernel_terms(K, geom, R, t, obs):
+    return _normal_equations(
+        K, geom.corners()[:, :2].tolist(), obs.corners.tolist(),
+        tuple(np.ravel(R).tolist()), tuple(np.ravel(t).tolist()),
+    )
+
+
+def _reprojection_rms(K, geom, pose, obs):
+    """Corner reprojection RMS of a pose, in pixels, from the polish's own cost."""
+    cost = _kernel_terms(K, geom, pose.rotation, pose.translation, obs)[0]
+    return math.sqrt(cost / 4)
+
+
+def _reference_residuals(K, P, px_obs):
+    """numpy reference: pixel residuals (u, v) of camera-frame corners P."""
+    return (P[:, :2] / P[:, 2:] * (K.fx, K.fy) + ((K.cx, K.cy) - px_obs)).ravel()
+
+
+def _reference_jacobian(K, P, Q):
+    """numpy reference: the residuals' Jacobian in a left rotation increment w,
+    then the translation; a residual's w part is Q x (its gradient in P)."""
+    iz = 1.0 / P[:, 2]
+    x, y = P[:, 0] * iz, P[:, 1] * iz
+    qx, qy, qz = Q.T
+    J = np.zeros((len(P), 2, 6))
+    du, dv = J[:, 0], J[:, 1]
+    du[:, 0] = -qy * x
+    du[:, 1] = qz + qx * x
+    du[:, 2] = -qy
+    du[:, 3] = 1.0
+    du[:, 5] = -x
+    dv[:, 0] = -qy * y - qz
+    dv[:, 1] = qx * y
+    dv[:, 2] = qx
+    dv[:, 4] = 1.0
+    dv[:, 5] = -y
+    J *= np.multiply.outer(iz, (K.fx, K.fy))[:, :, None]
+    return J.reshape(-1, 6)
+
+
+def _full(H):
+    """The 6x6 symmetric matrix of 21 upper-triangle entries given row by row."""
+    M = np.zeros((6, 6))
+    M[np.triu_indices(6)] = H
+    return M + np.triu(M, 1).T
 
 
 def _project_tag(K, geom, R, t, noise=None, rng=None):
@@ -188,6 +238,14 @@ class TestSolvePnp:
         with pytest.raises(PnPDegenerate):
             solve_pnp_planar(BENCH_K, TagGeometry(0.2), obs)
 
+    def test_far_off_axis_speck_raises_degenerate(self):
+        # 5e5 focal lengths off-axis, a 4 px quad leaves the translation's
+        # normal equations numerically singular
+        px = [[-255447087.150, 926.922], [-255447089.792, 928.441],
+              [-255447091.777, 925.314], [-255447089.033, 923.049]]
+        with pytest.raises(PnPDegenerate):
+            solve_pnp_planar(BENCH_K, TagGeometry(0.2), TagObservation(0.0, px))
+
     def test_collinear_corners(self):
         geom = TagGeometry(0.2)
         obs = TagObservation(0.0, [[0, 0], [10, 0], [20, 0], [30, 0]])
@@ -224,12 +282,12 @@ class TestSolvePnp:
             obs = _project_tag(BENCH_K, geom, R_true, t_true, noise=0.5, rng=rng)
             pose = solve_pnp_planar(BENCH_K, geom, obs)
             R, t = pose.transform.rotation, pose.transform.translation
-            rms = reprojection_rms(BENCH_K, geom, pose.transform, obs)
+            rms = _reprojection_rms(BENCH_K, geom, pose.transform, obs)
             for h in (1e-6, -1e-6):
                 bumped = [RigidTransform(rot(h) @ R, t) for rot in (_rx, _ry, _rz)]
                 bumped += [RigidTransform(R, t + h * e) for e in np.eye(3)]
                 for b in bumped:
-                    assert reprojection_rms(BENCH_K, geom, b, obs) > rms * (1 - 1e-6)
+                    assert _reprojection_rms(BENCH_K, geom, b, obs) > rms * (1 - 1e-6)
 
     def test_steep_tilt_picks_the_true_pose(self):
         # mirroring the tag normal about the viewing ray keeps its angle to
@@ -281,20 +339,91 @@ class TestReprojectionRms:
 
     def test_exact_pose_is_zero(self):
         geom, pose, obs = self._exact()
-        assert reprojection_rms(BENCH_K, geom, pose, obs) < 1e-9
+        assert _reprojection_rms(BENCH_K, geom, pose, obs) < 1e-9
 
     def test_z_perturbation_positive(self):
         geom, pose, obs = self._exact()
         bumped = RigidTransform(pose.rotation, pose.translation + [0, 0, 0.001])
-        assert reprojection_rms(BENCH_K, geom, bumped, obs) > 0
+        assert _reprojection_rms(BENCH_K, geom, bumped, obs) > 0
 
     def test_yaw_costs_more_than_depth(self):
         geom, pose, obs = self._exact()
         bumped_z = RigidTransform(pose.rotation, pose.translation + [0, 0, 0.001])
         yawed = RigidTransform(_rz(np.radians(10)) @ pose.rotation, pose.translation)
-        rms_z = reprojection_rms(BENCH_K, geom, bumped_z, obs)
-        rms_yaw = reprojection_rms(BENCH_K, geom, yawed, obs)
+        rms_z = _reprojection_rms(BENCH_K, geom, bumped_z, obs)
+        rms_yaw = _reprojection_rms(BENCH_K, geom, yawed, obs)
         assert rms_yaw > rms_z
+
+
+class TestPolishKernel:
+    def _poses(self, rng):
+        """Facing poses: near fronto-parallel, moderate tilt, and 40-60 deg tilt."""
+        for k in range(300):
+            if k % 3 == 2:
+                phi, tilt = rng.uniform(0, 2 * np.pi), np.radians(rng.uniform(40, 60))
+                R = _rz(phi) @ _rx(tilt) @ _rz(-phi) @ _rx(np.pi)
+                x, y = rng.uniform(-0.3, 0.3, size=2)
+                yield R, np.array([x, y, rng.uniform(0.5, 3.0)])
+            else:
+                max_tilt = np.radians(0.5 if k % 3 == 0 else 25)
+                yield _facing_pose(rng, max_tilt=max_tilt, z_range=(0.5, 3.0),
+                                   xy_scale=0.3)
+
+    def test_normal_equations_match_numpy_reference(self):
+        geom = TagGeometry(0.2)
+        rng = np.random.default_rng(17)
+        obj = geom.corners()
+        for R_true, t_true in self._poses(rng):
+            obs = _project_tag(BENCH_K, geom, R_true, t_true, noise=1.0, rng=rng)
+            # evaluate away from the truth, where the residuals are not small
+            R = _rz(rng.normal(0, 0.05)) @ _rx(rng.normal(0, 0.05)) @ R_true
+            t = t_true + rng.normal(0, 0.01, size=3)
+            cost, H, g = _kernel_terms(BENCH_K, geom, R, t, obs)
+            Q = obj @ R.T
+            P = Q + t
+            r = _reference_residuals(BENCH_K, P, obs.corners)
+            J = _reference_jacobian(BENCH_K, P, Q)
+            JtJ, Jtr = J.T @ J, J.T @ r
+            assert cost == pytest.approx(r @ r, rel=1e-12)
+            # scale-free bounds, d being diag(J^T J):
+            # |(J^T J)_ij| <= sqrt(d_i d_j) and |(J^T r)_i| <= sqrt(d_i r.r)
+            d = np.diag(JtJ)
+            assert np.all(np.abs(_full(H) - JtJ) <= 1e-12 * np.sqrt(np.outer(d, d)))
+            assert np.all(np.abs(np.array(g) - Jtr) <= 1e-12 * np.sqrt(d * (r @ r)))
+
+    def test_normal_equations_reject_a_corner_behind_the_camera(self):
+        geom = TagGeometry(0.2)
+        R, t = _facing_pose()
+        obs = _project_tag(BENCH_K, geom, R, t)
+        assert _kernel_terms(BENCH_K, geom, R, [0.0, 0.0, -0.5], obs) is None
+        assert _kernel_terms(BENCH_K, geom, R, [0.0, 0.0, 1e-10], obs) is None
+        assert _kernel_terms(BENCH_K, geom, R, [0.0, 0.0, np.inf], obs) is None
+
+    def test_block_solve_matches_numpy_solve(self):
+        rng = np.random.default_rng(18)
+        for _ in range(500):
+            # the Jacobian's pattern: u rows never move with t_y, v rows with t_x
+            J = rng.normal(size=(8, 6)) * 10.0 ** rng.uniform(-1, 2, size=6)
+            J[0::2, 4] = 0.0
+            J[1::2, 3] = 0.0
+            A = J.T @ J
+            g = rng.normal(size=6) * 10.0 ** rng.uniform(-1, 2)
+            lam = 10.0 ** rng.uniform(-12, 2)
+            H = tuple(A[np.triu_indices(6)].tolist())
+            step, norm2 = _damped_step(H, tuple(g.tolist()), lam)
+            expected = np.linalg.solve(A + lam * np.eye(6), -g)
+            np.testing.assert_allclose(step, expected, rtol=0,
+                                       atol=1e-12 * np.linalg.norm(expected))
+            assert norm2 == pytest.approx(expected @ expected, rel=1e-9)
+
+    def test_block_solve_fails_on_singular_or_nonfinite_systems(self):
+        H = tuple(np.eye(6)[np.triu_indices(6)].tolist())
+        g = (1.0,) * 6
+        assert _damped_step((0.0,) * 21, g, 0.0) is None
+        assert _damped_step((math.inf,) + H[1:], g, 1e-3) is None
+        assert _damped_step(H[:15] + (math.nan,) + H[16:], g, 1e-3) is None
+        # a finite system whose step overflows
+        assert _damped_step(H, (1e300,) * 6, 1e-300) is None
 
 
 class TestIntrinsicsValidation:

@@ -156,6 +156,30 @@ class TestEstimate:
         assert "cd_skipped 1" in capsys.readouterr().out
         assert out.read_text(encoding="utf-8") == ""
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_cd_frame_is_skipped_without_warnings(self, tmp_path, capsys):
+        data = tmp_path / "huge.jsonl"
+        data.write_text(
+            '{"t":0.0,"kind":"slam","x":0.0,"y":0.0,"yaw":0.0}\n'
+            '{"t":0.0,"kind":"depth","raw":1e306}\n'
+            # a pixel beyond any lens, then a ray that meets the plane past 1e308 m
+            '{"t":0.01,"kind":"tag",'
+            '"corners":[[1e300,290],[410,290],[410,310],[390,310]]}\n'
+            '{"t":0.02,"kind":"tag",'
+            '"corners":[[1e8,290],[410,290],[410,310],[390,310]]}\n'
+            # corners whose sum passes the largest double
+            '{"t":0.03,"kind":"tag",'
+            '"corners":[[1e308,290],[1e308,290],[1e308,310],[1e308,310]]}\n',
+            encoding="utf-8",
+        )
+        out = tmp_path / "e.jsonl"
+        rc = cli.main(["estimate", str(data), "--method", "cd", "--out", str(out)])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert "cd_skipped 3" in captured.out
+        assert captured.err == ""
+        assert out.read_text(encoding="utf-8") == ""
+
     def test_missing_dataset_exits_1(self, tmp_path, capsys):
         rc = cli.main(["estimate", str(tmp_path / "absent.jsonl"),
                        "--out", str(tmp_path / "e.jsonl")])

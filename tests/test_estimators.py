@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aquapos.camera import Intrinsics, TagGeometry, TagObservation, project_point
+from aquapos.dataset import validate_record
 from aquapos.depth_calibration import CalibrationParams
 from aquapos.errors import NoSampleYet, StaleSensor
 from aquapos.estimators import (
@@ -395,3 +400,91 @@ class TestTypes:
     def test_bundle_rejects_negative_staleness(self):
         with pytest.raises(ValueError):
             SensorFrameBundle(0.0, None, None, None, {"pose": -0.1})
+
+
+# finite floats over the whole double range, mixed with sensor-scale values
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _number(lo, hi):
+    return st.one_of(st.floats(lo, hi), _FINITE)
+
+
+@st.composite
+def _corners(draw):
+    """Tag corners: arbitrary, image-scale, far off-axis, or nearly collinear."""
+    shape = draw(st.sampled_from(("any", "image", "far", "collinear")))
+    if shape == "any":
+        return [[draw(_FINITE), draw(_FINITE)] for _ in range(4)]
+    u, v = draw(st.floats(-500, 1500)), draw(st.floats(-500, 1000))
+    if shape == "far":
+        # on both sides of the 1e6 focal lengths past which PnP refuses corners
+        u += draw(st.sampled_from((-1, 1))) * 10 ** draw(st.floats(3, 8.8))
+    side, angle = draw(st.floats(0.5, 300)), draw(st.floats(0, 2 * math.pi))
+    c, s = math.cos(angle), math.sin(angle)
+    if shape == "collinear":
+        # four points along a line, the third pushed off it by a hair
+        offsets = [(k * side, 0.0) for k in range(4)]
+        offsets[2] = (2 * side, draw(st.floats(0, 2.0)) / side)
+    else:
+        h = side / 2
+        offsets = [(-h, -h), (h, -h), (h, h), (-h, h)]
+    jitter = st.floats(-0.2 * side, 0.2 * side)
+    return [
+        [u + c * a - s * b + draw(jitter), v + s * a + c * b + draw(jitter)]
+        for a, b in offsets
+    ]
+
+
+_IMU = st.fixed_dictionaries({
+    "kind": st.just("imu"),
+    "gyro": st.lists(_number(-5, 5), min_size=3, max_size=3),
+    "accel": st.lists(_number(-12, 12), min_size=3, max_size=3),
+})
+_SLAM = st.fixed_dictionaries({
+    "kind": st.just("slam"), "x": _number(-5, 5), "y": _number(-5, 5),
+    "yaw": _number(-4, 4),
+})
+_DEPTH = st.fixed_dictionaries({"kind": st.just("depth"), "raw": _number(-1, 5)})
+_TAG = st.fixed_dictionaries({"kind": st.just("tag"), "corners": _corners()})
+_TRUTH = st.fixed_dictionaries({
+    "kind": st.just("truth"), "p": st.lists(_FINITE, min_size=3, max_size=3),
+})
+
+
+@st.composite
+def _streams(draw):
+    """Schema-valid record streams: finite payloads, non-decreasing timestamps.
+
+    A pose and a depth sample open the stream, and most gaps stay inside
+    the staleness bound, so most tags reach the estimators.
+    """
+    record = st.one_of(_IMU, _SLAM, _DEPTH, _TAG, _TRUTH)
+    records = [draw(_SLAM), draw(_DEPTH)]
+    records += draw(st.lists(record, min_size=1, max_size=25))
+    t = draw(_number(0, 10))
+    stream = []
+    for rec in records:
+        stream.append({"t": t, **rec})
+        gap = draw(st.one_of(st.just(0.0), st.floats(0, 0.05), st.floats(0, 1e308)))
+        if math.isfinite(t + gap):
+            t += gap
+    return stream
+
+
+class TestPipelineProperty:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(stream=_streams())
+    def test_no_valid_stream_raises_out_of_process(self, stream):
+        pipe = EstimationPipeline(_down_camera_rig(), K, GEOM)
+        for rec in stream:
+            validate_record(rec)
+            skipped = pipe.counters["cpnp_skipped"] + pipe.counters["cd_skipped"]
+            out = pipe.process(rec)
+            for e in out:
+                assert all(map(math.isfinite, e.position))
+            if rec["kind"] == "tag":
+                skipped = (pipe.counters["cpnp_skipped"]
+                           + pipe.counters["cd_skipped"] - skipped)
+                assert len(out) + skipped == 2
