@@ -266,26 +266,35 @@ class TiltTracker:
     accelerometer readings skip the correction but keep the prediction.
     A sample that raises leaves the state as it was but still advances the
     clock, so one gap longer than the predict's dt bound rejects only the
-    sample after it.
+    sample after it. A state whose pitch is too close to 90 degrees to
+    predict from rejects one sample; the next in-range sample initializes
+    the state afresh, as the first one does.
     """
 
     def __init__(self, cfg: TiltConfig | None = None):
         self.cfg = cfg if cfg is not None else TiltConfig()
         self.state: TiltState | None = None
+        self._seed_next = True
         self._t_last: float | None = None
         self._q = _entries(self.cfg.q)
         self._r = _entries(self.cfg.r)
 
     def feed(self, sample: ImuSample) -> TiltState:
         t_last, self._t_last = self._t_last, sample.timestamp
-        if self.state is None:
+        if self._seed_next:
             roll, pitch = accel_to_tilt(sample.accel)
             self.state = TiltState(roll, pitch, self.cfg.p0)
+            self._seed_next = False
             return self.state
         state = self.state
         dt = sample.timestamp - t_last
         if dt > 0:
-            state = _predict(state, sample.gyro, dt, self._q)
+            try:
+                state = _predict(state, sample.gyro, dt, self._q)
+            except PitchSingularity:
+                # every later predict from this state would raise as well
+                self._seed_next = True
+                raise
         try:
             state = _update(state, sample.accel, self._r)
         except AccelOutOfRange:

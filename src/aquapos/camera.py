@@ -102,7 +102,6 @@ class TagObservation:
 
     timestamp: float
     corners: np.ndarray
-    detected: bool = True
 
     def __post_init__(self):
         c = np.asarray(self.corners, dtype=float)
@@ -155,75 +154,72 @@ class TagPose:
 
 
 def quad_area(corners) -> float:
-    """Shoelace area of a pixel quad."""
-    c = np.asarray(corners, dtype=float)
-    x, y = c[:, 0], c[:, 1]
-    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    """Shoelace area of a pixel quad, as half the cross product of its diagonals."""
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = corners
+    return 0.5 * abs((x2 - x0) * (y3 - y1) - (x3 - x1) * (y2 - y0))
 
 
-def _normalize_2d(pts):
-    """Similarity transform sending the centroid to 0 and mean radius to sqrt(2)."""
-    centroid = pts.mean(axis=0)
-    centered = pts - centroid
-    mean_dist = np.mean(np.linalg.norm(centered, axis=1))
-    scale = np.sqrt(2.0) / max(mean_dist, 1e-12)
-    T = np.array(
-        [
-            [scale, 0.0, -scale * centroid[0]],
-            [0.0, scale, -scale * centroid[1]],
-            [0.0, 0.0, 1.0],
-        ]
-    )
-    return centered * scale, T
+def _ippe_seed(K: Intrinsics, side: float, px) -> list:
+    """Both poses of the planar ambiguity, [(R, t), (R', t')], from four corner pixels.
 
-
-def _homography(src, dst):
-    """DLT homography mapping src (x, y) to dst (x, y), both normalized internally."""
-    s, Ts = _normalize_2d(src)
-    d, Td = _normalize_2d(dst)
-    # rows (-x, -y, -1, 0, 0, 0, u x, u y, u) and (0, 0, 0, -x, -y, -1, v x, v y, v)
-    xy1 = np.ones((len(s), 3))
-    xy1[:, :2] = s
-    A = np.zeros((len(s), 2, 9))
-    A[:, 0, :3] = A[:, 1, 3:6] = -xy1
-    A[:, :, 6:] = d[:, :, None] * xy1[:, None, :]
-    _, sv, Vt = np.linalg.svd(A.reshape(-1, 9))
-    if sv[-2] < 1e-12:
-        raise PnPDegenerate("correspondences do not determine a homography")
-    Hn = Vt[-1].reshape(3, 3)
-    H = np.linalg.inv(Td) @ Hn @ Ts
-    return H / H[2, 2]
-
-
-def _ippe_rotations(H) -> np.ndarray:
-    """Both tag rotations of the planar ambiguity in closed form, shape (2, 3, 3).
-
-    IPPE (Collins & Bartoli, "Infinitesimal Plane-Based Pose Estimation",
-    IJCV 2014): the Jacobian of the plane-to-image homography at the tag
-    centre fixes the rotation up to a mirror of the tag normal about the
-    viewing ray. H maps marker (x, y) to normalized image coordinates with
-    H[2, 2] = 1, so the centre lands at (p, q) = H[:2, 2].
+    R is row-major. Raises PnPDegenerate for corners more than _MAX_RAY_SLOPE
+    focal lengths off-axis, a quad of at most MIN_QUAD_AREA_PX2, corners
+    that are not a strictly convex quad (no pose of a square in front of a
+    pinhole images to one), a homography with no rotation at the tag centre,
+    or corners too tightly bunched, next to their distance off-axis, to fix
+    a translation. The arithmetic runs on Python floats, in normalized image
+    coordinates centred on the corners' mean (mx, my).
     """
-    (h00, h01, p), (h10, h11, q), (h20, h21, _) = H.tolist()
-    j00, j01 = h00 - h20 * p, h01 - h21 * p
-    j10, j11 = h10 - h20 * q, h11 - h21 * q
-    # Rv turns the optical axis onto the viewing ray (p, q, 1) / n
+    fx, fy, cx, cy = K.fx, K.fy, K.cx, K.cy
+    (u0, v0), (u1, v1), (u2, v2), (u3, v3) = px
+    x0, x1, x2, x3 = (u0 - cx) / fx, (u1 - cx) / fx, (u2 - cx) / fx, (u3 - cx) / fx
+    y0, y1, y2, y3 = (v0 - cy) / fy, (v1 - cy) / fy, (v2 - cy) / fy, (v3 - cy) / fy
+    far = max(abs(x0), abs(x1), abs(x2), abs(x3), abs(y0), abs(y1), abs(y2), abs(y3))
+    if far > _MAX_RAY_SLOPE:
+        raise PnPDegenerate("tag corners lie too far off the optical axis")
+    if quad_area(px) <= MIN_QUAD_AREA_PX2:
+        raise PnPDegenerate("tag corners are collinear or the quad is too small")
+    mx, my = 0.25 * (x0 + x1 + x2 + x3), 0.25 * (y0 + y1 + y2 + y3)
+    x0, x1, x2, x3 = x0 - mx, x1 - mx, x2 - mx, x3 - mx
+    y0, y1, y2, y3 = y0 - my, y1 - my, y2 - my, y3 - my
+    # turn k_i at corner i: the cross product of the edges into and out of it
+    ex0, ey0, ex1, ey1 = x1 - x0, y1 - y0, x2 - x1, y2 - y1
+    ex2, ey2, ex3, ey3 = x3 - x2, y3 - y2, x0 - x3, y0 - y3
+    k0, k1 = ex3 * ey0 - ey3 * ex0, ex0 * ey1 - ey0 * ex1
+    k2, k3 = ex1 * ey2 - ey1 * ex2, ex2 * ey3 - ey2 * ex3
+    if not (k0 > 0.0 and k1 > 0.0 and k2 > 0.0 and k3 > 0.0
+            or k0 < 0.0 and k1 < 0.0 and k2 < 0.0 and k3 < 0.0):
+        raise PnPDegenerate("tag corners do not form a strictly convex quad")
+    # Heckbert's unit-square-to-quad homography ("Fundamentals of Texture
+    # Mapping and Image Warping", 1989) sends the square's corners (0, 0),
+    # (1, 0), (1, 1), (0, 1) to the tag's and (s, r) to ((a s + b r + x0) /
+    # (g s + h r + 1), (d s + e r + y0) / (g s + h r + 1)). His determinants
+    # for g and h reduce to turns; convexity keeps k2 and every corner's
+    # weight (1, 1 + g, 1 + g + h, 1 + h) nonzero and of one sign.
+    g, h = (k3 - k2) / k2, (k1 - k2) / k2
+    a, b = x1 - x0 + g * x1, x3 - x0 + h * x3
+    d, e = y1 - y0 + g * y1, y3 - y0 + h * y3
+    # the tag centre, (s, r) = (1/2, 1/2), and the Jacobian there in marker
+    # (x, y): marker x is side (s - 1/2)
+    wc = 1.0 + 0.5 * (g + h)
+    pc, qc = (0.5 * (a + b) + x0) / wc, (0.5 * (d + e) + y0) / wc
+    ws = wc * side
+    j00, j01 = (a - g * pc) / ws, (b - h * pc) / ws
+    j10, j11 = (d - g * qc) / ws, (e - h * qc) / ws
+    p, q = pc + mx, qc + my
+    # IPPE (Collins & Bartoli, "Infinitesimal Plane-Based Pose Estimation",
+    # IJCV 2014): the Jacobian at the tag centre fixes the rotation up to a
+    # mirror of the tag normal about the viewing ray. Rv turns the optical
+    # axis onto the viewing ray (p, q, 1) / n.
     n = math.sqrt(p * p + q * q + 1.0)
     ax, ay = p / n, q / n
-    d = n / (n + 1.0)
-    axy = ax * ay * d
-    Rv = np.array(
-        [
-            [1.0 - ax * ax * d, -axy, ax],
-            [-axy, 1.0 - ay * ay * d, ay],
-            [-ax, -ay, 1.0 / n],
-        ]
-    )
+    dn = n / (n + 1.0)
+    v00, v01, v11, v22 = 1.0 - ax * ax * dn, -ax * ay * dn, 1.0 - ay * ay * dn, 1.0 / n
     # the projection's Jacobian at the ray, on the plane normal to it, is
-    # B = I + n^2 / (n + 1) a a^T with a = (ax, ay); A = B^-1 J = J - d a a^T J
+    # B = I + n^2 / (n + 1) a a^T with a = (ax, ay); A = B^-1 J = J - dn a a^T J
     # is the top-left 2x2 block of Rv^T R over the centre's depth
-    m0 = d * (ax * j00 + ay * j10)
-    m1 = d * (ax * j01 + ay * j11)
+    m0 = dn * (ax * j00 + ay * j10)
+    m1 = dn * (ax * j01 + ay * j11)
     a00, a01 = j00 - ax * m0, j01 - ax * m1
     a10, a11 = j10 - ay * m0, j11 - ay * m1
     # a rotation's 2x2 block has largest singular value 1, which sets the depth
@@ -245,37 +241,45 @@ def _ippe_rotations(H) -> np.ndarray:
     big = math.sqrt(max(0.0, b0_sq, b1_sq))
     other = -(r00 * r01 + r10 * r11) / big if big > 0.0 else 0.0
     b0, b1 = (big, other) if b0_sq >= b1_sq else (other, big)
-    Rp = np.array(
-        [
-            [r00, r01, r10 * b1 - b0 * r11],
-            [r10, r11, b0 * r01 - r00 * b1],
-            [b0, b1, r00 * r11 - r10 * r01],
-        ]
-    )
-    # negating b0 and b1 mirrors the tag normal: diag(1, 1, -1) Rp diag(1, 1, -1)
-    mirror = np.array([[1.0, 1.0, -1.0], [1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
-    return Rv @ np.array([Rp, Rp * mirror])
-
-
-def _translations(Rs, obj, uv) -> np.ndarray:
-    """Least-squares translation for each rotation in Rs from normalized pixels uv.
-
-    A corner at (u, v) gives two equations linear in t, with q = R X:
-    t_x - u t_z = u q_z - q_x and t_y - v t_z = v q_z - q_y.
-    """
-    u, v = uv[:, 0], uv[:, 1]
-    Q = obj @ Rs.transpose(0, 2, 1)
-    bu, bv = u * Q[..., 2] - Q[..., 0], v * Q[..., 2] - Q[..., 1]
-    su, sv = u.sum(), v.sum()
-    normal = np.array(
-        [[len(u), 0.0, -su], [0.0, len(u), -sv], [-su, -sv, u @ u + v @ v]]
-    )
-    rhs = np.stack([bu.sum(axis=1), bv.sum(axis=1), -(bu @ u + bv @ v)])
-    try:
-        return np.linalg.solve(normal, rhs).T
-    except np.linalg.LinAlgError:
-        # corners whose spread vanishes next to their distance off-axis
-        raise PnPDegenerate("tag corners do not determine a translation") from None
+    c0, c1, c2 = r10 * b1 - b0 * r11, b0 * r01 - r00 * b1, r00 * r11 - r10 * r01
+    # Rv Rp with Rp = [[r00, r01, c0], [r10, r11, c1], [b0, b1, c2]]: entry
+    # ij is t_ij, from Rp's top two rows, plus B_ij, from its third row.
+    # Negating b0 and b1 mirrors the tag normal, diag(1, 1, -1) Rp
+    # diag(1, 1, -1), which flips B in columns 0 and 1 and t in column 2.
+    t00, t01, t02 = v00 * r00 + v01 * r10, v00 * r01 + v01 * r11, v00 * c0 + v01 * c1
+    t10, t11, t12 = v01 * r00 + v11 * r10, v01 * r01 + v11 * r11, v01 * c0 + v11 * c1
+    t20, t21, t22 = -ax * r00 - ay * r10, -ax * r01 - ay * r11, -ax * c0 - ay * c1
+    B00, B01, B02 = ax * b0, ax * b1, ax * c2
+    B10, B11, B12 = ay * b0, ay * b1, ay * c2
+    B20, B21, B22 = v22 * b0, v22 * b1, v22 * c2
+    R = (t00 + B00, t01 + B01, t02 + B02, t10 + B10, t11 + B11, t12 + B12,
+         t20 + B20, t21 + B21, t22 + B22)
+    Rm = (t00 - B00, t01 - B01, B02 - t02, t10 - B10, t11 - B11, B12 - t12,
+          t20 - B20, t21 - B21, B22 - t22)
+    # Translation: a corner (u, v) = (mx + du, my + dv) with q = R X gives
+    # t_x - u t_z = u q_z - q_x and t_y - v t_z = v q_z - q_y. Eliminating
+    # t_x and t_y from the 3x3 normal equations leaves t_z times the spread
+    # S = sum(du^2 + dv^2), the Schur complement of the t_x, t_y block. With
+    # X = (side / 2) (sx, sy), sx = (-1, 1, 1, -1) and sy = (-1, -1, 1, 1),
+    # every sum over corners is a moment of du, dv shared by both rotations.
+    s0, s1 = x0 * x0 + y0 * y0, x1 * x1 + y1 * y1
+    s2, s3 = x2 * x2 + y2 * y2, x3 * x3 + y3 * y3
+    spread = s0 + s1 + s2 + s3
+    if not spread > 1e-12 * (spread + 4.0 * (mx * mx + my * my)):
+        # the normal equations' condition number is past 1e12
+        raise PnPDegenerate("tag corners do not determine a translation")
+    ux, uy = x1 + x2 - x0 - x3, x2 + x3 - x0 - x1
+    vx, vy = y1 + y2 - y0 - y3, y2 + y3 - y0 - y1
+    wx = mx * ux + my * vx + (s1 + s2 - s0 - s3)
+    wy = mx * uy + my * vy + (s2 + s3 - s0 - s1)
+    z_scale, xy_scale = 0.5 * side / spread, 0.125 * side
+    poses = []
+    for r in (R, Rm):
+        r00, r01, _, r10, r11, _, r20, r21, _ = r
+        tz = z_scale * (r00 * ux + r01 * uy + r10 * vx + r11 * vy - r20 * wx - r21 * wy)
+        tx = xy_scale * (r20 * ux + r21 * uy) + mx * tz
+        poses.append((r, (tx, xy_scale * (r20 * vx + r21 * vy) + my * tz, tz)))
+    return poses
 
 
 def _rotation(w0, w1, w2, R) -> tuple:
@@ -432,7 +436,7 @@ def _damped_step(H, g, lam):
     return (w0, w1, w2, t0, t1, t2), norm2
 
 
-def _polish(K: Intrinsics, obj, px_obs, R, t):
+def _polish(K: Intrinsics, corners, px, R, t):
     """Damped Gauss-Newton on pixel reprojection error; returns (R, t, rms, converged).
 
     Each iteration builds the normal equations once and retries the damped
@@ -440,13 +444,12 @@ def _polish(K: Intrinsics, obj, px_obs, R, t):
     the step relaxes the damping. Only taken steps count against
     _REFINE_MAX_ITERS, and an iteration where no retry descends converges.
     The arithmetic runs on Python floats: on 8 residuals and 6 unknowns
-    numpy's per-call cost outweighs the work.
+    numpy's per-call cost outweighs the work. corners, px, R and t are as
+    for _normal_equations, and R and t come back in the same form.
     """
-    corners, px = obj[:, :2].tolist(), px_obs.tolist()
-    R, t = tuple(R.ravel().tolist()), tuple(t.tolist())
     terms = _normal_equations(K, corners, px, R, t)
     if terms is None:
-        return np.reshape(R, (3, 3)), np.array(t), math.inf, False
+        return R, t, math.inf, False
     cost, H, g = terms
     lam = 1e-3
     converged = False
@@ -475,35 +478,30 @@ def _polish(K: Intrinsics, obj, px_obs, R, t):
         lam = max(lam * 0.3, 1e-12)
         if converged:
             break
-    return np.reshape(R, (3, 3)), np.array(t), math.sqrt(cost / len(px)), converged
+    return R, t, math.sqrt(cost / len(px)), converged
 
 
 def solve_pnp_planar(K: Intrinsics, geom: TagGeometry, obs: TagObservation) -> TagPose:
     """Recover the tag pose in the camera frame from its four corner pixels.
 
     IPPE reads both poses of the planar ambiguity (the tag normal mirrored
-    about the viewing ray) off the homography between the marker plane and
-    normalized image coordinates. Damped Gauss-Newton polishes each against
-    pixel reprojection error, and the pose with the tag face toward the
-    camera and the lower RMS wins.
+    about the viewing ray) off the closed-form homography between the marker
+    plane and normalized image coordinates. Damped Gauss-Newton polishes each
+    against pixel reprojection error, and the pose with the tag face toward
+    the camera and the lower RMS wins. Raises PnPDegenerate for corners
+    that no pose of the tag explains (see _ippe_seed).
     """
-    px = obs.corners
-    if np.any(np.abs(px - (K.cx, K.cy)) > _MAX_RAY_SLOPE * np.array([K.fx, K.fy])):
-        raise PnPDegenerate("tag corners lie too far off the optical axis")
-    if quad_area(px) <= MIN_QUAD_AREA_PX2:
-        raise PnPDegenerate("tag corners are collinear or the quad is too small")
-    obj = geom.corners()
-    norm_pts = np.column_stack([(px[:, 0] - K.cx) / K.fx, (px[:, 1] - K.cy) / K.fy])
-    Rs = _ippe_rotations(_homography(obj[:, :2], norm_pts))
+    px = obs.corners.tolist()
+    h = 0.5 * geom.side_length
+    corners = ((-h, -h), (h, -h), (h, h), (-h, h))
     candidates = []
-    for R0, t0 in zip(Rs, _translations(Rs, obj, norm_pts)):
-        R, t, rms, ok = _polish(K, obj, px, R0, t0)
+    for R0, t0 in _ippe_seed(K, geom.side_length, px):
+        R, t, rms, ok = _polish(K, corners, px, R0, t0)
         if ok and t[2] > 0:
-            candidates.append((R, t, rms))
+            # tag face toward the camera: marker +z anti-parallel to the viewing ray
+            away = R[2] * t[0] + R[5] * t[1] + R[8] * t[2] >= 0
+            candidates.append((away, rms, R, t))
     if not candidates:
         raise PnPNoConvergence("pose refinement did not produce a valid pose")
-    # tag face toward the camera: marker +z anti-parallel to the viewing ray
-    facing = [c for c in candidates if np.dot(c[0][:, 2], c[1]) < 0]
-    R, t, rms = min(facing or candidates, key=lambda c: c[2])
-    return TagPose(RigidTransform(R, t), rms)
-
+    _, rms, R, t = min(candidates, key=lambda c: c[:2])
+    return TagPose(RigidTransform(np.reshape(R, (3, 3)), np.array(t)), rms)

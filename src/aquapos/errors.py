@@ -22,7 +22,11 @@ class BehindCamera(AquaposError):
 
 
 class PnPDegenerate(AquaposError):
-    """Tag corners are collinear or the quad is too small to solve."""
+    """Tag corners no pose of the tag explains: too far off-axis, a quad of at
+    most 1 px^2, a quad that is not strictly convex (its four corner turns
+    do not share one nonzero sign, in either corner order; this covers
+    darts, bow-ties and three collinear corners), no rotation at the tag
+    centre, or corners too bunched to fix the translation."""
 
 
 class PnPNoConvergence(AquaposError):

@@ -397,3 +397,17 @@ class TestTrackerInvariants:
         assert pipeline.counters["imu_rejected"] == 1
         # 99 predicts at 0.1 rad/s pitch rate moved the pitch off zero
         assert pipeline.tracker.state.pitch > 1e-3
+
+    def test_near_vertical_state_rejects_one_sample_then_reseeds(self):
+        # a state within 1e-3 rad of 90 deg pitch cannot be predicted from;
+        # the sample after the rejected one seeds the filter from its accel
+        pipeline = EstimationPipeline(
+            default_rig(), DEFAULT_INTRINSICS, TagGeometry(0.2)
+        )
+        pipeline.process({"t": 0.0, "kind": "imu", "gyro": [0.0, 0.0, 0.0],
+                          "accel": [GRAVITY, 0.0, -0.005]})
+        for k in range(1, 101):
+            pipeline.process({"t": 0.01 * k, "kind": "imu", "gyro": [0.0, 0.0, 0.0],
+                              "accel": [0.0, 0.0, -GRAVITY]})
+        assert pipeline.counters["imu_rejected"] == 1
+        assert abs(pipeline.tracker.state.pitch) < 1e-3

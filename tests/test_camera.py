@@ -8,6 +8,7 @@ from aquapos.camera import (
     TagGeometry,
     TagObservation,
     _damped_step,
+    _ippe_seed,
     _normal_equations,
     back_project,
     project_point,
@@ -105,6 +106,62 @@ def _full(H):
     M = np.zeros((6, 6))
     M[np.triu_indices(6)] = H
     return M + np.triu(M, 1).T
+
+
+def _skew(w):
+    return np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
+
+
+def _reference_seed(K, side, px):
+    """numpy reference for _ippe_seed: the DLT homography by SVD, IPPE in matrix
+    form (Collins & Bartoli 2014, section 4) and translations by np.linalg.solve.
+
+    Returns both (R, t) of the planar ambiguity, the one whose b (see below)
+    has its larger entry positive first.
+    """
+    obj = TagGeometry(side).corners()
+    uv = (np.asarray(px, dtype=float) - (K.cx, K.cy)) / (K.fx, K.fy)
+
+    def normalizer(pts):
+        c = pts.mean(axis=0)
+        s = np.sqrt(2.0) / np.mean(np.linalg.norm(pts - c, axis=1))
+        return np.array([[s, 0.0, -s * c[0]], [0.0, s, -s * c[1]], [0.0, 0.0, 1.0]])
+
+    Ts, Td = normalizer(obj[:, :2]), normalizer(uv)
+    src = np.column_stack([obj[:, :2], np.ones(4)]) @ Ts.T
+    dst = np.column_stack([uv, np.ones(4)]) @ Td.T
+    rows = []
+    for (x, y, _), (u, v, _) in zip(src, dst):
+        rows.append([-x, -y, -1.0, 0.0, 0.0, 0.0, u * x, u * y, u])
+        rows.append([0.0, 0.0, 0.0, -x, -y, -1.0, v * x, v * y, v])
+    H = np.linalg.inv(Td) @ np.linalg.svd(np.array(rows))[2][-1].reshape(3, 3) @ Ts
+    H = H / H[2, 2]
+    # the tag centre, the marker origin, lands at v; J is the Jacobian there
+    v = H[:2, 2]
+    J = H[:2, :2] - np.outer(v, H[2, :2])
+    ray = np.append(v, 1.0) / np.linalg.norm(np.append(v, 1.0))
+    k = _skew(np.cross([0.0, 0.0, 1.0], ray))
+    Rv = np.eye(3) + k + k @ k / (1.0 + ray[2])
+    B = np.hstack([np.eye(2), -v[:, None]]) @ Rv[:, :2]
+    A = np.linalg.solve(B, J)
+    R22 = A / np.linalg.svd(A, compute_uv=False)[0]
+    lam, vec = np.linalg.eigh(np.eye(2) - R22.T @ R22)
+    b = np.sqrt(max(lam[1], 0.0)) * vec[:, 1]
+    b = b if b[np.argmax(np.abs(b))] >= 0 else -b
+    poses = []
+    for bb in (b, -b):
+        c0, c1 = np.append(R22[:, 0], bb[0]), np.append(R22[:, 1], bb[1])
+        R = Rv @ np.column_stack([c0, c1, np.cross(c0, c1)])
+        # per corner: t_x - u t_z = u q_z - q_x and t_y - v t_z = v q_z - q_y
+        Q = obj @ R.T
+        M = np.zeros((8, 3))
+        M[0::2, 0] = M[1::2, 1] = 1.0
+        M[0::2, 2], M[1::2, 2] = -uv[:, 0], -uv[:, 1]
+        rhs = np.empty(8)
+        rhs[0::2] = uv[:, 0] * Q[:, 2] - Q[:, 0]
+        rhs[1::2] = uv[:, 1] * Q[:, 2] - Q[:, 1]
+        poses.append((R, np.linalg.solve(M.T @ M, M.T @ rhs)))
+    return poses
 
 
 def _project_tag(K, geom, R, t, noise=None, rng=None):
@@ -245,6 +302,41 @@ class TestSolvePnp:
               [-255447091.777, 925.314], [-255447089.033, 923.049]]
         with pytest.raises(PnPDegenerate):
             solve_pnp_planar(BENCH_K, TagGeometry(0.2), TagObservation(0.0, px))
+
+    @pytest.mark.parametrize(
+        "px",
+        [
+            # dart: the third corner sits inside the triangle of the others
+            [[300, 200], [400, 200], [330, 230], [300, 300]],
+            # bow-tie: the edges from corner 1 to 2 and 3 to 0 cross
+            [[300, 200], [400, 300], [400, 200], [300, 260]],
+            # corners 0, 1 and 2 collinear
+            [[300, 200], [350, 200], [400, 200], [350, 280]],
+        ],
+    )
+    def test_quads_that_are_not_strictly_convex_raise_degenerate(self, px):
+        # no pose of a square in front of a pinhole images to such a quad
+        assert quad_area(px) > 1.0
+        with pytest.raises(PnPDegenerate):
+            solve_pnp_planar(BENCH_K, TagGeometry(0.2), TagObservation(0.0, px))
+
+    def test_clockwise_corners_return_the_flipped_tag(self):
+        # listing the corners in reverse order is the same tag turned about
+        # its x axis, diag(1, -1, -1): same position, back to the camera
+        geom = TagGeometry(0.2)
+        rng = np.random.default_rng(19)
+        flip = np.diag([1.0, -1.0, -1.0])
+        for k in range(100):
+            R_true, t_true = _facing_pose(
+                rng, max_tilt=np.radians(10 if k % 2 else 50), z_range=(0.5, 2.0),
+                xy_scale=0.25,
+            )
+            obs = _project_tag(BENCH_K, geom, R_true, t_true)
+            reversed_obs = TagObservation(0.0, obs.corners[::-1])
+            pose = solve_pnp_planar(BENCH_K, geom, reversed_obs)
+            R, t = pose.transform.rotation, pose.transform.translation
+            np.testing.assert_allclose(t, t_true, atol=1e-6)
+            np.testing.assert_allclose(R, R_true @ flip, atol=1e-6)
 
     def test_collinear_corners(self):
         geom = TagGeometry(0.2)
@@ -424,6 +516,48 @@ class TestPolishKernel:
         assert _damped_step(H[:15] + (math.nan,) + H[16:], g, 1e-3) is None
         # a finite system whose step overflows
         assert _damped_step(H, (1e300,) * 6, 1e-300) is None
+
+
+class TestIppeSeed:
+    def _views(self, rng):
+        """Facing views: near fronto-parallel, 40-60 deg tilt, axis-aligned and
+        far off-centre, 250 of each, half of them with 0.5 px corner noise."""
+        for k in range(1000):
+            family = k % 4
+            if family == 0:
+                axis = rng.normal(size=3)
+                w = np.radians(rng.uniform(0.5, 3.0)) * axis / np.linalg.norm(axis)
+                c, s = np.cos(np.linalg.norm(w)), np.sin(np.linalg.norm(w))
+                S = _skew(w / np.linalg.norm(w))
+                R = (np.eye(3) + s * S + (1 - c) * S @ S) @ _rx(np.pi)
+                x, y = rng.uniform(-0.3, 0.3, size=2)
+            elif family == 1:
+                phi, tilt = rng.uniform(0, 2 * np.pi), np.radians(rng.uniform(40, 60))
+                R = _rz(phi) @ _rx(tilt) @ _rz(-phi) @ _rx(np.pi)
+                x, y = rng.uniform(-0.3, 0.3, size=2)
+            elif family == 2:
+                s, off = rng.uniform(-0.6, 0.6), rng.uniform(-0.3, 0.3)
+                R = [_rx(np.pi + s), _ry(s) @ _rx(np.pi), _rz(s) @ _rx(np.pi)][k % 3]
+                x, y = (off, 0.0) if k % 8 == 2 else (0.0, off)
+            else:
+                R = _facing_pose(rng, max_tilt=np.radians(30))[0]
+                x = rng.uniform(0.45, 0.6) * rng.choice([-1, 1])
+                y = rng.uniform(-0.4, 0.4)
+            z = rng.uniform(0.5, 2.5)
+            yield R, np.array([x * z, y * z, z]), (0.5 if k % 8 < 4 else 0.0)
+
+    def test_matches_numpy_reference(self):
+        geom = TagGeometry(0.2)
+        rng = np.random.default_rng(20)
+        for R_true, t_true, noise in self._views(rng):
+            obs = _project_tag(BENCH_K, geom, R_true, t_true, noise=noise, rng=rng)
+            for px in (obs.corners, obs.corners[::-1]):
+                seeds = _ippe_seed(BENCH_K, geom.side_length, px.tolist())
+                reference = _reference_seed(BENCH_K, geom.side_length, px)
+                for (R, t), (R_ref, t_ref) in zip(seeds, reference):
+                    R = np.reshape(R, (3, 3))
+                    np.testing.assert_allclose(R, R_ref, rtol=0, atol=1e-9)
+                    np.testing.assert_allclose(t, t_ref, rtol=0, atol=1e-9 * t_ref[2])
 
 
 class TestIntrinsicsValidation:

@@ -412,8 +412,11 @@ def _number(lo, hi):
 
 @st.composite
 def _corners(draw):
-    """Tag corners: arbitrary, image-scale, far off-axis, or nearly collinear."""
-    shape = draw(st.sampled_from(("any", "image", "far", "collinear")))
+    """Tag corners: arbitrary, image-scale, far off-axis, nearly collinear, or a
+    dart or bow-tie (not convex)."""
+    shape = draw(
+        st.sampled_from(("any", "image", "far", "collinear", "dart", "bowtie"))
+    )
     if shape == "any":
         return [[draw(_FINITE), draw(_FINITE)] for _ in range(4)]
     u, v = draw(st.floats(-500, 1500)), draw(st.floats(-500, 1000))
@@ -422,12 +425,18 @@ def _corners(draw):
         u += draw(st.sampled_from((-1, 1))) * 10 ** draw(st.floats(3, 8.8))
     side, angle = draw(st.floats(0.5, 300)), draw(st.floats(0, 2 * math.pi))
     c, s = math.cos(angle), math.sin(angle)
+    h = side / 2
     if shape == "collinear":
         # four points along a line, the third pushed off it by a hair
         offsets = [(k * side, 0.0) for k in range(4)]
         offsets[2] = (2 * side, draw(st.floats(0, 2.0)) / side)
+    elif shape == "dart":
+        # the third corner pulled across the diagonal between its neighbours
+        f = draw(st.floats(0.1, 0.9))
+        offsets = [(-h, -h), (h, -h), (-f * h, -f * h), (-h, h)]
+    elif shape == "bowtie":
+        offsets = [(-h, -h), (h, -h), (-h, h), (h, h)]
     else:
-        h = side / 2
         offsets = [(-h, -h), (h, -h), (h, h), (-h, h)]
     jitter = st.floats(-0.2 * side, 0.2 * side)
     return [
