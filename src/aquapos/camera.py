@@ -504,4 +504,5 @@ def solve_pnp_planar(K: Intrinsics, geom: TagGeometry, obs: TagObservation) -> T
     if not candidates:
         raise PnPNoConvergence("pose refinement did not produce a valid pose")
     _, rms, R, t = min(candidates, key=lambda c: c[:2])
-    return TagPose(RigidTransform(np.reshape(R, (3, 3)), np.array(t)), rms)
+    # the seed and the Rodrigues updates keep R orthonormal to rounding
+    return TagPose(RigidTransform._unchecked(np.reshape(R, (3, 3)), np.array(t)), rms)

@@ -17,7 +17,8 @@ import sys
 from . import dataset
 from .config import load_run_config
 from .depth_calibration import calibrate_with_trace
-from .errors import AquaposError, ConfigError, NoOverlap, RegionTooSmall
+from .errors import (AquaposError, ConfigError, DatasetFormatError, NoOverlap,
+                     RegionTooSmall)
 from .estimators import EstimationPipeline, METHODS
 from .evaluation import align, build_error_report
 from .simulator import Simulator
@@ -70,7 +71,11 @@ def cmd_simulate(args) -> int:
         noise = dataclasses.replace(noise, seed=args.seed)
     sim = Simulator(spec, cfg.scene(), noise)
     records, stats = sim.run()
-    n = dataset.write_records(args.out, records)
+    try:
+        n = dataset.write_records(args.out, records)
+    except ValueError as exc:
+        # a simulated value overflowed: the record does not fit the format
+        raise DatasetFormatError(f"{args.out}: {exc}") from None
     print(
         f"wrote {n} records to {args.out} "
         f"(tag in frame {stats['in_frustum']}/{stats['camera_frames']})"

@@ -31,6 +31,8 @@ _PAYLOAD_KEYS = {
     "depth": ("raw",),
     "truth": ("p",),
 }
+_KEY_ORDER = {kind: ("t", "kind", *keys) for kind, keys in _PAYLOAD_KEYS.items()}
+_KEY_SETS = {kind: frozenset(keys) for kind, keys in _KEY_ORDER.items()}
 
 
 def _is_number(v) -> bool:
@@ -57,12 +59,12 @@ def validate_record(obj) -> dict:
     if not isinstance(obj, dict):
         raise ValueError("record must be a JSON object")
     kind = obj.get("kind")
-    if kind not in _PAYLOAD_KEYS:
+    if not isinstance(kind, str) or kind not in _PAYLOAD_KEYS:
         raise ValueError(f"unknown kind {kind!r}")
-    expected = {"t", "kind", *_PAYLOAD_KEYS[kind]}
-    if set(obj) != expected:
-        missing = expected - set(obj)
-        extra = set(obj) - expected
+    expected = _KEY_SETS[kind]
+    if obj.keys() != expected:
+        missing = expected - obj.keys()
+        extra = obj.keys() - expected
         parts = []
         if missing:
             parts.append(f"missing keys {sorted(missing)}")
@@ -92,15 +94,60 @@ def validate_record(obj) -> dict:
     return obj
 
 
+_repr = float.__repr__
+
+# Per kind: the compact JSON line, keys in the format's order, and the
+# record's numbers printed in the order the line takes them.
+_LINES = {
+    "imu": ('{"t":%s,"kind":"imu","gyro":[%s,%s,%s],"accel":[%s,%s,%s]}\n',
+            lambda r: (_repr(r["t"]), *map(_repr, r["gyro"]), *map(_repr, r["accel"]))),
+    "slam": ('{"t":%s,"kind":"slam","x":%s,"y":%s,"yaw":%s}\n',
+             lambda r: (_repr(r["t"]), _repr(r["x"]), _repr(r["y"]), _repr(r["yaw"]))),
+    "tag": ('{"t":%s,"kind":"tag","corners":[[%s,%s],[%s,%s],[%s,%s],[%s,%s]]}\n',
+            lambda r: (_repr(r["t"]), *(_repr(v) for c in r["corners"] for v in c))),
+    "depth": ('{"t":%s,"kind":"depth","raw":%s}\n',
+              lambda r: (_repr(r["t"]), _repr(r["raw"]))),
+    "truth": ('{"t":%s,"kind":"truth","p":[%s,%s,%s]}\n',
+              lambda r: (_repr(r["t"]), *map(_repr, r["p"]))),
+}
+
+
+def _line(rec: dict) -> str:
+    """A valid record's line: json.dumps(rec, separators=(",", ":")) and a newline.
+
+    Records with their keys in the format's order and only float numbers,
+    as the simulator writes them, take their kind's template. json.dumps
+    prints a float, numpy's float64 included, with float.__repr__, and so
+    does the template; plain repr would print np.float64(...) under numpy 2.
+    """
+    kind = rec["kind"]
+    if tuple(rec) == _KEY_ORDER[kind]:
+        template, numbers = _LINES[kind]
+        try:
+            return template % numbers(rec)
+        except TypeError:  # an int among the numbers
+            pass
+    return json.dumps(rec, separators=(",", ":")) + "\n"
+
+
 def write_records(path, records):
-    """Write records as compact JSONL; returns the number written."""
+    """Write records as compact JSONL; returns the number written.
+
+    Each record is validated first: an invalid one raises ValueError
+    naming it, and the lines before it stay written.
+    """
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
-            validate_record(rec)
-            fh.write(json.dumps(rec, separators=(",", ":")))
-            fh.write("\n")
             n += 1
+            try:
+                validate_record(rec)
+            except ValueError as exc:
+                where = f"record {n}"
+                if isinstance(rec, dict) and "kind" in rec and "t" in rec:
+                    where += f" ({rec['kind']} at t={rec['t']})"
+                raise ValueError(f"{where}: {exc}") from None
+            fh.write(_line(rec))
     return n
 
 
@@ -146,17 +193,6 @@ def estimate_to_dict(est) -> dict:
     if est.ray_k is not None:
         out["ray_k"] = float(est.ray_k)
     return out
-
-
-def write_estimates(path, estimates):
-    """Write PositionEstimate objects as JSONL; returns the count."""
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for est in estimates:
-            fh.write(json.dumps(estimate_to_dict(est), separators=(",", ":")))
-            fh.write("\n")
-            n += 1
-    return n
 
 
 def read_estimates(path) -> list:

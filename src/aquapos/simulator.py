@@ -14,13 +14,14 @@ The marker holds its tag flat, normal up; the camera looks down.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera import DEFAULT_INTRINSICS, Intrinsics, TagGeometry, back_project, project_point
+from .camera import DEFAULT_INTRINSICS, Intrinsics, TagGeometry, back_project
 from .depth_calibration import CalibrationParams
 from .errors import RegionTooSmall
 from .estimators import RigExtrinsics, default_rig
@@ -107,8 +108,7 @@ class NoiseModel:
         return cls(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, seed)
 
     def p_drop(self, depth: float) -> float:
-        return float(np.clip(self.dropout_base + self.dropout_per_metre * depth,
-                             0.0, 1.0))
+        return min(max(self.dropout_base + self.dropout_per_metre * depth, 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -184,22 +184,23 @@ class MarkerTrajectory:
         lengths = np.linalg.norm(segs, axis=1)
         if np.any(lengths <= 1e-12):
             raise ValueError("degenerate zero-length segment")
-        self._wp = wp
+        # the per-sample lookups run on Python floats
+        self._wp = wp.tolist()
         self._mode = mode
         self._speed = speed
-        self._cum = np.concatenate([[0.0], np.cumsum(lengths)])
-        self._headings = np.arctan2(segs[:, 1], segs[:, 0])
+        self._cum = np.concatenate([[0.0], np.cumsum(lengths)]).tolist()
+        self._headings = np.arctan2(segs[:, 1], segs[:, 0]).tolist()
         self._depth_mean = depth_mean
         self._depth_amplitude = depth_amplitude
         self._depth_period = depth_period
 
     @property
     def waypoints(self) -> np.ndarray:
-        return self._wp.copy()
+        return np.array(self._wp)
 
     @property
     def total_length(self) -> float:
-        return float(self._cum[-1])
+        return self._cum[-1]
 
     def _arc(self, t: float) -> float:
         s = self._speed * t
@@ -212,7 +213,7 @@ class MarkerTrajectory:
         return min(s, total)
 
     def _segment(self, s: float) -> int:
-        i = int(np.searchsorted(self._cum, s, side="right")) - 1
+        i = bisect.bisect_right(self._cum, s) - 1
         return min(max(i, 0), len(self._headings) - 1)
 
     def depth(self, t: float) -> float:
@@ -220,16 +221,20 @@ class MarkerTrajectory:
             2.0 * math.pi * t / self._depth_period
         )
 
-    def position(self, t: float) -> np.ndarray:
+    def _xyz(self, t: float) -> tuple:
+        """position(t) as a tuple of Python floats."""
         s = self._arc(t)
         i = self._segment(s)
-        seg_len = self._cum[i + 1] - self._cum[i]
-        frac = (s - self._cum[i]) / seg_len
-        xy = self._wp[i] + frac * (self._wp[i + 1] - self._wp[i])
-        return np.array([xy[0], xy[1], -self.depth(t)])
+        c0 = self._cum[i]
+        frac = (s - c0) / (self._cum[i + 1] - c0)
+        (x0, y0), (x1, y1) = self._wp[i], self._wp[i + 1]
+        return x0 + frac * (x1 - x0), y0 + frac * (y1 - y0), -self.depth(t)
+
+    def position(self, t: float) -> np.ndarray:
+        return np.array(self._xyz(t))
 
     def yaw(self, t: float) -> float:
-        return float(self._headings[self._segment(self._arc(t))])
+        return self._headings[self._segment(self._arc(t))]
 
 
 def gen_trajectory(spec: TrajectorySpec) -> MarkerTrajectory:
@@ -328,8 +333,30 @@ class Follower:
         return self._command
 
 
+# Rows per numpy call. Keep it small: 64-row chunks raised the cd-dense-imu
+# benchmark's peak RSS by about 2.7 MB, where 8-row chunks match the
+# per-record draws.
+_DRAW_CHUNK = 8
+
+
+def _draws(draw, n: int, shape: tuple = ()):
+    """n draws of the given shape as Python floats, _DRAW_CHUNK per call.
+
+    A generator's stream runs in order, so the k-th item equals what the
+    k-th of n draw(size=shape) calls would return.
+    """
+    for start in range(0, n, _DRAW_CHUNK):
+        yield from draw(size=(min(_DRAW_CHUNK, n - start), *shape)).tolist()
+
+
 class Simulator:
-    """Steps the world and emits the merged, time-ordered record stream."""
+    """Steps the world and emits the merged, time-ordered record stream.
+
+    All records but the camera's are computed on Python floats. Each noise
+    stream is drawn in batches (see _draws), and the k-th record of a
+    stream gets what it would have drawn alone, so the records match a
+    record-by-record draw bit for bit.
+    """
 
     def __init__(self, spec: TrajectorySpec, scene: SceneConfig | None = None,
                  noise: NoiseModel | None = None):
@@ -346,10 +373,12 @@ class Simulator:
         self._rng_slam = np.random.default_rng(streams[4])
         self._rng_drop = np.random.default_rng(streams[5])
 
-        self._surface_xy = self.trajectory.position(0.0)[:2] + np.array([0.15, -0.10])
-        self._command = np.zeros(2)
+        x, y, _ = self.trajectory._xyz(0.0)
+        self._surface_xy = (x + 0.15, y - 0.10)
+        self._command = (0.0, 0.0)
         self._t_last = 0.0
         self._follower = Follower(self.scene.intrinsics, self.scene.follower)
+        self._tag_corners = list(self.scene.tag.corners())
         self.stats = {"camera_frames": 0, "in_frustum": 0, "tags_emitted": 0}
 
     # --- analytic world state ---------------------------------------
@@ -382,121 +411,129 @@ class Simulator:
     def _camera_to_world(self, t: float) -> RigidTransform:
         roll, pitch = self._tilt(t)
         R_wb = euler_zyx_to_rotation(self._yaw(t), pitch, roll)
-        t_wb = np.array([self._surface_xy[0], self._surface_xy[1],
-                         self.scene.rig.body_height])
+        t_wb = np.array([*self._surface_xy, self.scene.rig.body_height])
         cam = self.scene.rig.camera_in_body
-        return RigidTransform(R_wb @ cam.rotation, R_wb @ cam.translation + t_wb)
+        return RigidTransform._unchecked(R_wb @ cam.rotation,
+                                         R_wb @ cam.translation + t_wb)
 
     # --- per-stream record synthesis --------------------------------
+    # gn, an, n, pixel_noise: this record's standard-normal draws; u: its uniform draw
 
-    def _imu_record(self, t: float) -> dict:
+    def _imu_record(self, t: float, gn, an) -> dict:
         roll, pitch = self._tilt(t)
         roll_rate, pitch_rate = self._tilt_rates(t)
         yaw_rate = self._yaw_rate(t)
         sr, cr = math.sin(roll), math.cos(roll)
         sp, cp = math.sin(pitch), math.cos(pitch)
-        omega = np.array([
-            roll_rate - yaw_rate * sp,
-            pitch_rate * cr + yaw_rate * cp * sr,
-            -pitch_rate * sr + yaw_rate * cp * cr,
-        ])
-        R_wb = euler_zyx_to_rotation(self._yaw(t), pitch, roll)
-        accel = R_wb.T @ np.array([0.0, 0.0, -GRAVITY])
-        gyro = omega + self.noise.gyro_sigma * self._rng_gyro.normal(size=3)
-        accel = accel + self.noise.accel_sigma * self._rng_accel.normal(size=3)
+        gs, acs = self.noise.gyro_sigma, self.noise.accel_sigma
+        # specific force R_wb^T (0, 0, -g) is the third row of R_wb times -g.
+        # The matrix product this replaces sums onto +0.0, so an all-zero
+        # component is +0.0 whatever its terms' signs: hence the + 0.0
         return {"t": t, "kind": "imu",
-                "gyro": [float(v) for v in gyro],
-                "accel": [float(v) for v in accel]}
+                "gyro": [roll_rate - yaw_rate * sp + gs * gn[0],
+                         pitch_rate * cr + yaw_rate * cp * sr + gs * gn[1],
+                         -pitch_rate * sr + yaw_rate * cp * cr + gs * gn[2]],
+                "accel": [-sp * -GRAVITY + 0.0 + acs * an[0],
+                          cp * sr * -GRAVITY + 0.0 + acs * an[1],
+                          cp * cr * -GRAVITY + 0.0 + acs * an[2]]}
 
-    def _slam_record(self, t: float) -> dict:
-        n = self.noise.slam_xy_sigma * self._rng_slam.normal(size=2)
-        yaw = self._yaw(t) + self.noise.slam_yaw_sigma * self._rng_slam.normal()
+    def _slam_record(self, t: float, n) -> dict:
+        x, y = self._surface_xy
+        xy_sigma = self.noise.slam_xy_sigma
         return {"t": t, "kind": "slam",
-                "x": float(self._surface_xy[0] + n[0]),
-                "y": float(self._surface_xy[1] + n[1]),
-                "yaw": float(yaw)}
+                "x": x + xy_sigma * n[0],
+                "y": y + xy_sigma * n[1],
+                "yaw": self._yaw(t) + self.noise.slam_yaw_sigma * n[2]}
 
-    def _depth_record(self, t: float) -> dict:
+    def _depth_record(self, t: float, n: float) -> dict:
         d = self.trajectory.depth(t)
         raw = (d - self.scene.depth_params.offset) / self.scene.depth_params.scale
-        raw = raw + self.noise.depth_sigma * self._rng_depth.normal()
-        return {"t": t, "kind": "depth", "raw": float(raw)}
+        return {"t": t, "kind": "depth", "raw": raw + self.noise.depth_sigma * n}
 
     def _truth_record(self, t: float) -> dict:
-        p = self.trajectory.position(t)
-        return {"t": t, "kind": "truth", "p": [float(v) for v in p]}
+        return {"t": t, "kind": "truth", "p": list(self.trajectory._xyz(t))}
 
-    def _camera_record(self, t: float, dt: float):
+    def _camera_record(self, t: float, dt: float, pixel_noise, u: float):
+        """The tag record, or None when the tag is out of view or dropped.
+
+        The projection keeps numpy's 3x3 products: a scalar sum rounds
+        differently from them, and the dataset bytes would move.
+        """
         self.stats["camera_frames"] += 1
         cam = self._camera_to_world(t)
         marker = self.trajectory.position(t)
-        c, s = math.cos(self.trajectory.yaw(t)), math.sin(self.trajectory.yaw(t))
+        yaw = self.trajectory.yaw(t)
+        c, s = math.cos(yaw), math.sin(yaw)
         R_wm = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        R_cw = cam.rotation.T
         K = self.scene.intrinsics
-        pixels = np.empty((4, 2))
-        visible = True
-        for i, corner in enumerate(self.scene.tag.corners()):
-            p_cam = cam.rotation.T @ (R_wm @ corner + marker - cam.translation)
-            if p_cam[2] <= 1e-6:
-                visible = False
+        pixels = []
+        for corner in self._tag_corners:
+            x, y, z = (R_cw @ (R_wm @ corner + marker - cam.translation)).tolist()
+            if z <= 1e-6:
                 break
-            px = project_point(K, p_cam)
-            if not (0.0 <= px[0] <= K.width and 0.0 <= px[1] <= K.height):
-                visible = False
+            px, py = K.fx * x / z + K.cx, K.fy * y / z + K.cy
+            if not (0.0 <= px <= K.width and 0.0 <= py <= K.height):
                 break
-            pixels[i] = px
-
-        # draw from both streams every frame so the sequences stay aligned
-        pixel_noise = self._rng_pixel.normal(size=(4, 2))
-        drop_draw = self._rng_drop.uniform()
+            pixels.append((px, py))
 
         record = None
         center = None
-        if visible:
+        if len(pixels) == 4:
             self.stats["in_frustum"] += 1
-            if drop_draw >= self.noise.p_drop(self.trajectory.depth(t)):
-                noisy = pixels + self.noise.pixel_sigma * pixel_noise
+            if u >= self.noise.p_drop(self.trajectory.depth(t)):
+                noisy = np.array(pixels) + self.noise.pixel_sigma * np.array(pixel_noise)
                 center = noisy.mean(axis=0)
-                record = {"t": t, "kind": "tag",
-                          "corners": [[float(u), float(v)] for u, v in noisy]}
+                record = {"t": t, "kind": "tag", "corners": noisy.tolist()}
                 self.stats["tags_emitted"] += 1
-        self._command = self._follower.step(center, cam, marker[2], dt)
+        self._command = tuple(
+            self._follower.step(center, cam, marker[2], dt).tolist())
         return record
 
     # --- main loop ----------------------------------------------------
 
-    def run(self):
-        """Produce the merged record stream; returns (records, stats)."""
+    def stream(self):
+        """Yield the merged records in time order; self.stats counts the frames."""
         rates = self.scene.rates
         counts = {
             name: int(math.floor(getattr(rates, name) * self.spec.duration + 1e-9))
             for name in _STREAM_PRIORITY
         }
-        heap = []
-        for name, prio in _STREAM_PRIORITY.items():
-            if counts[name] > 0:
-                heapq.heappush(heap, (0.0, prio, name, 0))
+        gyro = _draws(self._rng_gyro.normal, counts["imu"], (3,))
+        accel = _draws(self._rng_accel.normal, counts["imu"], (3,))
+        slam = _draws(self._rng_slam.normal, counts["slam"], (3,))
+        depth = _draws(self._rng_depth.normal, counts["depth"])
+        # camera frames draw from both streams whether or not a tag is emitted
+        pixel = _draws(self._rng_pixel.normal, counts["camera"], (4, 2))
+        drop = _draws(self._rng_drop.uniform, counts["camera"])
 
-        records = []
+        heap = [(0.0, prio, name, 0)
+                for name, prio in _STREAM_PRIORITY.items() if counts[name] > 0]
+        heapq.heapify(heap)
         while heap:
             t, prio, name, k = heapq.heappop(heap)
             dt = t - self._t_last
             if dt > 0:
-                self._surface_xy = self._surface_xy + self._command * dt
+                (x, y), (vx, vy) = self._surface_xy, self._command
+                self._surface_xy = (x + vx * dt, y + vy * dt)
                 self._t_last = t
             if name == "imu":
-                records.append(self._imu_record(t))
+                yield self._imu_record(t, next(gyro), next(accel))
             elif name == "slam":
-                records.append(self._slam_record(t))
+                yield self._slam_record(t, next(slam))
             elif name == "depth":
-                records.append(self._depth_record(t))
+                yield self._depth_record(t, next(depth))
             elif name == "truth":
-                records.append(self._truth_record(t))
+                yield self._truth_record(t)
             else:
-                rec = self._camera_record(t, 1.0 / rates.camera)
+                rec = self._camera_record(t, 1.0 / rates.camera, next(pixel), next(drop))
                 if rec is not None:
-                    records.append(rec)
+                    yield rec
             if k + 1 < counts[name]:
                 rate = getattr(rates, name)
                 heapq.heappush(heap, ((k + 1) / rate, prio, name, k + 1))
+
+    def run(self):
+        """Produce the merged record stream; returns (records, stats)."""
+        records = list(self.stream())
         return records, dict(self.stats)

@@ -407,6 +407,26 @@ class TestSolvePnp:
             obs = _project_tag(BENCH_K, geom, R_true, t_true, noise=0.5, rng=rng)
             solve_pnp_planar(BENCH_K, geom, obs)  # raises PnPNoConvergence on failure
 
+    def test_noisy_poses_come_back_orthonormal(self):
+        # the winning pose skips the public RigidTransform check, so the
+        # seed and the polish must keep R a rotation to rounding
+        geom = TagGeometry(0.2)
+        rng = np.random.default_rng(21)
+        worst_orth, worst_det = 0.0, 0.0
+        for k in range(600):
+            R_true, t_true = _facing_pose(
+                rng, max_tilt=np.radians(50 if k % 2 else 5), z_range=(0.4, 2.5),
+                xy_scale=0.25,
+            )
+            obs = _project_tag(BENCH_K, geom, R_true, t_true, noise=1.0, rng=rng)
+            pose = solve_pnp_planar(BENCH_K, geom, obs)
+            R = pose.transform.rotation
+            assert R.shape == (3, 3) and pose.transform.translation.shape == (3,)
+            worst_orth = max(worst_orth, np.max(np.abs(R.T @ R - np.eye(3))))
+            worst_det = max(worst_det, abs(np.linalg.det(R) - 1.0))
+        assert worst_orth < 1e-12
+        assert worst_det < 1e-12
+
     def test_depth_noise_amplification(self):
         # corner pixel noise hurts recovered depth far more than lateral position
         geom = TagGeometry(0.2)

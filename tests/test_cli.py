@@ -76,6 +76,24 @@ class TestSimulate:
         assert rc == 2
         assert "unknown key" in capsys.readouterr().err
 
+    def test_overflowing_sample_exits_1_naming_the_record(self, tmp_path):
+        # 1e308 times a standard normal draw overflows to inf
+        config = tmp_path / "run.yaml"
+        config.write_text(
+            "simulation:\n  trajectory: {duration: 2.0}\n"
+            "  noise: {gyro_sigma: 1.0e+308}\n",
+            encoding="utf-8",
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "aquapos.cli", "simulate", "--config",
+             str(config), "--out", str(tmp_path / "x.jsonl")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert "record 1 (imu at t=0.0): gyro must be" in proc.stderr
+
 
 class TestEstimate:
     def test_noiseless_cd_matches_truth(self, noiseless_run, tmp_path):
@@ -196,11 +214,12 @@ def _write_eval_inputs(tmp_path, shift=(0.0, 0.0, 0.0), time_shift=0.0):
         for t, p in zip(times, points)
     ])
     est = tmp_path / "est.jsonl"
-    dataset.write_estimates(est, [
-        PositionEstimate(t + time_shift, p + np.asarray(shift), "cd",
-                         roll=0.0, pitch=0.0)
+    est.write_text("".join(
+        json.dumps(dataset.estimate_to_dict(
+            PositionEstimate(t + time_shift, p + np.asarray(shift), "cd",
+                             roll=0.0, pitch=0.0)), separators=(",", ":")) + "\n"
         for t, p in zip(times, points)
-    ])
+    ), encoding="utf-8")
     return est, data
 
 

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from aquapos.dataset import (
+    estimate_to_dict,
     load_pairs_csv,
     read_estimates,
     read_records,
     validate_record,
-    write_estimates,
     write_records,
 )
 from aquapos.errors import DatasetFormatError
 from aquapos.estimators import PositionEstimate
+from aquapos.simulator import NoiseModel, Simulator, TrajectorySpec
 
 
 def _sample_records():
@@ -121,6 +122,55 @@ class TestRecordValidation:
         with pytest.raises(ValueError):
             write_records(tmp_path / "x.jsonl", [{"t": 0.0, "kind": "depth"}])
 
+    def test_writer_error_names_the_record(self, tmp_path):
+        recs = _sample_records()
+        recs[2] = {"t": 0.01, "kind": "depth", "raw": float("inf")}
+        with pytest.raises(ValueError, match=r"^record 3 \(depth at t=0.01\): raw"):
+            write_records(tmp_path / "x.jsonl", recs)
+
+    def test_unhashable_kind_names_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"t":0.0,"kind":["depth"],"raw":1.0}\n', encoding="utf-8")
+        _expect_line_error(path, 1)
+
+
+def _dumps_lines(records) -> bytes:
+    return "".join(json.dumps(r, separators=(",", ":")) + "\n"
+                   for r in records).encode("utf-8")
+
+
+class TestWriterBytes:
+    """write_records writes what json.dumps(record, separators=(",", ":")) does."""
+
+    @pytest.mark.parametrize("noise", [NoiseModel(seed=4), NoiseModel.zero(seed=4)],
+                             ids=["default", "noiseless"])
+    def test_simulated_records(self, tmp_path, noise):
+        records, _ = Simulator(TrajectorySpec(duration=4.0, seed=4), noise=noise).run()
+        assert {r["kind"] for r in records} == {"imu", "slam", "depth", "truth", "tag"}
+        path = tmp_path / "run.jsonl"
+        write_records(path, records)
+        assert path.read_bytes() == _dumps_lines(records)
+
+    def test_edge_records(self, tmp_path):
+        f64 = np.float64
+        records = [
+            {"t": f64(0.5), "kind": "imu", "gyro": [f64(1e-300), -0.0, 1e300],
+             "accel": [f64(-0.0), 0.0, f64(-9.81)]},
+            {"t": 0, "kind": "slam", "x": 1, "y": -0.0, "yaw": f64(3.0)},
+            {"t": 1e-300, "kind": "depth", "raw": 10**300},
+            {"t": 1e300, "kind": "truth", "p": [f64(0.1), 2, -1e-300]},
+            {"t": 2.0, "kind": "tag",
+             "corners": [[0.5, f64(1.5)], [1, 2], [-0.0, 3.0], [1e300, -1e-300]]},
+            {"t": f64(-0.0), "kind": "depth", "raw": f64(1e300)},
+            # keys out of the format's order keep their order, as in json.dumps
+            {"kind": "depth", "raw": 1.5, "t": 3.0},
+            {"p": [1.0, 2.0, 3.0], "t": 4.0, "kind": "truth"},
+        ]
+        path = tmp_path / "edge.jsonl"
+        assert write_records(path, records) == len(records)
+        assert path.read_bytes() == _dumps_lines(records)
+        assert b"np." not in path.read_bytes()
+
 
 class TestEstimateIO:
     def test_round_trip_with_diagnostics(self, tmp_path):
@@ -131,7 +181,8 @@ class TestEstimateIO:
             PositionEstimate(0.6, np.array([1.1, 2.0, -1.5]), "cd",
                              roll=0.0, pitch=0.0, ray_k=-0.6),
         ]
-        assert write_estimates(path, ests) == 2
+        path.write_text("".join(json.dumps(estimate_to_dict(e)) + "\n" for e in ests),
+                        encoding="utf-8")
         back = read_estimates(path)
         assert back[0]["method"] == "cpnp"
         assert back[0]["reproj_rms"] == pytest.approx(0.3)

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from aquapos.attitude import accel_to_tilt
+from aquapos.attitude import GRAVITY, accel_to_tilt
+from aquapos.depth_calibration import CalibrationParams
 from aquapos.errors import RegionTooSmall
 from aquapos.estimators import EstimationPipeline
 from aquapos.evaluation import align, med
@@ -316,6 +317,102 @@ class TestSimulatorStreams:
                 expected = scene.yaw_amplitude * math.sin(
                     2 * math.pi * r["t"] / scene.yaw_period)
                 assert r["yaw"] == expected
+
+
+class _SurfaceRecorder(Simulator):
+    """Keeps the surface position each SLAM sample reads."""
+
+    def _slam_record(self, t, n):
+        self.surfaces.append(self._surface_xy)
+        return super()._slam_record(t, n)
+
+
+def _bits(values):
+    # float.hex tells -0.0 from 0.0, where == does not
+    return [float(v).hex() for v in values]
+
+
+def _numpy_position(spec, t):
+    """MarkerTrajectory.position as the numpy formula it replaced."""
+    wp = gen_trajectory(spec).waypoints
+    cum = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(wp, axis=0), axis=1))])
+    s, total = spec.speed * t, cum[-1]
+    if spec.pattern == "square":
+        s = s % total
+    elif spec.pattern == "lawnmower":
+        m = s % (2.0 * total)
+        s = m if m <= total else 2.0 * total - m
+    else:
+        s = min(s, total)
+    i = min(max(int(np.searchsorted(cum, s, side="right")) - 1, 0), len(wp) - 2)
+    xy = wp[i] + (s - cum[i]) / (cum[i + 1] - cum[i]) * (wp[i + 1] - wp[i])
+    depth = spec.depth_mean + spec.depth_amplitude * math.sin(
+        2.0 * math.pi * t / spec.depth_period)
+    return np.array([xy[0], xy[1], -depth])
+
+
+class TestScalarRecordsMatchNumpyFormulas:
+    """IMU, SLAM, depth and truth records equal, bit for bit and signed zeros
+    included, the numpy formulas the float-native ones replaced: one draw
+    per sample from each stream, omega and R_wb^T (0, 0, -g) as arrays."""
+
+    @pytest.mark.parametrize("spec, noise", [
+        (TrajectorySpec("square", speed=0.4, duration=30.0, seed=2), NoiseModel(seed=2)),
+        (TrajectorySpec("lawnmower", speed=0.4, duration=40.0), NoiseModel.zero(seed=3)),
+        (TrajectorySpec("random", duration=20.0, seed=5),
+         NoiseModel(accel_sigma=0.0, tilt_amplitude=0.0, seed=5)),
+    ], ids=["square-noisy", "lawnmower-noiseless", "random-level"])
+    def test_records_equal_numpy_reference(self, spec, noise):
+        scene = SceneConfig(depth_params=CalibrationParams(1.05, -0.03))
+        sim = _SurfaceRecorder(spec, scene, noise)
+        sim.surfaces = []
+        records, _ = sim.run()
+        streams = np.random.SeedSequence(noise.seed).spawn(6)
+        rng_gyro, rng_accel, rng_depth, rng_slam = (
+            np.random.default_rng(streams[i]) for i in (1, 2, 3, 4))
+        a, f = noise.tilt_amplitude, noise.tilt_frequency
+        wr, wp = 2.0 * math.pi * f, 2.0 * math.pi * 0.8 * f
+        w = 2.0 * math.pi / scene.yaw_period
+        surfaces = iter(sim.surfaces)
+        zeros = 0
+        for r in records:
+            t = r["t"]
+            yaw = scene.yaw_amplitude * math.sin(2.0 * math.pi * t / scene.yaw_period)
+            if r["kind"] == "imu":
+                roll = a * math.sin(2.0 * math.pi * f * t)
+                pitch = a * math.sin(2.0 * math.pi * 0.8 * f * t + 0.7)
+                roll_rate, pitch_rate = a * wr * math.cos(wr * t), a * wp * math.cos(wp * t + 0.7)
+                yaw_rate = scene.yaw_amplitude * w * math.cos(w * t)
+                sr, cr = math.sin(roll), math.cos(roll)
+                sp, cp = math.sin(pitch), math.cos(pitch)
+                omega = np.array([
+                    roll_rate - yaw_rate * sp,
+                    pitch_rate * cr + yaw_rate * cp * sr,
+                    -pitch_rate * sr + yaw_rate * cp * cr,
+                ])
+                R_wb = euler_zyx_to_rotation(yaw, pitch, roll)
+                accel = R_wb.T @ np.array([0.0, 0.0, -GRAVITY])
+                gyro = omega + noise.gyro_sigma * rng_gyro.normal(size=3)
+                accel = accel + noise.accel_sigma * rng_accel.normal(size=3)
+                assert _bits(r["gyro"]) == _bits(gyro)
+                assert _bits(r["accel"]) == _bits(accel)
+                zeros += sum(v == 0.0 for v in r["accel"])
+            elif r["kind"] == "slam":
+                surface = np.array(next(surfaces))
+                n = noise.slam_xy_sigma * rng_slam.normal(size=2)
+                expected = (surface[0] + n[0], surface[1] + n[1],
+                            yaw + noise.slam_yaw_sigma * rng_slam.normal())
+                assert _bits((r["x"], r["y"], r["yaw"])) == _bits(expected)
+            elif r["kind"] == "depth":
+                p = scene.depth_params
+                raw = (-_numpy_position(spec, t)[2] - p.offset) / p.scale
+                raw = raw + noise.depth_sigma * rng_depth.normal()
+                assert _bits([r["raw"]]) == _bits([raw])
+            elif r["kind"] == "truth":
+                assert _bits(r["p"]) == _bits(_numpy_position(spec, t))
+        assert next(surfaces, None) is None
+        # level runs without accelerometer noise write signed zeros
+        assert zeros > 0 or noise.accel_sigma > 0
 
 
 class TestClosedLoop:
