@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AccelOutOfRange, PitchSingularity
-from .geometry import euler_zyx_to_rotation
 
 GRAVITY = 9.81
 
@@ -250,11 +249,6 @@ def _update(state: TiltState, accel, r) -> TiltState:
 def ekf_update(state: TiltState, accel, cfg: TiltConfig) -> TiltState:
     """Correct the state with the accelerometer tilt observation (H = I)."""
     return _update(state, accel, _entries(cfg.r))
-
-
-def fuse_full_rotation(tilt: TiltState, yaw: float) -> np.ndarray:
-    """Body-to-world rotation from filter tilt plus an external yaw."""
-    return euler_zyx_to_rotation(yaw, tilt.pitch, tilt.roll)
 
 
 class TiltTracker:

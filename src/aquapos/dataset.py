@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
-import math
+from math import isfinite
 
 import numpy as np
 
@@ -33,12 +33,13 @@ _PAYLOAD_KEYS = {
 }
 _KEY_ORDER = {kind: ("t", "kind", *keys) for kind, keys in _PAYLOAD_KEYS.items()}
 _KEY_SETS = {kind: frozenset(keys) for kind, keys in _KEY_ORDER.items()}
+_METHODS = ("cpnp", "cd")
 
 
 def _is_number(v) -> bool:
     """A finite JSON number: a float, or an int (not a bool) a float can hold."""
     if isinstance(v, float):
-        return math.isfinite(v)
+        return isfinite(v)
     if isinstance(v, int) and not isinstance(v, bool):
         try:
             float(v)
@@ -54,8 +55,8 @@ def _check_vector(value, length, what):
         raise ValueError(f"{what} must be a list of {length} finite numbers")
 
 
-def validate_record(obj) -> dict:
-    """Check one parsed record against the format; returns it unchanged."""
+def _check_record(obj) -> None:
+    """The format's full checks; raise ValueError naming the first violation."""
     if not isinstance(obj, dict):
         raise ValueError("record must be a JSON object")
     kind = obj.get("kind")
@@ -91,6 +92,78 @@ def validate_record(obj) -> dict:
             raise ValueError("raw must be a finite number")
     else:  # truth
         _check_vector(obj["p"], 3, "p")
+
+
+# Per kind, a fast acceptance test for a record whose keys are already the
+# kind's key set: every list an exact list of the right length, every number
+# an exact float, and the plain sum of the numbers finite. An inf or nan
+# makes the sum inf or nan; a sum that overflows from finite terms only
+# declines the record, and _check_record then accepts it.
+def _fast_imu(r) -> bool:
+    g, a = r["gyro"], r["accel"]
+    if type(g) is type(a) is list and len(g) == len(a) == 3:
+        t = r["t"]
+        g0, g1, g2 = g
+        a0, a1, a2 = a
+        return (type(t) is type(g0) is type(g1) is type(g2) is type(a0)
+                is type(a1) is type(a2) is float
+                and isfinite(t + g0 + g1 + g2 + a0 + a1 + a2))
+    return False
+
+
+def _fast_slam(r) -> bool:
+    t, x, y, yaw = r["t"], r["x"], r["y"], r["yaw"]
+    return type(t) is type(x) is type(y) is type(yaw) is float and isfinite(t + x + y + yaw)
+
+
+def _fast_tag(r) -> bool:
+    c = r["corners"]
+    if type(c) is list and len(c) == 4:
+        c0, c1, c2, c3 = c
+        if (type(c0) is type(c1) is type(c2) is type(c3) is list
+                and len(c0) == len(c1) == len(c2) == len(c3) == 2):
+            t = r["t"]
+            u0, v0 = c0
+            u1, v1 = c1
+            u2, v2 = c2
+            u3, v3 = c3
+            return (type(t) is type(u0) is type(v0) is type(u1) is type(v1)
+                    is type(u2) is type(v2) is type(u3) is type(v3) is float
+                    and isfinite(t + u0 + v0 + u1 + v1 + u2 + v2 + u3 + v3))
+    return False
+
+
+def _fast_depth(r) -> bool:
+    t, raw = r["t"], r["raw"]
+    return type(t) is type(raw) is float and isfinite(t + raw)
+
+
+def _fast_truth(r) -> bool:
+    p = r["p"]
+    if type(p) is list and len(p) == 3:
+        t = r["t"]
+        p0, p1, p2 = p
+        return type(t) is type(p0) is type(p1) is type(p2) is float and isfinite(t + p0 + p1 + p2)
+    return False
+
+
+_FAST_CHECKS = {"imu": _fast_imu, "slam": _fast_slam, "tag": _fast_tag,
+                "depth": _fast_depth, "truth": _fast_truth}
+
+
+def validate_record(obj) -> dict:
+    """Check one parsed record against the format; returns it unchanged.
+
+    Records the per-kind fast check accepts are valid. Every other record
+    goes through the full checks, which decide and word the verdict.
+    """
+    if type(obj) is dict:
+        kind = obj.get("kind")
+        if type(kind) is str:
+            fast = _FAST_CHECKS.get(kind)
+            if fast is not None and obj.keys() == _KEY_SETS[kind] and fast(obj):
+                return obj
+    _check_record(obj)
     return obj
 
 
@@ -151,6 +224,29 @@ def write_records(path, records):
     return n
 
 
+# The C scanner behind json.loads, called directly: json.loads adds a Python
+# wrapper per line that the stripped, one-value lines here do not need.
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _parse(path, lineno, line):
+    """The JSON value on a stripped line; DatasetFormatError if it is not one.
+
+    A line the scanner cannot take whole is parsed again by json.loads, so
+    the message is json.loads' own.
+    """
+    try:
+        obj, end = _scan_once(line, 0)
+        if end == len(line):
+            return obj
+    except (StopIteration, json.JSONDecodeError):
+        pass
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DatasetFormatError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+
+
 def read_records(path):
     """Yield validated records one line at a time (constant memory).
 
@@ -163,10 +259,7 @@ def read_records(path):
             line = line.strip()
             if not line:
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetFormatError(f"{path}:{lineno}: invalid JSON ({exc.msg})")
+            obj = _parse(path, lineno, line)
             try:
                 validate_record(obj)
             except ValueError as exc:
@@ -195,6 +288,23 @@ def estimate_to_dict(est) -> dict:
     return out
 
 
+def _valid_estimate(obj) -> bool:
+    if type(obj) is dict:
+        t, p = obj.get("t"), obj.get("p")
+        if type(p) is list and len(p) == 3 and obj.get("method") in _METHODS:
+            p0, p1, p2 = p
+            if type(t) is type(p0) is type(p1) is type(p2) is float and isfinite(t + p0 + p1 + p2):
+                return True
+    if (not isinstance(obj, dict) or not _is_number(obj.get("t"))
+            or obj.get("method") not in _METHODS):
+        return False
+    try:
+        _check_vector(obj["p"], 3, "p")
+    except (KeyError, ValueError):
+        return False
+    return True
+
+
 def read_estimates(path) -> list:
     """Read an estimate file back into a list of dicts."""
     out = []
@@ -203,16 +313,8 @@ def read_estimates(path) -> list:
             line = line.strip()
             if not line:
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetFormatError(f"{path}:{lineno}: invalid JSON ({exc.msg})")
-            if (not isinstance(obj, dict) or not _is_number(obj.get("t"))
-                    or obj.get("method") not in ("cpnp", "cd")):
-                raise DatasetFormatError(f"{path}:{lineno}: malformed estimate")
-            try:
-                _check_vector(obj["p"], 3, "p")
-            except (KeyError, ValueError):
+            obj = _parse(path, lineno, line)
+            if not _valid_estimate(obj):
                 raise DatasetFormatError(f"{path}:{lineno}: malformed estimate")
             out.append(obj)
     return out

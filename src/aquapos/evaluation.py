@@ -36,6 +36,15 @@ class AlignedPair:
         object.__setattr__(self, "estimate", est)
         object.__setattr__(self, "truth", tru)
 
+    @classmethod
+    def _unchecked(cls, timestamp: float, estimate: np.ndarray, truth: np.ndarray):
+        """Build from a float and two finite float 3-vectors; skips the checks."""
+        pair = object.__new__(cls)
+        object.__setattr__(pair, "timestamp", timestamp)
+        object.__setattr__(pair, "estimate", estimate)
+        object.__setattr__(pair, "truth", truth)
+        return pair
+
 
 @dataclass(frozen=True)
 class RegressionResult:
@@ -99,23 +108,26 @@ def align(est_times, est_points, truth_times, truth_points,
     if tt.size and np.any(np.diff(tt) < 0):
         raise ValueError("truth timestamps must be non-decreasing")
 
-    pairs = []
-    dropped = 0
     if tt.size == 0:
-        return pairs, int(et.size)
+        return [], int(et.size)
+    # the truth samples either side of each estimate; at either end both
+    # indices clip to the same sample. The earlier sample wins a tie.
     idx = np.searchsorted(tt, et)
-    for i, t in enumerate(et):
-        best = None
-        for j in (idx[i] - 1, idx[i]):
-            if 0 <= j < tt.size:
-                d = abs(tt[j] - t)
-                if best is None or d < best[0]:
-                    best = (d, j)
-        if best is not None and best[0] <= max_dt:
-            pairs.append(AlignedPair(float(t), ep[i], tp[best[1]]))
-        else:
-            dropped += 1
-    return pairs, dropped
+    lo = np.maximum(idx - 1, 0)
+    hi = np.minimum(idx, tt.size - 1)
+    d_lo = np.abs(tt[lo] - et)
+    d_hi = np.abs(tt[hi] - et)
+    later = d_hi < d_lo
+    keep = np.where(later, d_hi, d_lo) <= max_dt
+    t_kept = et[keep]
+    e_kept = ep[keep]
+    p_kept = tp[np.where(later, hi, lo)[keep]]
+    if not (np.isfinite(t_kept).all() and np.isfinite(e_kept).all()
+            and np.isfinite(p_kept).all()):
+        raise ValueError("aligned pair must be finite")
+    new = AlignedPair._unchecked
+    pairs = [new(t, e, p) for t, e, p in zip(t_kept.tolist(), e_kept, p_kept)]
+    return pairs, int(et.size - len(pairs))
 
 
 def euclidean_error(pair: AlignedPair) -> float:

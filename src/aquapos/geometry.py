@@ -64,13 +64,6 @@ class RigidTransform:
     def from_translation(cls, t) -> "RigidTransform":
         return cls(np.eye(3), t)
 
-    def as_matrix(self) -> np.ndarray:
-        """4x4 homogeneous form."""
-        M = np.eye(4)
-        M[:3, :3] = self.rotation
-        M[:3, 3] = self.translation
-        return M
-
 
 def transform_point(H: RigidTransform, p) -> np.ndarray:
     """Apply H to a point: R @ p + t."""

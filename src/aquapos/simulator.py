@@ -23,7 +23,7 @@ import numpy as np
 
 from .camera import DEFAULT_INTRINSICS, Intrinsics, TagGeometry, back_project
 from .depth_calibration import CalibrationParams
-from .errors import RegionTooSmall
+from .errors import BehindCamera, RegionTooSmall
 from .estimators import RigExtrinsics, default_rig
 from .geometry import RigidTransform, euler_zyx_to_rotation
 
@@ -312,13 +312,19 @@ class Follower:
             fade = max(0.0, 1.0 - self._blind_time / self.cfg.hold_decay)
             return self._command * fade
         self._blind_time = 0.0
+        try:
+            ray = back_project(self.intrinsics, center_pixel)
+        except BehindCamera:
+            # a center too far off axis, or not finite, has no ground point:
+            # keep the last command, as for a grazing ray
+            return self._command
         err = np.asarray(center_pixel, dtype=float) - np.array(
             [self.intrinsics.cx, self.intrinsics.cy]
         )
         if np.linalg.norm(err) <= self.cfg.deadband_px:
             self._command = np.zeros(2)
             return self._command
-        ray = camera_to_world.rotation @ back_project(self.intrinsics, center_pixel)
+        ray = camera_to_world.rotation @ ray
         origin = camera_to_world.translation
         if abs(ray[2]) < 1e-9:
             # grazing ray, no usable ground point: keep the last command
@@ -482,9 +488,15 @@ class Simulator:
         if len(pixels) == 4:
             self.stats["in_frustum"] += 1
             if u >= self.noise.p_drop(self.trajectory.depth(t)):
-                noisy = np.array(pixels) + self.noise.pixel_sigma * np.array(pixel_noise)
-                center = noisy.mean(axis=0)
-                record = {"t": t, "kind": "tag", "corners": noisy.tolist()}
+                # on Python floats a huge sigma overflows to inf without a
+                # numpy warning; write_records then names the record. The
+                # sums are numpy's mean over the corners, term for term.
+                s = self.noise.pixel_sigma
+                corners = [[px + s * nx, py + s * ny]
+                           for (px, py), (nx, ny) in zip(pixels, pixel_noise)]
+                (u0, v0), (u1, v1), (u2, v2), (u3, v3) = corners
+                center = ((u0 + u1 + u2 + u3) / 4, (v0 + v1 + v2 + v3) / 4)
+                record = {"t": t, "kind": "tag", "corners": corners}
                 self.stats["tags_emitted"] += 1
         self._command = tuple(
             self._follower.step(center, cam, marker[2], dt).tolist())

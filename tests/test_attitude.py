@@ -10,13 +10,13 @@ from aquapos.attitude import (
     accel_to_tilt,
     ekf_predict,
     ekf_update,
-    fuse_full_rotation,
     predict_mean,
     prediction_jacobian,
 )
 from aquapos.camera import DEFAULT_INTRINSICS, TagGeometry
 from aquapos.errors import AccelOutOfRange, GimbalLockNear, PitchSingularity
 from aquapos.estimators import EstimationPipeline, default_rig
+from aquapos.geometry import euler_zyx_to_rotation
 
 
 def _gravity_accel(roll, pitch):
@@ -200,13 +200,19 @@ class TestConvergenceAndTracking:
 
 
 class TestFuseFullRotation:
+    """Body-to-world rotation from the filter's tilt plus an external yaw."""
+
+    @staticmethod
+    def _fuse(tilt, yaw):
+        return euler_zyx_to_rotation(yaw, tilt.pitch, tilt.roll)
+
     def test_identity(self):
         s = TiltState(0.0, 0.0, np.eye(2) * 1e-4)
-        np.testing.assert_allclose(fuse_full_rotation(s, 0.0), np.eye(3), atol=0)
+        np.testing.assert_allclose(self._fuse(s, 0.0), np.eye(3), atol=0)
 
     def test_pure_yaw(self):
         s = TiltState(0.0, 0.0, np.eye(2) * 1e-4)
-        R = fuse_full_rotation(s, np.pi / 2)
+        R = self._fuse(s, np.pi / 2)
         np.testing.assert_allclose(R, [[0, -1, 0], [1, 0, 0], [0, 0, 1]], atol=1e-12)
 
     def test_per_axis_product_oracle(self):
@@ -223,13 +229,13 @@ class TestFuseFullRotation:
             return np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]])
 
         s = TiltState(0.05, -0.03, np.eye(2) * 1e-4)
-        R = fuse_full_rotation(s, 1.0)
+        R = self._fuse(s, 1.0)
         np.testing.assert_allclose(R, rz(1.0) @ ry(-0.03) @ rx(0.05), atol=1e-12)
 
     def test_gimbal_guard_propagates(self):
         s = TiltState(0.0, np.pi / 2 - 1e-8, np.eye(2) * 1e-4)
         with pytest.raises(GimbalLockNear):
-            fuse_full_rotation(s, 0.0)
+            self._fuse(s, 0.0)
 
 
 class TestTypesAndTracker:

@@ -94,6 +94,24 @@ class TestSimulate:
         assert proc.stderr.startswith("error: ")
         assert "record 1 (imu at t=0.0): gyro must be" in proc.stderr
 
+    def test_overflowing_pixel_noise_exits_1_naming_the_tag_frame(self, tmp_path):
+        config = tmp_path / "run.yaml"
+        config.write_text(
+            "simulation:\n  trajectory: {duration: 2.0}\n"
+            "  noise: {pixel_sigma: 1.0e+308}\n",
+            encoding="utf-8",
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "aquapos.cli", "simulate", "--config",
+             str(config), "--seed", "7", "--out", str(tmp_path / "x.jsonl")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        # one error line and nothing else: no numpy warnings, no traceback
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("error: ")
+        assert "(tag at t=" in proc.stderr and "corner must be" in proc.stderr
+
 
 class TestEstimate:
     def test_noiseless_cd_matches_truth(self, noiseless_run, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -230,3 +231,272 @@ class TestPairsCsv:
         path.write_text("1.0,1.5,9.9\n", encoding="utf-8")
         with pytest.raises(DatasetFormatError, match=":1:"):
             load_pairs_csv(path)
+
+
+# --- the reader before its fast paths, kept as the reference --------------
+
+def _ref_is_number(v) -> bool:
+    if isinstance(v, float):
+        return math.isfinite(v)
+    if isinstance(v, int) and not isinstance(v, bool):
+        try:
+            float(v)
+        except OverflowError:
+            return False
+        return True
+    return False
+
+
+def _ref_check_vector(value, length, what):
+    if (not isinstance(value, list) or len(value) != length
+            or not all(map(_ref_is_number, value))):
+        raise ValueError(f"{what} must be a list of {length} finite numbers")
+
+
+_REF_KEYS = {
+    "imu": frozenset(("t", "kind", "gyro", "accel")),
+    "slam": frozenset(("t", "kind", "x", "y", "yaw")),
+    "tag": frozenset(("t", "kind", "corners")),
+    "depth": frozenset(("t", "kind", "raw")),
+    "truth": frozenset(("t", "kind", "p")),
+}
+
+
+def _ref_validate(obj):
+    if not isinstance(obj, dict):
+        raise ValueError("record must be a JSON object")
+    kind = obj.get("kind")
+    if not isinstance(kind, str) or kind not in _REF_KEYS:
+        raise ValueError(f"unknown kind {kind!r}")
+    expected = _REF_KEYS[kind]
+    if obj.keys() != expected:
+        missing = expected - obj.keys()
+        extra = obj.keys() - expected
+        parts = []
+        if missing:
+            parts.append(f"missing keys {sorted(missing)}")
+        if extra:
+            parts.append(f"unexpected keys {sorted(extra)}")
+        raise ValueError(f"{kind} record: " + ", ".join(parts))
+    if not _ref_is_number(obj["t"]):
+        raise ValueError("t must be a finite number")
+    if kind == "imu":
+        _ref_check_vector(obj["gyro"], 3, "gyro")
+        _ref_check_vector(obj["accel"], 3, "accel")
+    elif kind == "slam":
+        for key in ("x", "y", "yaw"):
+            if not _ref_is_number(obj[key]):
+                raise ValueError(f"{key} must be a finite number")
+    elif kind == "tag":
+        corners = obj["corners"]
+        if not isinstance(corners, list) or len(corners) != 4:
+            raise ValueError("corners must be a list of 4 pixel pairs")
+        for c in corners:
+            _ref_check_vector(c, 2, "corner")
+    elif kind == "depth":
+        if not _ref_is_number(obj["raw"]):
+            raise ValueError("raw must be a finite number")
+    else:
+        _ref_check_vector(obj["p"], 3, "p")
+    return obj
+
+
+def _ref_lines(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DatasetFormatError(f"{path}:{lineno}: invalid JSON ({exc.msg})")
+            yield lineno, obj
+
+
+def _ref_read_records(path):
+    last_t = None
+    out = []
+    for lineno, obj in _ref_lines(path):
+        try:
+            _ref_validate(obj)
+        except ValueError as exc:
+            raise DatasetFormatError(f"{path}:{lineno}: {exc}")
+        if last_t is not None and obj["t"] < last_t:
+            raise DatasetFormatError(f"{path}:{lineno}: timestamp {obj['t']} precedes {last_t}")
+        last_t = obj["t"]
+        out.append(obj)
+    return out
+
+
+def _ref_read_estimates(path):
+    out = []
+    for lineno, obj in _ref_lines(path):
+        if (not isinstance(obj, dict) or not _ref_is_number(obj.get("t"))
+                or obj.get("method") not in ("cpnp", "cd")):
+            raise DatasetFormatError(f"{path}:{lineno}: malformed estimate")
+        try:
+            _ref_check_vector(obj["p"], 3, "p")
+        except (KeyError, ValueError):
+            raise DatasetFormatError(f"{path}:{lineno}: malformed estimate")
+        out.append(obj)
+    return out
+
+
+def _outcome(fn, *args):
+    """repr of the result (so -0.0, ints and floats stay apart), or the error."""
+    try:
+        return "ok", repr(list(fn(*args)))
+    except DatasetFormatError as exc:
+        return "DatasetFormatError", str(exc)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+# Replacements for one number of a record: JSON text spliced in place of it
+_NUMBER_TOKENS = ["1", "0", "-7", "true", "false", "null", "1" * 400, "-" + "1" * 400,
+                  "NaN", "Infinity", "-Infinity", "1e400", "-1e400", "-0.0", "0.0",
+                  "[1.0]", "[]", "{}", '"1.0"', "1e308", "-1e-320"]
+_LIST_TOKENS = ["[]", "[1.0]", "[1.0, 2.0, 3.0, 4.0]", "[[1.0, 2.0]]", '"abc"',
+                '{"a": 1.0, "b": 2.0, "c": 3.0}', "null", "1.0"]
+
+
+def _numbers(obj, path=()):
+    """Paths to every number of a parsed record, t included."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _numbers(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _numbers(value, path + (i,))
+    elif isinstance(obj, float):
+        yield path
+
+
+def _lists(obj, path=()):
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _lists(value, path + (key,))
+    elif isinstance(obj, list):
+        yield path
+        for i, value in enumerate(obj):
+            yield from _lists(value, path + (i,))
+
+
+_MARK = "\x00MARK\x00"
+
+
+def _replaced(obj, path, value):
+    """A deep copy of a parsed record with the value at path replaced."""
+    copy = json.loads(json.dumps(obj))
+    target = copy
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return copy
+
+
+def _splice(obj, path, token):
+    """The record's compact line with the value at path replaced by JSON text."""
+    line = json.dumps(_replaced(obj, path, _MARK), separators=(",", ":"))
+    return line.replace(json.dumps(_MARK), token)
+
+
+def _record_mutations(rec):
+    """Lines derived from one valid record: each one valid or invalid."""
+    line = json.dumps(rec, separators=(",", ":"))
+    yield line
+    for path in _numbers(rec):
+        for token in _NUMBER_TOKENS:
+            yield _splice(rec, path, token)
+    for path in _lists(rec):
+        for token in _LIST_TOKENS:
+            yield _splice(rec, path, token)
+    numbers = list(_numbers(rec))
+    for a, b in zip(numbers, numbers[1:]):
+        # finite numbers whose plain sum overflows, or cancels to 0
+        yield _splice(json.loads(_splice(rec, a, "1e308")), b, "1e308")
+        yield _splice(json.loads(_splice(rec, a, "1e308")), b, "-1e308")
+    yield json.dumps(dict(reversed(list(rec.items()))))
+    for key in rec:
+        yield json.dumps({k: v for k, v in rec.items() if k != key})
+    yield json.dumps({**rec, "extra": 1.0})
+    yield json.dumps({**rec, "kind": "sonar"})
+    yield json.dumps({**rec, "kind": ["depth"]})
+    yield json.dumps({**rec, "kind": None})
+    yield "\ufeff" + line
+    yield line + " x"
+    yield line + "}"
+    yield line + line
+    yield line[:-1]
+    yield "  \t" + line + " \t "
+    yield "[" + line + "]"
+
+
+_OTHER_LINES = ["", "   ", "3", '"depth"', "null", "[1.0, 2.0]", "{", "}", "{}",
+                '{"t":1.0}', "NaN", "\ufeff"]
+
+
+def _simulated_records():
+    records, _ = Simulator(TrajectorySpec(duration=1.0, seed=9), noise=NoiseModel(seed=9)).run()
+    first = {}
+    for rec in records:
+        first.setdefault(rec["kind"], rec)
+    assert set(first) == {"imu", "slam", "depth", "truth", "tag"}
+    return list(first.values())
+
+
+def _estimate_lines():
+    rec = {"t": 0.25, "method": "cd", "p": [0.5, -0.25, -1.5], "roll": 0.01,
+           "pitch": -0.02, "ray_k": -0.6}
+    yield from _record_mutations(rec)
+    yield json.dumps({**rec, "method": "cpnp"})
+    yield json.dumps({**rec, "method": "sonar"})
+    yield json.dumps({**rec, "method": ["cd"]})
+    yield json.dumps({k: v for k, v in rec.items() if k not in ("roll", "pitch", "ray_k")})
+
+
+class TestReaderMatchesReference:
+    """read_records and read_estimates against the plain json.loads reader."""
+
+    def _compare(self, tmp_path, lines, read, reference):
+        path = tmp_path / "case.jsonl"
+        for i, line in enumerate(lines):
+            # the case between two valid lines, so line numbers and the
+            # timestamp check take part
+            body = ('{"t":-1.0,"kind":"depth","raw":1.0}\n' + line + "\n\n"
+                    + '{"t":1e300,"kind":"depth","raw":1.0}\n')
+            path.write_text(body, encoding="utf-8")
+            assert _outcome(read, path) == _outcome(reference, path), (i, line)
+
+    def test_records(self, tmp_path):
+        lines = [m for rec in _simulated_records() for m in _record_mutations(rec)]
+        lines += _OTHER_LINES
+        self._compare(tmp_path, lines, read_records, _ref_read_records)
+
+    def test_estimates(self, tmp_path):
+        lines = list(_estimate_lines()) + _OTHER_LINES
+        path = tmp_path / "case.jsonl"
+        for i, line in enumerate(lines):
+            path.write_text('{"t":0.0,"method":"cpnp","p":[0.0,0.0,0.0]}\n'
+                            + line + "\n\n", encoding="utf-8")
+            assert _outcome(read_estimates, path) == _outcome(_ref_read_estimates, path), (i, line)
+
+    def test_validate_record_on_objects(self):
+        # objects json never yields: tuples, numpy floats, float subclasses
+        class F(float):
+            pass
+
+        objects = []
+        for rec in _simulated_records():
+            for path in _numbers(rec):
+                for value in (np.float64(1.5), F(1.5), 2, 10**400, True, None):
+                    objects.append(_replaced(rec, path, value))
+            for path in _lists(rec):
+                target = rec
+                for key in path:
+                    target = target[key]
+                objects.append(_replaced(rec, path, tuple(target)))
+        for obj in objects:
+            assert (_outcome(lambda o: [validate_record(o)], obj)
+                    == _outcome(lambda o: [_ref_validate(o)], obj)), obj

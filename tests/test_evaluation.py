@@ -98,6 +98,94 @@ class TestAlign:
             align([0.0], [[0, 0, 0]], [1.0, 0.5], np.zeros((2, 3)))
 
 
+def _loop_align(est_times, est_points, truth_times, truth_points, max_dt=0.02):
+    """align as a loop over estimates: the reference for the array version."""
+    et = np.asarray(est_times, dtype=float)
+    ep = np.asarray(est_points, dtype=float)
+    tt = np.asarray(truth_times, dtype=float)
+    tp = np.asarray(truth_points, dtype=float)
+    pairs = []
+    dropped = 0
+    if tt.size == 0:
+        return pairs, int(et.size)
+    idx = np.searchsorted(tt, et)
+    for i, t in enumerate(et):
+        best = None
+        for j in (idx[i] - 1, idx[i]):
+            if 0 <= j < tt.size:
+                d = abs(tt[j] - t)
+                if best is None or d < best[0]:
+                    best = (d, j)
+        if best is not None and best[0] <= max_dt:
+            pairs.append(AlignedPair(float(t), ep[i], tp[best[1]]))
+        else:
+            dropped += 1
+    return pairs, dropped
+
+
+def _same_alignment(args, **kwargs):
+    pairs, dropped = align(*args, **kwargs)
+    ref_pairs, ref_dropped = _loop_align(*args, **kwargs)
+    assert dropped == ref_dropped
+    assert [p.timestamp for p in pairs] == [p.timestamp for p in ref_pairs]
+    for p, q in zip(pairs, ref_pairs):
+        assert type(p.timestamp) is float
+        np.testing.assert_array_equal(p.estimate, q.estimate)
+        np.testing.assert_array_equal(p.truth, q.truth)
+    return pairs, dropped
+
+
+class TestAlignMatchesLoop:
+    def test_random_inputs(self):
+        rng = np.random.default_rng(37)
+        for trial in range(200):
+            m = int(rng.integers(1, 40))
+            n = int(rng.integers(0, 40))
+            # coarse stamps make ties, duplicates and exact tolerances common
+            tt = np.sort(rng.integers(0, 60, size=m) * 0.01)
+            et = rng.integers(-10, 70, size=n) * 0.005
+            _same_alignment((et, rng.normal(size=(n, 3)), tt, rng.normal(size=(m, 3))),
+                            max_dt=float(rng.choice([0.0, 0.005, 0.01, 0.02, 1.0])))
+
+    def test_midway_estimate_takes_the_earlier_sample(self):
+        pairs, dropped = _same_alignment(([0.5], [[0, 0, 0]], [0.0, 1.0],
+                                          [[1, 1, 1], [2, 2, 2]]), max_dt=0.5)
+        assert dropped == 0 and pairs[0].truth.tolist() == [1, 1, 1]
+
+    def test_duplicate_truth_stamps(self):
+        tt = [0.0, 0.0, 0.01, 0.01, 0.01, 0.02, 0.02]
+        tp = np.arange(21.0).reshape(7, 3)
+        _same_alignment(([-0.005, 0.01, 0.006, 0.014, 0.02, 0.025], np.zeros((6, 3)), tt, tp))
+        # every stamp the same, with estimates either side of it
+        _same_alignment(([-0.005, 0.0, 0.005], np.zeros((3, 3)), [0.0, 0.0, 0.0], tp[:3]))
+
+    def test_dt_equal_to_tolerance_is_kept(self):
+        pairs, dropped = _same_alignment(([0.25, 0.75], np.zeros((2, 3)), [0.5],
+                                          [[1, 2, 3]]), max_dt=0.25)
+        assert dropped == 0 and len(pairs) == 2
+
+    def test_estimates_outside_the_truth_span(self):
+        _same_alignment(([-1.0, -0.01, 0.0, 1.0, 1.01, 5.0], np.ones((6, 3)),
+                         [0.0, 0.5, 1.0], np.eye(3)))
+
+    def test_empty_truth(self):
+        _same_alignment(([0.1, 0.2], np.zeros((2, 3)), [], np.zeros((0, 3))))
+
+    def test_empty_estimates(self):
+        _same_alignment(([], np.zeros((0, 3)), [0.0], [[1, 2, 3]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_estimate_raises(self, bad):
+        args = ([0.0, 0.01], [[0, 0, 0], [bad, 0, 0]], [0.0, 0.01], np.zeros((2, 3)))
+        for fn in (align, _loop_align):
+            with pytest.raises(ValueError, match="^aligned pair must be finite$"):
+                fn(*args)
+
+    def test_non_finite_stamps_are_dropped(self):
+        _same_alignment(([np.nan, np.inf, -np.inf, 0.0], np.zeros((4, 3)), [0.0],
+                         [[1, 2, 3]]))
+
+
 class TestRegression:
     def test_exact_pitch_dependence(self):
         rng = np.random.default_rng(33)

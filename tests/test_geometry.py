@@ -98,7 +98,8 @@ class TestCompose:
 class TestInvert:
     def test_identity(self):
         H = invert(RigidTransform.identity())
-        np.testing.assert_allclose(H.as_matrix(), np.eye(4), atol=0)
+        np.testing.assert_array_equal(H.rotation, np.eye(3))
+        np.testing.assert_array_equal(H.translation, np.zeros(3))
 
     def test_pure_translation(self):
         H = invert(RigidTransform.from_translation([1, 2, 3]))

@@ -193,6 +193,16 @@ class TestFollower:
         v3 = f.step(None, self._camera_down(), -1.0, 0.5)
         np.testing.assert_array_equal(v3, [0.0, 0.0])
 
+    @pytest.mark.parametrize("center", [(1e12, 0.0), (np.inf, 0.0), (np.nan, 1.0),
+                                        (-np.inf, np.inf)])
+    def test_center_with_no_ray_keeps_the_command(self, center):
+        K = self.K_SCENE.intrinsics
+        f = Follower(K, FollowerConfig())
+        v0 = f.step(np.array([K.cx + 80.0, K.cy]), self._camera_down(), -1.0, 1 / 30)
+        with np.errstate(all="raise"):
+            v1 = f.step(center, self._camera_down(), -1.0, 1 / 30)
+        np.testing.assert_array_equal(v1, v0)
+
 
 class TestSimulatorStreams:
     def test_record_counts_and_merge_order(self):
