@@ -7,10 +7,12 @@ building the full body rotation.
 
 The filter runs on Python floats: the state is (roll, pitch) plus the
 three distinct entries (p00, p01, p11) of its symmetric covariance, and
-predict and update are closed-form 2x2 algebra. The numpy matrices of
-``TiltConfig`` and the public ``TiltState`` constructor are checked once,
-where they come in; states built inside the filter get the same checks
-in scalar form.
+predict and update are closed-form 2x2 algebra on those five floats.
+``ImuSample`` stores its readings as float 3-tuples. The numpy matrices
+of ``TiltConfig`` and the public ``TiltState`` constructor are checked
+once, where they come in; states made inside the filter get the same
+checks in scalar form, and the tracker builds one ``TiltState`` per
+accepted sample.
 """
 
 from __future__ import annotations
@@ -56,18 +58,34 @@ def _entries(P: np.ndarray) -> tuple[float, float, float]:
     return p00, p01, p11
 
 
+def _floats3(v) -> tuple[float, float, float]:
+    """v as a float 3-tuple, with _as_vec3's checks and messages.
+
+    An exact list of three floats with a finite sum is taken as it is; any
+    other value goes through _as_vec3, which gives the verdict.
+    """
+    if type(v) is list and len(v) == 3:
+        x, y, z = v
+        if type(x) is type(y) is type(z) is float and math.isfinite(x + y + z):
+            return x, y, z
+    return tuple(_as_vec3(v).tolist())
+
+
 @dataclass(frozen=True)
 class ImuSample:
-    """One gyro + accelerometer reading. Rejects free-fall/garbage samples."""
+    """One gyro + accelerometer reading, each a float 3-tuple.
+
+    Rejects free-fall/garbage samples.
+    """
 
     timestamp: float
-    gyro: np.ndarray
-    accel: np.ndarray
+    gyro: tuple
+    accel: tuple
 
     def __post_init__(self):
-        g = _as_vec3(self.gyro)
-        a = _as_vec3(self.accel)
-        ax, ay, az = a.tolist()
+        g = _floats3(self.gyro)
+        a = _floats3(self.accel)
+        ax, ay, az = a
         if math.sqrt(ax * ax + ay * ay + az * az) <= 0.1 * GRAVITY:
             raise ValueError("accelerometer magnitude below 0.1 g")
         object.__setattr__(self, "gyro", g)
@@ -91,8 +109,13 @@ class TiltState:
         object.__setattr__(self, "covariance", P)
 
 
-def _tilt_state(roll, pitch, p00, p01, p11) -> TiltState:
-    """TiltState from filter floats, with the constructor's checks in scalar form."""
+# Inside the filter a state is the float tuple (roll, pitch, p00, p01, p11):
+# the angles and the three distinct entries of the symmetric covariance.
+
+
+def _checked(roll, pitch, p00, p01, p11) -> tuple:
+    """The filter floats as a state tuple, after the TiltState constructor's
+    checks in scalar form."""
     if not (math.isfinite(roll) and math.isfinite(pitch)):
         raise ValueError("angles must be finite")
     if abs(pitch) >= math.pi / 2:
@@ -102,11 +125,21 @@ def _tilt_state(roll, pitch, p00, p01, p11) -> TiltState:
     # smaller eigenvalue of [[p00, p01], [p01, p11]]
     if 0.5 * (p00 + p11) - math.hypot(0.5 * (p00 - p11), p01) < -1e-12:
         raise ValueError("covariance must be positive semi-definite")
+    return roll, pitch, p00, p01, p11
+
+
+def _as_state(x) -> TiltState:
+    """TiltState from a checked state tuple, without checking it again."""
+    roll, pitch, p00, p01, p11 = x
     state = object.__new__(TiltState)
     object.__setattr__(state, "roll", roll)
     object.__setattr__(state, "pitch", pitch)
     object.__setattr__(state, "covariance", np.array([[p00, p01], [p01, p11]]))
     return state
+
+
+def _as_tuple(state: TiltState) -> tuple:
+    return (state.roll, state.pitch, *_entries(state.covariance))
 
 
 @dataclass(frozen=True)
@@ -156,15 +189,18 @@ def prediction_jacobian(roll: float, pitch: float, gyro, dt: float) -> np.ndarra
     return np.array([[a00, a01], [a10, 1.0]])
 
 
-def _predict(state: TiltState, gyro, dt: float, q) -> TiltState:
-    """Mean through the kinematics, covariance as A P A^T + Q, symmetrised."""
+def _predict(x: tuple, gyro, dt: float, q) -> tuple:
+    """Mean through the kinematics, covariance as A P A^T + Q, symmetrised.
+
+    x is a state tuple, gyro a float 3-tuple and q the entries of Q.
+    """
     if not (0 < dt <= 0.5):
         raise ValueError(f"dt {dt:.4g} s outside (0, 0.5]")
-    if abs(state.pitch) >= math.pi / 2 - 1e-3:
+    roll, pitch, p00, p01, p11 = x
+    if abs(pitch) >= math.pi / 2 - 1e-3:
         raise PitchSingularity("pitch too close to +/-90 deg for tan(pitch)")
-    wx, wy, wz = _as_vec3(gyro).tolist()
-    roll, pitch, a00, a01, a10 = _propagate(state.roll, state.pitch, wx, wy, wz, dt)
-    p00, p01, p11 = _entries(state.covariance)
+    wx, wy, wz = gyro
+    roll, pitch, a00, a01, a10 = _propagate(roll, pitch, wx, wy, wz, dt)
     q00, q01, q11 = q
     # B = A P, then B A^T + Q
     b00 = a00 * p00 + a01 * p01
@@ -173,7 +209,7 @@ def _predict(state: TiltState, gyro, dt: float, q) -> TiltState:
     b11 = a10 * p01 + p11
     m01 = b00 * a10 + b01 + q01
     m10 = b10 * a00 + b11 * a01 + q01
-    return _tilt_state(
+    return _checked(
         roll,
         pitch,
         b00 * a00 + b01 * a01 + q00,
@@ -184,7 +220,16 @@ def _predict(state: TiltState, gyro, dt: float, q) -> TiltState:
 
 def ekf_predict(state: TiltState, gyro, dt: float, cfg: TiltConfig) -> TiltState:
     """Propagate the state mean and covariance through the gyro kinematics."""
-    return _predict(state, gyro, dt, _entries(cfg.q))
+    x = _predict(_as_tuple(state), _as_vec3(gyro).tolist(), dt, _entries(cfg.q))
+    return _as_state(x)
+
+
+def _tilt(ax: float, ay: float, az: float) -> tuple[float, float]:
+    """accel_to_tilt on the components of a checked reading."""
+    mag = math.sqrt(ax * ax + ay * ay + az * az)
+    if not (0.5 * GRAVITY <= mag <= 1.5 * GRAVITY):
+        raise AccelOutOfRange(f"|accel| = {mag:.3g} m/s^2 is not near gravity")
+    return math.atan2(-ay, -az), math.atan2(ax, math.hypot(ay, az))
 
 
 def accel_to_tilt(accel) -> tuple[float, float]:
@@ -195,23 +240,21 @@ def accel_to_tilt(accel) -> tuple[float, float]:
     comes from the x axis and roll from the y/z pair. A reading of
     (0, 0, +g), an upside-down sensor, maps to roll = pi, pitch = 0.
     """
-    ax, ay, az = _as_vec3(accel).tolist()
-    mag = math.sqrt(ax * ax + ay * ay + az * az)
-    if not (0.5 * GRAVITY <= mag <= 1.5 * GRAVITY):
-        raise AccelOutOfRange(f"|accel| = {mag:.3g} m/s^2 is not near gravity")
-    return math.atan2(-ay, -az), math.atan2(ax, math.hypot(ay, az))
+    return _tilt(*_as_vec3(accel).tolist())
 
 
 def _wrap_pi(x: float) -> float:
     return (x + math.pi) % (2 * math.pi) - math.pi
 
 
-def _update(state: TiltState, accel, r) -> TiltState:
+def _update(x: tuple, accel, r) -> tuple:
     """Gain K = P S^-1 with S = P + R inverted in closed form; Joseph-form
-    covariance (I - K) P (I - K)^T + K R K^T, symmetrised."""
-    z_roll, z_pitch = accel_to_tilt(accel)
-    roll, pitch = state.roll, state.pitch
-    p00, p01, p11 = _entries(state.covariance)
+    covariance (I - K) P (I - K)^T + K R K^T, symmetrised.
+
+    x is a state tuple, accel a float 3-tuple and r the entries of R.
+    """
+    z_roll, z_pitch = _tilt(*accel)
+    roll, pitch, p00, p01, p11 = x
     r00, r01, r11 = r
     s00, s01, s11 = p00 + r00, p01 + r01, p11 + r11
     det = s00 * s11 - s01 * s01
@@ -237,7 +280,7 @@ def _update(state: TiltState, accel, r) -> TiltState:
     c11 = k10 * r01 + k11 * r11
     n01 = (b00 * i10 + b01 * i11) + (c00 * k10 + c01 * k11)
     n10 = (b10 * i00 + b11 * i01) + (c10 * k00 + c11 * k01)
-    return _tilt_state(
+    return _checked(
         roll,
         pitch,
         (b00 * i00 + b01 * i01) + (c00 * k00 + c01 * k01),
@@ -248,7 +291,8 @@ def _update(state: TiltState, accel, r) -> TiltState:
 
 def ekf_update(state: TiltState, accel, cfg: TiltConfig) -> TiltState:
     """Correct the state with the accelerometer tilt observation (H = I)."""
-    return _update(state, accel, _entries(cfg.r))
+    x = _update(_as_tuple(state), _as_vec3(accel).tolist(), _entries(cfg.r))
+    return _as_state(x)
 
 
 class TiltTracker:
@@ -267,31 +311,34 @@ class TiltTracker:
 
     def __init__(self, cfg: TiltConfig | None = None):
         self.cfg = cfg if cfg is not None else TiltConfig()
+        # the last accepted state, as a TiltState and as the filter's floats
         self.state: TiltState | None = None
+        self._x: tuple | None = None
         self._seed_next = True
         self._t_last: float | None = None
+        self._p0 = _entries(self.cfg.p0)
         self._q = _entries(self.cfg.q)
         self._r = _entries(self.cfg.r)
 
     def feed(self, sample: ImuSample) -> TiltState:
         t_last, self._t_last = self._t_last, sample.timestamp
         if self._seed_next:
-            roll, pitch = accel_to_tilt(sample.accel)
-            self.state = TiltState(roll, pitch, self.cfg.p0)
+            x = _checked(*_tilt(*sample.accel), *self._p0)
             self._seed_next = False
-            return self.state
-        state = self.state
-        dt = sample.timestamp - t_last
-        if dt > 0:
+        else:
+            x = self._x
+            dt = sample.timestamp - t_last
+            if dt > 0:
+                try:
+                    x = _predict(x, sample.gyro, dt, self._q)
+                except PitchSingularity:
+                    # every later predict from this state would raise as well
+                    self._seed_next = True
+                    raise
             try:
-                state = _predict(state, sample.gyro, dt, self._q)
-            except PitchSingularity:
-                # every later predict from this state would raise as well
-                self._seed_next = True
-                raise
-        try:
-            state = _update(state, sample.accel, self._r)
-        except AccelOutOfRange:
-            pass
-        self.state = state
-        return state
+                x = _update(x, sample.accel, self._r)
+            except AccelOutOfRange:
+                pass
+        self._x = x
+        self.state = _as_state(x)
+        return self.state

@@ -107,15 +107,27 @@ class TagObservation:
         c = np.asarray(self.corners, dtype=float)
         if c.shape != (4, 2):
             raise ValueError(f"expected 4 corner pixels, got shape {c.shape}")
-        if not np.all(np.isfinite(c)):
+        if not all(map(math.isfinite, c.ravel().tolist())):
             raise ValueError("corner pixels must be finite")
         object.__setattr__(self, "corners", c)
 
 
+def _center(px) -> tuple[float, float]:
+    """Mean (u, v) of four corner pixels given as float pairs.
+
+    Quartering first is exact and keeps the sum of huge pixels finite; the
+    quarters are added in corner order, as numpy's column sum adds them.
+    """
+    (u0, v0), (u1, v1), (u2, v2), (u3, v3) = px
+    return (
+        ((u0 * 0.25 + u1 * 0.25) + u2 * 0.25) + u3 * 0.25,
+        ((v0 * 0.25 + v1 * 0.25) + v2 * 0.25) + v3 * 0.25,
+    )
+
+
 def tag_center_pixel(obs: TagObservation) -> np.ndarray:
     """Arithmetic mean of the four corner pixels."""
-    # quartering first is exact and keeps the sum of huge pixels finite
-    return (obs.corners * 0.25).sum(axis=0)
+    return np.array(_center(obs.corners.tolist()))
 
 
 @dataclass(frozen=True)

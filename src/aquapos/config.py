@@ -272,9 +272,13 @@ def load_run_config(path=None) -> RunConfig:
         offset = raw["marker_offset"]
         if not (isinstance(offset, (list, tuple)) and len(offset) == 3):
             raise ConfigError("marker_offset must be [dx, dy, dz]")
-        cfg = dataclasses.replace(
-            cfg, marker_offset=tuple(float(v) for v in offset)
-        )
+        try:
+            offset = tuple(float(v) for v in offset)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"marker_offset: {exc}")
+        if not all(map(math.isfinite, offset)):
+            raise ConfigError("marker_offset entries must be finite")
+        cfg = dataclasses.replace(cfg, marker_offset=offset)
 
     rig_section = _section(raw, "rig")
     if rig_section:

@@ -233,18 +233,21 @@ def _parse(path, lineno, line):
     """The JSON value on a stripped line; DatasetFormatError if it is not one.
 
     A line the scanner cannot take whole is parsed again by json.loads, so
-    the message is json.loads' own.
+    the message is json.loads' own. json raises a plain ValueError for an
+    integer longer than Python's int string conversion limit (4,300 digits
+    by default); its message is kept too.
     """
     try:
         obj, end = _scan_once(line, 0)
         if end == len(line):
             return obj
-    except (StopIteration, json.JSONDecodeError):
+    except (StopIteration, ValueError):
         pass
     try:
         return json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise DatasetFormatError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+    except ValueError as exc:
+        msg = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+        raise DatasetFormatError(f"{path}:{lineno}: invalid JSON ({msg})") from None
 
 
 def read_records(path):

@@ -15,7 +15,14 @@ position from a single camera frame plus surface-vehicle state:
 ``SensorSynchronizer`` keeps the most recent sample per stream and
 bundles them at a query time with per-source staleness; the
 ``EstimationPipeline`` drives everything from a time-ordered record
-stream.
+stream, with one bundle per tag frame for all its methods.
+
+The per-record path runs on Python floats. The sample types check their
+fields with ``math.isfinite``; the camera-to-world transform is composed
+once per pose and shared by both methods; cd's center pixel, ray and
+plane hit are scalar arithmetic. Only the 3x3 products (``compose`` and
+``R @ v + t``) stay in numpy, because a scalar sum rounds differently
+from them and the estimates must keep their bytes.
 """
 
 from __future__ import annotations
@@ -31,18 +38,18 @@ from .camera import (
     Intrinsics,
     TagGeometry,
     TagObservation,
+    _center,
     back_project,
     solve_pnp_planar,
-    tag_center_pixel,
 )
 from .depth_calibration import IDENTITY_CALIBRATION, CalibrationParams, apply_calibration
 from .errors import AquaposError, NonFiniteEstimate, NoSampleYet, StaleSensor
 from .geometry import (
     RigidTransform,
+    _as_vec3,
+    _line_zplane_hit,
     compose,
     euler_zyx_to_rotation,
-    intersect_with_zplane,
-    line_from_points,
     transform_point,
 )
 
@@ -83,9 +90,9 @@ class SurfacePoseState:
 
     def __post_init__(self):
         vals = (self.timestamp, self.x, self.y, self.yaw, self.roll, self.pitch)
-        if not all(np.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, vals)):
             raise ValueError("pose fields must be finite")
-        if abs(self.pitch) >= np.pi / 2:
+        if abs(self.pitch) >= math.pi / 2:
             raise ValueError("pitch must satisfy |pitch| < pi/2")
 
 
@@ -97,7 +104,7 @@ class DepthMeasurement:
     depth: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.timestamp) and np.isfinite(self.depth)):
+        if not (math.isfinite(self.timestamp) and math.isfinite(self.depth)):
             raise ValueError("depth measurement must be finite")
         if self.depth < 0:
             raise ValueError("depth is positive-down and cannot be negative")
@@ -136,7 +143,7 @@ class PositionEstimate:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         p = np.asarray(self.position, dtype=float)
-        if p.shape != (3,) or not np.all(np.isfinite(p)):
+        if p.shape != (3,) or not all(map(math.isfinite, p.tolist())):
             raise ValueError("position must be a finite 3-vector")
         object.__setattr__(self, "position", p)
 
@@ -145,7 +152,7 @@ def default_rig() -> RigExtrinsics:
     """Bench rig: camera 10 cm ahead of the body origin, 2 cm below it,
     rolled half a turn to look straight down; hull rides 5 cm above the
     water datum."""
-    rotation = euler_zyx_to_rotation(0.0, 0.0, np.pi)
+    rotation = euler_zyx_to_rotation(0.0, 0.0, math.pi)
     camera_in_body = RigidTransform(rotation, np.array([0.10, 0.0, -0.02]))
     return RigExtrinsics(camera_in_body, body_height=0.05)
 
@@ -155,6 +162,20 @@ def build_body_to_world(pose: SurfacePoseState, rig: RigExtrinsics) -> RigidTran
     rotation = euler_zyx_to_rotation(pose.yaw, pose.pitch, pose.roll)
     translation = np.array([pose.x, pose.y, rig.body_height], dtype=float)
     return RigidTransform._unchecked(rotation, translation)
+
+
+def _camera_to_world(pose: SurfacePoseState, rig: RigExtrinsics) -> RigidTransform:
+    """Camera-in-world transform for a pose, composed once per pose and rig.
+
+    The pose keeps the last transform with the rig it was made for, so
+    cpnp and cd on one frame, and frames that share a SLAM sample, share
+    one ``compose``; a new pose, from a new SLAM record, starts afresh.
+    """
+    rig_held, H = pose.__dict__.get("_camera_to_world", (None, None))
+    if rig_held is not rig:
+        H = compose(build_body_to_world(pose, rig), rig.camera_in_body)
+        pose.__dict__["_camera_to_world"] = (rig, H)
+    return H
 
 
 def _check_fresh(bundle: SensorFrameBundle, sources, bound: float):
@@ -190,13 +211,12 @@ def estimate_cpnp(
     """
     _check_fresh(bundle, ("pose", "tag"), staleness_bound)
     tag_pose = solve_pnp_planar(intrinsics, geom, bundle.tag)
-    camera_to_world = compose(build_body_to_world(bundle.pose, rig), rig.camera_in_body)
+    camera_to_world = _camera_to_world(bundle.pose, rig)
     if marker_offset is None:
         position = transform_point(camera_to_world, tag_pose.transform.translation)
     else:
         position = transform_point(
-            compose(camera_to_world, tag_pose.transform),
-            np.asarray(marker_offset, dtype=float),
+            compose(camera_to_world, tag_pose.transform), marker_offset
         )
     _check_finite("cpnp", *position)
     return PositionEstimate(
@@ -225,21 +245,18 @@ def estimate_cd(
     be compensated (it shifts the intersection plane).
     """
     _check_fresh(bundle, ("pose", "tag", "depth"), staleness_bound)
-    camera_to_world = compose(build_body_to_world(bundle.pose, rig), rig.camera_in_body)
-    camera_origin = camera_to_world.translation
-    center_world = transform_point(
-        camera_to_world, back_project(intrinsics, tag_center_pixel(bundle.tag))
-    )
-    line = line_from_points(camera_origin, center_world)
+    H = _camera_to_world(bundle.pose, rig)
+    ray = back_project(intrinsics, _center(bundle.tag.corners.tolist()))
+    center_world = (H.rotation @ ray + H.translation).tolist()
     plane_z = -bundle.depth.depth
     if marker_offset is not None:
-        plane_z = plane_z + float(np.asarray(marker_offset, dtype=float)[2])
-    position = intersect_with_zplane(line, plane_z)
-    k = (plane_z - float(line.point[2])) / float(line.direction[2])
-    _check_finite("cd", *position, k)
+        plane_z = plane_z + float(marker_offset[2])
+    # the line from the tag center's world point toward the camera origin
+    x, y, k = _line_zplane_hit(H.translation.tolist(), center_world, plane_z)
+    _check_finite("cd", x, y, plane_z, k)
     return PositionEstimate(
         bundle.timestamp,
-        position,
+        np.array([x, y, plane_z]),
         "cd",
         roll=bundle.pose.roll,
         pitch=bundle.pose.pitch,
@@ -326,7 +343,9 @@ class EstimationPipeline:
         self.calibration = calibration
         self.methods = tuple(methods)
         self.staleness_bound = staleness_bound
-        self.marker_offset = marker_offset
+        self.marker_offset = (
+            None if marker_offset is None else tuple(_as_vec3(marker_offset).tolist())
+        )
         self.tracker = TiltTracker(tilt_config)
         self.sync = SensorSynchronizer()
         self.counters = {
@@ -371,11 +390,12 @@ class EstimationPipeline:
             return []
         if kind == "tag":
             self.sync.push_tag(TagObservation(t, record["corners"]))
+            # one bundle for every method; each estimator checks its own streams
+            bundle = self.sync.synchronize(t, require=())
             estimates = []
             for method in self.methods:
                 try:
                     if method == "cpnp":
-                        bundle = self.sync.synchronize(t, require=("pose", "tag"))
                         estimates.append(
                             estimate_cpnp(
                                 bundle,
@@ -387,7 +407,6 @@ class EstimationPipeline:
                             )
                         )
                     else:
-                        bundle = self.sync.synchronize(t)
                         estimates.append(
                             estimate_cd(
                                 bundle,

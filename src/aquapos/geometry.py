@@ -6,6 +6,7 @@ submerged points at z < 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ def _as_vec3(p) -> np.ndarray:
     v = np.asarray(p, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not all(map(math.isfinite, v.tolist())):
         raise ValueError("vector components must be finite")
     return v
 
@@ -87,16 +88,17 @@ def invert(H: RigidTransform) -> RigidTransform:
 def euler_zyx_to_rotation(yaw: float, pitch: float, roll: float) -> np.ndarray:
     """Rotation matrix for a yaw (z), then pitch (y), then roll (x) sequence.
 
-    Equals Rz(yaw) @ Ry(pitch) @ Rx(roll), written out entry by entry.
-    Raises GimbalLockNear when |pitch| is within PITCH_GUARD of 90 degrees.
+    Equals Rz(yaw) @ Ry(pitch) @ Rx(roll), written out entry by entry on
+    Python floats. Raises GimbalLockNear when |pitch| is within PITCH_GUARD
+    of 90 degrees.
     """
-    if not (np.isfinite(yaw) and np.isfinite(pitch) and np.isfinite(roll)):
+    if not (math.isfinite(yaw) and math.isfinite(pitch) and math.isfinite(roll)):
         raise ValueError("Euler angles must be finite")
-    if abs(pitch) >= np.pi / 2 - PITCH_GUARD:
+    if abs(pitch) >= math.pi / 2 - PITCH_GUARD:
         raise GimbalLockNear(f"pitch {pitch:.6g} rad is too close to +/-pi/2")
-    cy, sy = np.cos(yaw), np.sin(yaw)
-    cp, sp = np.cos(pitch), np.sin(pitch)
-    cr, sr = np.cos(roll), np.sin(roll)
+    cy, sy = math.cos(yaw), math.sin(yaw)
+    cp, sp = math.cos(pitch), math.sin(pitch)
+    cr, sr = math.cos(roll), math.sin(roll)
     return np.array(
         [
             [cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr],
@@ -127,9 +129,36 @@ def line_from_points(a, b) -> PluckerLine:
     a = _as_vec3(a)
     b = _as_vec3(b)
     d = a - b
-    if np.linalg.norm(d) <= 1e-9:
-        raise DegenerateLine("points coincide; no unique line")
+    _check_distinct(*d.tolist())
     return PluckerLine(point=b, direction=d)
+
+
+def _check_distinct(dx: float, dy: float, dz: float):
+    # hypot does not overflow on huge finite components, where a sum of squares would
+    if math.hypot(dx, dy, dz) <= 1e-9:
+        raise DegenerateLine("points coincide; no unique line")
+
+
+def _zplane_hit(px, py, pz, dx, dy, dz, z_plane) -> tuple[float, float, float]:
+    """(x, y, k) of the point p + k d where a line crosses z = z_plane, on floats."""
+    if abs(dz) <= 1e-9:
+        raise ParallelToPlane("line is parallel to the z plane")
+    # Python floats overflow to inf without a warning; callers check finiteness
+    k = (z_plane - pz) / dz
+    return px + k * dx, py + k * dy, k
+
+
+def _line_zplane_hit(a, b, z_plane: float) -> tuple[float, float, float]:
+    """intersect_with_zplane(line_from_points(a, b), z_plane) on float 3-tuples.
+
+    Returns (x, y, k): the line meets z = z_plane at b + k (a - b), whose
+    x and y are returned. Raises DegenerateLine and ParallelToPlane as the
+    two calls do.
+    """
+    (ax, ay, az), (bx, by, bz) = a, b
+    dx, dy, dz = ax - bx, ay - by, az - bz
+    _check_distinct(dx, dy, dz)
+    return _zplane_hit(bx, by, bz, dx, dy, dz, z_plane)
 
 
 def intersect_with_zplane(line: PluckerLine, z_plane: float) -> np.ndarray:
@@ -138,10 +167,5 @@ def intersect_with_zplane(line: PluckerLine, z_plane: float) -> np.ndarray:
     The returned z component is exactly z_plane. Raises ParallelToPlane when
     the line has (near) zero z slope.
     """
-    px, py, pz = line.point.tolist()
-    dx, dy, dz = line.direction.tolist()
-    if abs(dz) <= 1e-9:
-        raise ParallelToPlane("line is parallel to the z plane")
-    # Python floats overflow to inf without a warning; callers check finiteness
-    k = (z_plane - pz) / dz
-    return np.array([px + k * dx, py + k * dy, z_plane], dtype=float)
+    x, y, _ = _zplane_hit(*line.point.tolist(), *line.direction.tolist(), z_plane)
+    return np.array([x, y, z_plane], dtype=float)

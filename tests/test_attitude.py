@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -417,3 +419,183 @@ class TestTrackerInvariants:
                               "accel": [0.0, 0.0, -GRAVITY]})
         assert pipeline.counters["imu_rejected"] == 1
         assert abs(pipeline.tracker.state.pitch) < 1e-3
+
+
+# --- reference: the tracker as it was on TiltState objects and numpy vectors ---
+
+
+def _ref_vec3(v):
+    a = np.asarray(v, dtype=float)
+    if a.shape != (3,):
+        raise ValueError(f"expected a 3-vector, got shape {a.shape}")
+    if not all(map(math.isfinite, a.tolist())):
+        raise ValueError("components must be finite")
+    return a
+
+
+def _ref_sample(t, gyro, accel):
+    g, a = _ref_vec3(gyro), _ref_vec3(accel)
+    ax, ay, az = a.tolist()
+    if math.sqrt(ax * ax + ay * ay + az * az) <= 0.1 * GRAVITY:
+        raise ValueError("accelerometer magnitude below 0.1 g")
+    return t, g, a
+
+
+def _ref_state(roll, pitch, p00, p01, p11):
+    if not (math.isfinite(roll) and math.isfinite(pitch)):
+        raise ValueError("angles must be finite")
+    if abs(pitch) >= math.pi / 2:
+        raise ValueError("pitch out of (-pi/2, pi/2)")
+    if not (math.isfinite(p00) and math.isfinite(p01) and math.isfinite(p11)):
+        raise ValueError("covariance must be a finite 2x2 matrix")
+    if 0.5 * (p00 + p11) - math.hypot(0.5 * (p00 - p11), p01) < -1e-12:
+        raise ValueError("covariance must be positive semi-definite")
+    state = object.__new__(TiltState)
+    object.__setattr__(state, "roll", roll)
+    object.__setattr__(state, "pitch", pitch)
+    object.__setattr__(state, "covariance", np.array([[p00, p01], [p01, p11]]))
+    return state
+
+
+def _ref_entries(P):
+    (p00, p01), (_, p11) = P.tolist()
+    return p00, p01, p11
+
+
+def _ref_accel_to_tilt(accel):
+    ax, ay, az = _ref_vec3(accel).tolist()
+    mag = math.sqrt(ax * ax + ay * ay + az * az)
+    if not (0.5 * GRAVITY <= mag <= 1.5 * GRAVITY):
+        raise AccelOutOfRange("not near gravity")
+    return math.atan2(-ay, -az), math.atan2(ax, math.hypot(ay, az))
+
+
+def _ref_predict(state, gyro, dt, q):
+    if not (0 < dt <= 0.5):
+        raise ValueError("dt outside (0, 0.5]")
+    if abs(state.pitch) >= math.pi / 2 - 1e-3:
+        raise PitchSingularity("pitch too close to +/-90 deg")
+    wx, wy, wz = _ref_vec3(gyro).tolist()
+    roll, pitch = state.roll, state.pitch
+    sr, cr, tp, cp = math.sin(roll), math.cos(roll), math.tan(pitch), math.cos(pitch)
+    pitch_rate = wy * cr - wz * sr
+    cross = wy * sr + wz * cr
+    roll, pitch = roll + dt * (wx + wy * sr * tp + wz * cr * tp), pitch + dt * pitch_rate
+    a00, a01, a10 = 1.0 + dt * tp * pitch_rate, dt * cross * (1.0 / (cp * cp)), -dt * cross
+    p00, p01, p11 = _ref_entries(state.covariance)
+    q00, q01, q11 = q
+    b00, b01 = a00 * p00 + a01 * p01, a00 * p01 + a01 * p11
+    b10, b11 = a10 * p00 + p01, a10 * p01 + p11
+    m01, m10 = b00 * a10 + b01 + q01, b10 * a00 + b11 * a01 + q01
+    return _ref_state(roll, pitch, b00 * a00 + b01 * a01 + q00, 0.5 * (m01 + m10),
+                      b10 * a10 + b11 + q11)
+
+
+def _ref_update(state, accel, r):
+    z_roll, z_pitch = _ref_accel_to_tilt(accel)
+    roll, pitch = state.roll, state.pitch
+    p00, p01, p11 = _ref_entries(state.covariance)
+    r00, r01, r11 = r
+    s00, s01, s11 = p00 + r00, p01 + r01, p11 + r11
+    det = s00 * s11 - s01 * s01
+    if det == 0.0:
+        raise ValueError("innovation covariance is singular")
+    k00, k01 = (p00 * s11 - p01 * s01) / det, (p01 * s00 - p00 * s01) / det
+    k10, k11 = (p01 * s11 - p11 * s01) / det, (p11 * s00 - p01 * s01) / det
+    v_roll = (z_roll - roll + math.pi) % (2 * math.pi) - math.pi
+    v_pitch = (z_pitch - pitch + math.pi) % (2 * math.pi) - math.pi
+    roll, pitch = roll + (k00 * v_roll + k01 * v_pitch), pitch + (k10 * v_roll + k11 * v_pitch)
+    i00, i01, i10, i11 = 1.0 - k00, -k01, -k10, 1.0 - k11
+    b00, b01 = i00 * p00 + i01 * p01, i00 * p01 + i01 * p11
+    b10, b11 = i10 * p00 + i11 * p01, i10 * p01 + i11 * p11
+    c00, c01 = k00 * r00 + k01 * r01, k00 * r01 + k01 * r11
+    c10, c11 = k10 * r00 + k11 * r01, k10 * r01 + k11 * r11
+    n01 = (b00 * i10 + b01 * i11) + (c00 * k10 + c01 * k11)
+    n10 = (b10 * i00 + b11 * i01) + (c10 * k00 + c11 * k01)
+    return _ref_state(roll, pitch, (b00 * i00 + b01 * i01) + (c00 * k00 + c01 * k01),
+                      0.5 * (n01 + n10), (b10 * i10 + b11 * i11) + (c10 * k10 + c11 * k11))
+
+
+class _RefTracker:
+    def __init__(self, cfg):
+        self.cfg, self.state, self._seed_next, self._t_last = cfg, None, True, None
+        self._q, self._r = _ref_entries(cfg.q), _ref_entries(cfg.r)
+
+    def feed(self, sample):
+        t, gyro, accel = sample
+        t_last, self._t_last = self._t_last, t
+        if self._seed_next:
+            roll, pitch = _ref_accel_to_tilt(accel)
+            self.state = TiltState(roll, pitch, self.cfg.p0)
+            self._seed_next = False
+            return self.state
+        state = self.state
+        dt = t - t_last
+        if dt > 0:
+            try:
+                state = _ref_predict(state, gyro, dt, self._q)
+            except PitchSingularity:
+                self._seed_next = True
+                raise
+        try:
+            state = _ref_update(state, accel, self._r)
+        except AccelOutOfRange:
+            pass
+        self.state = state
+        return state
+
+
+def _hex_state(s):
+    return tuple(float(v).hex() for v in (s.roll, s.pitch, *s.covariance.ravel().tolist()))
+
+
+def _edge_imu_stream(n=2000, seed=27):
+    """(t, gyro, accel) lists as a dataset holds them, with every rejection path."""
+    rng = np.random.default_rng(seed)
+    t, roll, pitch = 0.0, 0.0, 0.0
+    out = []
+    for k in range(n):
+        t += 0.0 if k % 97 == 5 else float(rng.uniform(0.001, 0.02))  # some equal stamps
+        if k == 700:
+            t += 0.8  # a gap over the 0.5 s dt bound
+        roll = float(np.clip(roll + rng.normal(0, 0.02), -0.8, 0.8))
+        pitch = float(np.clip(pitch + rng.normal(0, 0.02), -0.8, 0.8))
+        accel = (_gravity_accel(roll, pitch) + rng.normal(0, 0.3, size=3)).tolist()
+        gyro = rng.normal(0, 0.3, size=3).tolist()
+        if k % 61 == 11 and k < 1200:
+            accel = [0.3 * v for v in accel]  # out of the quasi-static range: no update
+        elif k % 89 == 13:
+            accel = [0.05 * v for v in accel]  # under 0.1 g: the sample is rejected
+        elif k == 0 or 1200 <= k < 1450:
+            # still, near-vertical readings drive pitch within 1e-3 rad of 90 deg
+            gyro, accel = [0.0, 0.0, 0.0], [GRAVITY, float(rng.normal(0, 1e-3)), -0.005]
+        elif k % 53 == 17:
+            gyro = [0, 0, 0]  # ints: the validating path rather than the fast one
+        elif k % 71 == 3:
+            accel = accel[:2]  # wrong length
+        out.append((t, gyro, accel))
+    return out
+
+
+class TestTrackerMatchesReference:
+    def test_states_rejections_and_reseeds_match_bit_for_bit(self):
+        stream = _edge_imu_stream()
+        cfg = TiltConfig()
+        ref, new = _RefTracker(cfg), TiltTracker(cfg)
+        outcomes = {"ref": [], "new": []}
+        for t, gyro, accel in stream:
+            for name, make, tracker in (("ref", _ref_sample, ref), ("new", ImuSample, new)):
+                try:
+                    outcomes[name].append(_hex_state(tracker.feed(make(t, gyro, accel))))
+                except (ValueError, PitchSingularity) as exc:
+                    outcomes[name].append(type(exc).__name__)
+        assert outcomes["new"] == outcomes["ref"]
+        rejected = [o for o in outcomes["ref"] if isinstance(o, str)]
+        # the stream reaches the free-fall, bad-shape, gap and singularity rejections
+        assert rejected.count("ValueError") >= 3 and "PitchSingularity" in rejected
+
+        pipeline = EstimationPipeline(default_rig(), DEFAULT_INTRINSICS, TagGeometry(0.2))
+        for t, gyro, accel in stream:
+            pipeline.process({"t": t, "kind": "imu", "gyro": gyro, "accel": accel})
+        assert pipeline.counters["imu_rejected"] == len(rejected)
+        assert _hex_state(pipeline.tracker.state) == _hex_state(ref.state)

@@ -176,6 +176,26 @@ class TestEstimate:
         assert "error:" in err and ":1:" in err
         assert "Traceback" not in err
 
+    def test_integer_past_the_digit_limit_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "huge.jsonl"
+        data.write_text('{"t":' + "1" * 5000 + ',"kind":"depth","raw":1.0}\n',
+                        encoding="utf-8")
+        rc = cli.main(["estimate", str(data), "--out", str(tmp_path / "e.jsonl")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and ":1:" in err
+
+    def test_non_finite_marker_offset_is_usage_error(self, tmp_path, capsys):
+        data = tmp_path / "run.jsonl"
+        data.write_text('{"t":0.0,"kind":"depth","raw":1.0}\n', encoding="utf-8")
+        for offset in ("[.nan, 0, 0]", "[0, 0, .inf]", "[abc, 0, 0]"):
+            config = tmp_path / "run.yaml"
+            config.write_text(f"marker_offset: {offset}\n", encoding="utf-8")
+            rc = cli.main(["estimate", str(data), "--config", str(config),
+                           "--out", str(tmp_path / "e.jsonl")])
+            assert rc == 2
+            assert capsys.readouterr().err.startswith("error: marker_offset")
+
     def test_overflowing_cd_frame_is_skipped(self, tmp_path, capsys):
         data = tmp_path / "huge.jsonl"
         data.write_text(
@@ -266,6 +286,18 @@ class TestEvaluate:
         rc = cli.main(["evaluate", str(est), str(data)])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    def test_integer_past_the_digit_limit_exits_1(self, tmp_path, capsys):
+        est, data = _write_eval_inputs(tmp_path)
+        huge = '{"t":' + "1" * 5000 + ',"kind":"truth","p":[0.0,0.0,0.0]}\n'
+        for path in (est, data):
+            good = path.read_text(encoding="utf-8")
+            path.write_text(good + huge, encoding="utf-8")
+            rc = cli.main(["evaluate", str(est), str(data)])
+            err = capsys.readouterr().err
+            assert rc == 1
+            assert err.startswith(f"error: {path}:21: invalid JSON")
+            path.write_text(good, encoding="utf-8")
 
 
 class TestCalibrateDepth:

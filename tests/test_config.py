@@ -189,3 +189,9 @@ simulation:
     def test_marker_offset_arity(self, tmp_path):
         with pytest.raises(ConfigError, match="marker_offset"):
             load_run_config(_write(tmp_path, "marker_offset: [1.0, 2.0]\n"))
+
+    @pytest.mark.parametrize("offset", ["[abc, 0, 0]", "[.nan, 0, 0]", "[0, 0, .inf]",
+                                        "[0, [1], 0]"])
+    def test_marker_offset_entries_must_be_finite_numbers(self, tmp_path, offset):
+        with pytest.raises(ConfigError, match="marker_offset"):
+            load_run_config(_write(tmp_path, f"marker_offset: {offset}\n"))

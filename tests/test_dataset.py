@@ -112,6 +112,14 @@ class TestRecordValidation:
                         encoding="utf-8")
         _expect_line_error(path, 1)
 
+    def test_integer_past_the_digit_limit_names_line(self, tmp_path):
+        # json itself refuses integers over 4,300 digits with a bare ValueError
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"t":0.0,"kind":"depth","raw":1.0}\n'
+                        '{"t":' + "1" * 5000 + ',"kind":"depth","raw":1.0}\n',
+                        encoding="utf-8")
+        _expect_line_error(path, 2)
+
     def test_integer_a_float_can_hold_is_a_number(self):
         validate_record({"t": 10**300, "kind": "depth", "raw": 2})
 
@@ -199,6 +207,13 @@ class TestEstimateIO:
             encoding="utf-8",
         )
         with pytest.raises(DatasetFormatError, match=":2:"):
+            read_estimates(path)
+
+    def test_integer_past_the_digit_limit_names_line(self, tmp_path):
+        path = tmp_path / "est.jsonl"
+        path.write_text('{"t":' + "1" * 5000 + ',"method":"cd","p":[0,0,0]}\n',
+                        encoding="utf-8")
+        with pytest.raises(DatasetFormatError, match=r":1: invalid JSON \(.*4300"):
             read_estimates(path)
 
 

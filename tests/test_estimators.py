@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aquapos.camera import Intrinsics, TagGeometry, TagObservation, project_point
+from aquapos.camera import (
+    Intrinsics,
+    TagGeometry,
+    TagObservation,
+    project_point,
+    solve_pnp_planar,
+)
+from aquapos.config import load_run_config
 from aquapos.dataset import validate_record
 from aquapos.depth_calibration import CalibrationParams
 from aquapos.errors import NoSampleYet, StaleSensor
@@ -22,6 +30,7 @@ from aquapos.estimators import (
     estimate_cpnp,
 )
 from aquapos.geometry import RigidTransform, euler_zyx_to_rotation
+from aquapos.simulator import Simulator
 
 K = Intrinsics(fx=514.177765, fy=513.054629, cx=346.861136, cy=220.015799,
                width=800, height=600)
@@ -497,3 +506,138 @@ class TestPipelineProperty:
                 skipped = (pipe.counters["cpnp_skipped"]
                            + pipe.counters["cd_skipped"] - skipped)
                 assert len(out) + skipped == 2
+
+
+# --- reference: the estimators' numpy chain as it was before the scalar path ---
+
+
+def _ref_camera_to_world(pose, rig):
+    cy, sy = np.cos(pose.yaw), np.sin(pose.yaw)
+    cp, sp = np.cos(pose.pitch), np.sin(pose.pitch)
+    cr, sr = np.cos(pose.roll), np.sin(pose.roll)
+    R = np.array([[cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr],
+                  [sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr],
+                  [-sp, cp * sr, cp * cr]])
+    t = np.array([pose.x, pose.y, rig.body_height], dtype=float)
+    H = rig.camera_in_body
+    return R @ H.rotation, R @ H.translation + t
+
+
+def _ref_cd(pose, corners, depth, rig, offset=None):
+    R, t = _ref_camera_to_world(pose, rig)
+    px = (np.asarray(corners, dtype=float) * 0.25).sum(axis=0)
+    ray = np.array([(float(px[0]) - K.cx) / K.fx, (float(px[1]) - K.cy) / K.fy, 1.0])
+    point = R @ ray + t
+    direction = t - point
+    plane_z = -depth
+    if offset is not None:
+        plane_z = plane_z + float(np.asarray(offset, dtype=float)[2])
+    k = (plane_z - float(point[2])) / float(direction[2])
+    return [float(point[0] + k * direction[0]), float(point[1] + k * direction[1]),
+            plane_z], k
+
+
+def _ref_cpnp(pose, tag_pose, rig, offset=None):
+    R, t = _ref_camera_to_world(pose, rig)
+    Rt, tt = tag_pose.transform.rotation, tag_pose.transform.translation
+    if offset is None:
+        return (R @ tt + t).tolist()
+    return ((R @ Rt) @ np.asarray(offset, dtype=float) + (R @ tt + t)).tolist()
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def _random_frames(n, seed):
+    """Random poses, rigs and tags below the camera, with pixel noise."""
+    rng = np.random.default_rng(seed)
+    for k in range(n):
+        rig = _down_camera_rig(tx=rng.uniform(-0.2, 0.2), tz=rng.uniform(-0.1, 0.1),
+                               height=rng.uniform(0.0, 0.2))
+        pose = SurfacePoseState(0.0, rng.uniform(-5, 5), rng.uniform(-5, 5),
+                                rng.uniform(-np.pi, np.pi), rng.uniform(-0.3, 0.3),
+                                rng.uniform(-0.3, 0.3))
+        R_wc, t_wc = _camera_in_world(pose, rig)
+        depth = rng.uniform(0.5, 3.0)
+        below = R_wc @ np.array([rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3), 1.0])
+        marker = t_wc + below * (-depth - t_wc[2]) / below[2]
+        tag = _synthesize_tag(pose, rig, marker, rng.uniform(-np.pi, np.pi))
+        corners = tag.corners + rng.normal(0.0, 0.5, size=(4, 2))
+        offset = None if k % 3 else rng.uniform(-0.1, 0.1, size=3).tolist()
+        yield rig, pose, TagObservation(0.0, corners), depth, offset
+
+
+class TestEstimatorsMatchReference:
+    def test_cd_bit_for_bit(self):
+        for rig, pose, tag, depth, offset in _random_frames(500, 29):
+            est = estimate_cd(_bundle(pose, tag, DepthMeasurement(0.0, depth)), rig, K,
+                              marker_offset=offset)
+            position, k = _ref_cd(pose, tag.corners, depth, rig, offset)
+            assert _hex(est.position) == _hex(position)
+            assert est.ray_k.hex() == k.hex()
+
+    def test_cpnp_bit_for_bit(self):
+        for rig, pose, tag, _, offset in _random_frames(200, 30):
+            est = estimate_cpnp(_bundle(pose, tag), rig, K, GEOM, marker_offset=offset)
+            want = _ref_cpnp(pose, solve_pnp_planar(K, GEOM, tag), rig, offset)
+            assert _hex(est.position) == _hex(want)
+
+
+class TestCameraToWorldMemo:
+    def test_new_slam_record_between_frames_is_used(self):
+        rig = _down_camera_rig()
+        tag = {"kind": "tag", "corners": [[380.0, 200.0], [420.0, 200.0],
+                                          [420.0, 240.0], [380.0, 240.0]]}
+        slam_a = {"t": 0.0, "kind": "slam", "x": 0.3, "y": -0.2, "yaw": 0.4}
+        slam_b = {"t": 0.02, "kind": "slam", "x": 0.5, "y": 0.1, "yaw": -0.7}
+        depth = {"t": 0.0, "kind": "depth", "raw": 1.2}
+        pipe = EstimationPipeline(rig, K, GEOM)
+        for rec in (slam_a, depth):
+            pipe.process(rec)
+        first = pipe.process({"t": 0.01, **tag})
+        pipe.process(slam_b)
+        second = pipe.process({"t": 0.03, **tag})
+        fresh = EstimationPipeline(rig, K, GEOM)
+        for rec in (depth, slam_b):
+            fresh.process(rec)
+        want = fresh.process({"t": 0.03, **tag})
+        assert [e.method for e in second] == ["cpnp", "cd"]
+        for got, ref, old in zip(second, want, first):
+            assert _hex(got.position) == _hex(ref.position)
+            assert _hex(got.position) != _hex(old.position)
+
+    def test_one_compose_per_pose_used_and_one_bundle_per_frame(self, monkeypatch):
+        import aquapos.estimators as estimators
+
+        cfg = load_run_config(None)
+        spec = dataclasses.replace(cfg.trajectory, duration=4.0)
+        records, _ = Simulator(spec, cfg.scene(), cfg.noise).run()
+        composed, synced = [], []
+        compose = estimators.compose
+        monkeypatch.setattr(estimators, "compose",
+                            lambda a, b: composed.append(1) or compose(a, b))
+        synchronize = SensorSynchronizer.synchronize
+        monkeypatch.setattr(SensorSynchronizer, "synchronize",
+                            lambda *a, **k: synced.append(1) or synchronize(*a, **k))
+        pipe = EstimationPipeline(cfg.rig, cfg.intrinsics, cfg.tag)
+        slam_seen, poses_used, estimates = 0, set(), 0
+        for rec in records:
+            slam_seen += rec["kind"] == "slam"
+            out = pipe.process(rec)
+            if out:
+                poses_used.add(slam_seen)
+                estimates += len(out)
+        assert pipe.counters["cpnp_skipped"] == pipe.counters["cd_skipped"] == 0
+        # both methods share a frame's transform, and frames share a held pose
+        assert len(composed) == len(poses_used) <= estimates // 2
+        assert len(synced) == sum(rec["kind"] == "tag" for rec in records)
+
+    def test_pipeline_checks_marker_offset_once(self):
+        rig = _down_camera_rig()
+        pipe = EstimationPipeline(rig, K, GEOM, marker_offset=np.array([0.0, 0.1, 0.02]))
+        assert pipe.marker_offset == (0.0, 0.1, 0.02)
+        assert all(type(v) is float for v in pipe.marker_offset)
+        for bad in ([0.0, float("nan"), 0.0], [0.0, 0.0, float("inf")], [1.0, 2.0]):
+            with pytest.raises(ValueError):
+                EstimationPipeline(rig, K, GEOM, marker_offset=bad)

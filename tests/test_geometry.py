@@ -231,3 +231,35 @@ class TestRigidTransformValidation:
     def test_rejects_nonfinite_translation(self):
         with pytest.raises(ValueError):
             RigidTransform(np.eye(3), [0.0, np.nan, 0.0])
+
+
+def _numpy_euler(yaw, pitch, roll):
+    """Rz(yaw) @ Ry(pitch) @ Rx(roll) entry by entry on numpy's trig."""
+    cy, sy = np.cos(yaw), np.sin(yaw)
+    cp, sp = np.cos(pitch), np.sin(pitch)
+    cr, sr = np.cos(roll), np.sin(roll)
+    return np.array(
+        [
+            [cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr],
+            [sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr],
+            [-sp, cp * sr, cp * cr],
+        ]
+    )
+
+
+class TestEulerMatchesNumpy:
+    def test_bit_for_bit_on_random_angles(self):
+        # the simulator builds every body rotation here, so dataset bytes
+        # depend on these entries matching the numpy formula exactly
+        rng = np.random.default_rng(28)
+        angles = np.column_stack([
+            rng.uniform(-np.pi, np.pi, 5000),
+            rng.uniform(-1.5, 1.5, 5000),
+            rng.uniform(-np.pi, np.pi, 5000),
+        ])
+        angles[:100] *= 1e-9  # near zero, where sin x rounds to x
+        for yaw, pitch, roll in angles.tolist():
+            got = euler_zyx_to_rotation(yaw, pitch, roll)
+            want = _numpy_euler(yaw, pitch, roll)
+            assert [v.hex() for v in got.ravel().tolist()] == \
+                [v.hex() for v in want.ravel().tolist()]
