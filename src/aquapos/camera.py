@@ -37,8 +37,8 @@ class Intrinsics:
     height: int
 
     def __post_init__(self):
-        if not (self.fx > 0 and self.fy > 0):
-            raise ValueError("focal lengths must be positive")
+        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
+            raise ValueError("focal lengths must be positive and finite")
         if not (0 < self.cx < self.width and 0 < self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
 
@@ -52,16 +52,6 @@ class Intrinsics:
             width=int(d["width"]),
             height=int(d["height"]),
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "fx": self.fx,
-            "fy": self.fy,
-            "cx": self.cx,
-            "cy": self.cy,
-            "width": self.width,
-            "height": self.height,
-        }
 
 
 # bench-calibrated defaults used when no intrinsics file is configured
@@ -125,11 +115,6 @@ def _center(px) -> tuple[float, float]:
     )
 
 
-def tag_center_pixel(obs: TagObservation) -> np.ndarray:
-    """Arithmetic mean of the four corner pixels."""
-    return np.array(_center(obs.corners.tolist()))
-
-
 @dataclass(frozen=True)
 class TagGeometry:
     """Square tag of known side length; corner order is fixed.
@@ -141,8 +126,8 @@ class TagGeometry:
     side_length: float
 
     def __post_init__(self):
-        if not self.side_length > 0:
-            raise ValueError("tag side length must be positive")
+        if not 0 < self.side_length < math.inf:
+            raise ValueError("tag side length must be positive and finite")
 
     def corners(self) -> np.ndarray:
         h = self.side_length / 2.0

@@ -170,11 +170,7 @@ def cmd_calibrate_depth(args) -> int:
     if args.seed is not None:
         pso = dataclasses.replace(pso, seed=args.seed)
     params, trace = calibrate_with_trace(pairs, pso)
-    result = {
-        "scale": params.scale,
-        "offset": params.offset,
-        "cost": trace[-1],
-    }
+    result = {**params.to_dict(), "cost": trace[-1]}
     print(f"scale {params.scale:.9f} offset {params.offset:.9f} "
           f"cost {trace[-1]:.6e} ({len(pairs)} pairs)")
     if args.out:

@@ -21,7 +21,7 @@ import yaml
 
 from .attitude import TiltConfig
 from .camera import DEFAULT_INTRINSICS, Intrinsics, TagGeometry
-from .depth_calibration import CalibrationParams, PsoConfig
+from .depth_calibration import IDENTITY_CALIBRATION, CalibrationParams, PsoConfig
 from .errors import ConfigError
 from .estimators import DEFAULT_STALENESS_BOUND, RigExtrinsics, default_rig
 from .geometry import RigidTransform, euler_zyx_to_rotation
@@ -45,9 +45,7 @@ class RunConfig:
     intrinsics: Intrinsics = field(default_factory=lambda: DEFAULT_INTRINSICS)
     rig: RigExtrinsics = field(default_factory=default_rig)
     tag: TagGeometry = field(default_factory=lambda: TagGeometry(0.2))
-    calibration: CalibrationParams = field(
-        default_factory=lambda: CalibrationParams(1.0, 0.0)
-    )
+    calibration: CalibrationParams = IDENTITY_CALIBRATION
     tilt: TiltConfig = field(default_factory=TiltConfig)
     staleness_bound: float = DEFAULT_STALENESS_BOUND
     marker_offset: tuple | None = None
@@ -120,14 +118,7 @@ def load_intrinsics(path) -> Intrinsics:
     if missing:
         raise ConfigError(f"intrinsics file {path} missing {sorted(missing)}")
     try:
-        return Intrinsics(
-            fx=float(raw["fx"]),
-            fy=float(raw["fy"]),
-            cx=float(raw["cx"]),
-            cy=float(raw["cy"]),
-            width=int(raw["width"]),
-            height=int(raw["height"]),
-        )
+        return Intrinsics.from_dict(raw)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"intrinsics file {path}: {exc}")
 
@@ -208,7 +199,7 @@ def _load_simulation(section, cfg: RunConfig) -> RunConfig:
         yaw_period = float(section.get("surface_yaw_period", cfg.yaw_period))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"simulation: {exc}")
-    return dataclasses.replace(
+    cfg = dataclasses.replace(
         cfg,
         trajectory=trajectory,
         rates=rates,
@@ -217,6 +208,11 @@ def _load_simulation(section, cfg: RunConfig) -> RunConfig:
         yaw_amplitude=yaw_amp,
         yaw_period=yaw_period,
     )
+    try:
+        cfg.scene()  # SceneConfig checks the surface yaw wave
+    except ValueError as exc:
+        raise ConfigError(f"simulation: {exc}")
+    return cfg
 
 
 _TOP_KEYS = (
@@ -265,7 +261,7 @@ def load_run_config(path=None) -> RunConfig:
             bound = float(raw["staleness_bound"])
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"staleness_bound: {exc}")
-        if bound <= 0:
+        if not bound > 0:
             raise ConfigError("staleness_bound must be positive")
         cfg = dataclasses.replace(cfg, staleness_bound=bound)
     if raw.get("marker_offset") is not None:
@@ -295,9 +291,8 @@ def load_run_config(path=None) -> RunConfig:
     if calib_section:
         _check_keys(calib_section, ("scale", "offset"), "depth_calibration")
         try:
-            calib = CalibrationParams(
-                float(calib_section.get("scale", 1.0)),
-                float(calib_section.get("offset", 0.0)),
+            calib = CalibrationParams.from_dict(
+                {**IDENTITY_CALIBRATION.to_dict(), **calib_section}
             )
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"depth_calibration: {exc}")

@@ -10,7 +10,7 @@ initial bounds and needs no linear-algebra assumptions downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,16 +77,6 @@ class PsoConfig:
         return np.array([self.scale_bounds[1], self.offset_bounds[1]])
 
 
-@dataclass
-class Particle:
-    """One swarm member: position (scale, offset), velocity, personal best."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-    best_position: np.ndarray
-    best_cost: float
-
-
 def _as_pairs(pairs) -> np.ndarray:
     arr = np.asarray(pairs, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -96,48 +86,56 @@ def _as_pairs(pairs) -> np.ndarray:
     return arr
 
 
+def _costs(x, pairs) -> np.ndarray:
+    """Sum of squared residuals for each (scale, offset) row of x.
+
+    pairs is an already checked (n, 2) array. Each row's residuals are
+    summed by a dot product of their own, for a swarm as for a single
+    parameter vector: np.einsum row sums add them in another order and
+    move the fit's last bits.
+    """
+    residuals = x[:, :1] * pairs[:, 0] + x[:, 1:] - pairs[:, 1]
+    return np.array([r @ r for r in residuals])
+
+
 def calibration_cost(theta, pairs) -> float:
     """Sum of squared residuals of the affine model over the pairs."""
     arr = _as_pairs(pairs)
     if arr.shape[0] < 2:
         raise InsufficientData("need at least 2 calibration pairs")
-    t = np.asarray(theta, dtype=float)
-    residual = arr[:, 0] * t[0] + t[1] - arr[:, 1]
-    return float(residual @ residual)
+    return float(_costs(np.asarray(theta, dtype=float).reshape(1, 2), arr)[0])
 
 
-def pso_step(swarm, g_best, pairs, cfg: PsoConfig, rng) -> list:
-    """Advance every particle one step and refresh personal bests in place.
+def _pso_step(x, v, best_x, best_cost, g_best, pairs, cfg: PsoConfig, rng):
+    """Advance the swarm one step and refresh personal bests, all in place.
 
-    For each particle, in swarm order, two scalar uniforms r1 then r2 are
-    drawn from ``rng``; the velocity update is
+    x, v and best_x are (swarm, 2) arrays of positions, velocities and
+    personal bests, best_cost the personal bests' costs. One
+    ``rng.uniform(size=(swarm, 2))`` call gives each particle its r1 and
+    r2, in swarm order; the velocity update is
 
         v' = w*v + c1*r1*(p_best - x) + c2*r2*(g_best - x)
 
     with v' clamped per component and the new position clipped to the
-    search bounds. ``g_best`` is held fixed for the whole step, so the
-    sweep is synchronous; the caller rescans personal bests afterwards.
+    search bounds. A personal best moves only on a strictly lower cost.
+    ``g_best`` is held fixed for the whole step, so the sweep is
+    synchronous; the caller rescans personal bests afterwards.
     """
     lo, hi = cfg.lower(), cfg.upper()
     v_max = _VELOCITY_CLAMP_FRACTION * (hi - lo)
-    g = np.asarray(g_best, dtype=float)
-    for p in swarm:
-        r1 = rng.uniform()
-        r2 = rng.uniform()
-        v = (
-            cfg.inertia * p.velocity
-            + cfg.cognitive * r1 * (p.best_position - p.position)
-            + cfg.social * r2 * (g - p.position)
-        )
-        v = np.clip(v, -v_max, v_max)
-        x = np.clip(p.position + v, lo, hi)
-        p.velocity = v
-        p.position = x
-        cost = calibration_cost(x, pairs)
-        if cost < p.best_cost:
-            p.best_cost = cost
-            p.best_position = x.copy()
-    return swarm
+    r = rng.uniform(size=x.shape)
+    v[:] = np.clip(
+        cfg.inertia * v
+        + cfg.cognitive * r[:, :1] * (best_x - x)
+        + cfg.social * r[:, 1:] * (g_best - x),
+        -v_max,
+        v_max,
+    )
+    x[:] = np.clip(x + v, lo, hi)
+    cost = _costs(x, pairs)
+    better = cost < best_cost
+    best_x[better] = x[better]
+    best_cost[better] = cost[better]
 
 
 def calibrate_with_trace(pairs, cfg: PsoConfig | None = None):
@@ -145,7 +143,8 @@ def calibrate_with_trace(pairs, cfg: PsoConfig | None = None):
 
     The trace has ``iterations + 1`` entries, the first being the best
     initial particle. It is bit-identical across runs for a fixed seed,
-    config and data, which makes determinism cheap to assert.
+    config and data, which makes determinism cheap to assert. The pairs
+    are checked once here; the swarm is held as arrays (see _pso_step).
     """
     if cfg is None:
         cfg = PsoConfig()
@@ -157,21 +156,18 @@ def calibrate_with_trace(pairs, cfg: PsoConfig | None = None):
 
     rng = np.random.default_rng(cfg.seed)
     lo, hi = cfg.lower(), cfg.upper()
-    swarm = []
-    for _ in range(cfg.swarm_size):
-        pos = lo + rng.uniform(size=2) * (hi - lo)
-        cost = calibration_cost(pos, arr)
-        swarm.append(Particle(pos, np.zeros(2), pos.copy(), cost))
-
-    g_cost = min(p.best_cost for p in swarm)
-    g_pos = next(p.best_position.copy() for p in swarm if p.best_cost == g_cost)
+    x = lo + rng.uniform(size=(cfg.swarm_size, 2)) * (hi - lo)
+    v = np.zeros_like(x)
+    best_x, best_cost = x.copy(), _costs(x, arr)
+    # the first particle holding the lowest cost leads, on ties too
+    i = int(np.argmin(best_cost))
+    g_cost, g_pos = float(best_cost[i]), best_x[i].copy()
     trace = [g_cost]
     for _ in range(cfg.iterations):
-        pso_step(swarm, g_pos, arr, cfg, rng)
-        for p in swarm:
-            if p.best_cost < g_cost:
-                g_cost = p.best_cost
-                g_pos = p.best_position.copy()
+        _pso_step(x, v, best_x, best_cost, g_pos, arr, cfg, rng)
+        i = int(np.argmin(best_cost))
+        if best_cost[i] < g_cost:
+            g_cost, g_pos = float(best_cost[i]), best_x[i].copy()
         trace.append(g_cost)
     return CalibrationParams(float(g_pos[0]), float(g_pos[1])), trace
 

@@ -49,10 +49,6 @@ class NonFiniteEstimate(AquaposError):
     """Estimator arithmetic overflowed to a non-finite result."""
 
 
-class NoSampleYet(AquaposError):
-    """Queried a stream before its first sample."""
-
-
 class InsufficientData(AquaposError):
     """Not enough data points for the requested fit."""
 

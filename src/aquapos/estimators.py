@@ -43,7 +43,7 @@ from .camera import (
     solve_pnp_planar,
 )
 from .depth_calibration import IDENTITY_CALIBRATION, CalibrationParams, apply_calibration
-from .errors import AquaposError, NonFiniteEstimate, NoSampleYet, StaleSensor
+from .errors import AquaposError, NonFiniteEstimate, StaleSensor
 from .geometry import (
     RigidTransform,
     _as_vec3,
@@ -147,6 +147,26 @@ class PositionEstimate:
             raise ValueError("position must be a finite 3-vector")
         object.__setattr__(self, "position", p)
 
+    @classmethod
+    def _unchecked(cls, timestamp, position, method, roll=0.0, pitch=0.0,
+                   reproj_rms=None, ray_k=None, staleness=None):
+        """Build from a finite float 3-vector and a known method; skips the checks.
+
+        For the estimators, whose _check_finite has already checked the
+        position; the public constructor keeps its checks.
+        """
+        est = object.__new__(cls)
+        setattr_ = object.__setattr__
+        setattr_(est, "timestamp", timestamp)
+        setattr_(est, "position", position)
+        setattr_(est, "method", method)
+        setattr_(est, "roll", roll)
+        setattr_(est, "pitch", pitch)
+        setattr_(est, "reproj_rms", reproj_rms)
+        setattr_(est, "ray_k", ray_k)
+        setattr_(est, "staleness", staleness)
+        return est
+
 
 def default_rig() -> RigExtrinsics:
     """Bench rig: camera 10 cm ahead of the body origin, 2 cm below it,
@@ -219,7 +239,7 @@ def estimate_cpnp(
             compose(camera_to_world, tag_pose.transform), marker_offset
         )
     _check_finite("cpnp", *position)
-    return PositionEstimate(
+    return PositionEstimate._unchecked(
         bundle.timestamp,
         position,
         "cpnp",
@@ -254,7 +274,7 @@ def estimate_cd(
     # the line from the tag center's world point toward the camera origin
     x, y, k = _line_zplane_hit(H.translation.tolist(), center_world, plane_z)
     _check_finite("cd", x, y, plane_z, k)
-    return PositionEstimate(
+    return PositionEstimate._unchecked(
         bundle.timestamp,
         np.array([x, y, plane_z]),
         "cd",
@@ -293,15 +313,17 @@ class SensorSynchronizer:
     def push_depth(self, depth: DepthMeasurement):
         self._push("depth", depth)
 
-    def synchronize(self, t: float, require=_STREAMS) -> SensorFrameBundle:
-        """Bundle the latest sample of each stream as of time t."""
+    def synchronize(self, t: float) -> SensorFrameBundle:
+        """Bundle the latest sample of each stream as of time t.
+
+        A stream with no sample yet is None in the bundle and has no
+        staleness entry; each estimator's _check_fresh reports it.
+        """
         found = {}
         staleness = {}
         for name in self._STREAMS:
             sample = self._latest[name]
             if sample is None:
-                if name in require:
-                    raise NoSampleYet(f"no {name} sample yet")
                 continue
             if sample.timestamp > t:
                 raise ValueError("query time precedes a pushed sample")
@@ -391,7 +413,7 @@ class EstimationPipeline:
         if kind == "tag":
             self.sync.push_tag(TagObservation(t, record["corners"]))
             # one bundle for every method; each estimator checks its own streams
-            bundle = self.sync.synchronize(t, require=())
+            bundle = self.sync.synchronize(t)
             estimates = []
             for method in self.methods:
                 try:

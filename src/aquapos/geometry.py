@@ -57,14 +57,6 @@ class RigidTransform:
         object.__setattr__(H, "translation", translation)
         return H
 
-    @classmethod
-    def identity(cls) -> "RigidTransform":
-        return cls(np.eye(3), np.zeros(3))
-
-    @classmethod
-    def from_translation(cls, t) -> "RigidTransform":
-        return cls(np.eye(3), t)
-
 
 def transform_point(H: RigidTransform, p) -> np.ndarray:
     """Apply H to a point: R @ p + t."""
@@ -124,21 +116,6 @@ class PluckerLine:
         object.__setattr__(self, "direction", d)
 
 
-def line_from_points(a, b) -> PluckerLine:
-    """Line through a and b, anchored at b with direction a - b."""
-    a = _as_vec3(a)
-    b = _as_vec3(b)
-    d = a - b
-    _check_distinct(*d.tolist())
-    return PluckerLine(point=b, direction=d)
-
-
-def _check_distinct(dx: float, dy: float, dz: float):
-    # hypot does not overflow on huge finite components, where a sum of squares would
-    if math.hypot(dx, dy, dz) <= 1e-9:
-        raise DegenerateLine("points coincide; no unique line")
-
-
 def _zplane_hit(px, py, pz, dx, dy, dz, z_plane) -> tuple[float, float, float]:
     """(x, y, k) of the point p + k d where a line crosses z = z_plane, on floats."""
     if abs(dz) <= 1e-9:
@@ -149,15 +126,18 @@ def _zplane_hit(px, py, pz, dx, dy, dz, z_plane) -> tuple[float, float, float]:
 
 
 def _line_zplane_hit(a, b, z_plane: float) -> tuple[float, float, float]:
-    """intersect_with_zplane(line_from_points(a, b), z_plane) on float 3-tuples.
+    """Where the line through float 3-tuples a and b crosses z = z_plane.
 
-    Returns (x, y, k): the line meets z = z_plane at b + k (a - b), whose
-    x and y are returned. Raises DegenerateLine and ParallelToPlane as the
-    two calls do.
+    Returns (x, y, k): the line, anchored at b with direction a - b, meets
+    the plane at b + k (a - b), whose x and y are returned. Raises
+    DegenerateLine when a and b coincide and ParallelToPlane when the line
+    has (near) zero z slope.
     """
     (ax, ay, az), (bx, by, bz) = a, b
     dx, dy, dz = ax - bx, ay - by, az - bz
-    _check_distinct(dx, dy, dz)
+    # hypot does not overflow on huge finite components, where a sum of squares would
+    if math.hypot(dx, dy, dz) <= 1e-9:
+        raise DegenerateLine("points coincide; no unique line")
     return _zplane_hit(bx, by, bz, dx, dy, dz, z_plane)
 
 

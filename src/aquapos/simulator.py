@@ -60,6 +60,10 @@ class TrajectorySpec:
             raise ValueError(f"unknown pattern {self.pattern!r}")
         if len(self.region) != 3 or any(r <= 0 for r in self.region):
             raise ValueError("region must be three positive extents")
+        numbers = (*self.region, self.speed, self.duration, self.depth_mean,
+                   self.depth_amplitude, self.depth_period)
+        if not all(map(math.isfinite, numbers)):
+            raise ValueError("trajectory values must be finite")
         if self.speed <= 0:
             raise ValueError("speed must be positive")
         if self.duration <= 0:
@@ -95,6 +99,9 @@ class NoiseModel:
                   self.depth_sigma, self.slam_xy_sigma, self.slam_yaw_sigma)
         if any(s < 0 for s in sigmas):
             raise ValueError("noise sigmas must be non-negative")
+        numbers = (*sigmas, self.tilt_frequency, self.dropout_base, self.dropout_per_metre)
+        if not all(map(math.isfinite, numbers)):
+            raise ValueError("noise values must be finite")
         if not 0.0 <= self.tilt_amplitude <= math.radians(10.0) + 1e-12:
             raise ValueError("tilt amplitude must lie in [0, 10] degrees")
         if self.tilt_frequency < 0:
@@ -123,8 +130,8 @@ class SampleRates:
 
     def __post_init__(self):
         for r in (self.camera, self.imu, self.depth, self.slam, self.truth):
-            if r <= 0:
-                raise ValueError("sample rates must be positive")
+            if not 0 < r < math.inf:
+                raise ValueError("sample rates must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -138,13 +145,14 @@ class FollowerConfig:
     hold_decay: float = 1.0
 
     def __post_init__(self):
-        if self.gain_x < 0 or self.gain_y < 0:
+        # the negated forms also reject nan
+        if not (self.gain_x >= 0 and self.gain_y >= 0):
             raise ValueError("gains must be non-negative")
-        if self.deadband_px < 0:
+        if not self.deadband_px >= 0:
             raise ValueError("deadband must be non-negative")
-        if self.max_speed <= 0:
+        if not self.max_speed > 0:
             raise ValueError("max speed must be positive")
-        if self.hold_decay <= 0:
+        if not self.hold_decay > 0:
             raise ValueError("hold decay time must be positive")
 
 
@@ -165,9 +173,9 @@ class SceneConfig:
 
     def __post_init__(self):
         if self.yaw_amplitude < 0 or not np.isfinite(self.yaw_amplitude):
-            raise ValueError("yaw amplitude must be non-negative")
-        if self.yaw_period <= 0:
-            raise ValueError("yaw period must be positive")
+            raise ValueError("yaw amplitude must be non-negative and finite")
+        if not 0 < self.yaw_period < math.inf:
+            raise ValueError("yaw period must be positive and finite")
 
 
 class MarkerTrajectory:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from aquapos.camera import (
     Intrinsics,
     TagGeometry,
     TagObservation,
+    _center,
     _damped_step,
     _ippe_seed,
     _normal_equations,
@@ -14,7 +16,6 @@ from aquapos.camera import (
     project_point,
     quad_area,
     solve_pnp_planar,
-    tag_center_pixel,
 )
 from aquapos.errors import BehindCamera, PnPDegenerate
 from aquapos.geometry import RigidTransform
@@ -215,20 +216,22 @@ class TestProjectPoint:
 
 
 class TestTagCenterPixel:
+    """cd's center pixel: the mean of the four corners (camera._center)."""
+
     def test_unit_square(self):
         obs = TagObservation(0.0, [[0, 0], [2, 0], [2, 2], [0, 2]])
-        np.testing.assert_allclose(tag_center_pixel(obs), [1, 1], atol=0)
+        assert _center(obs.corners.tolist()) == (1.0, 1.0)
 
     def test_offset_square(self):
         obs = TagObservation(0.0, [[10, 10], [20, 10], [20, 20], [10, 20]])
-        np.testing.assert_allclose(tag_center_pixel(obs), [15, 15], atol=0)
+        assert _center(obs.corners.tolist()) == (15.0, 15.0)
 
     def test_fronto_parallel_matches_center_projection(self):
         geom = TagGeometry(0.2)
         R, t = _facing_pose()
         obs = _project_tag(BENCH_K, geom, R, t)
         center_proj = project_point(BENCH_K, t)
-        np.testing.assert_allclose(tag_center_pixel(obs), center_proj, atol=1e-9)
+        np.testing.assert_allclose(_center(obs.corners.tolist()), center_proj, atol=1e-9)
 
 
 class TestObservationValidation:
@@ -590,5 +593,12 @@ class TestIntrinsicsValidation:
             Intrinsics(fx=1, fy=1, cx=2.0, cy=0.5, width=1, height=1)
 
     def test_dict_round_trip(self):
-        K = Intrinsics.from_dict(BENCH_K.to_dict())
+        K = Intrinsics.from_dict(dataclasses.asdict(BENCH_K))
         assert K == BENCH_K
+
+    @pytest.mark.parametrize("focal", [math.inf, math.nan])
+    def test_non_finite_focal(self, focal):
+        with pytest.raises(ValueError, match="finite"):
+            Intrinsics(fx=focal, fy=1, cx=0.5, cy=0.5, width=1, height=1)
+        with pytest.raises(ValueError, match="finite"):
+            Intrinsics(fx=1, fy=focal, cx=0.5, cy=0.5, width=1, height=1)

@@ -76,6 +76,43 @@ class TestSimulate:
         assert rc == 2
         assert "unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry, message", [
+        ("rates: {camera: .nan}", "simulation.rates: sample rates must be positive and finite"),
+        ("rates: {camera: .inf}", "simulation.rates: sample rates must be positive and finite"),
+        ("trajectory: {duration: .nan}", "simulation.trajectory: trajectory values must be finite"),
+        ("trajectory: {duration: .inf}", "simulation.trajectory: trajectory values must be finite"),
+        ("noise: {tilt_frequency: .nan}", "simulation.noise: noise values must be finite"),
+        ("surface_yaw_period: .nan", "simulation: yaw period must be positive and finite"),
+        ("surface_yaw_period: -1.0", "simulation: yaw period must be positive and finite"),
+        ("surface_yaw_amplitude: .inf", "simulation: yaw amplitude must be non-negative"),
+    ])
+    def test_bad_simulation_value_is_usage_error(self, tmp_path, capsys, entry, message):
+        config = tmp_path / "run.yaml"
+        config.write_text(f"simulation:\n  {entry}\n", encoding="utf-8")
+        out = tmp_path / "x.jsonl"
+        rc = cli.main(["simulate", "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    def test_infinite_focal_length_is_usage_error(self, tmp_path, capsys):
+        (tmp_path / "k.yaml").write_text(
+            "fx: .inf\nfy: 500.0\ncx: 320.0\ncy: 240.0\nwidth: 640\nheight: 480\n",
+            encoding="utf-8",
+        )
+        config = tmp_path / "run.yaml"
+        config.write_text("intrinsics_file: k.yaml\n"
+                          "simulation:\n  trajectory: {duration: 2.0}\n",
+                          encoding="utf-8")
+        out = tmp_path / "x.jsonl"
+        rc = cli.main(["simulate", "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: intrinsics file ")
+        assert "focal lengths must be positive and finite" in err
+        assert not out.exists()
+
     def test_overflowing_sample_exits_1_naming_the_record(self, tmp_path):
         # 1e308 times a standard normal draw overflows to inf
         config = tmp_path / "run.yaml"

@@ -177,6 +177,17 @@ simulation:
             load_run_config(_write(tmp_path, "staleness_bound: -1.0\n"))
         with pytest.raises(ConfigError, match="staleness_bound"):
             load_run_config(_write(tmp_path, "staleness_bound: soon\n"))
+        # nan compares false with everything, so it would turn off every staleness check
+        with pytest.raises(ConfigError, match="staleness_bound"):
+            load_run_config(_write(tmp_path, "staleness_bound: .nan\n"))
+
+    @pytest.mark.parametrize("entry", ["tag: {side_length: .inf}",
+                                       "simulation: {follower: {deadband_px: .nan}}",
+                                       "simulation: {follower: {gain_y: .nan}}",
+                                       "simulation: {follower: {hold_decay: .nan}}"])
+    def test_non_finite_geometry_and_follower_rejected(self, tmp_path, entry):
+        with pytest.raises(ConfigError):
+            load_run_config(_write(tmp_path, entry + "\n"))
 
     def test_non_mapping_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="mapping"):

@@ -16,7 +16,7 @@ from aquapos.camera import (
 from aquapos.config import load_run_config
 from aquapos.dataset import validate_record
 from aquapos.depth_calibration import CalibrationParams
-from aquapos.errors import NoSampleYet, StaleSensor
+from aquapos.errors import StaleSensor
 from aquapos.estimators import (
     DepthMeasurement,
     EstimationPipeline,
@@ -106,7 +106,7 @@ class TestBuildBodyToWorld:
 
 class TestEstimateCpnp:
     def test_identity_chain(self):
-        rig = RigExtrinsics(RigidTransform.identity(), 0.0)
+        rig = RigExtrinsics(RigidTransform(np.eye(3), np.zeros(3)), 0.0)
         pose = SurfacePoseState(0.0, 0.0, 0.0, 0.0)
         # tag facing the camera, 1.5 m straight ahead
         R_cm = euler_zyx_to_rotation(0.0, 0.0, np.pi)
@@ -288,15 +288,24 @@ class TestSynchronizer:
         assert bundle.staleness == {"pose": 0.05, "tag": 0.05, "depth": 0.05}
 
     def test_no_sample_yet(self):
-        with pytest.raises(NoSampleYet):
-            SensorSynchronizer().synchronize(0.0)
+        bundle = SensorSynchronizer().synchronize(0.0)
+        assert (bundle.pose, bundle.tag, bundle.depth) == (None, None, None)
+        assert bundle.staleness == {}
 
     def test_require_subset(self):
+        # each estimator requires its own streams: cpnp runs without depth, cd
+        # reports the missing stream as stale
         sync = SensorSynchronizer()
         sync.push_pose(SurfacePoseState(0.0, 0.0, 0.0, 0.0))
-        sync.push_tag(TagObservation(0.0, np.zeros((4, 2))))
-        bundle = sync.synchronize(0.01, require=("pose", "tag"))
+        tag = _synthesize_tag(SurfacePoseState(0.0, 0.0, 0.0, 0.0), _down_camera_rig(),
+                              [0.1, 0.0, -1.0], 0.0)
+        sync.push_tag(tag)
+        bundle = sync.synchronize(0.01)
         assert bundle.depth is None
+        assert set(bundle.staleness) == {"pose", "tag"}
+        assert estimate_cpnp(bundle, _down_camera_rig(), K, GEOM).method == "cpnp"
+        with pytest.raises(StaleSensor, match="no depth sample"):
+            estimate_cd(bundle, _down_camera_rig(), K)
 
     def test_interleaved_rates_bound_staleness(self):
         sync = SensorSynchronizer()
@@ -308,7 +317,7 @@ class TestSynchronizer:
             while next_depth / 15.0 <= t:
                 sync.push_depth(DepthMeasurement(next_depth / 15.0, 1.0))
                 next_depth += 1
-            bundle = sync.synchronize(t, require=("pose", "depth"))
+            bundle = sync.synchronize(t)
             assert bundle.staleness["depth"] <= 1 / 15 + 1e-12
             assert bundle.staleness["pose"] == 0.0
 
@@ -322,7 +331,7 @@ class TestSynchronizer:
         sync = SensorSynchronizer()
         sync.push_pose(SurfacePoseState(1.0, 0.0, 0.0, 0.0))
         with pytest.raises(ValueError):
-            sync.synchronize(0.5, require=("pose",))
+            sync.synchronize(0.5)
 
 
 class TestPipeline:
@@ -405,6 +414,25 @@ class TestTypes:
             PositionEstimate(0.0, [0.0, 0.0, 0.0], "sonar")
         with pytest.raises(ValueError):
             PositionEstimate(0.0, [np.inf, 0.0, 0.0], "cd")
+
+    def test_estimators_build_what_the_constructor_builds(self):
+        # the estimators skip the public constructor's checks, not its result
+        fields = [f.name for f in dataclasses.fields(PositionEstimate)]
+        for rig, pose, tag, depth, offset in _random_frames(20, 31):
+            bundle = _bundle(pose, tag, DepthMeasurement(0.0, depth), t=0.02,
+                             stale={"pose": 0.01})
+            for est in (estimate_cpnp(bundle, rig, K, GEOM, marker_offset=offset),
+                        estimate_cd(bundle, rig, K, marker_offset=offset)):
+                assert (est.timestamp, est.roll, est.pitch) == (0.02, pose.roll, pose.pitch)
+                assert (est.reproj_rms is None) == (est.method == "cd") == (est.ray_k is not None)
+                ref = PositionEstimate(**{name: getattr(est, name) for name in fields})
+                assert est.position.dtype == np.float64 and est.position.shape == (3,)
+                assert _hex(est.position) == _hex(ref.position)
+                for name in fields:
+                    if name != "position":
+                        assert getattr(est, name) == getattr(ref, name)
+                assert est.staleness == {"pose": 0.01}
+                assert est.staleness is not bundle.staleness
 
     def test_bundle_rejects_negative_staleness(self):
         with pytest.raises(ValueError):

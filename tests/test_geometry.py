@@ -5,13 +5,19 @@ from aquapos.errors import DegenerateLine, GimbalLockNear, ParallelToPlane
 from aquapos.geometry import (
     PluckerLine,
     RigidTransform,
+    _line_zplane_hit,
     compose,
     euler_zyx_to_rotation,
     intersect_with_zplane,
     invert,
-    line_from_points,
     transform_point,
 )
+
+IDENTITY = RigidTransform(np.eye(3), np.zeros(3))
+
+
+def _translation(t):
+    return RigidTransform(np.eye(3), t)
 
 
 def _rx(a):
@@ -40,11 +46,11 @@ def _random_transform(rng):
 
 class TestTransformPoint:
     def test_identity(self):
-        H = RigidTransform.identity()
+        H = IDENTITY
         assert np.allclose(transform_point(H, [1, 2, 3]), [1, 2, 3], atol=0)
 
     def test_pure_translation(self):
-        H = RigidTransform.from_translation([0, 0, 0.1])
+        H = _translation([0, 0, 0.1])
         np.testing.assert_allclose(
             transform_point(H, [0, 0, -1]), [0, 0, -0.9], atol=1e-15
         )
@@ -58,13 +64,13 @@ class TestCompose:
     def test_identity_left(self):
         rng = np.random.default_rng(1)
         H = _random_transform(rng)
-        C = compose(RigidTransform.identity(), H)
+        C = compose(IDENTITY, H)
         np.testing.assert_allclose(C.rotation, H.rotation, atol=0)
         np.testing.assert_allclose(C.translation, H.translation, atol=0)
 
     def test_two_translations(self):
-        a = RigidTransform.from_translation([1, 0, 0])
-        b = RigidTransform.from_translation([0, 2, 0])
+        a = _translation([1, 0, 0])
+        b = _translation([0, 2, 0])
         c = compose(a, b)
         np.testing.assert_allclose(c.translation, [1, 2, 0], atol=0)
         np.testing.assert_allclose(c.rotation, np.eye(3), atol=0)
@@ -97,12 +103,12 @@ class TestCompose:
 
 class TestInvert:
     def test_identity(self):
-        H = invert(RigidTransform.identity())
+        H = invert(IDENTITY)
         np.testing.assert_array_equal(H.rotation, np.eye(3))
         np.testing.assert_array_equal(H.translation, np.zeros(3))
 
     def test_pure_translation(self):
-        H = invert(RigidTransform.from_translation([1, 2, 3]))
+        H = invert(_translation([1, 2, 3]))
         np.testing.assert_allclose(H.translation, [-1, -2, -3], atol=0)
 
     def test_double_inversion(self):
@@ -167,18 +173,23 @@ class TestEulerZyx:
 
 
 class TestLineFromPoints:
+    """The cd kernel's line through two points, anchored at the second point
+    b with direction a - b, met with a z plane at b + k (a - b)."""
+
     def test_vertical_line(self):
-        line = line_from_points([0, 0, 0.1], [0, 0, -0.9])
-        np.testing.assert_allclose(line.point, [0, 0, -0.9], atol=0)
-        np.testing.assert_allclose(line.direction, [0, 0, 1.0], atol=1e-15)
+        x, y, k = _line_zplane_hit((0.0, 0.0, 0.1), (0.0, 0.0, -0.9), -0.4)
+        assert (x, y) == (0.0, 0.0)
+        assert k == pytest.approx(0.5, abs=1e-15)
 
     def test_slanted_direction(self):
-        line = line_from_points([0, 0, 0.1], [0.1, 0, -0.9])
-        np.testing.assert_allclose(line.direction, [-0.1, 0, 1.0], atol=1e-15)
+        # direction (-0.1, 0, 1.0): one unit of z moves x by -0.1
+        x, y, k = _line_zplane_hit((0.0, 0.0, 0.1), (0.1, 0.0, -0.9), 0.1)
+        assert k == pytest.approx(1.0, abs=1e-15)
+        assert (x, y) == pytest.approx((0.0, 0.0), abs=1e-15)
 
     def test_coincident_points(self):
         with pytest.raises(DegenerateLine):
-            line_from_points([1, 2, 3], [1, 2, 3])
+            _line_zplane_hit((1.0, 2.0, 3.0), (1.0, 2.0, 3.0), 0.0)
 
     def test_zero_direction_rejected(self):
         with pytest.raises(DegenerateLine):
@@ -210,9 +221,11 @@ class TestIntersectWithZPlane:
             b = a + rng.uniform(-1, 1, size=3)
             if abs(a[2] - b[2]) < 1e-3:
                 continue
-            line = line_from_points(a, b)
+            line = PluckerLine(b, a - b)
             z = rng.uniform(-2, 0)
             p = intersect_with_zplane(line, z)
+            x, y, _ = _line_zplane_hit(tuple(a.tolist()), tuple(b.tolist()), z)
+            assert (x, y) == (p[0], p[1])
             assert p[2] == z
             k = (z - line.point[2]) / line.direction[2]
             residual = line.point + k * line.direction - p

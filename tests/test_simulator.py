@@ -135,6 +135,38 @@ class TestRegionValidation:
         with pytest.raises(ValueError):
             TrajectorySpec(depth_amplitude=1.5)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["speed", "duration", "depth_mean", "depth_period"])
+    def test_non_finite_trajectory_value(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            TrajectorySpec(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_region(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            TrajectorySpec(region=(4.8, value, 2.0))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("stream", ["camera", "imu", "depth", "slam", "truth"])
+    def test_non_finite_rate(self, stream, value):
+        with pytest.raises(ValueError, match="finite"):
+            SampleRates(**{stream: value})
+
+    @pytest.mark.parametrize("field", ["pixel_sigma", "gyro_sigma", "accel_sigma",
+                                       "depth_sigma", "slam_xy_sigma", "slam_yaw_sigma",
+                                       "tilt_frequency", "dropout_base",
+                                       "dropout_per_metre"])
+    def test_non_finite_noise_value(self, field):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                NoiseModel(**{field: value})
+
+    def test_non_finite_yaw_wave(self):
+        for kwargs in ({"yaw_period": math.nan}, {"yaw_period": math.inf},
+                       {"yaw_amplitude": math.nan}, {"yaw_amplitude": math.inf}):
+            with pytest.raises(ValueError, match="finite"):
+                SceneConfig(**kwargs)
+
 
 class TestFollower:
     K_SCENE = SceneConfig()
