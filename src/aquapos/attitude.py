@@ -23,17 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AccelOutOfRange, PitchSingularity
+from .geometry import _as_vec3
 
 GRAVITY = 9.81
-
-
-def _as_vec3(v) -> np.ndarray:
-    a = np.asarray(v, dtype=float)
-    if a.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {a.shape}")
-    if not all(map(math.isfinite, a.tolist())):
-        raise ValueError("components must be finite")
-    return a
 
 
 def _as_cov2(M, name: str, positive_definite: bool) -> np.ndarray:
@@ -138,10 +130,6 @@ def _as_state(x) -> TiltState:
     return state
 
 
-def _as_tuple(state: TiltState) -> tuple:
-    return (state.roll, state.pitch, *_entries(state.covariance))
-
-
 @dataclass(frozen=True)
 class TiltConfig:
     """Noise settings for the tilt filter.
@@ -175,15 +163,8 @@ def _propagate(roll, pitch, wx, wy, wz, dt):
     return roll_next, pitch_next, a00, a01, a10
 
 
-def predict_mean(roll: float, pitch: float, gyro, dt: float) -> tuple[float, float]:
-    """Euler-kinematics propagation of (roll, pitch) by body rates over dt."""
-    wx, wy, wz = gyro
-    roll_next, pitch_next, _, _, _ = _propagate(roll, pitch, wx, wy, wz, dt)
-    return roll_next, pitch_next
-
-
 def prediction_jacobian(roll: float, pitch: float, gyro, dt: float) -> np.ndarray:
-    """d(next state)/d(state) for predict_mean."""
+    """d(next state)/d(state) for the Euler-kinematics step of _propagate."""
     wx, wy, wz = gyro
     _, _, a00, a01, a10 = _propagate(roll, pitch, wx, wy, wz, dt)
     return np.array([[a00, a01], [a10, 1.0]])
@@ -218,29 +199,19 @@ def _predict(x: tuple, gyro, dt: float, q) -> tuple:
     )
 
 
-def ekf_predict(state: TiltState, gyro, dt: float, cfg: TiltConfig) -> TiltState:
-    """Propagate the state mean and covariance through the gyro kinematics."""
-    x = _predict(_as_tuple(state), _as_vec3(gyro).tolist(), dt, _entries(cfg.q))
-    return _as_state(x)
-
-
 def _tilt(ax: float, ay: float, az: float) -> tuple[float, float]:
-    """accel_to_tilt on the components of a checked reading."""
-    mag = math.sqrt(ax * ax + ay * ay + az * az)
-    if not (0.5 * GRAVITY <= mag <= 1.5 * GRAVITY):
-        raise AccelOutOfRange(f"|accel| = {mag:.3g} m/s^2 is not near gravity")
-    return math.atan2(-ay, -az), math.atan2(ax, math.hypot(ay, az))
-
-
-def accel_to_tilt(accel) -> tuple[float, float]:
     """(roll, pitch) implied by a quasi-static accelerometer reading.
 
     With gravity the only sensed acceleration, the body-frame reading is
     g * (sin pitch, -cos pitch sin roll, -cos pitch cos roll), so pitch
     comes from the x axis and roll from the y/z pair. A reading of
     (0, 0, +g), an upside-down sensor, maps to roll = pi, pitch = 0.
+    Raises AccelOutOfRange when |accel| is not within half a g of gravity.
     """
-    return _tilt(*_as_vec3(accel).tolist())
+    mag = math.sqrt(ax * ax + ay * ay + az * az)
+    if not (0.5 * GRAVITY <= mag <= 1.5 * GRAVITY):
+        raise AccelOutOfRange(f"|accel| = {mag:.3g} m/s^2 is not near gravity")
+    return math.atan2(-ay, -az), math.atan2(ax, math.hypot(ay, az))
 
 
 def _wrap_pi(x: float) -> float:
@@ -291,7 +262,8 @@ def _update(x: tuple, accel, r) -> tuple:
 
 def ekf_update(state: TiltState, accel, cfg: TiltConfig) -> TiltState:
     """Correct the state with the accelerometer tilt observation (H = I)."""
-    x = _update(_as_tuple(state), _as_vec3(accel).tolist(), _entries(cfg.r))
+    x = _update((state.roll, state.pitch, *_entries(state.covariance)),
+                _as_vec3(accel).tolist(), _entries(cfg.r))
     return _as_state(x)
 
 

@@ -123,7 +123,7 @@ class TagGeometry:
     in the z = 0 plane, and observations list pixels in the same order.
     """
 
-    side_length: float
+    side_length: float = 0.2  # the bench tag, metres
 
     def __post_init__(self):
         if not 0 < self.side_length < math.inf:

@@ -63,12 +63,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reseed(config, seed):
+    """config with --seed in place of its seed; the constructor checks it."""
+    if seed is None:
+        return config
+    try:
+        return dataclasses.replace(config, seed=seed)
+    except ValueError as exc:
+        raise ConfigError(f"--seed: {exc}") from None
+
+
 def cmd_simulate(args) -> int:
     cfg = load_run_config(args.config)
-    spec, noise = cfg.trajectory, cfg.noise
-    if args.seed is not None:
-        spec = dataclasses.replace(spec, seed=args.seed)
-        noise = dataclasses.replace(noise, seed=args.seed)
+    spec = _reseed(cfg.trajectory, args.seed)
+    noise = _reseed(cfg.noise, args.seed)
     sim = Simulator(spec, cfg.scene(), noise)
     records, stats = sim.run()
     try:
@@ -142,11 +150,10 @@ def cmd_evaluate(args) -> int:
             continue
         report = build_error_report(pairs, dropped)
         reports[method] = report.to_dict()
-        for pair in pairs:
-            err = pair.estimate - pair.truth
-            series.append((method, float(pair.timestamp), float(err[0]),
-                           float(err[1]), float(err[2]),
-                           float((err @ err) ** 0.5)))
+        series.extend(
+            (method, pair.timestamp, *err, eucl)
+            for pair, err, eucl in zip(pairs, report.axis_errors.tolist(),
+                                       report.euclidean.tolist()))
         print(f"{method} MED {report.med:.9f} m over {report.n} pairs")
     if not reports:
         raise NoOverlap("no estimate aligns with a truth sample within tolerance")
@@ -166,10 +173,7 @@ def cmd_evaluate(args) -> int:
 def cmd_calibrate_depth(args) -> int:
     pairs = dataset.load_pairs_csv(args.pairs)
     cfg = load_run_config(args.config)
-    pso = cfg.pso
-    if args.seed is not None:
-        pso = dataclasses.replace(pso, seed=args.seed)
-    params, trace = calibrate_with_trace(pairs, pso)
+    params, trace = calibrate_with_trace(pairs, _reseed(cfg.pso, args.seed))
     result = {**params.to_dict(), "cost": trace[-1]}
     print(f"scale {params.scale:.9f} offset {params.offset:.9f} "
           f"cost {trace[-1]:.6e} ({len(pairs)} pairs)")

@@ -44,7 +44,7 @@ class RunConfig:
 
     intrinsics: Intrinsics = field(default_factory=lambda: DEFAULT_INTRINSICS)
     rig: RigExtrinsics = field(default_factory=default_rig)
-    tag: TagGeometry = field(default_factory=lambda: TagGeometry(0.2))
+    tag: TagGeometry = field(default_factory=TagGeometry)
     calibration: CalibrationParams = IDENTITY_CALIBRATION
     tilt: TiltConfig = field(default_factory=TiltConfig)
     staleness_bound: float = DEFAULT_STALENESS_BOUND
@@ -55,8 +55,8 @@ class RunConfig:
     noise: NoiseModel = field(default_factory=lambda: NoiseModel(seed=DEFAULT_SEED))
     rates: SampleRates = field(default_factory=SampleRates)
     follower: FollowerConfig = field(default_factory=FollowerConfig)
-    yaw_amplitude: float = 0.15
-    yaw_period: float = 40.0
+    yaw_amplitude: float = SceneConfig.yaw_amplitude
+    yaw_period: float = SceneConfig.yaw_period
     pso: PsoConfig = field(default_factory=PsoConfig)
 
     def scene(self) -> SceneConfig:
@@ -108,18 +108,25 @@ def load_intrinsics(path) -> Intrinsics:
             raw = yaml.safe_load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read intrinsics file {path}: {exc}")
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"intrinsics file {path} is not valid YAML: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError(f"intrinsics file {path} must be a mapping")
     _check_keys(raw, ("fx", "fy", "cx", "cy", "width", "height", "distortion"), path)
     distortion = raw.pop("distortion", None)
-    if distortion and any(abs(float(d)) > 0 for d in distortion):
+    try:
+        nonzero = bool(distortion) and any(abs(float(d)) > 0 for d in distortion)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"intrinsics file {path}: distortion must be a list "
+                          f"of numbers: {exc}")
+    if nonzero:
         log.warning("ignoring nonzero distortion in %s (pinhole model only)", path)
     missing = {"fx", "fy", "cx", "cy", "width", "height"} - set(raw)
     if missing:
         raise ConfigError(f"intrinsics file {path} missing {sorted(missing)}")
     try:
         return Intrinsics.from_dict(raw)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"intrinsics file {path}: {exc}")
 
 
@@ -162,14 +169,12 @@ def _load_tilt(section) -> TiltConfig:
 def _load_noise(section) -> NoiseModel:
     # degree-valued keys are converted here; everything else passes through
     section = dict(section)
-    if "slam_yaw_sigma_deg" in section:
-        section["slam_yaw_sigma"] = math.radians(
-            float(section.pop("slam_yaw_sigma_deg"))
-        )
-    if "tilt_amplitude_deg" in section:
-        section["tilt_amplitude"] = math.radians(
-            float(section.pop("tilt_amplitude_deg"))
-        )
+    for key in ("slam_yaw_sigma_deg", "tilt_amplitude_deg"):
+        if key in section:
+            try:
+                section[key.removesuffix("_deg")] = math.radians(float(section.pop(key)))
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(f"simulation.noise.{key}: {exc}")
     return _replace(NoiseModel(seed=DEFAULT_SEED), section, "simulation.noise")
 
 
@@ -283,7 +288,7 @@ def load_run_config(path=None) -> RunConfig:
     if tag_section:
         _check_keys(tag_section, ("side_length",), "tag")
         try:
-            tag = TagGeometry(float(tag_section.get("side_length", 0.2)))
+            tag = TagGeometry(float(tag_section["side_length"]))
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"tag: {exc}")
         cfg = dataclasses.replace(cfg, tag=tag)

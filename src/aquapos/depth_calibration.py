@@ -10,6 +10,7 @@ initial bounds and needs no linear-algebra assumptions downstream.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,18 @@ from .errors import DegenerateData, InsufficientData
 
 # Per-step velocity clamp, as a fraction of each parameter's search range.
 _VELOCITY_CLAMP_FRACTION = 0.2
+
+
+def _is_int(value) -> bool:
+    """True for an integer of any integral type except bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_seed(seed) -> None:
+    """Raise ValueError unless seed is a non-negative integer, as numpy's
+    seeding takes; shared by every config type that holds a seed."""
+    if not (_is_int(seed) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -58,10 +71,10 @@ class PsoConfig:
     seed: int = 1
 
     def __post_init__(self):
-        if self.swarm_size < 2:
-            raise ValueError("swarm_size must be at least 2")
-        if self.iterations < 1:
-            raise ValueError("iterations must be positive")
+        if not (_is_int(self.swarm_size) and self.swarm_size >= 2):
+            raise ValueError("swarm_size must be an integer of at least 2")
+        if not (_is_int(self.iterations) and self.iterations >= 1):
+            raise ValueError("iterations must be a positive integer")
         if not 0.0 <= self.inertia <= 1.0:
             raise ValueError("inertia must lie in [0, 1]")
         if self.cognitive < 0.0 or self.social < 0.0:
@@ -69,6 +82,7 @@ class PsoConfig:
         for lo, hi in (self.scale_bounds, self.offset_bounds):
             if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
                 raise ValueError("bounds must be finite with lower < upper")
+        _check_seed(self.seed)
 
     def lower(self) -> np.ndarray:
         return np.array([self.scale_bounds[0], self.offset_bounds[0]])

@@ -130,15 +130,18 @@ def align(est_times, est_points, truth_times, truth_points,
     return pairs, int(et.size - len(pairs))
 
 
-def euclidean_error(pair: AlignedPair) -> float:
-    return float(np.linalg.norm(pair.estimate - pair.truth))
+def _error_series(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis errors (n, 3), estimate - truth, and their norms (n,): the one
+    error formula behind med, the report and evaluate's CSV."""
+    if len(pairs) == 0:
+        raise EmptySeries("no aligned pairs")
+    axis_err = np.array([p.estimate for p in pairs]) - np.array([p.truth for p in pairs])
+    return axis_err, np.linalg.norm(axis_err, axis=1)
 
 
 def med(pairs) -> float:
     """Mean Euclidean distance over aligned pairs."""
-    if len(pairs) == 0:
-        raise EmptySeries("no aligned pairs")
-    return float(np.mean([euclidean_error(p) for p in pairs]))
+    return float(np.mean(_error_series(pairs)[1]))
 
 
 def histogram(series, bin_width: float = DEFAULT_BIN_WIDTH):
@@ -182,12 +185,7 @@ def tilt_error_regression(errors, pitch, roll) -> RegressionResult:
 def build_error_report(pairs, dropped: int = 0,
                        bin_width: float = DEFAULT_BIN_WIDTH) -> ErrorReport:
     """Assemble the full metric set from aligned pairs."""
-    if len(pairs) == 0:
-        raise EmptySeries("no aligned pairs")
-    est = np.array([p.estimate for p in pairs])
-    tru = np.array([p.truth for p in pairs])
-    axis_err = est - tru
-    eucl = np.linalg.norm(axis_err, axis=1)
+    axis_err, eucl = _error_series(pairs)
     edges, counts = histogram(eucl, bin_width)
     return ErrorReport(
         n=len(pairs),

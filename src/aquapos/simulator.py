@@ -21,13 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .attitude import GRAVITY
 from .camera import DEFAULT_INTRINSICS, Intrinsics, TagGeometry, back_project
-from .depth_calibration import CalibrationParams
-from .errors import BehindCamera, RegionTooSmall
+from .depth_calibration import IDENTITY_CALIBRATION, CalibrationParams, _check_seed
+from .errors import BehindCamera, ParallelToPlane, RegionTooSmall
 from .estimators import RigExtrinsics, default_rig
-from .geometry import RigidTransform, euler_zyx_to_rotation
+from .geometry import RigidTransform, _zplane_hit, euler_zyx_to_rotation
 
-GRAVITY = 9.81
 MARGIN = 0.4  # trajectory inset from the region walls, metres
 
 # fixed wave shape for the scripted surface tilt: pitch runs at a
@@ -76,6 +76,7 @@ class TrajectorySpec:
             raise ValueError("depth profile must stay below the surface")
         if self.depth_mean + self.depth_amplitude > self.region[2]:
             raise ValueError("depth profile exceeds the region depth")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -108,6 +109,7 @@ class NoiseModel:
             raise ValueError("tilt frequency must be non-negative")
         if self.dropout_base < 0 or self.dropout_per_metre < 0:
             raise ValueError("dropout coefficients must be non-negative")
+        _check_seed(self.seed)
 
     @classmethod
     def zero(cls, seed: int = 0) -> "NoiseModel":
@@ -162,10 +164,8 @@ class SceneConfig:
 
     intrinsics: Intrinsics = field(default_factory=lambda: DEFAULT_INTRINSICS)
     rig: RigExtrinsics = field(default_factory=default_rig)
-    tag: TagGeometry = field(default_factory=lambda: TagGeometry(0.2))
-    depth_params: CalibrationParams = field(
-        default_factory=lambda: CalibrationParams(1.0, 0.0)
-    )
+    tag: TagGeometry = field(default_factory=TagGeometry)
+    depth_params: CalibrationParams = IDENTITY_CALIBRATION
     follower: FollowerConfig = field(default_factory=FollowerConfig)
     rates: SampleRates = field(default_factory=SampleRates)
     yaw_amplitude: float = 0.15
@@ -332,14 +332,14 @@ class Follower:
         if np.linalg.norm(err) <= self.cfg.deadband_px:
             self._command = np.zeros(2)
             return self._command
-        ray = camera_to_world.rotation @ ray
-        origin = camera_to_world.translation
-        if abs(ray[2]) < 1e-9:
+        ox, oy, oz = camera_to_world.translation.tolist()
+        dx, dy, dz = (camera_to_world.rotation @ ray).tolist()
+        try:
+            gx, gy, _ = _zplane_hit(ox, oy, oz, dx, dy, dz, plane_z)
+        except ParallelToPlane:
             # grazing ray, no usable ground point: keep the last command
             return self._command
-        k = (plane_z - origin[2]) / ray[2]
-        ground = origin + k * ray
-        v = np.array([self.cfg.gain_x, self.cfg.gain_y]) * (ground[:2] - origin[:2])
+        v = np.array([self.cfg.gain_x * (gx - ox), self.cfg.gain_y * (gy - oy)])
         speed = np.linalg.norm(v)
         if speed > self.cfg.max_speed:
             v *= self.cfg.max_speed / speed

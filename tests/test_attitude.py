@@ -9,10 +9,11 @@ from aquapos.attitude import (
     TiltConfig,
     TiltState,
     TiltTracker,
-    accel_to_tilt,
-    ekf_predict,
+    _entries,
+    _predict,
+    _propagate,
+    _tilt,
     ekf_update,
-    predict_mean,
     prediction_jacobian,
 )
 from aquapos.camera import DEFAULT_INTRINSICS, TagGeometry
@@ -41,18 +42,26 @@ def _body_rates(roll, pitch, roll_rate, pitch_rate, yaw_rate):
     )
 
 
+def _predict_state(state, gyro, dt, cfg):
+    """The filter's predict kernel on a TiltState, the type ekf_update takes."""
+    roll, pitch, p00, p01, p11 = _predict(
+        (state.roll, state.pitch, *_entries(state.covariance)),
+        [float(w) for w in gyro], dt, _entries(cfg.q))
+    return TiltState(roll, pitch, [[p00, p01], [p01, p11]])
+
+
 class TestPredict:
     def test_zero_rates_grow_covariance_by_q(self):
         cfg = TiltConfig()
         s = TiltState(0.05, -0.02, np.diag([1e-3, 2e-3]))
-        out = ekf_predict(s, [0, 0, 0], 0.01, cfg)
+        out = _predict_state(s, [0, 0, 0], 0.01, cfg)
         assert out.roll == s.roll and out.pitch == s.pitch
         np.testing.assert_allclose(out.covariance, s.covariance + cfg.q, atol=0)
 
     def test_pure_roll_rate(self):
         cfg = TiltConfig()
         s = TiltState(0.0, 0.0, np.eye(2) * 1e-4)
-        out = ekf_predict(s, [0.1, 0, 0], 0.01, cfg)
+        out = _predict_state(s, [0.1, 0, 0], 0.01, cfg)
         assert out.roll == pytest.approx(0.001, abs=1e-15)
         assert out.pitch == 0.0
 
@@ -67,47 +76,47 @@ class TestPredict:
             A = prediction_jacobian(roll, pitch, gyro, dt)
             fd = np.zeros((2, 2))
             for j, (dr, dp) in enumerate([(h, 0.0), (0.0, h)]):
-                fp = predict_mean(roll + dr, pitch + dp, gyro, dt)
-                fm = predict_mean(roll - dr, pitch - dp, gyro, dt)
+                fp = _propagate(roll + dr, pitch + dp, *gyro, dt)[:2]
+                fm = _propagate(roll - dr, pitch - dp, *gyro, dt)[:2]
                 fd[:, j] = (np.array(fp) - np.array(fm)) / (2 * h)
             assert np.max(np.abs(A - fd)) <= 1e-6
 
     def test_dt_bounds(self):
         s = TiltState(0, 0, np.eye(2) * 1e-4)
         with pytest.raises(ValueError):
-            ekf_predict(s, [0, 0, 0], 0.0, TiltConfig())
+            _predict_state(s, [0, 0, 0], 0.0, TiltConfig())
         with pytest.raises(ValueError):
-            ekf_predict(s, [0, 0, 0], 0.6, TiltConfig())
+            _predict_state(s, [0, 0, 0], 0.6, TiltConfig())
 
     def test_pitch_singularity(self):
         s = TiltState(0.0, np.pi / 2 - 1e-4, np.eye(2) * 1e-4)
         with pytest.raises(PitchSingularity):
-            ekf_predict(s, [0, 0.1, 0], 0.01, TiltConfig())
+            _predict_state(s, [0, 0.1, 0], 0.01, TiltConfig())
 
 
 class TestAccelToTilt:
     def test_level(self):
-        roll, pitch = accel_to_tilt([0, 0, -GRAVITY])
+        roll, pitch = _tilt(0, 0, -GRAVITY)
         assert roll == 0.0 and pitch == 0.0
 
     def test_upside_down_regression(self):
         # pinned behaviour for an inverted sensor
-        roll, pitch = accel_to_tilt([0, 0, GRAVITY])
+        roll, pitch = _tilt(0, 0, GRAVITY)
         assert abs(roll) == pytest.approx(np.pi)
         assert pitch == 0.0
 
     def test_out_of_range(self):
         with pytest.raises(AccelOutOfRange):
-            accel_to_tilt([0, 0, -0.01])
+            _tilt(0, 0, -0.01)
         with pytest.raises(AccelOutOfRange):
-            accel_to_tilt([0, 0, -2.0 * GRAVITY])
+            _tilt(0, 0, -2.0 * GRAVITY)
 
     def test_round_trip_from_gravity_model(self):
         rng = np.random.default_rng(21)
         for _ in range(200):
             roll = rng.uniform(-1.0, 1.0)
             pitch = rng.uniform(-1.0, 1.0)
-            r, p = accel_to_tilt(_gravity_accel(roll, pitch))
+            r, p = _tilt(*_gravity_accel(roll, pitch))
             assert r == pytest.approx(roll, abs=1e-12)
             assert p == pytest.approx(pitch, abs=1e-12)
 
@@ -126,7 +135,7 @@ class TestUpdate:
         s = TiltState(0.2, 0.0, cfg.p0)
         accel = [0.0, 0.0, -GRAVITY]
         for _ in range(200):
-            s = ekf_predict(s, [0, 0, 0], 0.01, cfg)
+            s = _predict_state(s, [0, 0, 0], 0.01, cfg)
             s = ekf_update(s, accel, cfg)
         assert abs(s.roll) < 1e-3
 
@@ -134,7 +143,7 @@ class TestUpdate:
         cfg = TiltConfig(q=np.zeros((2, 2)), p0=np.zeros((2, 2)))
         s = TiltState(0.0, 0.0, cfg.p0)
         for _ in range(50):
-            s = ekf_predict(s, [0, 0, 0], 0.01, cfg)
+            s = _predict_state(s, [0, 0, 0], 0.01, cfg)
             s = ekf_update(s, _gravity_accel(0.1, 0.05), cfg)
         assert s.roll == 0.0 and s.pitch == 0.0
 
@@ -159,7 +168,7 @@ class TestCovarianceHealth:
             roll = np.clip(roll + rng.normal(0, 0.002), -0.4, 0.4)
             pitch = np.clip(pitch + rng.normal(0, 0.002), -0.4, 0.4)
             gyro = rng.normal(0, 0.2, size=3)
-            s = ekf_predict(s, gyro, 0.01, cfg)
+            s = _predict_state(s, gyro, 0.01, cfg)
             s = ekf_update(s, _gravity_accel(roll, pitch), cfg)
             P = s.covariance
             assert np.max(np.abs(P - P.T)) <= 1e-12
@@ -173,7 +182,7 @@ class TestConvergenceAndTracking:
             s = TiltState(roll0, pitch0, cfg.p0)
             accel = [0.0, 0.0, -GRAVITY]
             for _ in range(500):  # 5 s at 100 Hz
-                s = ekf_predict(s, [0, 0, 0], 0.01, cfg)
+                s = _predict_state(s, [0, 0, 0], 0.01, cfg)
                 s = ekf_update(s, accel, cfg)
             err = np.hypot(s.roll, s.pitch)
             assert err < np.radians(0.5)
@@ -335,7 +344,7 @@ class TestScalarKernels:
             gyro = rng.uniform(-1.0, 1.0, size=3)
             dt = rng.uniform(1e-4, 0.25)
             matched += _assert_matches(
-                lambda: ekf_predict(s, gyro, dt, cfg),
+                lambda: _predict_state(s, gyro, dt, cfg),
                 *_reference_predict(s.roll, s.pitch, s.covariance, gyro, dt, cfg.q),
             )
             # a tilt near the state's, across the +/-pi roll wrap for some

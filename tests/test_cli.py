@@ -1,3 +1,4 @@
+import csv
 import json
 import logging
 import subprocess
@@ -318,6 +319,30 @@ class TestEvaluate:
         assert csv_lines[0] == "method,t,err_x,err_y,err_z,euclidean"
         assert len(csv_lines) == 21
 
+    def test_csv_is_the_series_med_averages(self, tmp_path, capsys):
+        config = tmp_path / "run.yaml"
+        config.write_text("simulation:\n  trajectory: {duration: 4.0}\n",
+                          encoding="utf-8")
+        data, est = tmp_path / "run.jsonl", tmp_path / "est.jsonl"
+        prefix = tmp_path / "report"
+        assert cli.main(["simulate", "--config", str(config), "--seed", "2",
+                         "--out", str(data)]) == 0
+        assert cli.main(["estimate", str(data), "--config", str(config),
+                         "--out", str(est)]) == 0
+        assert cli.main(["evaluate", str(est), str(data), "--out", str(prefix)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        with open(tmp_path / "report.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert sorted(report) == ["cd", "cpnp"]
+        for method, summary in report.items():
+            mine = [r for r in rows if r["method"] == method]
+            assert len(mine) == summary["n"]
+            err = np.array([[float(r[k]) for k in ("err_x", "err_y", "err_z")]
+                            for r in mine])
+            euclidean = np.array([float(r["euclidean"]) for r in mine])
+            np.testing.assert_array_equal(euclidean, np.linalg.norm(err, axis=1))
+            assert float(np.mean(euclidean)) == summary["med"]
+
     def test_disjoint_ranges_exit_1(self, tmp_path, capsys):
         est, data = _write_eval_inputs(tmp_path, time_shift=100.0)
         rc = cli.main(["evaluate", str(est), str(data)])
@@ -373,6 +398,84 @@ class TestCalibrateDepth:
         rc = cli.main(["calibrate-depth", str(pairs)])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+
+def _write_pairs_csv(path):
+    path.write_text("".join(f"{r!r},{1.1 * r - 0.05!r}\n"
+                            for r in (0.5, 0.8, 1.1, 1.4, 1.7)), encoding="utf-8")
+
+
+class TestValuesOnlyTheConstructorsCanReject:
+    """Values of the right YAML shape that numpy's seeding, the PSO or a
+    float conversion cannot use: each is a usage error naming the value,
+    never a traceback."""
+
+    @pytest.mark.parametrize("command, config_text, extra, message", [
+        ("simulate", "", ["--seed", "-1"],
+         "--seed: seed must be a non-negative integer, got -1"),
+        ("calibrate-depth", "", ["--seed", "-1"],
+         "--seed: seed must be a non-negative integer, got -1"),
+        ("calibrate-depth", "pso: {seed: -3}", [],
+         "pso: seed must be a non-negative integer, got -3"),
+        ("simulate", "simulation:\n  noise: {seed: -2}", [],
+         "simulation.noise: seed must be a non-negative integer, got -2"),
+        ("simulate", "simulation:\n  noise: {seed: 1.5}", [],
+         "simulation.noise: seed must be a non-negative integer, got 1.5"),
+        ("simulate", "simulation:\n  noise: {seed: true}", [],
+         "simulation.noise: seed must be a non-negative integer, got True"),
+        ("simulate", "simulation:\n  trajectory: {pattern: random, seed: 1.5}", [],
+         "simulation.trajectory: seed must be a non-negative integer, got 1.5"),
+        ("calibrate-depth", "pso: {iterations: 10.5}", [],
+         "pso: iterations must be a positive integer"),
+        ("calibrate-depth", "pso: {swarm_size: 2.5}", [],
+         "pso: swarm_size must be an integer of at least 2"),
+        ("calibrate-depth", "pso: {swarm_size: .inf}", [],
+         "pso: swarm_size must be an integer of at least 2"),
+        ("simulate", "simulation:\n  noise: {slam_yaw_sigma_deg: abc}", [],
+         "simulation.noise.slam_yaw_sigma_deg: could not convert"),
+        ("simulate", "simulation:\n  noise: {tilt_amplitude_deg: [1]}", [],
+         "simulation.noise.tilt_amplitude_deg: float() argument"),
+    ])
+    def test_bad_value_is_usage_error(self, tmp_path, capsys, command,
+                                      config_text, extra, message):
+        config = tmp_path / "run.yaml"
+        config.write_text(config_text + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        if command == "simulate":
+            argv = ["simulate", "--config", str(config), "--out", str(out)]
+        else:
+            pairs = tmp_path / "pairs.csv"
+            _write_pairs_csv(pairs)
+            argv = ["calibrate-depth", str(pairs), "--config", str(config),
+                    "--out", str(out)]
+        rc = cli.main(argv + extra)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: {message}")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("intrinsics_text, message", [
+        ("distortion: 0.1\n", "distortion must be a list of numbers"),
+        ("distortion: [abc]\n", "distortion must be a list of numbers"),
+        ("fx: [500.0\n", "is not valid YAML"),
+        ("width: .inf\n", "cannot convert float infinity to integer"),
+    ])
+    def test_bad_intrinsics_file_is_usage_error(self, tmp_path, capsys,
+                                                intrinsics_text, message):
+        (tmp_path / "k.yaml").write_text(
+            "fx: 500.0\nfy: 500.0\ncx: 320.0\ncy: 240.0\nwidth: 640\nheight: 480\n"
+            + intrinsics_text, encoding="utf-8")
+        config = tmp_path / "run.yaml"
+        config.write_text("intrinsics_file: k.yaml\n", encoding="utf-8")
+        out = tmp_path / "x.jsonl"
+        rc = cli.main(["simulate", "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: intrinsics file {tmp_path / 'k.yaml'}")
+        assert message in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestRoundTrip:

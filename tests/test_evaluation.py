@@ -10,7 +10,6 @@ from aquapos.evaluation import (
     RegressionResult,
     align,
     build_error_report,
-    euclidean_error,
     histogram,
     med,
     tilt_error_regression,
@@ -22,15 +21,17 @@ def _pair(est, tru, t=0.0):
 
 
 class TestEuclidean:
+    """The error of one pair: med over that pair alone."""
+
     def test_identical_points(self):
-        assert euclidean_error(_pair([1, 2, 3], [1, 2, 3])) == 0.0
+        assert med([_pair([1, 2, 3], [1, 2, 3])]) == 0.0
 
     def test_pythagorean_offset(self):
-        e = euclidean_error(_pair([0.003, 0.004, 0.0], [0, 0, 0]))
+        e = med([_pair([0.003, 0.004, 0.0], [0, 0, 0])])
         assert e == pytest.approx(0.005, abs=1e-15)
 
     def test_1_2_2_offset(self):
-        e = euclidean_error(_pair([0.001, 0.002, 0.002], [0, 0, 0]))
+        e = med([_pair([0.001, 0.002, 0.002], [0, 0, 0])])
         assert e == pytest.approx(0.003, abs=1e-15)
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from aquapos.attitude import GRAVITY, accel_to_tilt
+from aquapos.attitude import GRAVITY, _tilt
 from aquapos.depth_calibration import CalibrationParams
 from aquapos.errors import RegionTooSmall
 from aquapos.estimators import EstimationPipeline
@@ -302,7 +302,7 @@ class TestSimulatorStreams:
                 continue
             t = r["t"]
             assert np.linalg.norm(r["accel"]) == pytest.approx(9.81, abs=1e-12)
-            roll, pitch = accel_to_tilt(r["accel"])
+            roll, pitch = _tilt(*r["accel"])
             assert roll == pytest.approx(A * math.sin(2 * math.pi * f * t), abs=1e-12)
             assert pitch == pytest.approx(
                 A * math.sin(2 * math.pi * 0.8 * f * t + 0.7), abs=1e-12)
