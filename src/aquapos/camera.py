@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -21,8 +22,9 @@ _MAX_RAY_SLOPE = 1e6
 
 _REFINE_MAX_ITERS = 100
 _REFINE_MAX_RETRIES = 12
-_REFINE_STEP_TOL = 1e-10
 _REFINE_FTOL = 1e-6
+# two candidates whose rotations agree this closely in every entry are one minimum
+_MERGE_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -44,24 +46,15 @@ class Intrinsics:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Intrinsics":
-        return cls(
-            fx=float(d["fx"]),
-            fy=float(d["fy"]),
-            cx=float(d["cx"]),
-            cy=float(d["cy"]),
-            width=int(d["width"]),
-            height=int(d["height"]),
-        )
+        size = d["width"], d["height"]
+        if not all(int(v) == v and not isinstance(v, bool) for v in size):
+            raise ValueError(f"width and height must be whole numbers, got {size}")
+        return cls(*(float(d[k]) for k in ("fx", "fy", "cx", "cy")), *map(int, size))
 
 
 # bench-calibrated defaults used when no intrinsics file is configured
 DEFAULT_INTRINSICS = Intrinsics(
-    fx=514.177765,
-    fy=513.054629,
-    cx=346.861136,
-    cy=220.015799,
-    width=800,
-    height=600,
+    fx=514.177765, fy=513.054629, cx=346.861136, cy=220.015799, width=800, height=600
 )
 
 
@@ -131,9 +124,7 @@ class TagGeometry:
 
     def corners(self) -> np.ndarray:
         h = self.side_length / 2.0
-        return np.array(
-            [[-h, -h, 0.0], [h, -h, 0.0], [h, h, 0.0], [-h, h, 0.0]]
-        )
+        return np.array([[-h, -h, 0.0], [h, -h, 0.0], [h, h, 0.0], [-h, h, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -142,12 +133,6 @@ class TagPose:
 
     transform: RigidTransform
     reproj_rms: float
-
-    def __post_init__(self):
-        if self.reproj_rms < 0:
-            raise ValueError("reprojection RMS cannot be negative")
-        if self.transform.translation[2] <= 0:
-            raise ValueError("tag must sit in front of the camera")
 
 
 def quad_area(corners) -> float:
@@ -433,49 +418,47 @@ def _damped_step(H, g, lam):
     return (w0, w1, w2, t0, t1, t2), norm2
 
 
-def _polish(K: Intrinsics, corners, px, R, t):
-    """Damped Gauss-Newton on pixel reprojection error; returns (R, t, rms, converged).
+def _floor(c) -> float:
+    """The Gauss-Newton model floor of c, cost - g^T H^-1 g; -inf for a singular H."""
+    solved = _damped_step(c[3], c[4], 0.0)
+    return -math.inf if solved is None else c[2] + sum(map(mul, c[4], solved[0]))
 
-    Each iteration builds the normal equations once and retries the damped
-    solve, ten times stiffer each time, until a step lowers the cost; taking
-    the step relaxes the damping. Only taken steps count against
-    _REFINE_MAX_ITERS, and an iteration where no retry descends converges.
-    The arithmetic runs on Python floats: on 8 residuals and 6 unknowns
-    numpy's per-call cost outweighs the work. corners, px, R and t are as
-    for _normal_equations, and R and t come back in the same form.
+
+def _descend(K: Intrinsics, corners, px, c) -> bool:
+    """One damped Gauss-Newton iteration of c = [R, t, cost, H, g, lam, done].
+
+    Returns True once c has converged: no retry, each ten times stiffer,
+    lowers the cost, a step gains under _REFINE_FTOL of it, or the predicted
+    decrease lam |step|^2 - g^T step is that small, which skips the trial
+    pass (Madsen, Nielsen & Tingleff, "Methods for Non-Linear Least Squares
+    Problems", 2004). A taken step updates c in place; R and t are as for
+    _normal_equations. On Python floats: numpy's per-call cost outweighs 6x6 work.
     """
-    terms = _normal_equations(K, corners, px, R, t)
-    if terms is None:
-        return R, t, math.inf, False
-    cost, H, g = terms
-    lam = 1e-3
-    converged = False
-    for _ in range(_REFINE_MAX_ITERS):
-        for _ in range(_REFINE_MAX_RETRIES):
-            solved = _damped_step(H, g, lam)
-            if solved is not None:
-                (w0, w1, w2, s0, s1, s2), norm2 = solved
-                R_new = _rotation(w0, w1, w2, R)
-                t_new = (t[0] + s0, t[1] + s1, t[2] + s2)
-                terms = _normal_equations(K, corners, px, R_new, t_new)
-                if terms is not None and terms[0] < cost:
-                    break
-            lam *= 10.0
-        else:
-            # no damped step lowers the cost: at the (local) minimum
-            converged = True
-            break
-        cost_new, H, g = terms
-        # noisy fronto-parallel views crawl along a near-flat tilt valley, so
-        # a marginal relative gain ends the polish; exact views converge
-        # quadratically to the step tolerance instead
-        small = norm2 < _REFINE_STEP_TOL**2
-        converged = small or cost - cost_new < _REFINE_FTOL * (cost + 1e-20)
-        R, t, cost = R_new, t_new, cost_new
-        lam = max(lam * 0.3, 1e-12)
-        if converged:
-            break
-    return R, t, math.sqrt(cost / len(px)), converged
+    R, t, cost, H, g, lam = c[:6]
+    tol = _REFINE_FTOL * (cost + 1e-20)
+    for _ in range(_REFINE_MAX_RETRIES):
+        solved = _damped_step(H, g, lam)
+        if solved is not None:
+            step, norm2 = solved
+            if lam * norm2 - sum(map(mul, g, step)) < tol:
+                return True
+            w0, w1, w2, s0, s1, s2 = step
+            R_new, t_new = _rotation(w0, w1, w2, R), (t[0] + s0, t[1] + s1, t[2] + s2)
+            terms = _normal_equations(K, corners, px, R_new, t_new)
+            if terms is not None and terms[0] < cost:
+                break
+        lam *= 10.0
+    else:
+        return True  # no damped step lowers the cost: at the (local) minimum
+    c[:6] = R_new, t_new, *terms, max(lam * 0.3, 1e-12)
+    # noisy fronto-parallel views crawl along a near-flat tilt valley
+    return cost - terms[0] < tol
+
+
+def _away(c) -> bool:
+    """True when candidate c's tag faces away: marker +z along the viewing ray."""
+    R, t = c[0], c[1]
+    return R[2] * t[0] + R[5] * t[1] + R[8] * t[2] >= 0
 
 
 def solve_pnp_planar(K: Intrinsics, geom: TagGeometry, obs: TagObservation) -> TagPose:
@@ -483,23 +466,39 @@ def solve_pnp_planar(K: Intrinsics, geom: TagGeometry, obs: TagObservation) -> T
 
     IPPE reads both poses of the planar ambiguity (the tag normal mirrored
     about the viewing ray) off the closed-form homography between the marker
-    plane and normalized image coordinates. Damped Gauss-Newton polishes each
-    against pixel reprojection error, and the pose with the tag face toward
-    the camera and the lower RMS wins. Raises PnPDegenerate for corners
-    that no pose of the tag explains (see _ippe_seed).
+    plane and normalized image coordinates. Damped Gauss-Newton polishes
+    both in lockstep, one _descend each per round, and the converged pose
+    with the tag face toward the camera and the lower RMS wins. Raises
+    PnPDegenerate for corners that no pose of the tag explains (see _ippe_seed).
     """
     px = obs.corners.tolist()
     h = 0.5 * geom.side_length
     corners = ((-h, -h), (h, -h), (h, h), (-h, h))
-    candidates = []
-    for R0, t0 in _ippe_seed(K, geom.side_length, px):
-        R, t, rms, ok = _polish(K, corners, px, R0, t0)
-        if ok and t[2] > 0:
-            # tag face toward the camera: marker +z anti-parallel to the viewing ray
-            away = R[2] * t[0] + R[5] * t[1] + R[8] * t[2] >= 0
-            candidates.append((away, rms, R, t))
-    if not candidates:
+    cands = [[R, t, *terms, 1e-3, False] for R, t in _ippe_seed(K, geom.side_length, px)
+             if (terms := _normal_equations(K, corners, px, R, t)) is not None]
+    for _ in range(_REFINE_MAX_ITERS):
+        if len(cands) == 2:
+            a, b = cands
+            # twins are one minimum: the lower-cost one, on a tie the first, goes on
+            if max(abs(x - y) for x, y in zip(a[0], b[0])) <= _MERGE_TOL:
+                cands = [b] if b[2] < a[2] else [a]
+            else:
+                for c, other in ((a, b), (b, a)):
+                    # descents never raise other's cost, so a costlier c cannot win
+                    # once its floor is above it, unless other faces away and c does not
+                    if (not c[6] and c[2] > other[2] and _floor(c) > other[2]
+                            and (_away(c) or not _away(other))):
+                        cands = [other]
+                        break
+        if all(c[6] for c in cands):
+            break
+        for c in cands:
+            c[6] = c[6] or _descend(K, corners, px, c)
+    # a finite cost puts every corner, and so the tag centre, in front
+    found = [c for c in cands if c[6]]
+    if not found:
         raise PnPNoConvergence("pose refinement did not produce a valid pose")
-    _, rms, R, t = min(candidates, key=lambda c: c[:2])
+    R, t, cost = min(found, key=lambda c: (_away(c), c[2]))[:3]
     # the seed and the Rodrigues updates keep R orthonormal to rounding
-    return TagPose(RigidTransform._unchecked(np.reshape(R, (3, 3)), np.array(t)), rms)
+    T = RigidTransform._unchecked(np.reshape(R, (3, 3)), np.array(t))
+    return TagPose(T, math.sqrt(cost / len(px)))

@@ -16,6 +16,8 @@ from .errors import EmptySeries, SingularDesign
 
 DEFAULT_ALIGN_TOLERANCE = 0.02  # seconds
 DEFAULT_BIN_WIDTH = 0.01  # metres
+# one far-off estimate would otherwise size the histogram by its error
+MAX_BINS = 1000
 
 
 @dataclass(frozen=True)
@@ -145,19 +147,25 @@ def med(pairs) -> float:
 
 
 def histogram(series, bin_width: float = DEFAULT_BIN_WIDTH):
-    """Fixed-width bins anchored at the series minimum.
+    """Fixed-width bins anchored at the series minimum, at most MAX_BINS of them.
 
-    Returns (edges, counts); counts always sum to len(series).
+    A series spread over more bins gets MAX_BINS - 1 fixed-width bins and
+    an open last bin that takes the rest; its right edge is the series
+    maximum. Returns (edges, counts); counts always sum to len(series).
     """
     if bin_width <= 0:
         raise ValueError("bin_width must be positive")
     x = np.asarray(series, dtype=float)
     if x.size == 0:
         raise EmptySeries("cannot histogram an empty series")
-    lo = float(np.min(x))
-    n_bins = int(np.floor((float(np.max(x)) - lo) / bin_width)) + 1
+    lo, hi = float(np.min(x)), float(np.max(x))
+    span = (hi - lo) / bin_width
+    n_bins = int(np.floor(span)) + 1 if span < MAX_BINS else MAX_BINS
     edges = lo + bin_width * np.arange(n_bins + 1)
-    index = np.clip(np.floor((x - lo) / bin_width).astype(int), 0, n_bins - 1)
+    if span >= MAX_BINS:
+        edges[-1] = hi
+    # capped before the cast, so a far-off error cannot overflow the index
+    index = np.floor(np.minimum((x - lo) / bin_width, n_bins - 1)).astype(int)
     counts = np.bincount(index, minlength=n_bins)
     return edges, counts
 

@@ -4,21 +4,29 @@ import math
 import numpy as np
 import pytest
 
+from aquapos import camera
 from aquapos.camera import (
+    _MERGE_TOL,
+    _REFINE_MAX_ITERS,
     Intrinsics,
     TagGeometry,
     TagObservation,
+    _away,
     _center,
     _damped_step,
+    _descend,
     _ippe_seed,
     _normal_equations,
+    _rotation,
     back_project,
     project_point,
     quad_area,
     solve_pnp_planar,
 )
-from aquapos.errors import BehindCamera, PnPDegenerate
+from aquapos.config import load_run_config
+from aquapos.errors import BehindCamera, PnPDegenerate, PnPNoConvergence
 from aquapos.geometry import RigidTransform
+from aquapos.simulator import Simulator
 
 BENCH_K = Intrinsics(
     fx=514.177765, fy=513.054629, cx=346.861136, cy=220.015799, width=800, height=600
@@ -602,3 +610,180 @@ class TestIntrinsicsValidation:
             Intrinsics(fx=focal, fy=1, cx=0.5, cy=0.5, width=1, height=1)
         with pytest.raises(ValueError, match="finite"):
             Intrinsics(fx=1, fy=focal, cx=0.5, cy=0.5, width=1, height=1)
+
+
+# The benchmark's square-noisy and noiseless-exact run configurations.
+SQUARE_NOISY_YAML = "simulation: {trajectory: {duration: 40.0}}\n"
+NOISELESS_EXACT_YAML = """
+simulation:
+  trajectory: {pattern: lawnmower, duration: 34.0}
+  rates: {camera: 30, imu: 30, depth: 30, slam: 30, truth: 30}
+  noise: {pixel_sigma: 0.0, gyro_sigma: 0.0, accel_sigma: 0.0, depth_sigma: 0.0,
+          slam_xy_sigma: 0.0, slam_yaw_sigma_deg: 0.0, tilt_amplitude_deg: 0.0}
+"""
+
+
+@pytest.fixture(scope="module")
+def run_frames(tmp_path_factory):
+    """Tag corner pixels of seeds 1-3 of each run, keyed (run, seed)."""
+    frames = {}
+    root = tmp_path_factory.mktemp("lockstep")
+    for run, text in (("square-noisy", SQUARE_NOISY_YAML),
+                      ("noiseless-exact", NOISELESS_EXACT_YAML)):
+        path = root / f"{run}.yaml"
+        path.write_text(text, encoding="utf-8")
+        cfg = load_run_config(path)
+        for seed in (1, 2, 3):
+            sim = Simulator(dataclasses.replace(cfg.trajectory, seed=seed), cfg.scene(),
+                            dataclasses.replace(cfg.noise, seed=seed))
+            frames[run, seed] = [rec["corners"] for rec in sim.stream()
+                                 if rec["kind"] == "tag"]
+    return frames
+
+
+def _oblique_views(n, rng):
+    """Noisy views of the tag tilted up to 70 degrees from facing the camera."""
+    geom, views = TagGeometry(0.2), []
+    while len(views) < n:
+        R, t = _facing_pose(rng, max_tilt=np.radians(70), z_range=(0.4, 3.0),
+                            xy_scale=0.3)
+        if np.min((geom.corners() @ R.T + t)[:, 2]) > 0.05:
+            views.append(_project_tag(BENCH_K, geom, R, t, noise=1.5, rng=rng).corners)
+    return views
+
+
+def _reference_solve(K, geom, obs):
+    """Polish both IPPE candidates to the end with _descend, one after the other."""
+    px = obs.corners.tolist()
+    h = 0.5 * geom.side_length
+    corners = ((-h, -h), (h, -h), (h, h), (-h, h))
+    found = []
+    for R, t in _ippe_seed(K, geom.side_length, px):
+        terms = _normal_equations(K, corners, px, R, t)
+        if terms is None:
+            continue
+        c = [R, t, *terms, 1e-3, False]
+        if any(_descend(K, corners, px, c) for _ in range(_REFINE_MAX_ITERS)):
+            found.append(c)
+    if not found:
+        raise PnPNoConvergence("no candidate converged")
+    R, t = min(found, key=lambda c: (_away(c), c[2]))[:2]
+    return np.reshape(R, (3, 3)), np.array(t)
+
+
+def _lockstep_solve(K, geom, obs):
+    T = solve_pnp_planar(K, geom, obs).transform
+    return T.rotation, T.translation
+
+
+def _outcome(solve, corners):
+    """(R, t) of a solve, or the name of the error it skips the frame with."""
+    try:
+        return solve(BENCH_K, TagGeometry(0.2), TagObservation(0.0, corners))
+    except (PnPDegenerate, PnPNoConvergence) as exc:
+        return type(exc).__name__
+
+
+class TestLockstepPolish:
+    """The lockstep solve, and the reference that polishes both candidates to the end."""
+
+    def _assert_same_choices(self, frames):
+        for corners in frames:
+            got = _outcome(_lockstep_solve, corners)
+            ref = _outcome(_reference_solve, corners)
+            # no change between a solved frame and a skipped one
+            assert isinstance(got, str) == isinstance(ref, str), (corners, got, ref)
+            if isinstance(got, str):
+                assert got == ref
+            else:
+                # no flip to the other minimum
+                assert np.max(np.abs(got[0] - ref[0])) <= 1e-2, corners
+
+    @pytest.mark.parametrize("run", ["square-noisy", "noiseless-exact"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_same_choice_as_the_reference_on_the_runs(self, run_frames, run, seed):
+        self._assert_same_choices(run_frames[run, seed])
+
+    def test_same_choice_as_the_reference_on_oblique_views(self):
+        self._assert_same_choices(_oblique_views(2000, np.random.default_rng(31)))
+
+    def test_no_trial_pass_where_the_model_predicts_no_gain(self, monkeypatch):
+        # undamped Gauss-Newton to the minimum of a noisy view: there the
+        # predicted decrease is under _REFINE_FTOL of the cost, so _descend
+        # converges without evaluating a trial step
+        geom = TagGeometry(0.2)
+        R, t = _rx(np.radians(30)) @ _rx(np.pi), np.array([0.1, -0.1, 1.2])
+        obs = _project_tag(BENCH_K, geom, R, t, noise=0.5, rng=np.random.default_rng(33))
+        corners, px = geom.corners()[:, :2].tolist(), obs.corners.tolist()
+        R, t = tuple(R.ravel().tolist()), tuple(t.tolist())
+        for _ in range(20):
+            _, H, g = _normal_equations(BENCH_K, corners, px, R, t)
+            (w0, w1, w2, s0, s1, s2), _ = _damped_step(H, g, 0.0)
+            R, t = _rotation(w0, w1, w2, R), (t[0] + s0, t[1] + s1, t[2] + s2)
+        c = [R, t, *_normal_equations(BENCH_K, corners, px, R, t), 1e-3, False]
+        monkeypatch.setattr(camera, "_normal_equations", None)  # any pass raises
+        assert _descend(BENCH_K, corners, px, c)
+
+    def test_at_most_ten_passes_per_frame_on_square_noisy(self, run_frames, monkeypatch):
+        passes = [0]
+
+        def counted(*args):
+            passes[0] += 1
+            return _normal_equations(*args)
+
+        monkeypatch.setattr(camera, "_normal_equations", counted)
+        frames = run_frames["square-noisy", 1]
+        for corners in frames:
+            solve_pnp_planar(BENCH_K, TagGeometry(0.2), TagObservation(0.0, corners))
+        assert passes[0] / len(frames) <= 10.0
+
+    def _polished(self, monkeypatch, seeds):
+        """Solve an exact on-axis view from seeds; (candidate, R) of each _descend."""
+        polished = []
+
+        def recorded(K, corners, px, c):
+            polished.append((c, c[0]))
+            return _descend(K, corners, px, c)
+
+        monkeypatch.setattr(camera, "_ippe_seed", lambda K, side, px: seeds)
+        monkeypatch.setattr(camera, "_descend", recorded)
+        R, t = _facing_pose()
+        solve_pnp_planar(BENCH_K, TagGeometry(0.2),
+                         _project_tag(BENCH_K, TagGeometry(0.2), R, t))
+        return polished
+
+    @pytest.mark.parametrize("scale, merged", [(0.9, True), (1.1, False)])
+    def test_merge_tolerance(self, monkeypatch, scale, merged):
+        # two seeds turned either way about the viewing ray, as far apart
+        # as scale * _MERGE_TOL in their largest rotation entry, cost the
+        # same, so neither bounds the other
+        R, t = _facing_pose()
+        half = math.asin(0.5 * scale * _MERGE_TOL)
+        Ra, Rb = _rz(half) @ R, _rz(-half) @ R
+        assert np.max(np.abs(Ra - Rb)) == pytest.approx(scale * _MERGE_TOL)
+        seeds = [(tuple(Q.ravel().tolist()), tuple(t.tolist())) for Q in (Ra, Rb)]
+        polished = self._polished(monkeypatch, seeds)
+        assert len({id(c) for c, _ in polished}) == (1 if merged else 2)
+
+    @pytest.mark.parametrize("truth_faces_away", [False, True])
+    def test_a_seed_is_dropped_only_for_one_that_faces_no_worse(self, monkeypatch,
+                                                                truth_faces_away):
+        # the seed at the truth costs nothing, so the tilted seed's model
+        # floor is above it: the tilted seed is dropped before its first
+        # step, unless the truth faces away and the tilted seed does not
+        R, t = _facing_pose()
+        truth = (tuple(R.ravel().tolist()), tuple(t.tolist()))
+        tilted = (tuple((_rx(0.2) @ R).ravel().tolist()), tuple(t.tolist()))
+        monkeypatch.setattr(camera, "_away",
+                            lambda c: truth_faces_away and c[0] is truth[0])
+        polished = self._polished(monkeypatch, [tilted, truth])
+        assert any(R is tilted[0] for _, R in polished) == truth_faces_away
+
+    def test_exact_tie_keeps_the_first_candidate(self, monkeypatch):
+        # equal seeds cost exactly the same; the first one's R object polishes on
+        R, t = _facing_pose()
+        seeds = [(tuple((_rz(0.01) @ R).ravel().tolist()), tuple(t.tolist()))
+                 for _ in range(2)]
+        assert seeds[0][0] is not seeds[1][0]
+        polished = self._polished(monkeypatch, seeds)
+        assert polished[0][1] is seeds[0][0]

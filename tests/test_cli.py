@@ -460,6 +460,7 @@ class TestValuesOnlyTheConstructorsCanReject:
         ("distortion: [abc]\n", "distortion must be a list of numbers"),
         ("fx: [500.0\n", "is not valid YAML"),
         ("width: .inf\n", "cannot convert float infinity to integer"),
+        ("width: 640.9\n", "width and height must be whole numbers"),
     ])
     def test_bad_intrinsics_file_is_usage_error(self, tmp_path, capsys,
                                                 intrinsics_text, message):

@@ -142,6 +142,23 @@ class TestIntrinsicsFile:
         assert "distortion" in caplog.text
         assert intr.fx == 500.0
 
+    @pytest.mark.parametrize("size", ["width: 640.9\nheight: 480\n",
+                                      "width: 640\nheight: 480.5\n",
+                                      "width: '640'\nheight: 480\n",
+                                      "width: true\nheight: 480\n"])
+    def test_image_size_that_is_not_a_whole_number_rejected(self, tmp_path, size):
+        path = _write(tmp_path, "fx: 500.0\nfy: 500.0\ncx: 0.5\ncy: 0.5\n" + size,
+                      name="cam.yaml")
+        with pytest.raises(ConfigError, match="width and height must be whole numbers"):
+            load_intrinsics(path)
+
+    def test_whole_float_image_size_loads_as_int(self, tmp_path):
+        path = _write(tmp_path, "fx: 500.0\nfy: 500.0\ncx: 320.0\ncy: 240.0\n"
+                      "width: 640.0\nheight: 480\n", name="cam.yaml")
+        intr = load_intrinsics(path)
+        assert (intr.width, intr.height) == (640, 480)
+        assert type(intr.width) is int
+
     def test_missing_field_rejected(self, tmp_path):
         path = _write(tmp_path, "fx: 500.0\nfy: 500.0\n", name="cam.yaml")
         with pytest.raises(ConfigError, match="missing"):

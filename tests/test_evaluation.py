@@ -6,6 +6,7 @@ import pytest
 
 from aquapos.errors import EmptySeries, SingularDesign
 from aquapos.evaluation import (
+    MAX_BINS,
     AlignedPair,
     RegressionResult,
     align,
@@ -260,6 +261,21 @@ class TestHistogram:
     def test_bad_width(self):
         with pytest.raises(ValueError):
             histogram([1.0], bin_width=0.0)
+
+    def test_spread_under_the_cap_keeps_fixed_width_bins(self):
+        # 999.5 bin widths of spread: MAX_BINS bins, none of them open
+        edges, counts = histogram([0.0, 9.995])
+        assert counts.tolist() == [1] + [0] * (MAX_BINS - 2) + [1]
+        np.testing.assert_array_equal(edges, 0.01 * np.arange(MAX_BINS + 1))
+
+    def test_far_off_outlier_gets_the_open_last_bin(self):
+        # a 10,000 km error would ask for a billion 1 cm bins
+        x = np.concatenate([np.linspace(0.0, 0.05, 100), [1.0e7]])
+        edges, counts = histogram(x)
+        assert len(counts) == MAX_BINS and len(edges) == MAX_BINS + 1
+        assert counts.sum() == x.size
+        assert counts[-1] == 1 and edges[-1] == 1.0e7
+        np.testing.assert_array_equal(edges[:-1], 0.01 * np.arange(MAX_BINS))
 
 
 class TestReport:
