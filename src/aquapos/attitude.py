@@ -7,18 +7,20 @@ building the full body rotation.
 
 The filter runs on Python floats: the state is (roll, pitch) plus the
 three distinct entries (p00, p01, p11) of its symmetric covariance, and
-predict and update are closed-form 2x2 algebra on those five floats.
-``ImuSample`` stores its readings as float 3-tuples. The numpy matrices
-of ``TiltConfig`` and the public ``TiltState`` constructor are checked
-once, where they come in; states made inside the filter get the same
-checks in scalar form, and the tracker builds one ``TiltState`` per
-accepted sample.
+one kernel runs a sample's predict and update as closed-form 2x2 algebra
+on those five floats. ``ImuSample`` stores its readings as float
+3-tuples. The numpy matrices of ``TiltConfig`` and the public
+``TiltState`` constructor are checked once, where they come in; states
+made inside the filter get the same checks in scalar form. The tracker
+returns a ``TiltState`` per accepted sample that keeps the five floats
+and builds its covariance array only when it is read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -120,13 +122,20 @@ def _checked(roll, pitch, p00, p01, p11) -> tuple:
     return roll, pitch, p00, p01, p11
 
 
+class _FilterState(TiltState):
+    """A TiltState made inside the filter from a checked state tuple _x,
+    whose covariance array is built the first time it is read."""
+
+    @cached_property
+    def covariance(self) -> np.ndarray:
+        _, _, p00, p01, p11 = self._x
+        return np.array([[p00, p01], [p01, p11]])
+
+
 def _as_state(x) -> TiltState:
     """TiltState from a checked state tuple, without checking it again."""
-    roll, pitch, p00, p01, p11 = x
-    state = object.__new__(TiltState)
-    object.__setattr__(state, "roll", roll)
-    object.__setattr__(state, "pitch", pitch)
-    object.__setattr__(state, "covariance", np.array([[p00, p01], [p01, p11]]))
+    state = object.__new__(_FilterState)
+    state.__dict__.update(roll=x[0], pitch=x[1], _x=x)
     return state
 
 
@@ -170,35 +179,6 @@ def prediction_jacobian(roll: float, pitch: float, gyro, dt: float) -> np.ndarra
     return np.array([[a00, a01], [a10, 1.0]])
 
 
-def _predict(x: tuple, gyro, dt: float, q) -> tuple:
-    """Mean through the kinematics, covariance as A P A^T + Q, symmetrised.
-
-    x is a state tuple, gyro a float 3-tuple and q the entries of Q.
-    """
-    if not (0 < dt <= 0.5):
-        raise ValueError(f"dt {dt:.4g} s outside (0, 0.5]")
-    roll, pitch, p00, p01, p11 = x
-    if abs(pitch) >= math.pi / 2 - 1e-3:
-        raise PitchSingularity("pitch too close to +/-90 deg for tan(pitch)")
-    wx, wy, wz = gyro
-    roll, pitch, a00, a01, a10 = _propagate(roll, pitch, wx, wy, wz, dt)
-    q00, q01, q11 = q
-    # B = A P, then B A^T + Q
-    b00 = a00 * p00 + a01 * p01
-    b01 = a00 * p01 + a01 * p11
-    b10 = a10 * p00 + p01
-    b11 = a10 * p01 + p11
-    m01 = b00 * a10 + b01 + q01
-    m10 = b10 * a00 + b11 * a01 + q01
-    return _checked(
-        roll,
-        pitch,
-        b00 * a00 + b01 * a01 + q00,
-        0.5 * (m01 + m10),
-        b10 * a10 + b11 + q11,
-    )
-
-
 def _tilt(ax: float, ay: float, az: float) -> tuple[float, float]:
     """(roll, pitch) implied by a quasi-static accelerometer reading.
 
@@ -214,17 +194,43 @@ def _tilt(ax: float, ay: float, az: float) -> tuple[float, float]:
     return math.atan2(-ay, -az), math.atan2(ax, math.hypot(ay, az))
 
 
-def _wrap_pi(x: float) -> float:
-    return (x + math.pi) % (2 * math.pi) - math.pi
+def _step(x: tuple, gyro, dt: float, q, z, r) -> tuple:
+    """One filter step on a state tuple: predict, then update.
 
-
-def _update(x: tuple, accel, r) -> tuple:
-    """Gain K = P S^-1 with S = P + R inverted in closed form; Joseph-form
-    covariance (I - K) P (I - K)^T + K R K^T, symmetrised.
-
-    x is a state tuple, accel a float 3-tuple and r the entries of R.
+    Predict, skipped when gyro is None, moves the mean through the
+    kinematics over dt with the float 3-tuple gyro and the covariance to
+    A P A^T + Q, symmetrised; q holds Q's entries. Update, skipped when z
+    is None, corrects with the tilt observation z = (roll, pitch) from
+    _tilt: gain K = P S^-1 with S = P + R inverted in closed form, then the
+    Joseph-form covariance (I - K) P (I - K)^T + K R K^T, symmetrised; r
+    holds R's entries. Each half's state passes _checked.
     """
-    z_roll, z_pitch = _tilt(*accel)
+    if gyro is not None:
+        if not (0 < dt <= 0.5):
+            raise ValueError(f"dt {dt:.4g} s outside (0, 0.5]")
+        roll, pitch, p00, p01, p11 = x
+        if abs(pitch) >= math.pi / 2 - 1e-3:
+            raise PitchSingularity("pitch too close to +/-90 deg for tan(pitch)")
+        wx, wy, wz = gyro
+        roll, pitch, a00, a01, a10 = _propagate(roll, pitch, wx, wy, wz, dt)
+        q00, q01, q11 = q
+        # B = A P, then B A^T + Q
+        b00 = a00 * p00 + a01 * p01
+        b01 = a00 * p01 + a01 * p11
+        b10 = a10 * p00 + p01
+        b11 = a10 * p01 + p11
+        m01 = b00 * a10 + b01 + q01
+        m10 = b10 * a00 + b11 * a01 + q01
+        x = _checked(
+            roll,
+            pitch,
+            b00 * a00 + b01 * a01 + q00,
+            0.5 * (m01 + m10),
+            b10 * a10 + b11 + q11,
+        )
+    if z is None:
+        return x
+    z_roll, z_pitch = z
     roll, pitch, p00, p01, p11 = x
     r00, r01, r11 = r
     s00, s01, s11 = p00 + r00, p01 + r01, p11 + r11
@@ -235,8 +241,9 @@ def _update(x: tuple, accel, r) -> tuple:
     k01 = (p01 * s00 - p00 * s01) / det
     k10 = (p01 * s11 - p11 * s01) / det
     k11 = (p11 * s00 - p01 * s01) / det
-    v_roll = _wrap_pi(z_roll - roll)
-    v_pitch = _wrap_pi(z_pitch - pitch)
+    # the innovation, wrapped into [-pi, pi)
+    v_roll = (z_roll - roll + math.pi) % (2 * math.pi) - math.pi
+    v_pitch = (z_pitch - pitch + math.pi) % (2 * math.pi) - math.pi
     roll = roll + (k00 * v_roll + k01 * v_pitch)
     pitch = pitch + (k10 * v_roll + k11 * v_pitch)
     i00, i01, i10, i11 = 1.0 - k00, -k01, -k10, 1.0 - k11
@@ -262,8 +269,8 @@ def _update(x: tuple, accel, r) -> tuple:
 
 def ekf_update(state: TiltState, accel, cfg: TiltConfig) -> TiltState:
     """Correct the state with the accelerometer tilt observation (H = I)."""
-    x = _update((state.roll, state.pitch, *_entries(state.covariance)),
-                _as_vec3(accel).tolist(), _entries(cfg.r))
+    x = _step((state.roll, state.pitch, *_entries(state.covariance)), None, 0.0,
+              None, _tilt(*_as_vec3(accel).tolist()), _entries(cfg.r))
     return _as_state(x)
 
 
@@ -283,9 +290,8 @@ class TiltTracker:
 
     def __init__(self, cfg: TiltConfig | None = None):
         self.cfg = cfg if cfg is not None else TiltConfig()
-        # the last accepted state, as a TiltState and as the filter's floats
+        # the last accepted state; its _x holds the filter's floats
         self.state: TiltState | None = None
-        self._x: tuple | None = None
         self._seed_next = True
         self._t_last: float | None = None
         self._p0 = _entries(self.cfg.p0)
@@ -298,19 +304,17 @@ class TiltTracker:
             x = _checked(*_tilt(*sample.accel), *self._p0)
             self._seed_next = False
         else:
-            x = self._x
-            dt = sample.timestamp - t_last
-            if dt > 0:
-                try:
-                    x = _predict(x, sample.gyro, dt, self._q)
-                except PitchSingularity:
-                    # every later predict from this state would raise as well
-                    self._seed_next = True
-                    raise
             try:
-                x = _update(x, sample.accel, self._r)
+                z = _tilt(*sample.accel)
             except AccelOutOfRange:
-                pass
-        self._x = x
-        self.state = _as_state(x)
-        return self.state
+                z = None  # keep the prediction, skip the correction
+            dt = sample.timestamp - t_last
+            try:
+                x = _step(self.state._x, sample.gyro if dt > 0 else None, dt,
+                          self._q, z, self._r)
+            except PitchSingularity:
+                # every later predict from this state would raise as well
+                self._seed_next = True
+                raise
+        state = self.state = _as_state(x)
+        return state

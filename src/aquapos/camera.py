@@ -79,14 +79,42 @@ def project_point(K: Intrinsics, p_cam) -> np.ndarray:
     return np.array([K.fx * p[0] / p[2] + K.cx, K.fy * p[1] / p[2] + K.cy])
 
 
+def _float_quad(c):
+    """(u0, v0, ..., u3, v3) when c is an exact list of four exact [u, v]
+    lists of floats whose sum is finite, else None; an inf or nan makes the
+    sum inf or nan."""
+    if type(c) is list and len(c) == 4:
+        c0, c1, c2, c3 = c
+        if (type(c0) is type(c1) is type(c2) is type(c3) is list
+                and len(c0) == len(c1) == len(c2) == len(c3) == 2):
+            u0, v0 = c0
+            u1, v1 = c1
+            u2, v2 = c2
+            u3, v3 = c3
+            if (type(u0) is type(v0) is type(u1) is type(v1) is type(u2)
+                    is type(v2) is type(u3) is type(v3) is float
+                    and math.isfinite(u0 + v0 + u1 + v1 + u2 + v2 + u3 + v3)):
+                return u0, v0, u1, v1, u2, v2, u3, v3
+    return None
+
+
 @dataclass(frozen=True)
 class TagObservation:
-    """Four ordered corner pixels of a detected square tag."""
+    """Four ordered corner pixels of a detected square tag.
+
+    Corners that _float_quad accepts skip the full checks, which decide
+    every other value.
+    """
 
     timestamp: float
     corners: np.ndarray
 
     def __post_init__(self):
+        flat = _float_quad(self.corners)
+        if flat is not None:
+            # the array np.asarray(corners, dtype=float) gives, built faster
+            object.__setattr__(self, "corners", np.array(flat).reshape(4, 2))
+            return
         c = np.asarray(self.corners, dtype=float)
         if c.shape != (4, 2):
             raise ValueError(f"expected 4 corner pixels, got shape {c.shape}")
@@ -500,5 +528,7 @@ def solve_pnp_planar(K: Intrinsics, geom: TagGeometry, obs: TagObservation) -> T
         raise PnPNoConvergence("pose refinement did not produce a valid pose")
     R, t, cost = min(found, key=lambda c: (_away(c), c[2]))[:3]
     # the seed and the Rodrigues updates keep R orthonormal to rounding
-    T = RigidTransform._unchecked(np.reshape(R, (3, 3)), np.array(t))
-    return TagPose(T, math.sqrt(cost / len(px)))
+    T = RigidTransform._unchecked(np.array(R).reshape(3, 3), np.array(t))
+    pose = object.__new__(TagPose)
+    pose.__dict__.update(transform=T, reproj_rms=math.sqrt(cost / len(px)))
+    return pose

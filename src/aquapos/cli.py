@@ -111,9 +111,7 @@ def cmd_estimate(args) -> int:
             if record["kind"] == "tag":
                 tags_seen += 1
             for est in pipeline.process(record):
-                out.write(json.dumps(dataset.estimate_to_dict(est),
-                                     separators=(",", ":")))
-                out.write("\n")
+                out.write(dataset.estimate_line(dataset.estimate_to_dict(est)))
                 written += 1
     if tags_seen == 0:
         log.warning("dataset %s contains no tag records; output is empty",

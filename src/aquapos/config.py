@@ -87,9 +87,38 @@ def _check_keys(mapping, allowed, where):
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
 
 
+def _number(value, where) -> float:
+    """value as a float; ConfigError naming where unless it is a YAML number.
+
+    float() would take a bool as 0 or 1 and a numeric string as its number,
+    so both are rejected; other values keep float()'s own message.
+    """
+    try:
+        number = float(value)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+    if isinstance(value, (bool, str)):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    return number
+
+
 def _replace(instance, mapping, where):
-    """dataclasses.replace with key checking and error translation."""
-    _check_keys(mapping, [f.name for f in dataclasses.fields(instance)], where)
+    """dataclasses.replace with key checking and error translation.
+
+    A key whose default is a float, or a tuple of them, must hold YAML
+    numbers (see _number); the dataclass gets the values as loaded.
+    """
+    fields = dataclasses.fields(instance)
+    _check_keys(mapping, [f.name for f in fields], where)
+    for f in fields:
+        if f.name not in mapping:
+            continue
+        value = mapping[f.name]
+        if isinstance(f.default, float):
+            _number(value, f"{where}.{f.name}")
+        elif isinstance(f.default, tuple) and isinstance(value, list):
+            for i, v in enumerate(value):
+                _number(v, f"{where}.{f.name}[{i}]")
     try:
         return dataclasses.replace(instance, **mapping)
     except (ValueError, TypeError) as exc:
@@ -140,15 +169,18 @@ def _load_rig(section) -> RigExtrinsics:
     translation = section.get(
         "camera_translation", list(base.camera_in_body.translation)
     )
+    if isinstance(translation, list):
+        for i, v in enumerate(translation):
+            _number(v, f"rig.camera_translation[{i}]")
     euler_deg = section.get("camera_euler_zyx_deg", [0.0, 0.0, 180.0])
     if not (isinstance(euler_deg, (list, tuple)) and len(euler_deg) == 3):
         raise ConfigError("rig.camera_euler_zyx_deg must be [yaw, pitch, roll]")
+    yaw, pitch, roll = (math.radians(_number(a, f"rig.camera_euler_zyx_deg[{i}]"))
+                        for i, a in enumerate(euler_deg))
+    body_height = _number(section.get("body_height", base.body_height), "rig.body_height")
     try:
-        yaw, pitch, roll = (math.radians(float(a)) for a in euler_deg)
         cam = RigidTransform(euler_zyx_to_rotation(yaw, pitch, roll), translation)
-        return RigExtrinsics(
-            cam, body_height=float(section.get("body_height", base.body_height))
-        )
+        return RigExtrinsics(cam, body_height=body_height)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"rig: {exc}")
 
@@ -156,12 +188,12 @@ def _load_rig(section) -> RigExtrinsics:
 def _load_tilt(section) -> TiltConfig:
     _check_keys(section, ("gyro_var", "accel_var", "initial_var"), "tilt_filter")
     base = TiltConfig()
+    q, r, p0 = (_number(section.get(key, default), f"tilt_filter.{key}")
+                for key, default in (("gyro_var", base.q[0, 0]),
+                                     ("accel_var", base.r[0, 0]),
+                                     ("initial_var", base.p0[0, 0])))
     try:
-        return TiltConfig(
-            q=np.diag([float(section.get("gyro_var", base.q[0, 0]))] * 2),
-            r=np.diag([float(section.get("accel_var", base.r[0, 0]))] * 2),
-            p0=np.diag([float(section.get("initial_var", base.p0[0, 0]))] * 2),
-        )
+        return TiltConfig(q=np.diag([q] * 2), r=np.diag([r] * 2), p0=np.diag([p0] * 2))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"tilt_filter: {exc}")
 
@@ -171,10 +203,8 @@ def _load_noise(section) -> NoiseModel:
     section = dict(section)
     for key in ("slam_yaw_sigma_deg", "tilt_amplitude_deg"):
         if key in section:
-            try:
-                section[key.removesuffix("_deg")] = math.radians(float(section.pop(key)))
-            except (ValueError, TypeError) as exc:
-                raise ConfigError(f"simulation.noise.{key}: {exc}")
+            section[key.removesuffix("_deg")] = math.radians(
+                _number(section.pop(key), f"simulation.noise.{key}"))
     return _replace(NoiseModel(seed=DEFAULT_SEED), section, "simulation.noise")
 
 
@@ -199,11 +229,10 @@ def _load_simulation(section, cfg: RunConfig) -> RunConfig:
         cfg.follower, _section(section, "follower"), "simulation.follower"
     )
     noise = _load_noise(_section(section, "noise"))
-    try:
-        yaw_amp = float(section.get("surface_yaw_amplitude", cfg.yaw_amplitude))
-        yaw_period = float(section.get("surface_yaw_period", cfg.yaw_period))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"simulation: {exc}")
+    yaw_amp = _number(section.get("surface_yaw_amplitude", cfg.yaw_amplitude),
+                      "simulation.surface_yaw_amplitude")
+    yaw_period = _number(section.get("surface_yaw_period", cfg.yaw_period),
+                         "simulation.surface_yaw_period")
     cfg = dataclasses.replace(
         cfg,
         trajectory=trajectory,
@@ -262,10 +291,7 @@ def load_run_config(path=None) -> RunConfig:
             ipath = os.path.join(os.path.dirname(os.path.abspath(path)), ipath)
         cfg = dataclasses.replace(cfg, intrinsics=load_intrinsics(ipath))
     if "staleness_bound" in raw:
-        try:
-            bound = float(raw["staleness_bound"])
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"staleness_bound: {exc}")
+        bound = _number(raw["staleness_bound"], "staleness_bound")
         if not bound > 0:
             raise ConfigError("staleness_bound must be positive")
         cfg = dataclasses.replace(cfg, staleness_bound=bound)
@@ -273,10 +299,7 @@ def load_run_config(path=None) -> RunConfig:
         offset = raw["marker_offset"]
         if not (isinstance(offset, (list, tuple)) and len(offset) == 3):
             raise ConfigError("marker_offset must be [dx, dy, dz]")
-        try:
-            offset = tuple(float(v) for v in offset)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"marker_offset: {exc}")
+        offset = tuple(_number(v, f"marker_offset[{i}]") for i, v in enumerate(offset))
         if not all(map(math.isfinite, offset)):
             raise ConfigError("marker_offset entries must be finite")
         cfg = dataclasses.replace(cfg, marker_offset=offset)
@@ -288,13 +311,15 @@ def load_run_config(path=None) -> RunConfig:
     if tag_section:
         _check_keys(tag_section, ("side_length",), "tag")
         try:
-            tag = TagGeometry(float(tag_section["side_length"]))
-        except (ValueError, TypeError) as exc:
+            tag = TagGeometry(_number(tag_section["side_length"], "tag.side_length"))
+        except ValueError as exc:
             raise ConfigError(f"tag: {exc}")
         cfg = dataclasses.replace(cfg, tag=tag)
     calib_section = _section(raw, "depth_calibration")
     if calib_section:
         _check_keys(calib_section, ("scale", "offset"), "depth_calibration")
+        for key, value in calib_section.items():
+            _number(value, f"depth_calibration.{key}")
         try:
             calib = CalibrationParams.from_dict(
                 {**IDENTITY_CALIBRATION.to_dict(), **calib_section}

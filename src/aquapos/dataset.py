@@ -22,6 +22,7 @@ from math import isfinite
 
 import numpy as np
 
+from .camera import _float_quad
 from .errors import DatasetFormatError
 
 _PAYLOAD_KEYS = {
@@ -117,20 +118,8 @@ def _fast_slam(r) -> bool:
 
 
 def _fast_tag(r) -> bool:
-    c = r["corners"]
-    if type(c) is list and len(c) == 4:
-        c0, c1, c2, c3 = c
-        if (type(c0) is type(c1) is type(c2) is type(c3) is list
-                and len(c0) == len(c1) == len(c2) == len(c3) == 2):
-            t = r["t"]
-            u0, v0 = c0
-            u1, v1 = c1
-            u2, v2 = c2
-            u3, v3 = c3
-            return (type(t) is type(u0) is type(v0) is type(u1) is type(v1)
-                    is type(u2) is type(v2) is type(u3) is type(v3) is float
-                    and isfinite(t + u0 + v0 + u1 + v1 + u2 + v2 + u3 + v3))
-    return False
+    t = r["t"]
+    return type(t) is float and isfinite(t) and _float_quad(r["corners"]) is not None
 
 
 def _fast_depth(r) -> bool:
@@ -262,11 +251,20 @@ def read_records(path):
             line = line.strip()
             if not line:
                 continue
-            obj = _parse(path, lineno, line)
+            # validate_record's fast case inline: a whole line, a fast-checked record
             try:
-                validate_record(obj)
-            except ValueError as exc:
-                raise DatasetFormatError(f"{path}:{lineno}: {exc}")
+                obj, end = _scan_once(line, 0)
+            except (StopIteration, ValueError):
+                end = -1
+            if end != len(line):
+                obj = _parse(path, lineno, line)
+            if not (type(obj) is dict and type(kind := obj.get("kind")) is str
+                    and (fast := _FAST_CHECKS.get(kind)) is not None
+                    and obj.keys() == _KEY_SETS[kind] and fast(obj)):
+                try:
+                    _check_record(obj)
+                except ValueError as exc:
+                    raise DatasetFormatError(f"{path}:{lineno}: {exc}")
             if last_t is not None and obj["t"] < last_t:
                 raise DatasetFormatError(
                     f"{path}:{lineno}: timestamp {obj['t']} precedes {last_t}"
@@ -289,6 +287,32 @@ def estimate_to_dict(est) -> dict:
     if est.ray_k is not None:
         out["ray_k"] = float(est.ray_k)
     return out
+
+
+# Per key shape of estimate_to_dict's dict, its compact JSON line.
+_ESTIMATE_LINES = {
+    ("t", "method", "p", "roll", "pitch", *extra):
+        '{"t":%r,"method":"%s","p":[%r,%r,%r],"roll":%r,"pitch":%r'
+        + "".join(f',"{key}":%r' for key in extra) + "}\n"
+    for extra in ((), ("reproj_rms",), ("ray_k",), ("reproj_rms", "ray_k"))
+}
+
+
+def estimate_line(d: dict) -> str:
+    """json.dumps(d, separators=(",", ":")) and a newline, for an estimate dict.
+
+    A dict of one of estimate_to_dict's key shapes with a known method and
+    finite floats takes its shape's template, whose %r prints a float as
+    json.dumps does; json.dumps prints any other, an inf or nan included.
+    """
+    template = _ESTIMATE_LINES.get(tuple(d))
+    if template is not None:
+        t, method, p, *rest = d.values()
+        if type(p) is list and len(p) == 3 and method in _METHODS:
+            numbers = (t, *p, *rest)
+            if all(type(v) is float for v in numbers) and isfinite(sum(numbers)):
+                return template % (t, method, *numbers[1:])
+    return json.dumps(d, separators=(",", ":")) + "\n"
 
 
 def _valid_estimate(obj) -> bool:

@@ -10,6 +10,7 @@ initial bounds and needs no linear-algebra assumptions downstream.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -159,13 +160,27 @@ def calibrate_with_trace(pairs, cfg: PsoConfig | None = None):
     initial particle. It is bit-identical across runs for a fixed seed,
     config and data, which makes determinism cheap to assert. The pairs
     are checked once here; the swarm is held as arrays (see _pso_step).
+    Raises DegenerateData for pairs whose cost can overflow somewhere in
+    the search bounds, before any numpy arithmetic on them.
     """
     if cfg is None:
         cfg = PsoConfig()
     arr = _as_pairs(pairs)
     if arr.shape[0] < 2:
         raise InsufficientData("need at least 2 calibration pairs")
-    if np.ptp(arr[:, 0]) < 1e-12:
+    raw, truth = arr.T.tolist()
+    # in the bounds a residual scale * raw + offset - truth is at most
+    # a |raw| + b + |truth| in size; twice the sum of squares leaves room for
+    # rounding. Python floats overflow to inf without a warning.
+    a, b = max(map(abs, cfg.scale_bounds)), max(map(abs, cfg.offset_bounds))
+    cost_bound = 0.0
+    for r, t in zip(raw, truth):
+        e = a * abs(r) + b + abs(t)
+        cost_bound += e * e
+    if not 2.0 * cost_bound < math.inf:
+        raise DegenerateData("calibration pairs are too large for the search "
+                             "bounds: the fit's cost can overflow")
+    if max(raw) - min(raw) < 1e-12:
         raise DegenerateData("raw depth values are all identical")
 
     rng = np.random.default_rng(cfg.seed)

@@ -17,12 +17,16 @@ bundles them at a query time with per-source staleness; the
 ``EstimationPipeline`` drives everything from a time-ordered record
 stream, with one bundle per tag frame for all its methods.
 
-The per-record path runs on Python floats. The sample types check their
-fields with ``math.isfinite``; the camera-to-world transform is composed
-once per pose and shared by both methods; cd's center pixel, ray and
-plane hit are scalar arithmetic. Only the 3x3 products (``compose`` and
-``R @ v + t``) stay in numpy, because a scalar sum rounds differently
-from them and the estimates must keep their bytes.
+The per-record path runs on Python floats and builds each object once.
+Inputs are checked where they come in: the public constructors
+(``TagObservation``, ``SensorFrameBundle``, ``PositionEstimate``,
+``RigidTransform``) keep their checks, while the bundle the synchronizer
+makes, the transforms PnP and the pose chain make and the estimates the
+estimators make skip the re-check. The camera-to-world transform is
+composed once per pose and shared by both methods; cd's center pixel,
+ray and plane hit are scalar arithmetic. Only the 3x3 products
+(``compose`` and ``R @ v + t``) stay in numpy, because a scalar sum
+rounds differently from them and the estimates must keep their bytes.
 """
 
 from __future__ import annotations
@@ -156,15 +160,9 @@ class PositionEstimate:
         position; the public constructor keeps its checks.
         """
         est = object.__new__(cls)
-        setattr_ = object.__setattr__
-        setattr_(est, "timestamp", timestamp)
-        setattr_(est, "position", position)
-        setattr_(est, "method", method)
-        setattr_(est, "roll", roll)
-        setattr_(est, "pitch", pitch)
-        setattr_(est, "reproj_rms", reproj_rms)
-        setattr_(est, "ray_k", ray_k)
-        setattr_(est, "staleness", staleness)
+        est.__dict__.update(timestamp=timestamp, position=position, method=method,
+                            roll=roll, pitch=pitch, reproj_rms=reproj_rms,
+                            ray_k=ray_k, staleness=staleness)
         return est
 
 
@@ -199,11 +197,12 @@ def _camera_to_world(pose: SurfacePoseState, rig: RigExtrinsics) -> RigidTransfo
 
 
 def _check_fresh(bundle: SensorFrameBundle, sources, bound: float):
+    fields = vars(bundle)
+    ages = fields["staleness"]
     for name in sources:
-        sample = getattr(bundle, name)
-        if sample is None:
+        if fields[name] is None:
             raise StaleSensor(f"no {name} sample in bundle")
-        staleness = bundle.staleness.get(name, 0.0)
+        staleness = ages.get(name, 0.0)
         if staleness > bound:
             raise StaleSensor(
                 f"{name} is {staleness:.3f}s old, bound is {bound:.3f}s"
@@ -233,12 +232,13 @@ def estimate_cpnp(
     tag_pose = solve_pnp_planar(intrinsics, geom, bundle.tag)
     camera_to_world = _camera_to_world(bundle.pose, rig)
     if marker_offset is None:
-        position = transform_point(camera_to_world, tag_pose.transform.translation)
+        position = (camera_to_world.rotation @ tag_pose.transform.translation
+                    + camera_to_world.translation)
     else:
         position = transform_point(
             compose(camera_to_world, tag_pose.transform), marker_offset
         )
-    _check_finite("cpnp", *position)
+    _check_finite("cpnp", *position.tolist())
     return PositionEstimate._unchecked(
         bundle.timestamp,
         position,
@@ -319,19 +319,19 @@ class SensorSynchronizer:
         A stream with no sample yet is None in the bundle and has no
         staleness entry; each estimator's _check_fresh reports it.
         """
-        found = {}
+        latest = self._latest
         staleness = {}
-        for name in self._STREAMS:
-            sample = self._latest[name]
-            if sample is None:
-                continue
-            if sample.timestamp > t:
-                raise ValueError("query time precedes a pushed sample")
-            found[name] = sample
-            staleness[name] = t - sample.timestamp
-        return SensorFrameBundle(
-            t, found.get("pose"), found.get("tag"), found.get("depth"), staleness
-        )
+        for name, sample in latest.items():
+            if sample is not None:
+                if sample.timestamp > t:
+                    raise ValueError("query time precedes a pushed sample")
+                staleness[name] = t - sample.timestamp
+        # t minus a stamp no later than t is never negative, so the bundle
+        # skips its constructor's staleness check
+        bundle = object.__new__(SensorFrameBundle)
+        bundle.__dict__.update(timestamp=t, pose=latest["pose"], tag=latest["tag"],
+                               depth=latest["depth"], staleness=staleness)
+        return bundle
 
 
 class EstimationPipeline:

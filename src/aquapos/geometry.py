@@ -53,8 +53,7 @@ class RigidTransform:
         orthonormality and determinant checks of the public constructor.
         """
         H = object.__new__(cls)
-        object.__setattr__(H, "rotation", rotation)
-        object.__setattr__(H, "translation", translation)
+        H.__dict__.update(rotation=rotation, translation=translation)
         return H
 
 
@@ -81,8 +80,8 @@ def euler_zyx_to_rotation(yaw: float, pitch: float, roll: float) -> np.ndarray:
     """Rotation matrix for a yaw (z), then pitch (y), then roll (x) sequence.
 
     Equals Rz(yaw) @ Ry(pitch) @ Rx(roll), written out entry by entry on
-    Python floats. Raises GimbalLockNear when |pitch| is within PITCH_GUARD
-    of 90 degrees.
+    Python floats and laid out row-major from a flat 9-tuple. Raises
+    GimbalLockNear when |pitch| is within PITCH_GUARD of 90 degrees.
     """
     if not (math.isfinite(yaw) and math.isfinite(pitch) and math.isfinite(roll)):
         raise ValueError("Euler angles must be finite")
@@ -92,12 +91,12 @@ def euler_zyx_to_rotation(yaw: float, pitch: float, roll: float) -> np.ndarray:
     cp, sp = math.cos(pitch), math.sin(pitch)
     cr, sr = math.cos(roll), math.sin(roll)
     return np.array(
-        [
-            [cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr],
-            [sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr],
-            [-sp, cp * sr, cp * cr],
-        ]
-    )
+        (
+            cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr,
+            sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr,
+            -sp, cp * sr, cp * cr,
+        )
+    ).reshape(3, 3)
 
 
 @dataclass(frozen=True)

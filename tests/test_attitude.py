@@ -10,8 +10,8 @@ from aquapos.attitude import (
     TiltState,
     TiltTracker,
     _entries,
-    _predict,
     _propagate,
+    _step,
     _tilt,
     ekf_update,
     prediction_jacobian,
@@ -43,10 +43,10 @@ def _body_rates(roll, pitch, roll_rate, pitch_rate, yaw_rate):
 
 
 def _predict_state(state, gyro, dt, cfg):
-    """The filter's predict kernel on a TiltState, the type ekf_update takes."""
-    roll, pitch, p00, p01, p11 = _predict(
+    """The filter kernel's predict half on a TiltState, the type ekf_update takes."""
+    roll, pitch, p00, p01, p11 = _step(
         (state.roll, state.pitch, *_entries(state.covariance)),
-        [float(w) for w in gyro], dt, _entries(cfg.q))
+        [float(w) for w in gyro], dt, _entries(cfg.q), None, None)
     return TiltState(roll, pitch, [[p00, p01], [p01, p11]])
 
 
@@ -608,3 +608,44 @@ class TestTrackerMatchesReference:
             pipeline.process({"t": t, "kind": "imu", "gyro": gyro, "accel": accel})
         assert pipeline.counters["imu_rejected"] == len(rejected)
         assert _hex_state(pipeline.tracker.state) == _hex_state(ref.state)
+
+
+class TestFilterStates:
+    def test_states_and_covariances_match_the_reference_bit_for_bit(self):
+        cfg = TiltConfig()
+        ref, new = _RefTracker(cfg), TiltTracker(cfg)
+        compared = 0
+        for t, gyro, accel in _edge_imu_stream():
+            try:
+                want = ref.feed(_ref_sample(t, gyro, accel))
+            except (ValueError, PitchSingularity):
+                want = None
+            try:
+                got = new.feed(ImuSample(t, gyro, accel))
+            except (ValueError, PitchSingularity):
+                got = None
+            assert (got is None) == (want is None)
+            if got is None:
+                continue
+            assert isinstance(got, TiltState)
+            assert (got.roll.hex(), got.pitch.hex()) == (want.roll.hex(), want.pitch.hex())
+            a, b = got.covariance, want.covariance
+            assert (a.dtype, a.shape, a.strides, a.flags.c_contiguous) == (
+                b.dtype, b.shape, b.strides, b.flags.c_contiguous)
+            assert a.tobytes() == b.tobytes()
+            compared += 1
+        assert compared >= 1500
+
+    def test_covariance_is_built_when_first_read_and_kept(self):
+        tracker = TiltTracker()
+        states = [tracker.feed(ImuSample(0.01 * k, [0.0, 0.1, 0.0], [0.0, 0.0, -GRAVITY]))
+                  for k in range(20)]
+        assert all("covariance" not in vars(s) for s in states)
+        cov = states[-1].covariance
+        assert states[-1].covariance is cov
+        assert "covariance" not in vars(states[-2])
+        # the public constructor accepts what the filter made
+        np.testing.assert_array_equal(TiltState(states[-1].roll, states[-1].pitch,
+                                                cov).covariance, cov)
+        with pytest.raises(AttributeError):
+            states[-1].covariance = np.eye(2)

@@ -255,6 +255,68 @@ class TestObservationValidation:
         assert quad_area([[0, 0], [2, 0], [2, 2], [0, 2]]) == pytest.approx(4.0)
 
 
+def _ref_observation_corners(corners):
+    """The constructor's corners as the full checks alone make them."""
+    c = np.asarray(corners, dtype=float)
+    if c.shape != (4, 2):
+        raise ValueError(f"expected 4 corner pixels, got shape {c.shape}")
+    if not all(map(math.isfinite, c.ravel().tolist())):
+        raise ValueError("corner pixels must be finite")
+    return c
+
+
+def _observation_outcome(make, corners):
+    try:
+        c = make(corners)
+    except (ValueError, TypeError) as exc:
+        return type(exc).__name__, str(exc)
+    return c.dtype.str, c.shape, c.strides, c.flags.c_contiguous, c.tobytes()
+
+
+class TestObservationFastPath:
+    """Corners the exact-float test accepts against the full checks alone."""
+
+    def _same(self, corners):
+        new = _observation_outcome(lambda c: TagObservation(0.0, c).corners, corners)
+        assert new == _observation_outcome(_ref_observation_corners, corners), corners
+
+    def test_float_pixels_take_the_fast_path_with_the_same_array(self):
+        rng = np.random.default_rng(41)
+        cases = [rng.uniform(-1e3, 1e3, size=(4, 2)).tolist() for _ in range(200)]
+        cases += [[[v, 1.0], [2.0, -v], [3.0, 4.0], [v, 6.0]]
+                  for v in (-0.0, 5e-324, 1e308, -1e308, 1e-7, 1e16)]
+        for corners in cases:
+            assert camera._float_quad(corners) is not None
+            self._same(corners)
+
+    @pytest.mark.parametrize("corners", [
+        [[1, 2], [3, 4], [5, 6], [7, 8]],  # ints
+        [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8]],
+        [[True, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]],  # a bool
+        np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]]),
+        [np.array([1.0, 2.0]), [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]],
+        [[np.float64(1.0), 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]],
+        ((1.0, 2.0), (3.0, 4.0), (5.0, 6.0), (7.0, 8.0)),  # tuples
+        [(1.0, 2.0), [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]],
+        [[math.nan, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]],
+        [[1.0, 2.0], [3.0, math.inf], [5.0, 6.0], [7.0, 8.0]],
+        [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, -math.inf]],
+        [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]],  # wrong shapes
+        [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0], [9.0, 10.0]],
+        [[1.0, 2.0, 0.0], [3.0, 4.0, 0.0], [5.0, 6.0, 0.0], [7.0, 8.0, 0.0]],
+        [[1.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]],
+        [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0],
+        [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], "ab"],
+        [],
+        # finite values whose sum overflows: declined, then accepted
+        [[1e308, 1e308], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]],
+        [[-1e308, 2.0], [-1e308, 4.0], [5.0, 6.0], [7.0, 8.0]],
+    ])
+    def test_other_inputs_get_todays_verdict(self, corners):
+        assert camera._float_quad(corners) is None
+        self._same(corners)
+
+
 class TestSolvePnp:
     def test_fronto_parallel_on_axis(self):
         geom = TagGeometry(0.2)

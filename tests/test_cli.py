@@ -392,6 +392,18 @@ class TestCalibrateDepth:
             costs.append(json.loads(out.read_text(encoding="utf-8"))["cost"])
         assert abs(costs[0] - costs[1]) < 1e-6
 
+    @pytest.mark.parametrize("rows", ["1e308,1\n-1e308,2\n", "1e160,1\n2e160,2\n"])
+    def test_pairs_whose_cost_overflows_exit_1(self, tmp_path, capsys, rows):
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text(rows, encoding="utf-8")
+        out = tmp_path / "theta.json"
+        rc = cli.main(["calibrate-depth", str(pairs), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error: calibration pairs are too large")
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not out.exists()
+
     def test_empty_csv_exits_1(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.csv"
         pairs.write_text("", encoding="utf-8")
@@ -407,8 +419,8 @@ def _write_pairs_csv(path):
 
 class TestValuesOnlyTheConstructorsCanReject:
     """Values of the right YAML shape that numpy's seeding, the PSO or a
-    float conversion cannot use: each is a usage error naming the value,
-    never a traceback."""
+    float conversion cannot use, and bools or strings where a number
+    belongs: each is a usage error naming the value, never a traceback."""
 
     @pytest.mark.parametrize("command, config_text, extra, message", [
         ("simulate", "", ["--seed", "-1"],
@@ -435,6 +447,10 @@ class TestValuesOnlyTheConstructorsCanReject:
          "simulation.noise.slam_yaw_sigma_deg: could not convert"),
         ("simulate", "simulation:\n  noise: {tilt_amplitude_deg: [1]}", [],
          "simulation.noise.tilt_amplitude_deg: float() argument"),
+        ("simulate", "simulation:\n  rates: {imu: true}", [],
+         "simulation.rates.imu: expected a number, got True"),
+        ("calibrate-depth", "staleness_bound: '0.3'", [],
+         "staleness_bound: expected a number, got '0.3'"),
     ])
     def test_bad_value_is_usage_error(self, tmp_path, capsys, command,
                                       config_text, extra, message):

@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -223,3 +224,66 @@ simulation:
     def test_marker_offset_entries_must_be_finite_numbers(self, tmp_path, offset):
         with pytest.raises(ConfigError, match="marker_offset"):
             load_run_config(_write(tmp_path, f"marker_offset: {offset}\n"))
+
+
+class TestNumericKeysTakeNumbersOnly:
+    """float() reads a bool as 0 or 1 and a numeric string as its number;
+    a numeric key takes neither."""
+
+    @pytest.mark.parametrize("entry, key", [
+        ("staleness_bound: true", "staleness_bound"),
+        ("staleness_bound: '0.3'", "staleness_bound"),
+        ("marker_offset: [true, 0, 0]", "marker_offset[0]"),
+        ("marker_offset: [0, 0, '1']", "marker_offset[2]"),
+        ("rig: {body_height: true}", "rig.body_height"),
+        ("rig: {camera_translation: [0.1, false, 0.0]}", "rig.camera_translation[1]"),
+        ("rig: {camera_euler_zyx_deg: [0, 0, '180']}", "rig.camera_euler_zyx_deg[2]"),
+        ("tag: {side_length: true}", "tag.side_length"),
+        ("depth_calibration: {scale: true}", "depth_calibration.scale"),
+        ("depth_calibration: {offset: '0.1'}", "depth_calibration.offset"),
+        ("tilt_filter: {gyro_var: true}", "tilt_filter.gyro_var"),
+        ("simulation: {rates: {imu: true}}", "simulation.rates.imu"),
+        ("simulation: {rates: {imu: '400'}}", "simulation.rates.imu"),
+        ("simulation: {trajectory: {duration: true}}", "simulation.trajectory.duration"),
+        ("simulation: {trajectory: {region: [4.8, true, 2.0]}}",
+         "simulation.trajectory.region[1]"),
+        ("simulation: {noise: {pixel_sigma: true}}", "simulation.noise.pixel_sigma"),
+        ("simulation: {noise: {tilt_amplitude_deg: '5'}}",
+         "simulation.noise.tilt_amplitude_deg"),
+        ("simulation: {follower: {max_speed: true}}", "simulation.follower.max_speed"),
+        ("simulation: {surface_yaw_period: true}", "simulation.surface_yaw_period"),
+        ("pso: {inertia: true}", "pso.inertia"),
+        ("pso: {scale_bounds: ['0.5', 2.0]}", "pso.scale_bounds[0]"),
+    ])
+    def test_bool_or_string_is_rejected_naming_the_key(self, tmp_path, entry, key):
+        with pytest.raises(ConfigError) as info:
+            load_run_config(_write(tmp_path, entry + "\n"))
+        assert str(info.value).startswith(f"{key}: expected a number, got ")
+
+    @pytest.mark.parametrize("entry, key", [
+        ("staleness_bound: soon", "staleness_bound"),
+        ("simulation: {rates: {imu: fast}}", "simulation.rates.imu"),
+        ("simulation: {rates: {imu: [400]}}", "simulation.rates.imu"),
+        ("pso: {offset_bounds: [low, 1.0]}", "pso.offset_bounds[0]"),
+    ])
+    def test_other_non_numbers_keep_floats_message_naming_the_key(self, tmp_path,
+                                                                   entry, key):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: (could not|float)"):
+            load_run_config(_write(tmp_path, entry + "\n"))
+
+    def test_ints_and_floats_load_as_before(self, tmp_path):
+        cfg = load_run_config(_write(tmp_path, """
+staleness_bound: 1
+marker_offset: [0, 0.1, 0]
+rig: {body_height: 0, camera_translation: [0, 0, 0]}
+tag: {side_length: 1}
+simulation:
+  rates: {imu: 400}
+  trajectory: {duration: 5, region: [4, 3, 2]}
+pso: {inertia: 0.5, scale_bounds: [1, 2]}
+"""))
+        assert cfg.staleness_bound == 1.0 and cfg.marker_offset == (0.0, 0.1, 0.0)
+        assert cfg.rig.body_height == 0.0 and cfg.tag.side_length == 1.0
+        assert cfg.rates.imu == 400 and cfg.trajectory.duration == 5
+        assert tuple(cfg.trajectory.region) == (4, 3, 2)
+        assert tuple(cfg.pso.scale_bounds) == (1, 2)

@@ -1,10 +1,14 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from aquapos import dataset
+from aquapos.config import load_run_config
 from aquapos.dataset import (
+    estimate_line,
     estimate_to_dict,
     load_pairs_csv,
     read_estimates,
@@ -13,7 +17,7 @@ from aquapos.dataset import (
     write_records,
 )
 from aquapos.errors import DatasetFormatError
-from aquapos.estimators import PositionEstimate
+from aquapos.estimators import EstimationPipeline, PositionEstimate
 from aquapos.simulator import NoiseModel, Simulator, TrajectorySpec
 
 
@@ -515,3 +519,96 @@ class TestReaderMatchesReference:
         for obj in objects:
             assert (_outcome(lambda o: [validate_record(o)], obj)
                     == _outcome(lambda o: [_ref_validate(o)], obj)), obj
+
+
+# the benchmark's three workload configurations
+_WORKLOAD_CONFIGS = {
+    "square-noisy": "simulation: {trajectory: {duration: 40.0}}\n",
+    "cd-dense-imu": ("depth_calibration: {scale: 1.05, offset: -0.03}\n"
+                     "simulation: {trajectory: {duration: 34.0}, rates: {imu: 400}}\n"),
+    "noiseless-exact": (
+        "simulation:\n"
+        "  trajectory: {pattern: lawnmower, duration: 34.0}\n"
+        "  rates: {camera: 30, imu: 30, depth: 30, slam: 30, truth: 30}\n"
+        "  noise: {pixel_sigma: 0.0, gyro_sigma: 0.0, accel_sigma: 0.0, depth_sigma: 0.0,\n"
+        "          slam_xy_sigma: 0.0, slam_yaw_sigma_deg: 0.0, tilt_amplitude_deg: 0.0}\n"),
+}
+
+
+def _json_line(d):
+    return json.dumps(d, separators=(",", ":")) + "\n"
+
+
+def _shapes():
+    """One estimate dict of each key shape estimate_to_dict makes."""
+    base = {"t": 1.5, "method": "cpnp", "p": [0.25, -0.5, -1.25], "roll": 0.01,
+            "pitch": -0.02}
+    return [base, {**base, "reproj_rms": 0.3}, {**base, "method": "cd", "ray_k": -0.6},
+            {**base, "reproj_rms": 0.3, "ray_k": -0.6}]
+
+
+def _with_number(d, slot, value):
+    """d with its slot-th number (t, p[0..2], then the rest in order) replaced."""
+    out = {k: (list(v) if isinstance(v, list) else v) for k, v in d.items()}
+    keys = ["t", ("p", 0), ("p", 1), ("p", 2)] + list(d)[3:]
+    key = keys[slot]
+    if isinstance(key, tuple):
+        out["p"][key[1]] = value
+    else:
+        out[key] = value
+    return out
+
+
+class TestEstimateLine:
+    """estimate_line's templates against json.dumps, byte for byte."""
+
+    @pytest.mark.parametrize("workload", sorted(_WORKLOAD_CONFIGS))
+    def test_every_estimate_of_the_workload_runs(self, tmp_path, monkeypatch, workload):
+        path = tmp_path / "run.yaml"
+        path.write_text(_WORKLOAD_CONFIGS[workload], encoding="utf-8")
+        cfg = load_run_config(path)
+        dicts = []
+        for seed in (1, 2, 3):
+            spec = dataclasses.replace(cfg.trajectory, seed=seed)
+            noise = dataclasses.replace(cfg.noise, seed=seed)
+            records, _ = Simulator(spec, cfg.scene(), noise).run()
+            pipe = EstimationPipeline(cfg.rig, cfg.intrinsics, cfg.tag,
+                                      calibration=cfg.calibration, tilt_config=cfg.tilt)
+            dicts += [estimate_to_dict(e) for rec in records for e in pipe.process(rec)]
+        want = [_json_line(d) for d in dicts]
+        # every one of them takes a template, not the json.dumps fallback
+        monkeypatch.setattr(dataset.json, "dumps", None)
+        assert [estimate_line(d) for d in dicts] == want
+        assert {d["method"] for d in dicts} == {"cpnp", "cd"}
+
+    @pytest.mark.parametrize("value", [-0.0, 5e-324, -5e-324, 1e308, -1e308, 1e16,
+                                       1e-7, 0.1, 123456789.125])
+    def test_hand_picked_floats_in_every_slot(self, value):
+        for d in _shapes():
+            for slot in range(len(d) + 1):
+                case = _with_number(d, slot, value)
+                assert estimate_line(case) == _json_line(case), case
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 2, True, None,
+                                       np.float64(0.5), "0.5"])
+    def test_values_the_templates_decline_print_as_json_dumps(self, value):
+        for d in _shapes():
+            for slot in range(len(d) + 1):
+                case = _with_number(d, slot, value)
+                assert estimate_line(case) == _json_line(case), case
+
+    def test_other_dicts_print_as_json_dumps(self):
+        d = _shapes()[1]
+        cases = [
+            {**d, "method": "sonar"},
+            {**d, "method": 'c"d'},
+            {**d, "p": [0.25, -0.5]},
+            {**d, "p": (0.25, -0.5, -1.25)},
+            {**d, "note": "x"},
+            {k: d[k] for k in reversed(list(d))},
+            {k: v for k, v in d.items() if k != "roll"},
+            # finite numbers whose sum overflows
+            {**d, "t": 1e308, "roll": 1e308},
+        ]
+        for case in cases:
+            assert estimate_line(case) == _json_line(case), case

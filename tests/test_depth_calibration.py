@@ -260,6 +260,24 @@ class TestCalibrate:
         with pytest.raises(DegenerateData):
             calibrate([(1.0, 0.9), (1.0, 1.1), (1.0, 1.0)])
 
+    @pytest.mark.parametrize("pairs", [[(1e308, 1.0), (-1e308, 2.0)],
+                                       [(1e160, 1.0), (2e160, 2.0)],
+                                       [(1.0, 1e155), (2.0, 2.0)] + [(3.0, 1e154)] * 200,
+                                       # a cost bound of 1.19e308 leaves no room
+                                       # for rounding
+                                       [(3.8e153, 0.0), (3.9e153, 0.0)]])
+    def test_pairs_whose_cost_can_overflow_are_rejected(self, pairs):
+        with pytest.raises(DegenerateData, match="too large"):
+            calibrate_with_trace(pairs)
+
+    def test_large_pairs_whose_cost_cannot_overflow_still_fit(self):
+        # the bound covers the whole search box: wider bounds reject more
+        pairs = [(1e150, 1.0), (2e150, 2.0)]
+        _, trace = calibrate_with_trace(pairs)
+        assert np.isfinite(trace).all()
+        with pytest.raises(DegenerateData, match="too large"):
+            calibrate_with_trace(pairs, PsoConfig(scale_bounds=(0.5, 1e160)))
+
     def test_insufficient_pairs(self):
         with pytest.raises(InsufficientData):
             calibrate([(1.0, 1.0)])

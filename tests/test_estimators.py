@@ -1,5 +1,8 @@
+import contextlib
 import dataclasses
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -669,3 +672,98 @@ class TestCameraToWorldMemo:
         for bad in ([0.0, float("nan"), 0.0], [0.0, 0.0, float("inf")], [1.0, 2.0]):
             with pytest.raises(ValueError):
                 EstimationPipeline(rig, K, GEOM, marker_offset=bad)
+
+
+@contextlib.contextmanager
+def _numpy_calls():
+    """Names of the numpy functions and array methods called in the block.
+
+    A profile hook sees every call into numpy's C functions, their methods
+    on numpy objects and numpy's Python functions; building an array takes
+    one of them.
+    """
+    root = os.path.dirname(np.__file__)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "c_call":
+            owner = getattr(arg, "__self__", None)
+            if ((getattr(arg, "__module__", None) or "").startswith("numpy")
+                    or type(owner).__module__.startswith("numpy")):
+                calls.append(arg.__name__)
+        elif event == "call" and frame.f_code.co_filename.startswith(root):
+            calls.append(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(previous)
+
+
+class TestConstructionCounts:
+    """What the per-record path builds, counted rather than timed."""
+
+    @pytest.fixture(scope="class")
+    def dense_imu_records(self):
+        cfg = load_run_config(None)
+        spec = dataclasses.replace(cfg.trajectory, duration=3.0)
+        scene = dataclasses.replace(cfg.scene(),
+                                    rates=dataclasses.replace(cfg.rates, imu=400.0))
+        records, _ = Simulator(spec, scene, cfg.noise).run()
+        assert sum(r["kind"] == "imu" for r in records) >= 1200
+        return cfg, records
+
+    def test_numpy_check_counts_an_array(self):
+        with _numpy_calls() as calls:
+            np.array([[1.0, 0.0], [0.0, 1.0]])
+        assert calls == ["array"]
+
+    def test_accepted_imu_sample_builds_no_array(self, dense_imu_records):
+        cfg, records = dense_imu_records
+        pipe = EstimationPipeline(cfg.rig, cfg.intrinsics, cfg.tag)
+        accepted = 0
+        for rec in records:
+            if rec["kind"] != "imu":
+                pipe.process(rec)
+                continue
+            rejected = pipe.counters["imu_rejected"]
+            with _numpy_calls() as calls:
+                pipe.process(rec)
+            if pipe.counters["imu_rejected"] == rejected:
+                accepted += 1
+                assert calls == [], rec
+        assert accepted >= 1200
+
+    def test_covariance_is_built_once_and_only_when_read(self, dense_imu_records):
+        cfg, records = dense_imu_records
+        pipe = EstimationPipeline(cfg.rig, cfg.intrinsics, cfg.tag)
+        states = []
+        for rec in records:
+            pipe.process(rec)
+            if rec["kind"] == "imu":
+                states.append(pipe.tracker.state)
+        assert all("covariance" not in vars(s) for s in states)
+        last = states[-1]
+        with _numpy_calls() as first:
+            cov = last.covariance
+        with _numpy_calls() as again:
+            assert last.covariance is cov
+        assert first == ["array"] and again == []
+        assert all("covariance" not in vars(s) for s in states[:-1])
+
+    @pytest.mark.parametrize("offset", [None, [0.01, -0.02, 0.03]])
+    def test_tag_frame_builds_no_checked_transform(self, dense_imu_records, monkeypatch,
+                                                   offset):
+        cfg, records = dense_imu_records
+        pipe = EstimationPipeline(cfg.rig, cfg.intrinsics, cfg.tag, marker_offset=offset)
+        checked = []
+        post_init = RigidTransform.__post_init__
+        monkeypatch.setattr(RigidTransform, "__post_init__",
+                            lambda self: checked.append(1) or post_init(self))
+        estimates = 0
+        for rec in records:
+            estimates += len(pipe.process(rec))
+        assert checked == []
+        assert estimates == 2 * sum(r["kind"] == "tag" for r in records)
