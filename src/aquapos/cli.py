@@ -77,7 +77,7 @@ def cmd_simulate(args) -> int:
     cfg = load_run_config(args.config)
     spec = _reseed(cfg.trajectory, args.seed)
     noise = _reseed(cfg.noise, args.seed)
-    sim = Simulator(spec, cfg.scene(), noise)
+    sim = Simulator(spec, cfg, noise)
     records, stats = sim.run()
     try:
         n = dataset.write_records(args.out, records)
@@ -111,7 +111,8 @@ def cmd_estimate(args) -> int:
             if record["kind"] == "tag":
                 tags_seen += 1
             for est in pipeline.process(record):
-                out.write(dataset.estimate_line(dataset.estimate_to_dict(est)))
+                out.write(json.dumps(dataset.estimate_to_dict(est), separators=(",", ":"))
+                          + "\n")
                 written += 1
     if tags_seen == 0:
         log.warning("dataset %s contains no tag records; output is empty",

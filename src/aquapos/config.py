@@ -20,18 +20,12 @@ import numpy as np
 import yaml
 
 from .attitude import TiltConfig
-from .camera import DEFAULT_INTRINSICS, Intrinsics, TagGeometry
-from .depth_calibration import IDENTITY_CALIBRATION, CalibrationParams, PsoConfig
+from .camera import Intrinsics
+from .depth_calibration import PsoConfig
 from .errors import ConfigError
 from .estimators import DEFAULT_STALENESS_BOUND, RigExtrinsics, default_rig
 from .geometry import RigidTransform, euler_zyx_to_rotation
-from .simulator import (
-    FollowerConfig,
-    NoiseModel,
-    SampleRates,
-    SceneConfig,
-    TrajectorySpec,
-)
+from .simulator import NoiseModel, SceneConfig, TrajectorySpec
 
 log = logging.getLogger(__name__)
 
@@ -39,13 +33,10 @@ DEFAULT_SEED = 1
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Everything a command needs, already validated."""
+class RunConfig(SceneConfig):
+    """Everything a command needs, already validated: the bench the
+    simulator takes as its scene, plus the estimator and fit settings."""
 
-    intrinsics: Intrinsics = field(default_factory=lambda: DEFAULT_INTRINSICS)
-    rig: RigExtrinsics = field(default_factory=default_rig)
-    tag: TagGeometry = field(default_factory=TagGeometry)
-    calibration: CalibrationParams = IDENTITY_CALIBRATION
     tilt: TiltConfig = field(default_factory=TiltConfig)
     staleness_bound: float = DEFAULT_STALENESS_BOUND
     marker_offset: tuple | None = None
@@ -53,23 +44,7 @@ class RunConfig:
         default_factory=lambda: TrajectorySpec(seed=DEFAULT_SEED)
     )
     noise: NoiseModel = field(default_factory=lambda: NoiseModel(seed=DEFAULT_SEED))
-    rates: SampleRates = field(default_factory=SampleRates)
-    follower: FollowerConfig = field(default_factory=FollowerConfig)
-    yaw_amplitude: float = SceneConfig.yaw_amplitude
-    yaw_period: float = SceneConfig.yaw_period
     pso: PsoConfig = field(default_factory=PsoConfig)
-
-    def scene(self) -> SceneConfig:
-        return SceneConfig(
-            intrinsics=self.intrinsics,
-            rig=self.rig,
-            tag=self.tag,
-            depth_params=self.calibration,
-            follower=self.follower,
-            rates=self.rates,
-            yaw_amplitude=self.yaw_amplitude,
-            yaw_period=self.yaw_period,
-        )
 
 
 def _section(raw, name) -> dict:
@@ -105,22 +80,26 @@ def _number(value, where) -> float:
 def _replace(instance, mapping, where):
     """dataclasses.replace with key checking and error translation.
 
-    A key whose default is a float, or a tuple of them, must hold YAML
-    numbers (see _number); the dataclass gets the values as loaded.
+    A field annotated float must hold a YAML number (see _number), and a
+    list for a field annotated tuple must hold YAML numbers; it becomes a
+    tuple. Other values reach the dataclass as loaded. The annotations are
+    strings: every config module imports annotations from __future__.
     """
     fields = dataclasses.fields(instance)
     _check_keys(mapping, [f.name for f in fields], where)
+    changes = dict(mapping)
     for f in fields:
         if f.name not in mapping:
             continue
         value = mapping[f.name]
-        if isinstance(f.default, float):
+        if f.type == "float":
             _number(value, f"{where}.{f.name}")
-        elif isinstance(f.default, tuple) and isinstance(value, list):
+        elif f.type == "tuple" and isinstance(value, list):
             for i, v in enumerate(value):
                 _number(v, f"{where}.{f.name}[{i}]")
+            changes[f.name] = tuple(value)
     try:
-        return dataclasses.replace(instance, **mapping)
+        return dataclasses.replace(instance, **changes)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{where}: {exc}")
 
@@ -233,20 +212,19 @@ def _load_simulation(section, cfg: RunConfig) -> RunConfig:
                       "simulation.surface_yaw_amplitude")
     yaw_period = _number(section.get("surface_yaw_period", cfg.yaw_period),
                          "simulation.surface_yaw_period")
-    cfg = dataclasses.replace(
-        cfg,
-        trajectory=trajectory,
-        rates=rates,
-        follower=follower,
-        noise=noise,
-        yaw_amplitude=yaw_amp,
-        yaw_period=yaw_period,
-    )
     try:
-        cfg.scene()  # SceneConfig checks the surface yaw wave
+        # SceneConfig.__post_init__ checks the surface yaw wave
+        return dataclasses.replace(
+            cfg,
+            trajectory=trajectory,
+            rates=rates,
+            follower=follower,
+            noise=noise,
+            yaw_amplitude=yaw_amp,
+            yaw_period=yaw_period,
+        )
     except ValueError as exc:
         raise ConfigError(f"simulation: {exc}")
-    return cfg
 
 
 _TOP_KEYS = (
@@ -304,32 +282,14 @@ def load_run_config(path=None) -> RunConfig:
             raise ConfigError("marker_offset entries must be finite")
         cfg = dataclasses.replace(cfg, marker_offset=offset)
 
-    rig_section = _section(raw, "rig")
-    if rig_section:
-        cfg = dataclasses.replace(cfg, rig=_load_rig(rig_section))
-    tag_section = _section(raw, "tag")
-    if tag_section:
-        _check_keys(tag_section, ("side_length",), "tag")
-        try:
-            tag = TagGeometry(_number(tag_section["side_length"], "tag.side_length"))
-        except ValueError as exc:
-            raise ConfigError(f"tag: {exc}")
-        cfg = dataclasses.replace(cfg, tag=tag)
-    calib_section = _section(raw, "depth_calibration")
-    if calib_section:
-        _check_keys(calib_section, ("scale", "offset"), "depth_calibration")
-        for key, value in calib_section.items():
-            _number(value, f"depth_calibration.{key}")
-        try:
-            calib = CalibrationParams.from_dict(
-                {**IDENTITY_CALIBRATION.to_dict(), **calib_section}
-            )
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"depth_calibration: {exc}")
-        cfg = dataclasses.replace(cfg, calibration=calib)
-    tilt_section = _section(raw, "tilt_filter")
-    if tilt_section:
-        cfg = dataclasses.replace(cfg, tilt=_load_tilt(tilt_section))
+    cfg = dataclasses.replace(
+        cfg,
+        rig=_load_rig(_section(raw, "rig")),
+        tag=_replace(cfg.tag, _section(raw, "tag"), "tag"),
+        calibration=_replace(cfg.calibration, _section(raw, "depth_calibration"),
+                             "depth_calibration"),
+        tilt=_load_tilt(_section(raw, "tilt_filter")),
+    )
     cfg = _load_simulation(_section(raw, "simulation"), cfg)
     cfg = dataclasses.replace(cfg, pso=_replace(cfg.pso, _section(raw, "pso"), "pso"))
     return cfg

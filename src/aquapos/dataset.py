@@ -24,6 +24,7 @@ import numpy as np
 
 from .camera import _float_quad
 from .errors import DatasetFormatError
+from .estimators import METHODS
 
 _PAYLOAD_KEYS = {
     "imu": ("gyro", "accel"),
@@ -34,7 +35,6 @@ _PAYLOAD_KEYS = {
 }
 _KEY_ORDER = {kind: ("t", "kind", *keys) for kind, keys in _PAYLOAD_KEYS.items()}
 _KEY_SETS = {kind: frozenset(keys) for kind, keys in _KEY_ORDER.items()}
-_METHODS = ("cpnp", "cd")
 
 
 def _is_number(v) -> bool:
@@ -274,7 +274,8 @@ def read_records(path):
 
 
 def estimate_to_dict(est) -> dict:
-    """Serializable form of a PositionEstimate."""
+    """Serializable form of a PositionEstimate; `estimate` writes its
+    compact json.dumps, one line per estimate."""
     out = {
         "t": float(est.timestamp),
         "method": est.method,
@@ -289,41 +290,15 @@ def estimate_to_dict(est) -> dict:
     return out
 
 
-# Per key shape of estimate_to_dict's dict, its compact JSON line.
-_ESTIMATE_LINES = {
-    ("t", "method", "p", "roll", "pitch", *extra):
-        '{"t":%r,"method":"%s","p":[%r,%r,%r],"roll":%r,"pitch":%r'
-        + "".join(f',"{key}":%r' for key in extra) + "}\n"
-    for extra in ((), ("reproj_rms",), ("ray_k",), ("reproj_rms", "ray_k"))
-}
-
-
-def estimate_line(d: dict) -> str:
-    """json.dumps(d, separators=(",", ":")) and a newline, for an estimate dict.
-
-    A dict of one of estimate_to_dict's key shapes with a known method and
-    finite floats takes its shape's template, whose %r prints a float as
-    json.dumps does; json.dumps prints any other, an inf or nan included.
-    """
-    template = _ESTIMATE_LINES.get(tuple(d))
-    if template is not None:
-        t, method, p, *rest = d.values()
-        if type(p) is list and len(p) == 3 and method in _METHODS:
-            numbers = (t, *p, *rest)
-            if all(type(v) is float for v in numbers) and isfinite(sum(numbers)):
-                return template % (t, method, *numbers[1:])
-    return json.dumps(d, separators=(",", ":")) + "\n"
-
-
 def _valid_estimate(obj) -> bool:
     if type(obj) is dict:
         t, p = obj.get("t"), obj.get("p")
-        if type(p) is list and len(p) == 3 and obj.get("method") in _METHODS:
+        if type(p) is list and len(p) == 3 and obj.get("method") in METHODS:
             p0, p1, p2 = p
             if type(t) is type(p0) is type(p1) is type(p2) is float and isfinite(t + p0 + p1 + p2):
                 return True
     if (not isinstance(obj, dict) or not _is_number(obj.get("t"))
-            or obj.get("method") not in _METHODS):
+            or obj.get("method") not in METHODS):
         return False
     try:
         _check_vector(obj["p"], 3, "p")

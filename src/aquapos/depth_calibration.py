@@ -50,10 +50,6 @@ class CalibrationParams:
     def to_dict(self) -> dict:
         return {"scale": float(self.scale), "offset": float(self.offset)}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "CalibrationParams":
-        return cls(float(data["scale"]), float(data["offset"]))
-
 
 IDENTITY_CALIBRATION = CalibrationParams(1.0, 0.0)
 
@@ -113,12 +109,36 @@ def _costs(x, pairs) -> np.ndarray:
     return np.array([r @ r for r in residuals])
 
 
+def _check_cost_bound(residual_bounds, message) -> None:
+    """Raise DegenerateData unless the cost of these residuals cannot overflow.
+
+    residual_bounds holds a Python float per pair, at least the size of
+    its residual. Twice their sum of squares leaves room for rounding in
+    any summation order; Python floats overflow to inf without a warning.
+    """
+    cost_bound = 0.0
+    for e in residual_bounds:
+        cost_bound += e * e
+    if not 2.0 * cost_bound < math.inf:
+        raise DegenerateData(message)
+
+
 def calibration_cost(theta, pairs) -> float:
-    """Sum of squared residuals of the affine model over the pairs."""
+    """Sum of squared residuals of the affine model over the pairs.
+
+    Raises DegenerateData where the cost at theta can overflow, or theta
+    is not finite, before any numpy arithmetic on the pairs.
+    """
     arr = _as_pairs(pairs)
     if arr.shape[0] < 2:
         raise InsufficientData("need at least 2 calibration pairs")
-    return float(_costs(np.asarray(theta, dtype=float).reshape(1, 2), arr)[0])
+    x = np.asarray(theta, dtype=float).reshape(1, 2)
+    scale, offset = x[0].tolist()
+    # each residual as _costs computes it, in the same operation order
+    _check_cost_bound((scale * r + offset - t for r, t in arr.tolist()),
+                      "calibration cost can overflow, or is not finite, at "
+                      "these parameters")
+    return float(_costs(x, arr)[0])
 
 
 def _pso_step(x, v, best_x, best_cost, g_best, pairs, cfg: PsoConfig, rng):
@@ -170,16 +190,11 @@ def calibrate_with_trace(pairs, cfg: PsoConfig | None = None):
         raise InsufficientData("need at least 2 calibration pairs")
     raw, truth = arr.T.tolist()
     # in the bounds a residual scale * raw + offset - truth is at most
-    # a |raw| + b + |truth| in size; twice the sum of squares leaves room for
-    # rounding. Python floats overflow to inf without a warning.
+    # a |raw| + b + |truth| in size
     a, b = max(map(abs, cfg.scale_bounds)), max(map(abs, cfg.offset_bounds))
-    cost_bound = 0.0
-    for r, t in zip(raw, truth):
-        e = a * abs(r) + b + abs(t)
-        cost_bound += e * e
-    if not 2.0 * cost_bound < math.inf:
-        raise DegenerateData("calibration pairs are too large for the search "
-                             "bounds: the fit's cost can overflow")
+    _check_cost_bound((a * abs(r) + b + abs(t) for r, t in zip(raw, truth)),
+                      "calibration pairs are too large for the search bounds: "
+                      "the fit's cost can overflow")
     if max(raw) - min(raw) < 1e-12:
         raise DegenerateData("raw depth values are all identical")
 

@@ -125,9 +125,11 @@ class SensorFrameBundle:
     staleness: dict
 
     def __post_init__(self):
+        # the negated form also rejects nan, which no bound would catch
         for name, value in self.staleness.items():
-            if value < 0:
-                raise ValueError(f"negative staleness for {name}")
+            if not 0 <= value < math.inf:
+                raise ValueError(f"staleness for {name} must be finite and "
+                                 f"non-negative, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -165,7 +165,7 @@ class SceneConfig:
     intrinsics: Intrinsics = field(default_factory=lambda: DEFAULT_INTRINSICS)
     rig: RigExtrinsics = field(default_factory=default_rig)
     tag: TagGeometry = field(default_factory=TagGeometry)
-    depth_params: CalibrationParams = IDENTITY_CALIBRATION
+    calibration: CalibrationParams = IDENTITY_CALIBRATION
     follower: FollowerConfig = field(default_factory=FollowerConfig)
     rates: SampleRates = field(default_factory=SampleRates)
     yaw_amplitude: float = 0.15
@@ -461,7 +461,7 @@ class Simulator:
 
     def _depth_record(self, t: float, n: float) -> dict:
         d = self.trajectory.depth(t)
-        raw = (d - self.scene.depth_params.offset) / self.scene.depth_params.scale
+        raw = (d - self.scene.calibration.offset) / self.scene.calibration.scale
         return {"t": t, "kind": "depth", "raw": raw + self.noise.depth_sigma * n}
 
     def _truth_record(self, t: float) -> dict:

@@ -696,7 +696,7 @@ def run_frames(tmp_path_factory):
         path.write_text(text, encoding="utf-8")
         cfg = load_run_config(path)
         for seed in (1, 2, 3):
-            sim = Simulator(dataclasses.replace(cfg.trajectory, seed=seed), cfg.scene(),
+            sim = Simulator(dataclasses.replace(cfg.trajectory, seed=seed), cfg,
                             dataclasses.replace(cfg.noise, seed=seed))
             frames[run, seed] = [rec["corners"] for rec in sim.stream()
                                  if rec["kind"] == "tag"]

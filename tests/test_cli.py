@@ -182,6 +182,19 @@ class TestEstimate:
         times = [e["t"] for e in ests]
         assert times == sorted(times)
 
+    def test_every_line_is_the_compact_json_of_its_dict(self, tmp_path):
+        config = tmp_path / "run.yaml"
+        config.write_text("simulation: {trajectory: {duration: 4.0}}\n", encoding="utf-8")
+        data, out = tmp_path / "run.jsonl", tmp_path / "est.jsonl"
+        assert cli.main(["simulate", "--config", str(config), "--seed", "3",
+                         "--out", str(data)]) == 0
+        assert cli.main(["estimate", str(data), "--config", str(config),
+                         "--out", str(out)]) == 0
+        lines = out.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert {json.loads(line)["method"] for line in lines} == {"cpnp", "cd"}
+        for line in lines:
+            assert line == json.dumps(json.loads(line), separators=(",", ":")) + "\n"
+
     def test_no_tag_records_warns_and_writes_empty(self, tmp_path, caplog):
         data = tmp_path / "quiet.jsonl"
         dataset.write_records(data, [

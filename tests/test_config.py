@@ -1,12 +1,18 @@
+import dataclasses
 import logging
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from aquapos.config import DEFAULT_SEED, RunConfig, load_intrinsics, load_run_config
 from aquapos.errors import ConfigError
+from aquapos.simulator import SceneConfig
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _write(tmp_path, text, name="run.yaml"):
@@ -39,12 +45,36 @@ class TestDefaults:
         )
         assert cfg.staleness_bound == base.staleness_bound
 
-    def test_scene_mirrors_config(self):
-        cfg = RunConfig()
-        scene = cfg.scene()
-        assert scene.intrinsics is cfg.intrinsics
-        assert scene.rig is cfg.rig
-        assert scene.yaw_amplitude == cfg.yaw_amplitude
+    def test_run_config_is_the_scene_plus_run_settings(self):
+        cfg = load_run_config(None)
+        assert isinstance(cfg, SceneConfig)
+        scene_fields = {f.name for f in dataclasses.fields(SceneConfig)}
+        assert scene_fields.isdisjoint(RunConfig.__annotations__)
+
+
+def _assert_fields_equal(got, want, where):
+    """Dataclasses compared field by field, arrays by value."""
+    if dataclasses.is_dataclass(want):
+        assert type(got) is type(want), where
+        for f in dataclasses.fields(want):
+            _assert_fields_equal(getattr(got, f.name), getattr(want, f.name),
+                                 f"{where}.{f.name}")
+    elif isinstance(want, np.ndarray):
+        assert np.array_equal(got, want), where
+    else:
+        assert got == want, (where, got, want)
+
+
+class TestReadmeSchema:
+    def test_documented_schema_is_the_default_configuration(self, tmp_path):
+        text = README.read_text(encoding="utf-8")
+        start = text.index("```yaml\n", text.index("## Configuration")) + 8
+        raw = yaml.safe_load(text[start:text.index("```", start)])
+        del raw["intrinsics_file"]  # the default intrinsics are built in
+        cfg = load_run_config(_write(tmp_path, yaml.safe_dump(raw)))
+        assert cfg.marker_offset == (0.0, 0.0, 0.0)
+        _assert_fields_equal(dataclasses.replace(cfg, marker_offset=None), RunConfig(),
+                             "config")
 
 
 class TestSections:

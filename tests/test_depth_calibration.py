@@ -49,6 +49,21 @@ class TestCost:
         with pytest.raises(ValueError):
             calibration_cost((1.0, 0.0, 0.5), [(1.0, 2.0), (2.0, 4.0)])
 
+    @pytest.mark.parametrize("theta, pairs", [
+        ((1.0, 0.0), [(1e308, 1.0), (-1e308, 2.0)]),
+        ((1e200, 0.0), [(1e200, 1.0), (2.0, 2.0)]),
+        # a cost of 1.2e308 is finite but leaves no room for rounding
+        ((1.0, 0.0), [(7.75e153, 0.0), (7.75e153, 0.0)]),
+    ])
+    def test_pairs_whose_cost_can_overflow_are_rejected(self, theta, pairs):
+        # raised before numpy could warn about the overflow
+        with pytest.raises(DegenerateData, match="can overflow"):
+            calibration_cost(theta, pairs)
+
+    def test_large_pairs_with_small_residuals_keep_their_cost(self):
+        assert calibration_cost((1.0, 0.0), [(1e300, 1e300), (-1e300, -1e300)]) == 0.0
+        assert calibration_cost((1.0, 0.5), [(1e150, 1e150), (2.0, 2.0)]) == 0.25
+
 
 def _swarm(*particles):
     """(x, v, best_x, best_cost) arrays from (position, velocity, best position,
@@ -298,7 +313,7 @@ class TestApplyAndParams:
 
     def test_dict_round_trip(self):
         p = CalibrationParams(1.07, -0.013)
-        q = CalibrationParams.from_dict(p.to_dict())
+        q = CalibrationParams(**p.to_dict())
         assert (q.scale, q.offset) == (1.07, -0.013)
 
     def test_zero_scale_rejected(self):

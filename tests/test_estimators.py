@@ -441,6 +441,12 @@ class TestTypes:
         with pytest.raises(ValueError):
             SensorFrameBundle(0.0, None, None, None, {"pose": -0.1})
 
+    @pytest.mark.parametrize("age", [math.nan, math.inf])
+    def test_bundle_rejects_non_finite_staleness(self, age):
+        # a nan age compares false with every bound, so the stream would pass as fresh
+        with pytest.raises(ValueError, match="pose"):
+            SensorFrameBundle(0.0, None, None, None, {"pose": age})
+
 
 # finite floats over the whole double range, mixed with sensor-scale values
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -643,7 +649,7 @@ class TestCameraToWorldMemo:
 
         cfg = load_run_config(None)
         spec = dataclasses.replace(cfg.trajectory, duration=4.0)
-        records, _ = Simulator(spec, cfg.scene(), cfg.noise).run()
+        records, _ = Simulator(spec, cfg, cfg.noise).run()
         composed, synced = [], []
         compose = estimators.compose
         monkeypatch.setattr(estimators, "compose",
@@ -709,7 +715,7 @@ class TestConstructionCounts:
     def dense_imu_records(self):
         cfg = load_run_config(None)
         spec = dataclasses.replace(cfg.trajectory, duration=3.0)
-        scene = dataclasses.replace(cfg.scene(),
+        scene = dataclasses.replace(cfg,
                                     rates=dataclasses.replace(cfg.rates, imu=400.0))
         records, _ = Simulator(spec, scene, cfg.noise).run()
         assert sum(r["kind"] == "imu" for r in records) >= 1200

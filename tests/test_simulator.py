@@ -319,7 +319,7 @@ class TestSimulatorStreams:
                     r["p"], [float(v) for v in sim.trajectory.position(r["t"])])
 
     def test_depth_raw_is_inverse_affine(self):
-        scene = SceneConfig(depth_params=__import__("aquapos").depth_calibration
+        scene = SceneConfig(calibration=__import__("aquapos").depth_calibration
                             .CalibrationParams(1.3, -0.2))
         spec = TrajectorySpec("square", (2.8, 2.8, 2.0), 0.2, 2.0)
         sim = Simulator(spec, scene, NoiseModel.zero())
@@ -405,7 +405,7 @@ class TestScalarRecordsMatchNumpyFormulas:
          NoiseModel(accel_sigma=0.0, tilt_amplitude=0.0, seed=5)),
     ], ids=["square-noisy", "lawnmower-noiseless", "random-level"])
     def test_records_equal_numpy_reference(self, spec, noise):
-        scene = SceneConfig(depth_params=CalibrationParams(1.05, -0.03))
+        scene = SceneConfig(calibration=CalibrationParams(1.05, -0.03))
         sim = _SurfaceRecorder(spec, scene, noise)
         sim.surfaces = []
         records, _ = sim.run()
@@ -446,7 +446,7 @@ class TestScalarRecordsMatchNumpyFormulas:
                             yaw + noise.slam_yaw_sigma * rng_slam.normal())
                 assert _bits((r["x"], r["y"], r["yaw"])) == _bits(expected)
             elif r["kind"] == "depth":
-                p = scene.depth_params
+                p = scene.calibration
                 raw = (-_numpy_position(spec, t)[2] - p.offset) / p.scale
                 raw = raw + noise.depth_sigma * rng_depth.normal()
                 assert _bits([r["raw"]]) == _bits([raw])
