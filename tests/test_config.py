@@ -10,7 +10,7 @@ import yaml
 
 from aquapos.config import DEFAULT_SEED, RunConfig, load_intrinsics, load_run_config
 from aquapos.errors import ConfigError
-from aquapos.simulator import SceneConfig
+from aquapos.simulator import SceneConfig, Simulator
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -44,6 +44,19 @@ class TestDefaults:
             cfg.rig.camera_in_body.rotation, base.rig.camera_in_body.rotation
         )
         assert cfg.staleness_bound == base.staleness_bound
+
+    def test_scene_mirrors_config(self, tmp_path):
+        cfg = load_run_config(_write(tmp_path, (
+            "tag: {side_length: 0.15}\n"
+            "depth_calibration: {scale: 1.05, offset: -0.03}\n"
+            "simulation: {surface_yaw_amplitude: 0.2, surface_yaw_period: 9.0}\n")))
+        # the loaded config is the scene simulate hands the simulator
+        scene = Simulator(cfg.trajectory, cfg, cfg.noise).scene
+        assert scene.intrinsics is cfg.intrinsics
+        assert scene.rig is cfg.rig
+        assert scene.tag.side_length == 0.15
+        assert (scene.calibration.scale, scene.calibration.offset) == (1.05, -0.03)
+        assert (scene.yaw_amplitude, scene.yaw_period) == (0.2, 9.0)
 
     def test_run_config_is_the_scene_plus_run_settings(self):
         cfg = load_run_config(None)

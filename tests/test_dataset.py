@@ -1,9 +1,12 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from aquapos import cli
+from aquapos.config import load_run_config
 from aquapos.dataset import (
     estimate_to_dict,
     load_pairs_csv,
@@ -13,7 +16,7 @@ from aquapos.dataset import (
     write_records,
 )
 from aquapos.errors import DatasetFormatError
-from aquapos.estimators import PositionEstimate
+from aquapos.estimators import EstimationPipeline, PositionEstimate
 from aquapos.simulator import NoiseModel, Simulator, TrajectorySpec
 
 
@@ -515,3 +518,80 @@ class TestReaderMatchesReference:
         for obj in objects:
             assert (_outcome(lambda o: [validate_record(o)], obj)
                     == _outcome(lambda o: [_ref_validate(o)], obj)), obj
+
+
+# the benchmark's three workload configurations
+_WORKLOAD_CONFIGS = {
+    "square-noisy": "simulation: {trajectory: {duration: 40.0}}\n",
+    "cd-dense-imu": ("depth_calibration: {scale: 1.05, offset: -0.03}\n"
+                     "simulation: {trajectory: {duration: 34.0}, rates: {imu: 400}}\n"),
+    "noiseless-exact": (
+        "simulation:\n"
+        "  trajectory: {pattern: lawnmower, duration: 34.0}\n"
+        "  rates: {camera: 30, imu: 30, depth: 30, slam: 30, truth: 30}\n"
+        "  noise: {pixel_sigma: 0.0, gyro_sigma: 0.0, accel_sigma: 0.0, depth_sigma: 0.0,\n"
+        "          slam_xy_sigma: 0.0, slam_yaw_sigma_deg: 0.0, tilt_amplitude_deg: 0.0}\n"),
+}
+
+
+def _json_line(d):
+    return json.dumps(d, separators=(",", ":")) + "\n"
+
+
+def _estimates_with(value):
+    """Estimates of each diagnostic shape, with value in each number slot in turn."""
+    base = dict(timestamp=1.5, position=[0.25, -0.5, -1.25], roll=0.01, pitch=-0.02)
+    for extra in ({}, {"reproj_rms": 0.3}, {"ray_k": -0.6},
+                  {"reproj_rms": 0.3, "ray_k": -0.6}):
+        fields = {**base, **extra}
+        slots = ["timestamp", 0, 1, 2, "roll", "pitch", *extra]
+        for slot in slots:
+            case = {**fields, "position": list(fields["position"])}
+            if isinstance(slot, int):
+                case["position"][slot] = value
+            else:
+                case[slot] = value
+            method = "cd" if "ray_k" in extra else "cpnp"
+            yield PositionEstimate(case.pop("timestamp"), np.array(case.pop("position")),
+                                   method, **case)
+
+
+class TestEstimateLine:
+    """estimate's lines, the compact json.dumps of estimate_to_dict, read
+    back by read_estimates bit for bit."""
+
+    @pytest.mark.parametrize("workload", sorted(_WORKLOAD_CONFIGS))
+    def test_every_estimate_of_the_workload_runs(self, tmp_path, workload):
+        path = tmp_path / "run.yaml"
+        path.write_text(_WORKLOAD_CONFIGS[workload], encoding="utf-8")
+        cfg = load_run_config(path)
+        methods = set()
+        for seed in (1, 2, 3):
+            spec = dataclasses.replace(cfg.trajectory, seed=seed)
+            noise = dataclasses.replace(cfg.noise, seed=seed)
+            records, _ = Simulator(spec, cfg, noise).run()
+            pipe = EstimationPipeline(cfg.rig, cfg.intrinsics, cfg.tag,
+                                      calibration=cfg.calibration, tilt_config=cfg.tilt)
+            dicts = [estimate_to_dict(e) for rec in records for e in pipe.process(rec)]
+            data, out = tmp_path / f"run{seed}.jsonl", tmp_path / f"est{seed}.jsonl"
+            write_records(data, records)
+            assert cli.main(["estimate", str(data), "--config", str(path),
+                             "--out", str(out)]) == 0
+            assert out.read_text(encoding="utf-8") == "".join(map(_json_line, dicts))
+            # repr keeps -0.0 and 0.0 apart
+            assert repr(read_estimates(out)) == repr(dicts)
+            methods |= {d["method"] for d in dicts}
+        assert methods == {"cpnp", "cd"}
+
+    @pytest.mark.parametrize("value", [-0.0, 5e-324, -5e-324, 1e308, -1e308, 1e16,
+                                       1e-7, 0.1, 123456789.125])
+    def test_hand_picked_floats_in_every_slot(self, tmp_path, value):
+        path = tmp_path / "est.jsonl"
+        for est in _estimates_with(value):
+            d = estimate_to_dict(est)
+            path.write_text(_json_line(d), encoding="utf-8")
+            [back] = read_estimates(path)
+            assert repr(back) == repr(d), d
+            numbers = [back["t"], *back["p"]] + [
+                v for k, v in back.items() if k not in ("t", "method", "p")]
+            assert repr(value) in map(repr, numbers), d
