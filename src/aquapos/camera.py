@@ -58,17 +58,23 @@ DEFAULT_INTRINSICS = Intrinsics(
 )
 
 
-def back_project(K: Intrinsics, px) -> np.ndarray:
-    """Ray through a pixel, scaled to unit camera depth: ((u-cx)/fx, (v-cy)/fy, 1).
+def _pixel_ray(K: Intrinsics, u: float, v: float) -> tuple[float, float, float]:
+    """Ray through pixel (u, v), scaled to unit camera depth, as floats:
+    ((u-cx)/fx, (v-cy)/fy, 1).
 
     Raises BehindCamera for a pixel more than _MAX_RAY_SLOPE focal lengths
     off-axis: its ray lies in the camera plane to within 1e-6 rad.
     """
-    x = (float(px[0]) - K.cx) / K.fx
-    y = (float(px[1]) - K.cy) / K.fy
+    x = (u - K.cx) / K.fx
+    y = (v - K.cy) / K.fy
     if not (abs(x) <= _MAX_RAY_SLOPE and abs(y) <= _MAX_RAY_SLOPE):
         raise BehindCamera("pixel lies too far off the optical axis for a ray")
-    return np.array([x, y, 1.0])
+    return x, y, 1.0
+
+
+def back_project(K: Intrinsics, px) -> np.ndarray:
+    """_pixel_ray of a pixel pair, as an array."""
+    return np.array(_pixel_ray(K, float(px[0]), float(px[1])))
 
 
 def project_point(K: Intrinsics, p_cam) -> np.ndarray:

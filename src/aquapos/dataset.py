@@ -279,7 +279,7 @@ def estimate_to_dict(est) -> dict:
     out = {
         "t": float(est.timestamp),
         "method": est.method,
-        "p": [float(v) for v in est.position],
+        "p": est.position.tolist(),
         "roll": float(est.roll),
         "pitch": float(est.pitch),
     }

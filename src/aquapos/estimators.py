@@ -20,13 +20,16 @@ stream, with one bundle per tag frame for all its methods.
 The per-record path runs on Python floats and builds each object once.
 Inputs are checked where they come in: the public constructors
 (``TagObservation``, ``SensorFrameBundle``, ``PositionEstimate``,
-``RigidTransform``) keep their checks, while the bundle the synchronizer
-makes, the transforms PnP and the pose chain make and the estimates the
-estimators make skip the re-check. The camera-to-world transform is
-composed once per pose and shared by both methods; cd's center pixel,
-ray and plane hit are scalar arithmetic. Only the 3x3 products
-(``compose`` and ``R @ v + t``) stay in numpy, because a scalar sum
-rounds differently from them and the estimates must keep their bytes.
+``RigidTransform``, ``RigExtrinsics``) keep their checks, while the
+bundle the synchronizer makes, the transform PnP makes and the estimates
+the estimators make skip the re-check. The pose chain, from a SLAM pose
+to an estimate, builds and multiplies no array: the camera-to-world
+rotation and translation are float tuples, composed once per pose and
+shared by both methods, and every 3x3 product is summed row by column,
+left to right. numpy would hand those products to the BLAS kernel the
+CPU selects, whose fused multiply-adds round differently from one CPU to
+the next; the scalar sums give the same bits on every host, the bits
+numpy's own products give on a kernel without FMA.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .camera import (
     TagGeometry,
     TagObservation,
     _center,
-    back_project,
+    _pixel_ray,
     solve_pnp_planar,
 )
 from .depth_calibration import IDENTITY_CALIBRATION, CalibrationParams, apply_calibration
@@ -51,10 +54,9 @@ from .errors import AquaposError, NonFiniteEstimate, StaleSensor
 from .geometry import (
     RigidTransform,
     _as_vec3,
+    _euler_zyx,
     _line_zplane_hit,
-    compose,
     euler_zyx_to_rotation,
-    transform_point,
 )
 
 log = logging.getLogger(__name__)
@@ -70,7 +72,9 @@ class RigExtrinsics:
 
     ``body_height`` is the z of the body origin above the water datum;
     it enters the chain as the fixed z component of the body-in-world
-    translation.
+    translation. The floats the pose chain reads, the camera-in-body
+    rotation (row-major) and translation and the body height, are read
+    here once.
     """
 
     camera_in_body: RigidTransform
@@ -79,6 +83,10 @@ class RigExtrinsics:
     def __post_init__(self):
         if not np.isfinite(self.body_height):
             raise ValueError("body_height must be finite")
+        H = self.camera_in_body
+        object.__setattr__(self, "_floats", (tuple(H.rotation.ravel().tolist()),
+                                             tuple(H.translation.tolist()),
+                                             float(self.body_height)))
 
 
 @dataclass(frozen=True)
@@ -177,25 +185,33 @@ def default_rig() -> RigExtrinsics:
     return RigExtrinsics(camera_in_body, body_height=0.05)
 
 
-def build_body_to_world(pose: SurfacePoseState, rig: RigExtrinsics) -> RigidTransform:
-    """Body-in-world transform from SLAM x/y/yaw, filter tilt, hull height."""
-    rotation = euler_zyx_to_rotation(pose.yaw, pose.pitch, pose.roll)
-    translation = np.array([pose.x, pose.y, rig.body_height], dtype=float)
-    return RigidTransform._unchecked(rotation, translation)
+def _camera_to_world(pose: SurfacePoseState, rig: RigExtrinsics) -> tuple:
+    """Camera-in-world (R, t) for a pose: a row-major 9-tuple and a 3-tuple.
 
-
-def _camera_to_world(pose: SurfacePoseState, rig: RigExtrinsics) -> RigidTransform:
-    """Camera-in-world transform for a pose, composed once per pose and rig.
-
-    The pose keeps the last transform with the rig it was made for, so
-    cpnp and cd on one frame, and frames that share a SLAM sample, share
-    one ``compose``; a new pose, from a new SLAM record, starts afresh.
+    R is the pose's Z-Y-X Euler rotation times the rig's camera-in-body
+    rotation and t that rotation applied to the camera-in-body translation
+    plus (x, y, body_height); each product is summed row by column, left
+    to right. The pose keeps the last (R, t) with the rig it was made for,
+    so cpnp and cd on one frame, and frames that share a SLAM sample, share
+    one composition; a new pose, from a new SLAM record, starts afresh.
     """
-    rig_held, H = pose.__dict__.get("_camera_to_world", (None, None))
+    rig_held, chain = pose.__dict__.get("_camera_to_world", (None, None))
     if rig_held is not rig:
-        H = compose(build_body_to_world(pose, rig), rig.camera_in_body)
-        pose.__dict__["_camera_to_world"] = (rig, H)
-    return H
+        a0, a1, a2, a3, a4, a5, a6, a7, a8 = _euler_zyx(pose.yaw, pose.pitch, pose.roll)
+        (b0, b1, b2, b3, b4, b5, b6, b7, b8), (u, v, w), height = rig._floats
+        chain = (
+            (a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7,
+             a0 * b2 + a1 * b5 + a2 * b8,
+             a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7,
+             a3 * b2 + a4 * b5 + a5 * b8,
+             a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7,
+             a6 * b2 + a7 * b5 + a8 * b8),
+            (a0 * u + a1 * v + a2 * w + pose.x,
+             a3 * u + a4 * v + a5 * w + pose.y,
+             a6 * u + a7 * v + a8 * w + height),
+        )
+        pose.__dict__["_camera_to_world"] = (rig, chain)
+    return chain
 
 
 def _check_fresh(bundle: SensorFrameBundle, sources, bound: float):
@@ -228,22 +244,32 @@ def estimate_cpnp(
 
     ``marker_offset`` is an optional lever arm in the marker frame,
     applied through the recovered tag orientation; by default the tag
-    origin itself is reported.
+    origin itself is reported. With (R, t) the camera in the world and
+    (R_tag, t_tag) the tag in the camera, the position is R t_tag + t,
+    plus (R R_tag) m for an offset m.
     """
     _check_fresh(bundle, ("pose", "tag"), staleness_bound)
     tag_pose = solve_pnp_planar(intrinsics, geom, bundle.tag)
-    camera_to_world = _camera_to_world(bundle.pose, rig)
-    if marker_offset is None:
-        position = (camera_to_world.rotation @ tag_pose.transform.translation
-                    + camera_to_world.translation)
-    else:
-        position = transform_point(
-            compose(camera_to_world, tag_pose.transform), marker_offset
-        )
-    _check_finite("cpnp", *position.tolist())
+    R, (tx, ty, tz) = _camera_to_world(bundle.pose, rig)
+    r0, r1, r2, r3, r4, r5, r6, r7, r8 = R
+    u, v, w = tag_pose.transform.translation.tolist()
+    x = r0 * u + r1 * v + r2 * w + tx
+    y = r3 * u + r4 * v + r5 * w + ty
+    z = r6 * u + r7 * v + r8 * w + tz
+    if marker_offset is not None:
+        mx, my, mz = map(float, marker_offset)
+        (q0, q1, q2), (q3, q4, q5), (q6, q7, q8) = tag_pose.transform.rotation.tolist()
+        # each entry of R R_tag is summed before it meets m
+        x += ((r0 * q0 + r1 * q3 + r2 * q6) * mx + (r0 * q1 + r1 * q4 + r2 * q7) * my
+              + (r0 * q2 + r1 * q5 + r2 * q8) * mz)
+        y += ((r3 * q0 + r4 * q3 + r5 * q6) * mx + (r3 * q1 + r4 * q4 + r5 * q7) * my
+              + (r3 * q2 + r4 * q5 + r5 * q8) * mz)
+        z += ((r6 * q0 + r7 * q3 + r8 * q6) * mx + (r6 * q1 + r7 * q4 + r8 * q7) * my
+              + (r6 * q2 + r7 * q5 + r8 * q8) * mz)
+    _check_finite("cpnp", x, y, z)
     return PositionEstimate._unchecked(
         bundle.timestamp,
-        position,
+        np.array([x, y, z]),
         "cpnp",
         roll=bundle.pose.roll,
         pitch=bundle.pose.pitch,
@@ -267,14 +293,17 @@ def estimate_cd(
     be compensated (it shifts the intersection plane).
     """
     _check_fresh(bundle, ("pose", "tag", "depth"), staleness_bound)
-    H = _camera_to_world(bundle.pose, rig)
-    ray = back_project(intrinsics, _center(bundle.tag.corners.tolist()))
-    center_world = (H.rotation @ ray + H.translation).tolist()
+    (r0, r1, r2, r3, r4, r5, r6, r7, r8), t = _camera_to_world(bundle.pose, rig)
+    u, v, _ = _pixel_ray(intrinsics, *_center(bundle.tag.corners.tolist()))
+    # the tag center's ray, at unit camera depth, in the world
+    center_world = (r0 * u + r1 * v + r2 + t[0],
+                    r3 * u + r4 * v + r5 + t[1],
+                    r6 * u + r7 * v + r8 + t[2])
     plane_z = -bundle.depth.depth
     if marker_offset is not None:
         plane_z = plane_z + float(marker_offset[2])
     # the line from the tag center's world point toward the camera origin
-    x, y, k = _line_zplane_hit(H.translation.tolist(), center_world, plane_z)
+    x, y, k = _line_zplane_hit(t, center_world, plane_z)
     _check_finite("cd", x, y, plane_z, k)
     return PositionEstimate._unchecked(
         bundle.timestamp,

@@ -76,12 +76,12 @@ def invert(H: RigidTransform) -> RigidTransform:
     return RigidTransform._unchecked(Rt, -Rt @ H.translation)
 
 
-def euler_zyx_to_rotation(yaw: float, pitch: float, roll: float) -> np.ndarray:
-    """Rotation matrix for a yaw (z), then pitch (y), then roll (x) sequence.
+def _euler_zyx(yaw: float, pitch: float, roll: float) -> tuple:
+    """Row-major entries of Rz(yaw) @ Ry(pitch) @ Rx(roll) as a flat 9-tuple of floats.
 
-    Equals Rz(yaw) @ Ry(pitch) @ Rx(roll), written out entry by entry on
-    Python floats and laid out row-major from a flat 9-tuple. Raises
-    GimbalLockNear when |pitch| is within PITCH_GUARD of 90 degrees.
+    Written out entry by entry on Python floats. Raises ValueError for a
+    non-finite angle and GimbalLockNear when |pitch| is within PITCH_GUARD
+    of 90 degrees.
     """
     if not (math.isfinite(yaw) and math.isfinite(pitch) and math.isfinite(roll)):
         raise ValueError("Euler angles must be finite")
@@ -90,13 +90,20 @@ def euler_zyx_to_rotation(yaw: float, pitch: float, roll: float) -> np.ndarray:
     cy, sy = math.cos(yaw), math.sin(yaw)
     cp, sp = math.cos(pitch), math.sin(pitch)
     cr, sr = math.cos(roll), math.sin(roll)
-    return np.array(
-        (
-            cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr,
-            sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr,
-            -sp, cp * sr, cp * cr,
-        )
-    ).reshape(3, 3)
+    return (
+        cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr,
+        sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr,
+        -sp, cp * sr, cp * cr,
+    )
+
+
+def euler_zyx_to_rotation(yaw: float, pitch: float, roll: float) -> np.ndarray:
+    """Rotation matrix for a yaw (z), then pitch (y), then roll (x) sequence.
+
+    Equals Rz(yaw) @ Ry(pitch) @ Rx(roll): _euler_zyx's entries laid out as
+    a 3x3 array, with its checks.
+    """
+    return np.array(_euler_zyx(yaw, pitch, roll)).reshape(3, 3)
 
 
 @dataclass(frozen=True)

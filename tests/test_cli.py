@@ -1,12 +1,14 @@
 import csv
 import json
 import logging
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import aquapos
 from aquapos import cli, dataset
 from aquapos.estimators import PositionEstimate
 from aquapos.evaluation import align, med
@@ -194,6 +196,34 @@ class TestEstimate:
         assert {json.loads(line)["method"] for line in lines} == {"cpnp", "cd"}
         for line in lines:
             assert line == json.dumps(json.loads(line), separators=(",", ":")) + "\n"
+
+    @pytest.mark.parametrize("offset", [None, [0.01, -0.02, 0.03]])
+    def test_bytes_do_not_depend_on_the_blas_kernel(self, tmp_path, offset):
+        # OpenBLAS picks its kernel by CPU; Prescott's has no fused multiply-add
+        config = tmp_path / "run.yaml"
+        text = "simulation:\n  trajectory:\n    duration: 10.0\n"
+        if offset is not None:
+            text += f"marker_offset: {offset}\n"
+        config.write_text(text, encoding="utf-8")
+        data = tmp_path / "run.jsonl"
+        assert cli.main(["simulate", "--config", str(config), "--out", str(data)]) == 0
+        src = os.path.dirname(os.path.dirname(aquapos.__file__))
+        outputs = []
+        for coretype in (None, "Prescott"):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+            if coretype is not None:
+                env["OPENBLAS_CORETYPE"] = coretype
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            out = tmp_path / f"est-{coretype}.jsonl"
+            proc = subprocess.run(
+                [sys.executable, "-m", "aquapos.cli", "estimate", str(data),
+                 "--config", str(config), "--out", str(out)],
+                env=env, capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0].count(b"\n") == 600
+        assert outputs[0] == outputs[1]
 
     def test_no_tag_records_warns_and_writes_empty(self, tmp_path, caplog):
         data = tmp_path / "quiet.jsonl"

@@ -28,7 +28,7 @@ from aquapos.estimators import (
     SensorFrameBundle,
     SensorSynchronizer,
     SurfacePoseState,
-    build_body_to_world,
+    _camera_to_world,
     estimate_cd,
     estimate_cpnp,
 )
@@ -71,19 +71,22 @@ def _bundle(pose, tag=None, depth=None, t=0.0, stale=None):
     return SensorFrameBundle(t, pose, tag, depth, stale or {})
 
 
-class TestBuildBodyToWorld:
+class TestCameraToWorldChain:
+    """The float chain with the camera mounted on the body origin, unrotated,
+    is the body-in-world transform."""
+
+    RIG = RigExtrinsics(RigidTransform(np.eye(3), np.zeros(3)), 0.05)
+
     def test_zero_pose(self):
-        rig = _down_camera_rig()
-        H = build_body_to_world(SurfacePoseState(0.0, 0.0, 0.0, 0.0), rig)
-        np.testing.assert_array_equal(H.translation, [0.0, 0.0, 0.05])
-        np.testing.assert_array_equal(H.rotation, np.eye(3))
+        R, t = _camera_to_world(SurfacePoseState(0.0, 0.0, 0.0, 0.0), self.RIG)
+        assert t == (0.0, 0.0, 0.05)
+        np.testing.assert_array_equal(np.reshape(R, (3, 3)), np.eye(3))
 
     def test_pure_yaw(self):
-        rig = _down_camera_rig()
-        H = build_body_to_world(SurfacePoseState(0.0, 1.0, 2.0, np.pi / 2), rig)
-        np.testing.assert_array_equal(H.translation, [1.0, 2.0, 0.05])
-        np.testing.assert_allclose(H.rotation, [[0, -1, 0], [1, 0, 0], [0, 0, 1]],
-                                   atol=1e-15)
+        R, t = _camera_to_world(SurfacePoseState(0.0, 1.0, 2.0, np.pi / 2), self.RIG)
+        assert t == (1.0, 2.0, 0.05)
+        np.testing.assert_allclose(np.reshape(R, (3, 3)),
+                                   [[0, -1, 0], [1, 0, 0], [0, 0, 1]], atol=1e-15)
 
     def test_seeded_poses_match_product_oracle(self):
         def rx(a):
@@ -94,17 +97,17 @@ class TestBuildBodyToWorld:
             c, s = np.cos(a), np.sin(a)
             return np.array([[c, 0, s], [0, 1, 0], [-s, 0, c]])
 
-        rig = _down_camera_rig()
         rng = np.random.default_rng(41)
         for _ in range(50):
-            x, y = rng.uniform(-3, 3, size=2)
-            yaw = rng.uniform(-np.pi, np.pi)
-            roll, pitch = rng.uniform(-0.3, 0.3, size=2)
+            x, y = rng.uniform(-3, 3, size=2).tolist()
+            yaw = float(rng.uniform(-np.pi, np.pi))
+            roll, pitch = rng.uniform(-0.3, 0.3, size=2).tolist()
             pose = SurfacePoseState(0.0, x, y, yaw, roll, pitch)
-            H = build_body_to_world(pose, rig)
-            np.testing.assert_array_equal(H.translation, [x, y, 0.05])
-            np.testing.assert_allclose(H.rotation, _rz(yaw) @ ry(pitch) @ rx(roll),
-                                       atol=1e-12)
+            R, t = _camera_to_world(pose, self.RIG)
+            assert t == (x, y, 0.05)
+            assert all(type(v) is float for v in R + t)
+            np.testing.assert_allclose(np.reshape(R, (3, 3)),
+                                       _rz(yaw) @ ry(pitch) @ rx(roll), atol=1e-12)
 
 
 class TestEstimateCpnp:
@@ -545,7 +548,22 @@ class TestPipelineProperty:
                 assert len(out) + skipped == 2
 
 
-# --- reference: the estimators' numpy chain as it was before the scalar path ---
+# --- reference: the estimators' chain as plain Python sums over numpy's rows ---
+# Every 3x3 product is summed row by column, left to right: the rounding
+# numpy's own products give on a BLAS kernel without fused multiply-adds.
+
+
+def _matvec(A, v):
+    return [a0 * v[0] + a1 * v[1] + a2 * v[2] for a0, a1, a2 in A]
+
+
+def _matmul(A, B):
+    columns = list(zip(*B))
+    return [_matvec(columns, row) for row in A]
+
+
+def _plus(a, b):
+    return [x + y for x, y in zip(a, b)]
 
 
 def _ref_camera_to_world(pose, rig):
@@ -554,32 +572,32 @@ def _ref_camera_to_world(pose, rig):
     cr, sr = np.cos(pose.roll), np.sin(pose.roll)
     R = np.array([[cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr],
                   [sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr],
-                  [-sp, cp * sr, cp * cr]])
-    t = np.array([pose.x, pose.y, rig.body_height], dtype=float)
+                  [-sp, cp * sr, cp * cr]]).tolist()
+    t = [float(pose.x), float(pose.y), float(rig.body_height)]
     H = rig.camera_in_body
-    return R @ H.rotation, R @ H.translation + t
+    return _matmul(R, H.rotation.tolist()), _plus(_matvec(R, H.translation.tolist()), t)
 
 
 def _ref_cd(pose, corners, depth, rig, offset=None):
     R, t = _ref_camera_to_world(pose, rig)
     px = (np.asarray(corners, dtype=float) * 0.25).sum(axis=0)
-    ray = np.array([(float(px[0]) - K.cx) / K.fx, (float(px[1]) - K.cy) / K.fy, 1.0])
-    point = R @ ray + t
-    direction = t - point
+    ray = [(float(px[0]) - K.cx) / K.fx, (float(px[1]) - K.cy) / K.fy, 1.0]
+    point = _plus(_matvec(R, ray), t)
+    direction = [a - b for a, b in zip(t, point)]
     plane_z = -depth
     if offset is not None:
         plane_z = plane_z + float(np.asarray(offset, dtype=float)[2])
-    k = (plane_z - float(point[2])) / float(direction[2])
-    return [float(point[0] + k * direction[0]), float(point[1] + k * direction[1]),
-            plane_z], k
+    k = (plane_z - point[2]) / direction[2]
+    return [point[0] + k * direction[0], point[1] + k * direction[1], plane_z], k
 
 
 def _ref_cpnp(pose, tag_pose, rig, offset=None):
     R, t = _ref_camera_to_world(pose, rig)
-    Rt, tt = tag_pose.transform.rotation, tag_pose.transform.translation
+    Rt = tag_pose.transform.rotation.tolist()
+    position = _plus(_matvec(R, tag_pose.transform.translation.tolist()), t)
     if offset is None:
-        return (R @ tt + t).tolist()
-    return ((R @ Rt) @ np.asarray(offset, dtype=float) + (R @ tt + t)).tolist()
+        return position
+    return _plus(_matvec(_matmul(R, Rt), [float(v) for v in offset]), position)
 
 
 def _hex(values):
@@ -651,9 +669,10 @@ class TestCameraToWorldMemo:
         spec = dataclasses.replace(cfg.trajectory, duration=4.0)
         records, _ = Simulator(spec, cfg, cfg.noise).run()
         composed, synced = [], []
-        compose = estimators.compose
-        monkeypatch.setattr(estimators, "compose",
-                            lambda a, b: composed.append(1) or compose(a, b))
+        # the float composition evaluates the pose's Euler entries once
+        euler = estimators._euler_zyx
+        monkeypatch.setattr(estimators, "_euler_zyx",
+                            lambda *a: composed.append(1) or euler(*a))
         synchronize = SensorSynchronizer.synchronize
         monkeypatch.setattr(SensorSynchronizer, "synchronize",
                             lambda *a, **k: synced.append(1) or synchronize(*a, **k))
@@ -758,6 +777,28 @@ class TestConstructionCounts:
             assert last.covariance is cov
         assert first == ["array"] and again == []
         assert all("covariance" not in vars(s) for s in states[:-1])
+
+    @pytest.mark.parametrize("offset", [None, (0.01, -0.02, 0.03)])
+    def test_pose_chain_calls_numpy_only_to_read_and_build_arrays(self, monkeypatch,
+                                                                   offset):
+        import aquapos.estimators as estimators
+
+        rig = _down_camera_rig()
+        pose = SurfacePoseState(0.0, 0.3, -0.2, 0.4, 0.05, -0.03)
+        tag = _synthesize_tag(pose, rig, [0.35, -0.15, -1.2], 0.7)
+        tag_pose = solve_pnp_planar(K, GEOM, tag)
+        monkeypatch.setattr(estimators, "solve_pnp_planar", lambda *a: tag_pose)
+        with _numpy_calls() as cpnp_calls:
+            estimate_cpnp(_bundle(pose, tag), rig, K, GEOM, marker_offset=offset)
+        # a pose of its own, so that cd composes its chain afresh
+        pose = dataclasses.replace(pose)
+        with _numpy_calls() as cd_calls:
+            estimate_cd(_bundle(pose, tag, DepthMeasurement(0.0, 1.2)), rig, K,
+                        marker_offset=offset)
+        # PnP's translation (and rotation, for an offset) or the corners are
+        # read, and the returned position is built
+        assert cpnp_calls == ["tolist"] * (1 if offset is None else 2) + ["array"]
+        assert cd_calls == ["tolist", "array"]
 
     @pytest.mark.parametrize("offset", [None, [0.01, -0.02, 0.03]])
     def test_tag_frame_builds_no_checked_transform(self, dense_imu_records, monkeypatch,
