@@ -72,11 +72,6 @@ def _pixel_ray(K: Intrinsics, u: float, v: float) -> tuple[float, float, float]:
     return x, y, 1.0
 
 
-def back_project(K: Intrinsics, px) -> np.ndarray:
-    """_pixel_ray of a pixel pair, as an array."""
-    return np.array(_pixel_ray(K, float(px[0]), float(px[1])))
-
-
 def project_point(K: Intrinsics, p_cam) -> np.ndarray:
     """Pixel (u, v) for a camera-frame point; raises BehindCamera for z <= 1e-6."""
     p = np.asarray(p_cam, dtype=float)

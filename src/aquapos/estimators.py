@@ -24,12 +24,13 @@ Inputs are checked where they come in: the public constructors
 bundle the synchronizer makes, the transform PnP makes and the estimates
 the estimators make skip the re-check. The pose chain, from a SLAM pose
 to an estimate, builds and multiplies no array: the camera-to-world
-rotation and translation are float tuples, composed once per pose and
-shared by both methods, and every 3x3 product is summed row by column,
-left to right. numpy would hand those products to the BLAS kernel the
-CPU selects, whose fused multiply-adds round differently from one CPU to
-the next; the scalar sums give the same bits on every host, the bits
-numpy's own products give on a kernel without FMA.
+rotation and translation are float tuples, composed by
+``_camera_in_world``, as in the simulator, once per pose and shared by
+both methods, and every 3x3 product is summed row by column, left to
+right. numpy would hand those products to the BLAS kernel the CPU
+selects, whose fused multiply-adds round differently from one CPU to the
+next; the scalar sums give the same bits on every host, the bits numpy's
+own products give on a kernel without FMA.
 """
 
 from __future__ import annotations
@@ -185,31 +186,38 @@ def default_rig() -> RigExtrinsics:
     return RigExtrinsics(camera_in_body, body_height=0.05)
 
 
-def _camera_to_world(pose: SurfacePoseState, rig: RigExtrinsics) -> tuple:
-    """Camera-in-world (R, t) for a pose: a row-major 9-tuple and a 3-tuple.
+def _camera_in_world(yaw: float, pitch: float, roll: float, x: float, y: float,
+                     rig: RigExtrinsics) -> tuple:
+    """Camera-in-world (R, t) of a body pose: a row-major 9-tuple and a 3-tuple.
 
-    R is the pose's Z-Y-X Euler rotation times the rig's camera-in-body
+    R is the body's Z-Y-X Euler rotation times the rig's camera-in-body
     rotation and t that rotation applied to the camera-in-body translation
     plus (x, y, body_height); each product is summed row by column, left
-    to right. The pose keeps the last (R, t) with the rig it was made for,
-    so cpnp and cd on one frame, and frames that share a SLAM sample, share
-    one composition; a new pose, from a new SLAM record, starts afresh.
+    to right. The estimators and the simulator both see the camera through
+    this one composition.
     """
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = _euler_zyx(yaw, pitch, roll)
+    (b0, b1, b2, b3, b4, b5, b6, b7, b8), (u, v, w), height = rig._floats
+    return (
+        (a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7,
+         a0 * b2 + a1 * b5 + a2 * b8,
+         a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7,
+         a3 * b2 + a4 * b5 + a5 * b8,
+         a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7,
+         a6 * b2 + a7 * b5 + a8 * b8),
+        (a0 * u + a1 * v + a2 * w + x,
+         a3 * u + a4 * v + a5 * w + y,
+         a6 * u + a7 * v + a8 * w + height),
+    )
+
+
+def _camera_to_world(pose: SurfacePoseState, rig: RigExtrinsics) -> tuple:
+    """_camera_in_world for a pose, kept on the pose with the rig it was made
+    for: cpnp and cd on one frame, and frames that share a SLAM sample, share
+    one composition; a new pose, from a new SLAM record, starts afresh."""
     rig_held, chain = pose.__dict__.get("_camera_to_world", (None, None))
     if rig_held is not rig:
-        a0, a1, a2, a3, a4, a5, a6, a7, a8 = _euler_zyx(pose.yaw, pose.pitch, pose.roll)
-        (b0, b1, b2, b3, b4, b5, b6, b7, b8), (u, v, w), height = rig._floats
-        chain = (
-            (a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7,
-             a0 * b2 + a1 * b5 + a2 * b8,
-             a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7,
-             a3 * b2 + a4 * b5 + a5 * b8,
-             a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7,
-             a6 * b2 + a7 * b5 + a8 * b8),
-            (a0 * u + a1 * v + a2 * w + pose.x,
-             a3 * u + a4 * v + a5 * w + pose.y,
-             a6 * u + a7 * v + a8 * w + height),
-        )
+        chain = _camera_in_world(pose.yaw, pose.pitch, pose.roll, pose.x, pose.y, rig)
         pose.__dict__["_camera_to_world"] = (rig, chain)
     return chain
 

@@ -6,7 +6,8 @@ vehicle carrying the camera follows it with a proportional visual servo
 on the tag's center pixel. Sensor records (tag corners, IMU, depth,
 SLAM pose, ground truth) are synthesized at configurable rates from the
 analytic world state, with each noise source drawing from its own
-seeded stream so that runs are bit-reproducible.
+seeded stream so that runs are bit-reproducible. Every record is computed
+on Python floats, so no BLAS kernel rounds it and the bytes match on any CPU.
 
 World frame: z up, water surface at z = 0, tank centered on the origin.
 The marker holds its tag flat, normal up; the camera looks down.
@@ -22,11 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attitude import GRAVITY
-from .camera import DEFAULT_INTRINSICS, Intrinsics, TagGeometry, back_project
+from .camera import DEFAULT_INTRINSICS, Intrinsics, TagGeometry, _pixel_ray
 from .depth_calibration import IDENTITY_CALIBRATION, CalibrationParams, _check_seed
 from .errors import BehindCamera, ParallelToPlane, RegionTooSmall
-from .estimators import RigExtrinsics, default_rig
-from .geometry import RigidTransform, _zplane_hit, euler_zyx_to_rotation
+from .estimators import RigExtrinsics, _camera_in_world, default_rig
+from .geometry import _zplane_hit
 
 MARGIN = 0.4  # trajectory inset from the region walls, metres
 
@@ -189,8 +190,8 @@ class MarkerTrajectory:
         if mode not in ("loop", "pingpong", "clamp"):
             raise ValueError(f"unknown mode {mode!r}")
         segs = np.diff(wp, axis=0)
-        lengths = np.linalg.norm(segs, axis=1)
-        if np.any(lengths <= 1e-12):
+        lengths = [math.sqrt(dx * dx + dy * dy) for dx, dy in segs.tolist()]
+        if min(lengths) <= 1e-12:
             raise ValueError("degenerate zero-length segment")
         # the per-sample lookups run on Python floats
         self._wp = wp.tolist()
@@ -229,17 +230,14 @@ class MarkerTrajectory:
             2.0 * math.pi * t / self._depth_period
         )
 
-    def _xyz(self, t: float) -> tuple:
-        """position(t) as a tuple of Python floats."""
+    def position(self, t: float) -> tuple:
+        """The marker's (x, y, z) at time t, as Python floats."""
         s = self._arc(t)
         i = self._segment(s)
         c0 = self._cum[i]
         frac = (s - c0) / (self._cum[i + 1] - c0)
         (x0, y0), (x1, y1) = self._wp[i], self._wp[i + 1]
         return x0 + frac * (x1 - x0), y0 + frac * (y1 - y0), -self.depth(t)
-
-    def position(self, t: float) -> np.ndarray:
-        return np.array(self._xyz(t))
 
     def yaw(self, t: float) -> float:
         return self._headings[self._segment(self._arc(t))]
@@ -284,7 +282,8 @@ def gen_trajectory(spec: TrajectorySpec) -> MarkerTrajectory:
         while total < needed:
             for _ in range(1000):
                 cand = rng.uniform((-bx, -by), (bx, by))
-                leg = float(np.linalg.norm(cand - wp[-1]))
+                dx, dy = (cand - wp[-1]).tolist()
+                leg = math.sqrt(dx * dx + dy * dy)
                 if leg >= 0.5:
                     break
             else:
@@ -309,41 +308,44 @@ class Follower:
     def __init__(self, intrinsics: Intrinsics, cfg: FollowerConfig):
         self.intrinsics = intrinsics
         self.cfg = cfg
-        self._command = np.zeros(2)
+        self._command = (0.0, 0.0)
         self._blind_time = 0.0
 
-    def step(self, center_pixel, camera_to_world: RigidTransform,
-             plane_z: float, dt: float) -> np.ndarray:
-        """One control update; center_pixel is None when the tag was missed."""
+    def step(self, center_pixel, camera_to_world: tuple,
+             plane_z: float, dt: float) -> tuple:
+        """One control update to the command (vx, vy), from the camera-in-world
+        (R, t) of estimators._camera_in_world; center_pixel is None when the
+        tag was missed."""
         if center_pixel is None:
             self._blind_time += dt
             fade = max(0.0, 1.0 - self._blind_time / self.cfg.hold_decay)
-            return self._command * fade
+            vx, vy = self._command
+            return vx * fade, vy * fade
         self._blind_time = 0.0
+        u, v = center_pixel
         try:
-            ray = back_project(self.intrinsics, center_pixel)
+            x, y, _ = _pixel_ray(self.intrinsics, u, v)
         except BehindCamera:
             # a center too far off axis, or not finite, has no ground point:
             # keep the last command, as for a grazing ray
             return self._command
-        err = np.asarray(center_pixel, dtype=float) - np.array(
-            [self.intrinsics.cx, self.intrinsics.cy]
-        )
-        if np.linalg.norm(err) <= self.cfg.deadband_px:
-            self._command = np.zeros(2)
+        ex, ey = u - self.intrinsics.cx, v - self.intrinsics.cy
+        if math.sqrt(ex * ex + ey * ey) <= self.cfg.deadband_px:
+            self._command = (0.0, 0.0)
             return self._command
-        ox, oy, oz = camera_to_world.translation.tolist()
-        dx, dy, dz = (camera_to_world.rotation @ ray).tolist()
+        (r0, r1, r2, r3, r4, r5, r6, r7, r8), (ox, oy, oz) = camera_to_world
         try:
-            gx, gy, _ = _zplane_hit(ox, oy, oz, dx, dy, dz, plane_z)
+            gx, gy, _ = _zplane_hit(ox, oy, oz, r0 * x + r1 * y + r2,
+                                    r3 * x + r4 * y + r5, r6 * x + r7 * y + r8, plane_z)
         except ParallelToPlane:
             # grazing ray, no usable ground point: keep the last command
             return self._command
-        v = np.array([self.cfg.gain_x * (gx - ox), self.cfg.gain_y * (gy - oy)])
-        speed = np.linalg.norm(v)
+        vx, vy = self.cfg.gain_x * (gx - ox), self.cfg.gain_y * (gy - oy)
+        speed = math.sqrt(vx * vx + vy * vy)
         if speed > self.cfg.max_speed:
-            v *= self.cfg.max_speed / speed
-        self._command = v
+            scale = self.cfg.max_speed / speed
+            vx, vy = vx * scale, vy * scale
+        self._command = (vx, vy)
         return self._command
 
 
@@ -366,10 +368,10 @@ def _draws(draw, n: int, shape: tuple = ()):
 class Simulator:
     """Steps the world and emits the merged, time-ordered record stream.
 
-    All records but the camera's are computed on Python floats. Each noise
-    stream is drawn in batches (see _draws), and the k-th record of a
-    stream gets what it would have drawn alone, so the records match a
-    record-by-record draw bit for bit.
+    Every record is computed on Python floats. Each noise stream is drawn
+    in batches (see _draws), and the k-th record of a stream gets what it
+    would have drawn alone, so the records match a record-by-record draw
+    bit for bit.
     """
 
     def __init__(self, spec: TrajectorySpec, scene: SceneConfig | None = None,
@@ -387,12 +389,12 @@ class Simulator:
         self._rng_slam = np.random.default_rng(streams[4])
         self._rng_drop = np.random.default_rng(streams[5])
 
-        x, y, _ = self.trajectory._xyz(0.0)
+        x, y, _ = self.trajectory.position(0.0)
         self._surface_xy = (x + 0.15, y - 0.10)
         self._command = (0.0, 0.0)
         self._t_last = 0.0
         self._follower = Follower(self.scene.intrinsics, self.scene.follower)
-        self._tag_corners = list(self.scene.tag.corners())
+        self._tag_corners = [(x, y) for x, y, _ in self.scene.tag.corners().tolist()]
         self.stats = {"camera_frames": 0, "in_frustum": 0, "tags_emitted": 0}
 
     # --- analytic world state ---------------------------------------
@@ -422,13 +424,10 @@ class Simulator:
         w = 2.0 * math.pi / self.scene.yaw_period
         return self.scene.yaw_amplitude * w * math.cos(w * t)
 
-    def _camera_to_world(self, t: float) -> RigidTransform:
+    def _camera_to_world(self, t: float) -> tuple:
         roll, pitch = self._tilt(t)
-        R_wb = euler_zyx_to_rotation(self._yaw(t), pitch, roll)
-        t_wb = np.array([*self._surface_xy, self.scene.rig.body_height])
-        cam = self.scene.rig.camera_in_body
-        return RigidTransform._unchecked(R_wb @ cam.rotation,
-                                         R_wb @ cam.translation + t_wb)
+        return _camera_in_world(self._yaw(t), pitch, roll, *self._surface_xy,
+                                self.scene.rig)
 
     # --- per-stream record synthesis --------------------------------
     # gn, an, n, pixel_noise: this record's standard-normal draws; u: its uniform draw
@@ -465,25 +464,25 @@ class Simulator:
         return {"t": t, "kind": "depth", "raw": raw + self.noise.depth_sigma * n}
 
     def _truth_record(self, t: float) -> dict:
-        return {"t": t, "kind": "truth", "p": list(self.trajectory._xyz(t))}
+        return {"t": t, "kind": "truth", "p": list(self.trajectory.position(t))}
 
     def _camera_record(self, t: float, dt: float, pixel_noise, u: float):
         """The tag record, or None when the tag is out of view or dropped.
 
-        The projection keeps numpy's 3x3 products: a scalar sum rounds
-        differently from them, and the dataset bytes would move.
-        """
+        Corner c sits at R^T (R_wm c + m - t) in the camera frame, summed left
+        to right; the terms in c's z, 0 in the tag's plane, drop out."""
         self.stats["camera_frames"] += 1
         cam = self._camera_to_world(t)
-        marker = self.trajectory.position(t)
+        (r0, r1, r2, r3, r4, r5, r6, r7, r8), (tx, ty, tz) = cam
+        mx, my, mz = self.trajectory.position(t)
         yaw = self.trajectory.yaw(t)
         c, s = math.cos(yaw), math.sin(yaw)
-        R_wm = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        R_cw = cam.rotation.T
         K = self.scene.intrinsics
         pixels = []
-        for corner in self._tag_corners:
-            x, y, z = (R_cw @ (R_wm @ corner + marker - cam.translation)).tolist()
+        for qx, qy in self._tag_corners:
+            wx, wy, wz = c * qx - s * qy + mx - tx, s * qx + c * qy + my - ty, mz - tz
+            x, y, z = (r0 * wx + r3 * wy + r6 * wz, r1 * wx + r4 * wy + r7 * wz,
+                       r2 * wx + r5 * wy + r8 * wz)
             if z <= 1e-6:
                 break
             px, py = K.fx * x / z + K.cx, K.fy * y / z + K.cy
@@ -491,8 +490,7 @@ class Simulator:
                 break
             pixels.append((px, py))
 
-        record = None
-        center = None
+        record = center = None
         if len(pixels) == 4:
             self.stats["in_frustum"] += 1
             if u >= self.noise.p_drop(self.trajectory.depth(t)):
@@ -506,8 +504,7 @@ class Simulator:
                 center = ((u0 + u1 + u2 + u3) / 4, (v0 + v1 + v2 + v3) / 4)
                 record = {"t": t, "kind": "tag", "corners": corners}
                 self.stats["tags_emitted"] += 1
-        self._command = tuple(
-            self._follower.step(center, cam, marker[2], dt).tolist())
+        self._command = self._follower.step(center, cam, mz, dt)
         return record
 
     # --- main loop ----------------------------------------------------

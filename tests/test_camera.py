@@ -17,8 +17,8 @@ from aquapos.camera import (
     _descend,
     _ippe_seed,
     _normal_equations,
+    _pixel_ray,
     _rotation,
-    back_project,
     project_point,
     quad_area,
     solve_pnp_planar,
@@ -183,19 +183,19 @@ def _project_tag(K, geom, R, t, noise=None, rng=None):
 
 class TestBackProject:
     def test_principal_point(self):
-        p = back_project(BENCH_K, (346.861136, 220.015799))
+        p = _pixel_ray(BENCH_K, 346.861136, 220.015799)
         np.testing.assert_allclose(p, [0, 0, 1], atol=0)
 
     def test_one_metre_offset(self):
-        p = back_project(BENCH_K, (861.038901, 220.015799))
+        p = _pixel_ray(BENCH_K, 861.038901, 220.015799)
         np.testing.assert_allclose(p, [1.0, 0.0, 1.0], atol=1e-9)
 
     def test_unit_intrinsics(self):
         K = Intrinsics(fx=1, fy=1, cx=0.25, cy=0.25, width=1, height=1)
-        np.testing.assert_allclose(back_project(K, (3.25, 4.25)), [3, 4, 1], atol=1e-12)
+        np.testing.assert_allclose(_pixel_ray(K, 3.25, 4.25), [3, 4, 1], atol=1e-12)
 
     def test_z_exactly_one(self):
-        assert back_project(BENCH_K, (12.3, 45.6))[2] == 1.0
+        assert _pixel_ray(BENCH_K, 12.3, 45.6)[2] == 1.0
 
 
 class TestProjectPoint:
@@ -219,7 +219,7 @@ class TestProjectPoint:
             z = rng.uniform(0.2, 3.0)
             p = np.array([rng.uniform(-0.6, 0.6) * z, rng.uniform(-0.4, 0.4) * z, z])
             px = project_point(BENCH_K, p)
-            back = back_project(BENCH_K, px)
+            back = _pixel_ray(BENCH_K, *px.tolist())
             np.testing.assert_allclose(back, p / p[2], atol=1e-9)
 
 

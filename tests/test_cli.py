@@ -205,23 +205,25 @@ class TestEstimate:
         if offset is not None:
             text += f"marker_offset: {offset}\n"
         config.write_text(text, encoding="utf-8")
-        data = tmp_path / "run.jsonl"
-        assert cli.main(["simulate", "--config", str(config), "--out", str(data)]) == 0
         src = os.path.dirname(os.path.dirname(aquapos.__file__))
-        outputs = []
+        datasets, outputs = [], []
         for coretype in (None, "Prescott"):
             env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
             if coretype is not None:
                 env["OPENBLAS_CORETYPE"] = coretype
             env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            data = tmp_path / f"run-{coretype}.jsonl"
             out = tmp_path / f"est-{coretype}.jsonl"
-            proc = subprocess.run(
-                [sys.executable, "-m", "aquapos.cli", "estimate", str(data),
-                 "--config", str(config), "--out", str(out)],
-                env=env, capture_output=True, text=True,
-            )
-            assert proc.returncode == 0, proc.stderr
+            for command in (["simulate", "--out", str(data)],
+                            ["estimate", str(data), "--out", str(out)]):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "aquapos.cli", *command, "--config", str(config)],
+                    env=env, capture_output=True, text=True,
+                )
+                assert proc.returncode == 0, proc.stderr
+            datasets.append(data.read_bytes())
             outputs.append(out.read_bytes())
+        assert datasets[0] == datasets[1]
         assert outputs[0].count(b"\n") == 600
         assert outputs[0] == outputs[1]
 

@@ -7,7 +7,7 @@ import pytest
 from aquapos.attitude import GRAVITY, _tilt
 from aquapos.depth_calibration import CalibrationParams
 from aquapos.errors import RegionTooSmall
-from aquapos.estimators import EstimationPipeline
+from aquapos.estimators import EstimationPipeline, RigExtrinsics, _camera_in_world
 from aquapos.evaluation import align, med
 from aquapos.geometry import RigidTransform, euler_zyx_to_rotation
 from aquapos.simulator import (
@@ -170,10 +170,12 @@ class TestRegionValidation:
 
 class TestFollower:
     K_SCENE = SceneConfig()
+    # a level body at the origin whose camera looks straight down from 5 cm up
+    RIG_DOWN = RigExtrinsics(
+        RigidTransform(euler_zyx_to_rotation(0.0, 0.0, np.pi), np.zeros(3)), 0.05)
 
     def _camera_down(self, x=0.0, y=0.0):
-        return RigidTransform(euler_zyx_to_rotation(0.0, 0.0, np.pi),
-                              np.array([x, y, 0.05]))
+        return _camera_in_world(0.0, 0.0, 0.0, x, y, self.RIG_DOWN)
 
     def test_centered_tag_zero_command(self):
         K = self.K_SCENE.intrinsics
@@ -193,7 +195,8 @@ class TestFollower:
         marker = np.array([0.102, 0.0, -1.0])
 
         def center_pixel(cam):
-            p_cam = cam.rotation.T @ (marker - cam.translation)
+            R, t = cam
+            p_cam = np.reshape(R, (3, 3)).T @ (marker - t)
             return np.array([K.cx + K.fx * p_cam[0] / p_cam[2],
                              K.cy + K.fy * p_cam[1] / p_cam[2]])
 
@@ -219,7 +222,7 @@ class TestFollower:
         v0 = f.step(np.array([K.cx + 80.0, K.cy]), self._camera_down(), -1.0, 1 / 30)
         assert v0[0] > 0
         v1 = f.step(None, self._camera_down(), -1.0, 0.5)
-        np.testing.assert_allclose(v1, v0 * 0.5, atol=1e-15)
+        np.testing.assert_allclose(v1, np.multiply(v0, 0.5), atol=1e-15)
         v2 = f.step(None, self._camera_down(), -1.0, 0.5)
         np.testing.assert_array_equal(v2, [0.0, 0.0])
         v3 = f.step(None, self._camera_down(), -1.0, 0.5)
@@ -362,11 +365,16 @@ class TestSimulatorStreams:
 
 
 class _SurfaceRecorder(Simulator):
-    """Keeps the surface position each SLAM sample reads."""
+    """Keeps the surface position each SLAM sample reads, and the time and
+    surface position of each camera frame."""
 
     def _slam_record(self, t, n):
         self.surfaces.append(self._surface_xy)
         return super()._slam_record(t, n)
+
+    def _camera_record(self, t, dt, pixel_noise, u):
+        self.frames.append((t, self._surface_xy))
+        return super()._camera_record(t, dt, pixel_noise, u)
 
 
 def _bits(values):
@@ -393,22 +401,79 @@ def _numpy_position(spec, t):
     return np.array([xy[0], xy[1], -depth])
 
 
+def _reference_tags(sim):
+    """(t, corners) of each tag record the recorded frames should emit.
+
+    Plain left-to-right sums over the rows of euler_zyx_to_rotation and of
+    the rig, one pixel and one dropout draw per frame, at the surface
+    position the frame read.
+    """
+    scene, noise = sim.scene, sim.noise
+    streams = np.random.SeedSequence(noise.seed).spawn(6)
+    rng_pixel, rng_drop = (np.random.default_rng(streams[i]) for i in (0, 5))
+    K = scene.intrinsics
+    B = scene.rig.camera_in_body.rotation.tolist()
+    b = scene.rig.camera_in_body.translation.tolist()
+    a, f = noise.tilt_amplitude, noise.tilt_frequency
+    tags = []
+    for t, (sx, sy) in sim.frames:
+        n = rng_pixel.normal(size=(4, 2)).tolist()
+        u = rng_drop.uniform()
+        roll = a * math.sin(2.0 * math.pi * f * t)
+        pitch = a * math.sin(2.0 * math.pi * 0.8 * f * t + 0.7)
+        yaw = scene.yaw_amplitude * math.sin(2.0 * math.pi * t / scene.yaw_period)
+        A = euler_zyx_to_rotation(yaw, pitch, roll).tolist()
+        R = [[A[i][0] * B[0][j] + A[i][1] * B[1][j] + A[i][2] * B[2][j] for j in range(3)]
+             for i in range(3)]
+        origin = [A[i][0] * b[0] + A[i][1] * b[1] + A[i][2] * b[2] + o
+                  for i, o in enumerate((sx, sy, scene.rig.body_height))]
+        m = _numpy_position(sim.spec, t).tolist()
+        heading = sim.trajectory.yaw(t)
+        c, s = math.cos(heading), math.sin(heading)
+        R_wm = [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]
+        pixels = []
+        for corner in scene.tag.corners().tolist():
+            w = [r[0] * corner[0] + r[1] * corner[1] + r[2] * corner[2] + m[i] - origin[i]
+                 for i, r in enumerate(R_wm)]
+            x, y, z = (R[0][j] * w[0] + R[1][j] * w[1] + R[2][j] * w[2] for j in range(3))
+            if z > 1e-6:
+                px, py = K.fx * x / z + K.cx, K.fy * y / z + K.cy
+                if 0.0 <= px <= K.width and 0.0 <= py <= K.height:
+                    pixels.append((px, py))
+        if len(pixels) == 4 and u >= noise.p_drop(-m[2]):
+            sigma = noise.pixel_sigma
+            tags.append((t, [[px + sigma * nx, py + sigma * ny]
+                             for (px, py), (nx, ny) in zip(pixels, n)]))
+    return tags
+
+
+_REFERENCE_RUNS = pytest.mark.parametrize("spec, noise", [
+    (TrajectorySpec("square", speed=0.4, duration=30.0, seed=2), NoiseModel(seed=2)),
+    (TrajectorySpec("lawnmower", speed=0.4, duration=40.0), NoiseModel.zero(seed=3)),
+    (TrajectorySpec("random", duration=20.0, seed=5),
+     NoiseModel(accel_sigma=0.0, tilt_amplitude=0.0, seed=5)),
+], ids=["square-noisy", "lawnmower-noiseless", "random-level"])
+
+
+def _recorded_run(spec, noise):
+    scene = SceneConfig(calibration=CalibrationParams(1.05, -0.03))
+    sim = _SurfaceRecorder(spec, scene, noise)
+    sim.surfaces, sim.frames = [], []
+    records, _ = sim.run()
+    return sim, records
+
+
 class TestScalarRecordsMatchNumpyFormulas:
     """IMU, SLAM, depth and truth records equal, bit for bit and signed zeros
     included, the numpy formulas the float-native ones replaced: one draw
-    per sample from each stream, omega and R_wb^T (0, 0, -g) as arrays."""
+    per sample from each stream, omega and R_wb^T (0, 0, -g) as arrays.
+    Tag records equal plain left-to-right float sums, which is what numpy's
+    products give on a BLAS kernel without fused multiply-add."""
 
-    @pytest.mark.parametrize("spec, noise", [
-        (TrajectorySpec("square", speed=0.4, duration=30.0, seed=2), NoiseModel(seed=2)),
-        (TrajectorySpec("lawnmower", speed=0.4, duration=40.0), NoiseModel.zero(seed=3)),
-        (TrajectorySpec("random", duration=20.0, seed=5),
-         NoiseModel(accel_sigma=0.0, tilt_amplitude=0.0, seed=5)),
-    ], ids=["square-noisy", "lawnmower-noiseless", "random-level"])
+    @_REFERENCE_RUNS
     def test_records_equal_numpy_reference(self, spec, noise):
-        scene = SceneConfig(calibration=CalibrationParams(1.05, -0.03))
-        sim = _SurfaceRecorder(spec, scene, noise)
-        sim.surfaces = []
-        records, _ = sim.run()
+        sim, records = _recorded_run(spec, noise)
+        scene = sim.scene
         streams = np.random.SeedSequence(noise.seed).spawn(6)
         rng_gyro, rng_accel, rng_depth, rng_slam = (
             np.random.default_rng(streams[i]) for i in (1, 2, 3, 4))
@@ -455,6 +520,16 @@ class TestScalarRecordsMatchNumpyFormulas:
         assert next(surfaces, None) is None
         # level runs without accelerometer noise write signed zeros
         assert zeros > 0 or noise.accel_sigma > 0
+
+    @_REFERENCE_RUNS
+    def test_tag_records_equal_float_reference(self, spec, noise):
+        sim, records = _recorded_run(spec, noise)
+        tags = [(r["t"], r["corners"]) for r in records if r["kind"] == "tag"]
+        expected = _reference_tags(sim)
+        assert len(tags) == len(expected) > 0
+        for (t, corners), (t_ref, corners_ref) in zip(tags, expected):
+            assert t == t_ref
+            assert _bits(sum(corners, [])) == _bits(sum(corners_ref, []))
 
 
 class TestClosedLoop:
