@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AccelOutOfRange, PitchSingularity
-from .geometry import _as_vec3
+from .geometry import _as_vec3, _floats3
 
 GRAVITY = 9.81
 
@@ -36,7 +36,7 @@ def _as_cov2(M, name: str, positive_definite: bool) -> np.ndarray:
         raise ValueError(f"{name} must be a finite 2x2 matrix")
     if np.max(np.abs(P - P.T)) > 1e-12:
         raise ValueError(f"{name} must be symmetric")
-    P = 0.5 * (P + P.T)
+    P = 0.5 * P + 0.5 * P.T  # halving first cannot overflow
     eigs = np.linalg.eigvalsh(P)
     if positive_definite:
         if eigs[0] <= 0:
@@ -50,19 +50,6 @@ def _entries(P: np.ndarray) -> tuple[float, float, float]:
     """(p00, p01, p11) of a symmetric 2x2 matrix."""
     (p00, p01), (_, p11) = P.tolist()
     return p00, p01, p11
-
-
-def _floats3(v) -> tuple[float, float, float]:
-    """v as a float 3-tuple, with _as_vec3's checks and messages.
-
-    An exact list of three floats with a finite sum is taken as it is; any
-    other value goes through _as_vec3, which gives the verdict.
-    """
-    if type(v) is list and len(v) == 3:
-        x, y, z = v
-        if type(x) is type(y) is type(z) is float and math.isfinite(x + y + z):
-            return x, y, z
-    return tuple(_as_vec3(v).tolist())
 
 
 @dataclass(frozen=True)

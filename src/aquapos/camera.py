@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import mul
 
 import numpy as np
 
 from .errors import BehindCamera, PnPDegenerate, PnPNoConvergence
-from .geometry import RigidTransform
+from .geometry import RigidTransform, _built_on_read
 
 MIN_QUAD_AREA_PX2 = 1.0
 # a corner this many focal lengths off-axis sits within 1e-6 rad of the image
@@ -81,7 +82,7 @@ def project_point(K: Intrinsics, p_cam) -> np.ndarray:
 
 
 def _float_quad(c):
-    """(u0, v0, ..., u3, v3) when c is an exact list of four exact [u, v]
+    """((u0, v0), ..., (u3, v3)) when c is an exact list of four exact [u, v]
     lists of floats whose sum is finite, else None; an inf or nan makes the
     sum inf or nan."""
     if type(c) is list and len(c) == 4:
@@ -95,33 +96,35 @@ def _float_quad(c):
             if (type(u0) is type(v0) is type(u1) is type(v1) is type(u2)
                     is type(v2) is type(u3) is type(v3) is float
                     and math.isfinite(u0 + v0 + u1 + v1 + u2 + v2 + u3 + v3)):
-                return u0, v0, u1, v1, u2, v2, u3, v3
+                return (u0, v0), (u1, v1), (u2, v2), (u3, v3)
     return None
 
 
-@dataclass(frozen=True)
+@_built_on_read("corners", lambda obs: np.array(obs.px))
+@dataclass(frozen=True, init=False)
 class TagObservation:
-    """Four ordered corner pixels of a detected square tag.
-
-    Corners that _float_quad accepts skip the full checks, which decide
-    every other value.
+    """Four ordered corner pixels of a detected square tag, held in ``px`` as
+    four (u, v) float pairs. Corners that _float_quad accepts are kept as it
+    yields them, and the ``corners`` array is built the first time it is read;
+    every other value goes through the full checks, which decide and word
+    the verdict, and keeps the array they make.
     """
 
     timestamp: float
     corners: np.ndarray
 
-    def __post_init__(self):
-        flat = _float_quad(self.corners)
-        if flat is not None:
-            # the array np.asarray(corners, dtype=float) gives, built faster
-            object.__setattr__(self, "corners", np.array(flat).reshape(4, 2))
-            return
-        c = np.asarray(self.corners, dtype=float)
-        if c.shape != (4, 2):
-            raise ValueError(f"expected 4 corner pixels, got shape {c.shape}")
-        if not all(map(math.isfinite, c.ravel().tolist())):
-            raise ValueError("corner pixels must be finite")
-        object.__setattr__(self, "corners", c)
+    def __init__(self, timestamp: float, corners):
+        px = _float_quad(corners)
+        if px is None:
+            c = np.asarray(corners, dtype=float)
+            if c.shape != (4, 2):
+                raise ValueError(f"expected 4 corner pixels, got shape {c.shape}")
+            if not all(map(math.isfinite, c.ravel().tolist())):
+                raise ValueError("corner pixels must be finite")
+            self.__dict__["corners"] = c
+            px = tuple(map(tuple, c.tolist()))
+        # one dict update; a frozen dataclass's __init__ calls object.__setattr__ per field
+        self.__dict__.update(timestamp=timestamp, px=px)
 
 
 def _center(px) -> tuple[float, float]:
@@ -158,10 +161,17 @@ class TagGeometry:
 
 @dataclass(frozen=True)
 class TagPose:
-    """Recovered tag pose in the camera frame plus its reprojection RMS."""
+    """Recovered tag pose in the camera frame plus its reprojection RMS: R
+    row-major as a float 9-tuple and t a float 3-tuple, which ``transform``
+    holds as a RigidTransform of arrays, built the first time it is read."""
 
-    transform: RigidTransform
+    R: tuple
+    t: tuple
     reproj_rms: float
+
+    @cached_property
+    def transform(self) -> RigidTransform:
+        return RigidTransform(np.array(self.R).reshape(3, 3), np.array(self.t))
 
 
 def quad_area(corners) -> float:
@@ -500,7 +510,7 @@ def solve_pnp_planar(K: Intrinsics, geom: TagGeometry, obs: TagObservation) -> T
     with the tag face toward the camera and the lower RMS wins. Raises
     PnPDegenerate for corners that no pose of the tag explains (see _ippe_seed).
     """
-    px = obs.corners.tolist()
+    px = obs.px
     h = 0.5 * geom.side_length
     corners = ((-h, -h), (h, -h), (h, h), (-h, h))
     cands = [[R, t, *terms, 1e-3, False] for R, t in _ippe_seed(K, geom.side_length, px)
@@ -528,8 +538,4 @@ def solve_pnp_planar(K: Intrinsics, geom: TagGeometry, obs: TagObservation) -> T
     if not found:
         raise PnPNoConvergence("pose refinement did not produce a valid pose")
     R, t, cost = min(found, key=lambda c: (_away(c), c[2]))[:3]
-    # the seed and the Rodrigues updates keep R orthonormal to rounding
-    T = RigidTransform._unchecked(np.array(R).reshape(3, 3), np.array(t))
-    pose = object.__new__(TagPose)
-    pose.__dict__.update(transform=T, reproj_rms=math.sqrt(cost / len(px)))
-    return pose
+    return TagPose(R, t, math.sqrt(cost / len(px)))

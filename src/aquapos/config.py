@@ -208,6 +208,16 @@ def _load_simulation(section, cfg: RunConfig) -> RunConfig:
         cfg.follower, _section(section, "follower"), "simulation.follower"
     )
     noise = _load_noise(_section(section, "noise"))
+    # the simulator counts rate * duration records and takes sines of
+    # 2 pi * tilt_frequency * t for t up to duration; both must be finite
+    duration = trajectory.duration
+    for name, rate in vars(rates).items():
+        if not math.isfinite(rate * duration):
+            raise ConfigError(f"simulation.rates.{name}: {rate!r} Hz over "
+                              f"{duration!r} s is not a finite record count")
+    if not math.isfinite(2.0 * math.pi * noise.tilt_frequency * duration):
+        raise ConfigError(f"simulation.noise.tilt_frequency: {noise.tilt_frequency!r} Hz "
+                          f"over {duration!r} s is not a finite tilt phase")
     yaw_amp = _number(section.get("surface_yaw_amplitude", cfg.yaw_amplitude),
                       "simulation.surface_yaw_amplitude")
     yaw_period = _number(section.get("surface_yaw_period", cfg.yaw_period),

@@ -279,7 +279,7 @@ def estimate_to_dict(est) -> dict:
     out = {
         "t": float(est.timestamp),
         "method": est.method,
-        "p": est.position.tolist(),
+        "p": list(est.xyz),
         "roll": float(est.roll),
         "pitch": float(est.pitch),
     }

@@ -74,8 +74,9 @@ class PsoConfig:
             raise ValueError("iterations must be a positive integer")
         if not 0.0 <= self.inertia <= 1.0:
             raise ValueError("inertia must lie in [0, 1]")
-        if self.cognitive < 0.0 or self.social < 0.0:
-            raise ValueError("acceleration coefficients must be non-negative")
+        for name in ("cognitive", "social"):
+            if not 0.0 <= getattr(self, name) < math.inf:  # also rejects nan
+                raise ValueError(f"{name} must be non-negative and finite")
         for lo, hi in (self.scale_bounds, self.offset_bounds):
             if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
                 raise ValueError("bounds must be finite with lower < upper")

@@ -17,13 +17,12 @@ bundles them at a query time with per-source staleness; the
 ``EstimationPipeline`` drives everything from a time-ordered record
 stream, with one bundle per tag frame for all its methods.
 
-The per-record path runs on Python floats and builds each object once.
-Inputs are checked where they come in: the public constructors
-(``TagObservation``, ``SensorFrameBundle``, ``PositionEstimate``,
-``RigidTransform``, ``RigExtrinsics``) keep their checks, while the
-bundle the synchronizer makes, the transform PnP makes and the estimates
-the estimators make skip the re-check. The pose chain, from a SLAM pose
-to an estimate, builds and multiplies no array: the camera-to-world
+A tag frame goes from its corner pixels to its estimate on Python floats
+and builds no array: ``TagObservation``, the PnP ``TagPose`` and
+``PositionEstimate`` hold floats and build ``corners``, ``transform`` and
+``position`` when first read. The public constructors keep their checks,
+with a fast path for exact floats that the estimators take; only the
+synchronizer's bundle skips its constructor. The camera-to-world
 rotation and translation are float tuples, composed by
 ``_camera_in_world``, as in the simulator, once per pose and shared by
 both methods, and every 3x3 product is summed row by column, left to
@@ -55,7 +54,9 @@ from .errors import AquaposError, NonFiniteEstimate, StaleSensor
 from .geometry import (
     RigidTransform,
     _as_vec3,
+    _built_on_read,
     _euler_zyx,
+    _floats3,
     _line_zplane_hit,
     euler_zyx_to_rotation,
 )
@@ -141,9 +142,14 @@ class SensorFrameBundle:
                                  f"non-negative, got {value!r}")
 
 
-@dataclass(frozen=True)
+@_built_on_read("position", lambda est: np.array(est.xyz))
+@dataclass(frozen=True, init=False)
 class PositionEstimate:
-    """One world-frame marker position with method diagnostics."""
+    """One world-frame marker position with method diagnostics.
+
+    ``xyz`` holds the position as a float 3-tuple (see _floats3); the
+    float64 ``position`` array is built from it the first time it is read.
+    """
 
     timestamp: float
     position: np.ndarray
@@ -154,27 +160,14 @@ class PositionEstimate:
     ray_k: float | None = None
     staleness: dict | None = None
 
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        p = np.asarray(self.position, dtype=float)
-        if p.shape != (3,) or not all(map(math.isfinite, p.tolist())):
-            raise ValueError("position must be a finite 3-vector")
-        object.__setattr__(self, "position", p)
-
-    @classmethod
-    def _unchecked(cls, timestamp, position, method, roll=0.0, pitch=0.0,
-                   reproj_rms=None, ray_k=None, staleness=None):
-        """Build from a finite float 3-vector and a known method; skips the checks.
-
-        For the estimators, whose _check_finite has already checked the
-        position; the public constructor keeps its checks.
-        """
-        est = object.__new__(cls)
-        est.__dict__.update(timestamp=timestamp, position=position, method=method,
-                            roll=roll, pitch=pitch, reproj_rms=reproj_rms,
-                            ray_k=ray_k, staleness=staleness)
-        return est
+    def __init__(self, timestamp, position, method, roll=0.0, pitch=0.0,
+                 reproj_rms=None, ray_k=None, staleness=None):
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}")
+        # one dict update; a frozen dataclass's __init__ calls object.__setattr__ per field
+        self.__dict__.update(timestamp=timestamp, xyz=_floats3(position), method=method,
+                             roll=roll, pitch=pitch, reproj_rms=reproj_rms, ray_k=ray_k,
+                             staleness=staleness)
 
 
 def default_rig() -> RigExtrinsics:
@@ -260,13 +253,13 @@ def estimate_cpnp(
     tag_pose = solve_pnp_planar(intrinsics, geom, bundle.tag)
     R, (tx, ty, tz) = _camera_to_world(bundle.pose, rig)
     r0, r1, r2, r3, r4, r5, r6, r7, r8 = R
-    u, v, w = tag_pose.transform.translation.tolist()
+    u, v, w = tag_pose.t
     x = r0 * u + r1 * v + r2 * w + tx
     y = r3 * u + r4 * v + r5 * w + ty
     z = r6 * u + r7 * v + r8 * w + tz
     if marker_offset is not None:
         mx, my, mz = map(float, marker_offset)
-        (q0, q1, q2), (q3, q4, q5), (q6, q7, q8) = tag_pose.transform.rotation.tolist()
+        q0, q1, q2, q3, q4, q5, q6, q7, q8 = tag_pose.R
         # each entry of R R_tag is summed before it meets m
         x += ((r0 * q0 + r1 * q3 + r2 * q6) * mx + (r0 * q1 + r1 * q4 + r2 * q7) * my
               + (r0 * q2 + r1 * q5 + r2 * q8) * mz)
@@ -275,15 +268,10 @@ def estimate_cpnp(
         z += ((r6 * q0 + r7 * q3 + r8 * q6) * mx + (r6 * q1 + r7 * q4 + r8 * q7) * my
               + (r6 * q2 + r7 * q5 + r8 * q8) * mz)
     _check_finite("cpnp", x, y, z)
-    return PositionEstimate._unchecked(
-        bundle.timestamp,
-        np.array([x, y, z]),
-        "cpnp",
-        roll=bundle.pose.roll,
-        pitch=bundle.pose.pitch,
-        reproj_rms=tag_pose.reproj_rms,
-        staleness=dict(bundle.staleness),
-    )
+    # every field by position: a keyword call to the class builds a dict
+    return PositionEstimate(bundle.timestamp, [x, y, z], "cpnp", bundle.pose.roll,
+                            bundle.pose.pitch, tag_pose.reproj_rms, None,
+                            dict(bundle.staleness))
 
 
 def estimate_cd(
@@ -302,7 +290,7 @@ def estimate_cd(
     """
     _check_fresh(bundle, ("pose", "tag", "depth"), staleness_bound)
     (r0, r1, r2, r3, r4, r5, r6, r7, r8), t = _camera_to_world(bundle.pose, rig)
-    u, v, _ = _pixel_ray(intrinsics, *_center(bundle.tag.corners.tolist()))
+    u, v, _ = _pixel_ray(intrinsics, *_center(bundle.tag.px))
     # the tag center's ray, at unit camera depth, in the world
     center_world = (r0 * u + r1 * v + r2 + t[0],
                     r3 * u + r4 * v + r5 + t[1],
@@ -313,15 +301,8 @@ def estimate_cd(
     # the line from the tag center's world point toward the camera origin
     x, y, k = _line_zplane_hit(t, center_world, plane_z)
     _check_finite("cd", x, y, plane_z, k)
-    return PositionEstimate._unchecked(
-        bundle.timestamp,
-        np.array([x, y, plane_z]),
-        "cd",
-        roll=bundle.pose.roll,
-        pitch=bundle.pose.pitch,
-        ray_k=k,
-        staleness=dict(bundle.staleness),
-    )
+    return PositionEstimate(bundle.timestamp, [x, y, plane_z], "cd", bundle.pose.roll,
+                            bundle.pose.pitch, None, k, dict(bundle.staleness))
 
 
 class SensorSynchronizer:
@@ -457,26 +438,13 @@ class EstimationPipeline:
             for method in self.methods:
                 try:
                     if method == "cpnp":
-                        estimates.append(
-                            estimate_cpnp(
-                                bundle,
-                                self.rig,
-                                self.intrinsics,
-                                self.tag_geometry,
-                                self.staleness_bound,
-                                self.marker_offset,
-                            )
-                        )
+                        estimates.append(estimate_cpnp(
+                            bundle, self.rig, self.intrinsics, self.tag_geometry,
+                            self.staleness_bound, self.marker_offset))
                     else:
-                        estimates.append(
-                            estimate_cd(
-                                bundle,
-                                self.rig,
-                                self.intrinsics,
-                                self.staleness_bound,
-                                self.marker_offset,
-                            )
-                        )
+                        estimates.append(estimate_cd(
+                            bundle, self.rig, self.intrinsics,
+                            self.staleness_bound, self.marker_offset))
                 except AquaposError as exc:
                     self.counters[f"{method}_skipped"] += 1
                     log.debug("t=%.3f: %s skipped (%s)", t, method, exc)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +25,31 @@ def _as_vec3(p) -> np.ndarray:
     if not all(map(math.isfinite, v.tolist())):
         raise ValueError("vector components must be finite")
     return v
+
+
+def _floats3(v) -> tuple[float, float, float]:
+    """v as a float 3-tuple, with _as_vec3's checks and messages.
+
+    An exact list of three floats with a finite sum is taken as it is; any
+    other value goes through _as_vec3, which gives the verdict.
+    """
+    if type(v) is list and len(v) == 3:
+        x, y, z = v
+        if type(x) is type(y) is type(z) is float and math.isfinite(x + y + z):
+            return x, y, z
+    return tuple(_as_vec3(v).tolist())
+
+
+def _built_on_read(name: str, build):
+    """Class decorator for a dataclass field that the constructor may leave out
+    of the instance dict: its first read then makes build(self) and keeps it.
+    It goes over @dataclass, which would take a class attribute as the default."""
+    def decorate(cls):
+        attr = cached_property(build)
+        attr.__set_name__(cls, name)
+        setattr(cls, name, attr)
+        return cls
+    return decorate
 
 
 @dataclass(frozen=True)

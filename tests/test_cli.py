@@ -319,6 +319,17 @@ class TestEstimate:
         assert captured.err == ""
         assert out.read_text(encoding="utf-8") == ""
 
+    def test_huge_gyro_variance_runs_without_warnings(self, tmp_path, capsys):
+        # twice 1e308 overflows: the covariance checks must not form it
+        config = tmp_path / "run.yaml"
+        config.write_text("tilt_filter: {gyro_var: 1.0e+308}\n"
+                          "simulation:\n  trajectory: {duration: 2.0}\n", encoding="utf-8")
+        data, out = tmp_path / "run.jsonl", tmp_path / "est.jsonl"
+        assert cli.main(["simulate", "--config", str(config), "--out", str(data)]) == 0
+        rc = cli.main(["estimate", str(data), "--config", str(config), "--out", str(out)])
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_missing_dataset_exits_1(self, tmp_path, capsys):
         rc = cli.main(["estimate", str(tmp_path / "absent.jsonl"),
                        "--out", str(tmp_path / "e.jsonl")])
@@ -496,6 +507,15 @@ class TestValuesOnlyTheConstructorsCanReject:
          "simulation.rates.imu: expected a number, got True"),
         ("calibrate-depth", "staleness_bound: '0.3'", [],
          "staleness_bound: expected a number, got '0.3'"),
+        ("calibrate-depth", "pso: {cognitive: .inf}", [],
+         "pso: cognitive must be non-negative and finite"),
+        ("calibrate-depth", "pso: {social: .inf}", [],
+         "pso: social must be non-negative and finite"),
+        ("simulate", "simulation:\n  rates: {imu: 1.0e+308}", [],
+         "simulation.rates.imu: 1e+308 Hz over 120.0 s is not a finite record count"),
+        ("simulate", "simulation:\n  noise: {tilt_frequency: 1.0e+308}", [],
+         "simulation.noise.tilt_frequency: 1e+308 Hz over 120.0 s is not a finite "
+         "tilt phase"),
     ])
     def test_bad_value_is_usage_error(self, tmp_path, capsys, command,
                                       config_text, extra, message):

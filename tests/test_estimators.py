@@ -421,9 +421,14 @@ class TestTypes:
         with pytest.raises(ValueError):
             PositionEstimate(0.0, [np.inf, 0.0, 0.0], "cd")
 
-    def test_estimators_build_what_the_constructor_builds(self):
-        # the estimators skip the public constructor's checks, not its result
+    def test_estimators_build_what_the_constructor_builds(self, monkeypatch):
+        # the estimators go through the public constructor's float path, and
+        # what it keeps is what the constructor makes of the position's array
         fields = [f.name for f in dataclasses.fields(PositionEstimate)]
+        checked = []
+        init = PositionEstimate.__init__
+        monkeypatch.setattr(PositionEstimate, "__init__",
+                            lambda self, *a, **k: checked.append(1) or init(self, *a, **k))
         for rig, pose, tag, depth, offset in _random_frames(20, 31):
             bundle = _bundle(pose, tag, DepthMeasurement(0.0, depth), t=0.02,
                              stale={"pose": 0.01})
@@ -431,14 +436,17 @@ class TestTypes:
                         estimate_cd(bundle, rig, K, marker_offset=offset)):
                 assert (est.timestamp, est.roll, est.pitch) == (0.02, pose.roll, pose.pitch)
                 assert (est.reproj_rms is None) == (est.method == "cd") == (est.ray_k is not None)
+                assert all(type(v) is float for v in est.xyz)
                 ref = PositionEstimate(**{name: getattr(est, name) for name in fields})
                 assert est.position.dtype == np.float64 and est.position.shape == (3,)
-                assert _hex(est.position) == _hex(ref.position)
+                assert _hex(est.xyz) == _hex(est.position) == _hex(ref.xyz)
                 for name in fields:
                     if name != "position":
                         assert getattr(est, name) == getattr(ref, name)
                 assert est.staleness == {"pose": 0.01}
                 assert est.staleness is not bundle.staleness
+        # 20 frames, two methods, and each estimate's rebuilt reference
+        assert len(checked) == 20 * 2 * 2
 
     def test_bundle_rejects_negative_staleness(self):
         with pytest.raises(ValueError):
@@ -779,8 +787,7 @@ class TestConstructionCounts:
         assert all("covariance" not in vars(s) for s in states[:-1])
 
     @pytest.mark.parametrize("offset", [None, (0.01, -0.02, 0.03)])
-    def test_pose_chain_calls_numpy_only_to_read_and_build_arrays(self, monkeypatch,
-                                                                   offset):
+    def test_pose_chain_calls_no_numpy(self, monkeypatch, offset):
         import aquapos.estimators as estimators
 
         rig = _down_camera_rig()
@@ -795,10 +802,47 @@ class TestConstructionCounts:
         with _numpy_calls() as cd_calls:
             estimate_cd(_bundle(pose, tag, DepthMeasurement(0.0, 1.2)), rig, K,
                         marker_offset=offset)
-        # PnP's translation (and rotation, for an offset) or the corners are
-        # read, and the returned position is built
-        assert cpnp_calls == ["tolist"] * (1 if offset is None else 2) + ["array"]
-        assert cd_calls == ["tolist", "array"]
+        assert cpnp_calls == [] and cd_calls == []
+
+    @pytest.mark.parametrize("offset", [None, [0.01, -0.02, 0.03]])
+    def test_tag_records_call_no_numpy(self, dense_imu_records, offset):
+        cfg, records = dense_imu_records
+        pipe = EstimationPipeline(cfg.rig, cfg.intrinsics, cfg.tag, marker_offset=offset)
+        estimates = []
+        for rec in records:
+            if rec["kind"] != "tag":
+                pipe.process(rec)
+                continue
+            with _numpy_calls() as calls:
+                estimates += pipe.process(rec)
+            assert calls == [], rec
+        assert [e.method for e in estimates] == ["cpnp", "cd"] * (len(estimates) // 2)
+        assert len(estimates) == 2 * sum(r["kind"] == "tag" for r in records)
+
+    def test_arrays_are_built_once_and_only_when_read(self, dense_imu_records):
+        cfg, records = dense_imu_records
+        pipe = EstimationPipeline(cfg.rig, cfg.intrinsics, cfg.tag)
+        estimates = [e for rec in records for e in pipe.process(rec)]
+        last = [rec for rec in records if rec["kind"] == "tag"][-1]
+        tag = TagObservation(last["t"], last["corners"])
+        tag_pose = solve_pnp_planar(cfg.intrinsics, cfg.tag, tag)
+        for obj, name in [(e, "position") for e in estimates[-2:]] + [
+                (tag, "corners"), (tag_pose, "transform")]:
+            assert name not in vars(obj)
+            with _numpy_calls() as first:
+                value = getattr(obj, name)
+            with _numpy_calls() as again:
+                assert getattr(obj, name) is value
+            # the transform's public constructor checks its arrays
+            assert first == ["array"] or name == "transform" and first
+            assert again == []
+        assert all("position" not in vars(e) for e in estimates[:-2])
+        # each array holds its floats' bits
+        assert _hex(estimates[-1].position) == _hex(estimates[-1].xyz)
+        assert [_hex(c) for c in tag.corners] == [_hex(c) for c in tag.px]
+        T = tag_pose.transform
+        assert _hex(T.rotation.ravel()) == _hex(tag_pose.R)
+        assert _hex(T.translation) == _hex(tag_pose.t)
 
     @pytest.mark.parametrize("offset", [None, [0.01, -0.02, 0.03]])
     def test_tag_frame_builds_no_checked_transform(self, dense_imu_records, monkeypatch,
