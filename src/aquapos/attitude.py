@@ -9,11 +9,10 @@ The filter runs on Python floats: the state is (roll, pitch) plus the
 three distinct entries (p00, p01, p11) of its symmetric covariance, and
 one kernel runs a sample's predict and update as closed-form 2x2 algebra
 on those five floats. ``ImuSample`` stores its readings as float
-3-tuples. The numpy matrices of ``TiltConfig`` and the public
-``TiltState`` constructor are checked once, where they come in; states
-made inside the filter get the same checks in scalar form. The tracker
-returns a ``TiltState`` per accepted sample that keeps the five floats
-and builds its covariance array only when it is read.
+3-tuples. States made inside the filter pass the ``TiltState``
+constructor's checks in scalar form. The tracker returns a ``TiltState``
+per accepted sample that keeps the five floats and builds its covariance
+array only when it is read.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from .errors import AccelOutOfRange, PitchSingularity
 from .geometry import _as_vec3, _floats3
 
 GRAVITY = 9.81
+MAX_VARIANCE = 1e150  # the filter multiplies two covariance entries
 
 
 def _as_cov2(M, name: str, positive_definite: bool) -> np.ndarray:
@@ -110,8 +110,11 @@ def _checked(roll, pitch, p00, p01, p11) -> tuple:
 
 
 class _FilterState(TiltState):
-    """A TiltState made inside the filter from a checked state tuple _x,
-    whose covariance array is built the first time it is read."""
+    """A TiltState made inside the filter from a state tuple x that _checked
+    returned, whose covariance array is built the first time it is read."""
+
+    def __init__(self, x: tuple):
+        self.__dict__.update(roll=x[0], pitch=x[1], _x=x)
 
     @cached_property
     def covariance(self) -> np.ndarray:
@@ -119,19 +122,13 @@ class _FilterState(TiltState):
         return np.array([[p00, p01], [p01, p11]])
 
 
-def _as_state(x) -> TiltState:
-    """TiltState from a checked state tuple, without checking it again."""
-    state = object.__new__(_FilterState)
-    state.__dict__.update(roll=x[0], pitch=x[1], _x=x)
-    return state
-
-
 @dataclass(frozen=True)
 class TiltConfig:
     """Noise settings for the tilt filter.
 
     r must be positive definite (it is inverted in the update); q and p0 may
-    be semi-definite, which freezes the corresponding state directions.
+    be semi-definite, which freezes the corresponding state directions, and
+    their entries may not exceed MAX_VARIANCE, whose square is finite.
     """
 
     q: np.ndarray = field(default_factory=lambda: np.diag([1e-6, 1e-6]))
@@ -142,6 +139,9 @@ class TiltConfig:
         object.__setattr__(self, "q", _as_cov2(self.q, "q", False))
         object.__setattr__(self, "r", _as_cov2(self.r, "r", True))
         object.__setattr__(self, "p0", _as_cov2(self.p0, "p0", False))
+        for name in ("q", "p0"):
+            if np.max(np.abs(getattr(self, name))) > MAX_VARIANCE:
+                raise ValueError(f"{name} entries must not exceed {MAX_VARIANCE:g}")
 
 
 def _propagate(roll, pitch, wx, wy, wz, dt):
@@ -258,7 +258,7 @@ def ekf_update(state: TiltState, accel, cfg: TiltConfig) -> TiltState:
     """Correct the state with the accelerometer tilt observation (H = I)."""
     x = _step((state.roll, state.pitch, *_entries(state.covariance)), None, 0.0,
               None, _tilt(*_as_vec3(accel).tolist()), _entries(cfg.r))
-    return _as_state(x)
+    return _FilterState(x)
 
 
 class TiltTracker:
@@ -303,5 +303,5 @@ class TiltTracker:
                 # every later predict from this state would raise as well
                 self._seed_next = True
                 raise
-        state = self.state = _as_state(x)
+        state = self.state = _FilterState(x)
         return state

@@ -165,16 +165,17 @@ def _load_rig(section) -> RigExtrinsics:
 
 
 def _load_tilt(section) -> TiltConfig:
-    _check_keys(section, ("gyro_var", "accel_var", "initial_var"), "tilt_filter")
-    base = TiltConfig()
-    q, r, p0 = (_number(section.get(key, default), f"tilt_filter.{key}")
-                for key, default in (("gyro_var", base.q[0, 0]),
-                                     ("accel_var", base.r[0, 0]),
-                                     ("initial_var", base.p0[0, 0])))
-    try:
-        return TiltConfig(q=np.diag([q] * 2), r=np.diag([r] * 2), p0=np.diag([p0] * 2))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"tilt_filter: {exc}")
+    # each key is one matrix's diagonal, set on its own so that an error names it
+    matrices = {"gyro_var": "q", "accel_var": "r", "initial_var": "p0"}
+    _check_keys(section, matrices, "tilt_filter")
+    cfg = TiltConfig()
+    for key, value in section.items():
+        var = _number(value, f"tilt_filter.{key}")
+        try:
+            cfg = dataclasses.replace(cfg, **{matrices[key]: np.diag([var] * 2)})
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"tilt_filter.{key}: {exc}")
+    return cfg
 
 
 def _load_noise(section) -> NoiseModel:

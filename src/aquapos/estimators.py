@@ -20,9 +20,8 @@ stream, with one bundle per tag frame for all its methods.
 A tag frame goes from its corner pixels to its estimate on Python floats
 and builds no array: ``TagObservation``, the PnP ``TagPose`` and
 ``PositionEstimate`` hold floats and build ``corners``, ``transform`` and
-``position`` when first read. The public constructors keep their checks,
-with a fast path for exact floats that the estimators take; only the
-synchronizer's bundle skips its constructor. The camera-to-world
+``position`` when first read. The constructors keep their checks, with a
+fast path for exact floats that the estimators take. The camera-to-world
 rotation and translation are float tuples, composed by
 ``_camera_in_world``, as in the simulator, once per pose and shared by
 both methods, and every 3x3 product is summed row by column, left to
@@ -124,7 +123,7 @@ class DepthMeasurement:
             raise ValueError("depth is positive-down and cannot be negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SensorFrameBundle:
     """Latest sample from each stream at a reference time."""
 
@@ -134,12 +133,14 @@ class SensorFrameBundle:
     depth: DepthMeasurement | None
     staleness: dict
 
-    def __post_init__(self):
+    def __init__(self, timestamp, pose, tag, depth, staleness):
         # the negated form also rejects nan, which no bound would catch
-        for name, value in self.staleness.items():
+        for name, value in staleness.items():
             if not 0 <= value < math.inf:
                 raise ValueError(f"staleness for {name} must be finite and "
                                  f"non-negative, got {value!r}")
+        self.__dict__.update(timestamp=timestamp, pose=pose, tag=tag, depth=depth,
+                             staleness=staleness)
 
 
 @_built_on_read("position", lambda est: np.array(est.xyz))
@@ -228,11 +229,6 @@ def _check_fresh(bundle: SensorFrameBundle, sources, bound: float):
             )
 
 
-def _check_finite(method: str, *values):
-    if not all(map(math.isfinite, values)):
-        raise NonFiniteEstimate(f"{method} result is not finite")
-
-
 def estimate_cpnp(
     bundle: SensorFrameBundle,
     rig: RigExtrinsics,
@@ -267,11 +263,13 @@ def estimate_cpnp(
               + (r3 * q2 + r4 * q5 + r5 * q8) * mz)
         z += ((r6 * q0 + r7 * q3 + r8 * q6) * mx + (r6 * q1 + r7 * q4 + r8 * q7) * my
               + (r6 * q2 + r7 * q5 + r8 * q8) * mz)
-    _check_finite("cpnp", x, y, z)
-    # every field by position: a keyword call to the class builds a dict
-    return PositionEstimate(bundle.timestamp, [x, y, z], "cpnp", bundle.pose.roll,
-                            bundle.pose.pitch, tag_pose.reproj_rms, None,
-                            dict(bundle.staleness))
+    try:
+        # every field by position: a keyword call to the class builds a dict
+        return PositionEstimate(bundle.timestamp, [x, y, z], "cpnp", bundle.pose.roll,
+                                bundle.pose.pitch, tag_pose.reproj_rms, None,
+                                dict(bundle.staleness))
+    except ValueError:
+        raise NonFiniteEstimate("cpnp result is not finite") from None
 
 
 def estimate_cd(
@@ -300,9 +298,12 @@ def estimate_cd(
         plane_z = plane_z + float(marker_offset[2])
     # the line from the tag center's world point toward the camera origin
     x, y, k = _line_zplane_hit(t, center_world, plane_z)
-    _check_finite("cd", x, y, plane_z, k)
-    return PositionEstimate(bundle.timestamp, [x, y, plane_z], "cd", bundle.pose.roll,
-                            bundle.pose.pitch, None, k, dict(bundle.staleness))
+    # x = b_x + k d_x, so a finite x and y imply a finite k (inf * 0 is nan)
+    try:
+        return PositionEstimate(bundle.timestamp, [x, y, plane_z], "cd", bundle.pose.roll,
+                                bundle.pose.pitch, None, k, dict(bundle.staleness))
+    except ValueError:
+        raise NonFiniteEstimate("cd result is not finite") from None
 
 
 class SensorSynchronizer:
@@ -337,21 +338,17 @@ class SensorSynchronizer:
         """Bundle the latest sample of each stream as of time t.
 
         A stream with no sample yet is None in the bundle and has no
-        staleness entry; each estimator's _check_fresh reports it.
+        staleness entry; each estimator's _check_fresh reports it. A sample
+        after t gives a negative staleness, which the bundle rejects.
         """
         latest = self._latest
         staleness = {}
+        # a loop: a comprehension runs as a function call of its own
         for name, sample in latest.items():
             if sample is not None:
-                if sample.timestamp > t:
-                    raise ValueError("query time precedes a pushed sample")
                 staleness[name] = t - sample.timestamp
-        # t minus a stamp no later than t is never negative, so the bundle
-        # skips its constructor's staleness check
-        bundle = object.__new__(SensorFrameBundle)
-        bundle.__dict__.update(timestamp=t, pose=latest["pose"], tag=latest["tag"],
-                               depth=latest["depth"], staleness=staleness)
-        return bundle
+        return SensorFrameBundle(t, latest["pose"], latest["tag"], latest["depth"],
+                                 staleness)
 
 
 class EstimationPipeline:

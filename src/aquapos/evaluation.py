@@ -8,11 +8,14 @@ regression of error against platform tilt.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptySeries, SingularDesign
+from .geometry import _built_on_read
 
 DEFAULT_ALIGN_TOLERANCE = 0.02  # seconds
 DEFAULT_BIN_WIDTH = 0.01  # metres
@@ -20,32 +23,38 @@ DEFAULT_BIN_WIDTH = 0.01  # metres
 MAX_BINS = 1000
 
 
-@dataclass(frozen=True)
+def _vec3_or_none(v) -> tuple | None:
+    """v as a float 3-tuple, or None when it is not a 3-vector."""
+    if type(v) is tuple and len(v) == 3:
+        x, y, z = v
+        if type(x) is type(y) is type(z) is float:
+            return v
+    a = np.asarray(v, dtype=float)
+    return tuple(a.tolist()) if a.shape == (3,) else None
+
+
+@_built_on_read("truth", lambda pair: np.array(pair.truth_xyz))
+@_built_on_read("estimate", lambda pair: np.array(pair.estimate_xyz))
+@dataclass(frozen=True, init=False)
 class AlignedPair:
-    """One estimate matched to the nearest ground-truth sample."""
+    """One estimate matched to the nearest ground-truth sample. The positions
+    are the float 3-tuples ``estimate_xyz`` and ``truth_xyz``, which build the
+    ``estimate`` and ``truth`` arrays when first read."""
 
     timestamp: float
     estimate: np.ndarray
     truth: np.ndarray
 
-    def __post_init__(self):
-        est = np.asarray(self.estimate, dtype=float)
-        tru = np.asarray(self.truth, dtype=float)
-        if est.shape != (3,) or tru.shape != (3,):
+    def __init__(self, timestamp, estimate, truth):
+        est, tru = _vec3_or_none(estimate), _vec3_or_none(truth)
+        if est is None or tru is None:
             raise ValueError("estimate and truth must be 3-vectors")
-        if not (np.isfinite(self.timestamp) and np.all(np.isfinite(est)) and np.all(np.isfinite(tru))):
+        (x, y, z), (u, v, w) = est, tru
+        # a finite sum has finite terms; one that overflows is checked term by term
+        if not (math.isfinite(timestamp + x + y + z + u + v + w)
+                or all(map(math.isfinite, (timestamp, *est, *tru)))):
             raise ValueError("aligned pair must be finite")
-        object.__setattr__(self, "estimate", est)
-        object.__setattr__(self, "truth", tru)
-
-    @classmethod
-    def _unchecked(cls, timestamp: float, estimate: np.ndarray, truth: np.ndarray):
-        """Build from a float and two finite float 3-vectors; skips the checks."""
-        pair = object.__new__(cls)
-        object.__setattr__(pair, "timestamp", timestamp)
-        object.__setattr__(pair, "estimate", estimate)
-        object.__setattr__(pair, "truth", truth)
-        return pair
+        self.__dict__.update(timestamp=timestamp, estimate_xyz=est, truth_xyz=tru)
 
 
 @dataclass(frozen=True)
@@ -124,20 +133,23 @@ def align(est_times, est_points, truth_times, truth_points,
     t_kept = et[keep]
     e_kept = ep[keep]
     p_kept = tp[np.where(later, hi, lo)[keep]]
-    if not (np.isfinite(t_kept).all() and np.isfinite(e_kept).all()
-            and np.isfinite(p_kept).all()):
-        raise ValueError("aligned pair must be finite")
-    new = AlignedPair._unchecked
-    pairs = [new(t, e, p) for t, e, p in zip(t_kept.tolist(), e_kept, p_kept)]
+    # each row a float tuple, read by columns: no list per row
+    pairs = [AlignedPair(t, e, p) for t, e, p in
+             zip(t_kept.tolist(), zip(*e_kept.T.tolist()), zip(*p_kept.T.tolist()))]
     return pairs, int(et.size - len(pairs))
 
 
 def _error_series(pairs) -> tuple[np.ndarray, np.ndarray]:
     """Per-axis errors (n, 3), estimate - truth, and their norms (n,): the one
     error formula behind med, the report and evaluate's CSV."""
-    if len(pairs) == 0:
+    n = len(pairs)
+    if n == 0:
         raise EmptySeries("no aligned pairs")
-    axis_err = np.array([p.estimate for p in pairs]) - np.array([p.truth for p in pairs])
+    # flat reads of the tuples: np.array stacks a list of tuples more slowly
+    flat = itertools.chain.from_iterable
+    est = np.fromiter(flat(p.estimate_xyz for p in pairs), float, 3 * n)
+    tru = np.fromiter(flat(p.truth_xyz for p in pairs), float, 3 * n)
+    axis_err = (est - tru).reshape(n, 3)
     return axis_err, np.linalg.norm(axis_err, axis=1)
 
 

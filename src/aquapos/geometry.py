@@ -71,17 +71,6 @@ class RigidTransform:
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "translation", t)
 
-    @classmethod
-    def _unchecked(cls, rotation: np.ndarray, translation: np.ndarray):
-        """Build from float arrays already known to be a rotation and a 3-vector.
-
-        For transforms made inside the loops from checked ones; skips the
-        orthonormality and determinant checks of the public constructor.
-        """
-        H = object.__new__(cls)
-        H.__dict__.update(rotation=rotation, translation=translation)
-        return H
-
 
 def transform_point(H: RigidTransform, p) -> np.ndarray:
     """Apply H to a point: R @ p + t."""
@@ -90,16 +79,14 @@ def transform_point(H: RigidTransform, p) -> np.ndarray:
 
 def compose(H_a: RigidTransform, H_b: RigidTransform) -> RigidTransform:
     """Chain two transforms so compose(A, B) applied to p equals A applied to (B applied to p)."""
-    return RigidTransform._unchecked(
-        H_a.rotation @ H_b.rotation,
-        H_a.rotation @ H_b.translation + H_a.translation,
-    )
+    R = H_a.rotation
+    return RigidTransform(R @ H_b.rotation, R @ H_b.translation + H_a.translation)
 
 
 def invert(H: RigidTransform) -> RigidTransform:
     """Inverse transform: (R^T, -R^T t)."""
     Rt = H.rotation.T
-    return RigidTransform._unchecked(Rt, -Rt @ H.translation)
+    return RigidTransform(Rt, -Rt @ H.translation)
 
 
 def _euler_zyx(yaw: float, pitch: float, roll: float) -> tuple:

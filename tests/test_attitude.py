@@ -5,6 +5,7 @@ import pytest
 
 from aquapos.attitude import (
     GRAVITY,
+    MAX_VARIANCE,
     ImuSample,
     TiltConfig,
     TiltState,
@@ -266,6 +267,20 @@ class TestTypesAndTracker:
         with pytest.raises(ValueError):
             TiltConfig(r=np.zeros((2, 2)))
         TiltConfig(q=np.zeros((2, 2)))  # semi-definite process noise is fine
+
+    def test_config_bounds_variances_whose_square_overflows(self):
+        # above about 1.3e154 a product of two entries overflows, and the
+        # filter would reject every sample after the first
+        for name in ("q", "p0"):
+            with pytest.raises(ValueError, match=f"^{name} entries must not exceed 1e\\+150$"):
+                TiltConfig(**{name: np.diag([1e160, 1e160])})
+        big = np.diag([MAX_VARIANCE] * 2)
+        tracker = TiltTracker(TiltConfig(q=big, p0=big))
+        for k in range(800):
+            t = k / 400.0
+            tracker.feed(ImuSample(t, [0.2 * math.cos(2 * t), -0.15 * math.sin(3 * t), 0.01],
+                                   _gravity_accel(0.1 * math.sin(2 * t), 0.05 * math.cos(3 * t))))
+        assert all(map(math.isfinite, tracker.state._x))
 
     def test_tracker_initializes_from_first_sample(self):
         tracker = TiltTracker()

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import logging
 import os
@@ -320,15 +321,22 @@ class TestEstimate:
         assert out.read_text(encoding="utf-8") == ""
 
     def test_huge_gyro_variance_runs_without_warnings(self, tmp_path, capsys):
-        # twice 1e308 overflows: the covariance checks must not form it
-        config = tmp_path / "run.yaml"
-        config.write_text("tilt_filter: {gyro_var: 1.0e+308}\n"
-                          "simulation:\n  trajectory: {duration: 2.0}\n", encoding="utf-8")
+        # twice 1e308 overflows: the covariance checks must not form it, and
+        # both commands that load the filter refuse a variance whose square
+        # overflows, which would reject every IMU sample after the first
+        message = ["error: tilt_filter.gyro_var: q entries must not exceed 1e+150"]
+        plain, config = tmp_path / "plain.yaml", tmp_path / "run.yaml"
+        plain.write_text("simulation:\n  trajectory: {duration: 2.0}\n", encoding="utf-8")
+        config.write_text("tilt_filter: {gyro_var: 1.0e+308}\n" + plain.read_text("utf-8"),
+                          encoding="utf-8")
         data, out = tmp_path / "run.jsonl", tmp_path / "est.jsonl"
-        assert cli.main(["simulate", "--config", str(config), "--out", str(data)]) == 0
+        assert cli.main(["simulate", "--config", str(config), "--out", str(data)]) == 2
+        assert capsys.readouterr().err.splitlines() == message
+        assert cli.main(["simulate", "--config", str(plain), "--out", str(data)]) == 0
+        capsys.readouterr()
         rc = cli.main(["estimate", str(data), "--config", str(config), "--out", str(out)])
-        assert rc in (0, 1, 2)
-        assert "Traceback" not in capsys.readouterr().err
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == message
 
     def test_missing_dataset_exits_1(self, tmp_path, capsys):
         rc = cli.main(["estimate", str(tmp_path / "absent.jsonl"),
@@ -511,6 +519,8 @@ class TestValuesOnlyTheConstructorsCanReject:
          "pso: cognitive must be non-negative and finite"),
         ("calibrate-depth", "pso: {social: .inf}", [],
          "pso: social must be non-negative and finite"),
+        ("simulate", "tilt_filter: {initial_var: 1.0e+160}", [],
+         "tilt_filter.initial_var: p0 entries must not exceed 1e+150"),
         ("simulate", "simulation:\n  rates: {imu: 1.0e+308}", [],
          "simulation.rates.imu: 1e+308 Hz over 120.0 s is not a finite record count"),
         ("simulate", "simulation:\n  noise: {tilt_frequency: 1.0e+308}", [],
@@ -561,6 +571,16 @@ class TestValuesOnlyTheConstructorsCanReject:
 
 
 class TestRoundTrip:
+    # The bytes of a 10 s run at seed 1 on every BLAS kernel. A change that
+    # means to keep every output (a simplification or a speed-up) keeps them;
+    # one that moves them on purpose says why where it updates them.
+    DIGESTS = {
+        "run.jsonl": "9847a96ef59555be7b2158abe296e39fa9ea8d8db7b9f1ae92d6d0c9b8380410",
+        "est.jsonl": "b265f8411fb5e79b154c871bb7acfb82bad017206e7a36dbd43302dc236e8a16",
+        "report.json": "ffe5ca0009105b532ee5140f4a10e8f5b86ab554c9494af631447a235963ca27",
+        "report.csv": "f9810be1cf042177560d24c223535cb929fe6248abb8b7dd90797492b182af56",
+    }
+
     def test_simulate_estimate_evaluate_on_defaults(self, tmp_path, capsys):
         config = tmp_path / "run.yaml"
         config.write_text(
@@ -568,16 +588,17 @@ class TestRoundTrip:
         )
         data = tmp_path / "run.jsonl"
         est = tmp_path / "est.jsonl"
-        assert cli.main(["simulate", "--config", str(config),
+        assert cli.main(["simulate", "--config", str(config), "--seed", "1",
                          "--out", str(data)]) == 0
         assert cli.main(["estimate", str(data), "--config", str(config),
-                         "--out", str(est)]) == 0
+                         "--method", "both", "--out", str(est)]) == 0
         assert cli.main(["evaluate", str(est), str(data),
                          "--out", str(tmp_path / "report")]) == 0
         out = capsys.readouterr().out
         assert "cpnp MED" in out and "cd MED" in out
-        assert (tmp_path / "report.json").exists()
-        assert (tmp_path / "report.csv").exists()
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in self.DIGESTS}
+        assert digests == self.DIGESTS
 
 
 class TestUsage:

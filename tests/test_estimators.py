@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import dataclasses
 import math
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aquapos.attitude import _FilterState
 from aquapos.camera import (
     Intrinsics,
     TagGeometry,
@@ -19,7 +21,7 @@ from aquapos.camera import (
 from aquapos.config import load_run_config
 from aquapos.dataset import validate_record
 from aquapos.depth_calibration import CalibrationParams
-from aquapos.errors import StaleSensor
+from aquapos.errors import NonFiniteEstimate, StaleSensor
 from aquapos.estimators import (
     DepthMeasurement,
     EstimationPipeline,
@@ -32,6 +34,7 @@ from aquapos.estimators import (
     estimate_cd,
     estimate_cpnp,
 )
+from aquapos.evaluation import AlignedPair, align
 from aquapos.geometry import RigidTransform, euler_zyx_to_rotation
 from aquapos.simulator import Simulator
 
@@ -398,6 +401,26 @@ class TestPipeline:
         assert out == []
         assert pipe.counters["cpnp_skipped"] == 1
         assert pipe.counters["cd_skipped"] == 1
+
+    @pytest.mark.parametrize("method, kind, key, offset", [
+        ("cpnp", "slam", "x", (1e308, 0.0, 0.0)),
+        ("cd", "depth", "raw", (0.0, 0.0, -1e308)),
+    ])
+    def test_overflowing_estimate_is_a_counted_skip(self, method, kind, key, offset):
+        # each input is finite, but the position it gives overflows
+        rig, _, records = self._static_records()
+        records = [dict(rec, **{key: 1.5e308}) if rec["kind"] == kind else rec
+                   for rec in records]
+        pipe = EstimationPipeline(rig, K, GEOM, methods=(method,), marker_offset=offset)
+        estimates = [e for rec in records for e in pipe.process(rec)]
+        assert estimates == []
+        assert pipe.counters[f"{method}_skipped"] == 30
+        bundle = pipe.sync.synchronize(records[-1]["t"])
+        with pytest.raises(NonFiniteEstimate, match=f"^{method} result is not finite$"):
+            if method == "cpnp":
+                estimate_cpnp(bundle, rig, K, GEOM, marker_offset=offset)
+            else:
+                estimate_cd(bundle, rig, K, marker_offset=offset)
 
     def test_unknown_kind_rejected(self):
         rig = _down_camera_rig()
@@ -785,6 +808,24 @@ class TestConstructionCounts:
             assert last.covariance is cov
         assert first == ["array"] and again == []
         assert all("covariance" not in vars(s) for s in states[:-1])
+
+    def test_each_object_goes_through_its_constructor(self, dense_imu_records,
+                                                      monkeypatch):
+        cfg, records = dense_imu_records
+        inits = collections.Counter()
+        for cls in (SensorFrameBundle, _FilterState, AlignedPair):
+            monkeypatch.setattr(cls, "__init__",
+                                lambda self, *a, _name=cls.__name__, _init=cls.__init__:
+                                inits.update([_name]) or _init(self, *a))
+        pipe = EstimationPipeline(cfg.rig, cfg.intrinsics, cfg.tag)
+        estimates = [e for rec in records for e in pipe.process(rec)]
+        kinds = collections.Counter(rec["kind"] for rec in records)
+        assert inits["SensorFrameBundle"] == kinds["tag"]
+        assert inits["_FilterState"] == kinds["imu"] - pipe.counters["imu_rejected"] > 0
+        truth = [rec for rec in records if rec["kind"] == "truth"]
+        pairs, _ = align([e.timestamp for e in estimates], [e.xyz for e in estimates],
+                         [rec["t"] for rec in truth], [rec["p"] for rec in truth])
+        assert inits["AlignedPair"] == len(pairs) > 0
 
     @pytest.mark.parametrize("offset", [None, (0.01, -0.02, 0.03)])
     def test_pose_chain_calls_no_numpy(self, monkeypatch, offset):
