@@ -101,13 +101,12 @@ def _as_pairs(pairs) -> np.ndarray:
 def _costs(x, pairs) -> np.ndarray:
     """Sum of squared residuals for each (scale, offset) row of x.
 
-    pairs is an already checked (n, 2) array. Each row's residuals are
-    summed by a dot product of their own, for a swarm as for a single
-    parameter vector: np.einsum row sums add them in another order and
-    move the fit's last bits.
+    pairs is an already checked (n, 2) array. The rows are summed by numpy's
+    own pairwise sum, which calls no BLAS, so the cost has the same bits on
+    every BLAS kernel.
     """
     residuals = x[:, :1] * pairs[:, 0] + x[:, 1:] - pairs[:, 1]
-    return np.array([r @ r for r in residuals])
+    return np.add.reduce(residuals * residuals, axis=1)
 
 
 def _check_cost_bound(residual_bounds, message) -> None:

@@ -66,6 +66,8 @@ DEFAULT_STALENESS_BOUND = 0.2  # seconds
 
 METHODS = ("cpnp", "cd")
 
+KINDS = ("imu", "slam", "depth", "truth", "tag")
+
 
 @dataclass(frozen=True)
 class RigExtrinsics:
@@ -309,9 +311,9 @@ def estimate_cd(
 class SensorSynchronizer:
     """Latest-sample-per-stream buffer with staleness bookkeeping.
 
-    Streams must be pushed in non-decreasing time order, and queries must
-    not precede already-pushed samples; both hold by construction when
-    replaying a time-ordered dataset.
+    A sample stamped before its stream's latest, or a query before a pushed
+    sample, raises ValueError; EstimationPipeline.process counts it as a
+    rejected record.
     """
 
     _STREAMS = ("pose", "tag", "depth")
@@ -357,9 +359,10 @@ class EstimationPipeline:
     IMU records drive the tilt filter; SLAM records become poses stamped
     with the filter's current tilt (zero until the first IMU sample);
     depth records pass through the affine calibration; tag records
-    trigger one estimate per configured method. Records that fail
-    validation or estimators that fail on a frame are counted, not
-    raised, so one bad frame cannot abort a replay.
+    trigger one estimate per configured method. A record the pipeline
+    cannot use is counted as ``<kind>_rejected`` and an estimator that
+    fails on a frame as ``<method>_skipped``; neither is raised, so one
+    bad record cannot abort a replay.
     """
 
     def __init__(
@@ -376,6 +379,8 @@ class EstimationPipeline:
         for m in methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
+        if not staleness_bound > 0:  # also rejects nan, with which no sample is stale
+            raise ValueError(f"staleness_bound must be positive, got {staleness_bound!r}")
         self.rig = rig
         self.intrinsics = intrinsics
         self.tag_geometry = tag_geometry
@@ -387,12 +392,8 @@ class EstimationPipeline:
         )
         self.tracker = TiltTracker(tilt_config)
         self.sync = SensorSynchronizer()
-        self.counters = {
-            "imu_rejected": 0,
-            "depth_rejected": 0,
-            "cpnp_skipped": 0,
-            "cd_skipped": 0,
-        }
+        self.counters = dict.fromkeys([*(f"{kind}_rejected" for kind in KINDS),
+                                       *(f"{m}_skipped" for m in METHODS)], 0)
 
     def _current_tilt(self):
         state = self.tracker.state
@@ -401,49 +402,48 @@ class EstimationPipeline:
         return state.roll, state.pitch
 
     def process(self, record: dict) -> list:
-        """Consume one dataset record; returns estimates it produced."""
-        t = float(record["t"])
+        """Consume one dataset record; returns estimates it produced.
+
+        A record whose sample its constructor, the tilt filter or the
+        synchronizer rejects, such as a non-finite field, a stream stamped
+        backwards or a tag stamped before another stream's sample, is
+        counted as ``<kind>_rejected``. An unknown kind raises ValueError.
+        """
         kind = record["kind"]
-        if kind == "imu":
-            try:
+        if kind not in KINDS:
+            raise ValueError(f"unknown record kind {kind!r}")
+        try:
+            t = float(record["t"])
+            if kind == "imu":
                 self.tracker.feed(ImuSample(t, record["gyro"], record["accel"]))
-            except (ValueError, AquaposError):
-                self.counters["imu_rejected"] += 1
+            elif kind == "slam":
+                roll, pitch = self._current_tilt()
+                self.sync.push_pose(SurfacePoseState(t, record["x"], record["y"],
+                                                     record["yaw"], roll, pitch))
+            elif kind == "depth":
+                self.sync.push_depth(
+                    DepthMeasurement(t, apply_calibration(self.calibration, record["raw"])))
+            elif kind == "tag":
+                self.sync.push_tag(TagObservation(t, record["corners"]))
+                # one bundle for every method; each estimator checks its own streams
+                bundle = self.sync.synchronize(t)
+        except (ValueError, AquaposError):
+            self.counters[f"{kind}_rejected"] += 1
             return []
-        if kind == "slam":
-            roll, pitch = self._current_tilt()
-            self.sync.push_pose(
-                SurfacePoseState(
-                    t, record["x"], record["y"], record["yaw"], roll, pitch
-                )
-            )
+        if kind != "tag":
             return []
-        if kind == "depth":
-            depth = apply_calibration(self.calibration, record["raw"])
+        estimates = []
+        for method in self.methods:
             try:
-                self.sync.push_depth(DepthMeasurement(t, depth))
-            except ValueError:
-                self.counters["depth_rejected"] += 1
-            return []
-        if kind == "truth":
-            return []
-        if kind == "tag":
-            self.sync.push_tag(TagObservation(t, record["corners"]))
-            # one bundle for every method; each estimator checks its own streams
-            bundle = self.sync.synchronize(t)
-            estimates = []
-            for method in self.methods:
-                try:
-                    if method == "cpnp":
-                        estimates.append(estimate_cpnp(
-                            bundle, self.rig, self.intrinsics, self.tag_geometry,
-                            self.staleness_bound, self.marker_offset))
-                    else:
-                        estimates.append(estimate_cd(
-                            bundle, self.rig, self.intrinsics,
-                            self.staleness_bound, self.marker_offset))
-                except AquaposError as exc:
-                    self.counters[f"{method}_skipped"] += 1
-                    log.debug("t=%.3f: %s skipped (%s)", t, method, exc)
-            return estimates
-        raise ValueError(f"unknown record kind {kind!r}")
+                if method == "cpnp":
+                    estimates.append(estimate_cpnp(
+                        bundle, self.rig, self.intrinsics, self.tag_geometry,
+                        self.staleness_bound, self.marker_offset))
+                else:
+                    estimates.append(estimate_cd(
+                        bundle, self.rig, self.intrinsics,
+                        self.staleness_bound, self.marker_offset))
+            except AquaposError as exc:
+                self.counters[f"{method}_skipped"] += 1
+                log.debug("t=%.3f: %s skipped (%s)", t, method, exc)
+        return estimates

@@ -41,6 +41,18 @@ def noiseless_run(tmp_path_factory):
     return config, data
 
 
+def _write_depth_pairs(data, path):
+    """The (raw, true) depth pairs at the stamps the depth and truth streams share."""
+    raw, truth = {}, {}
+    for record in dataset.read_records(data):
+        if record["kind"] == "depth":
+            raw[record["t"]] = record["raw"]
+        elif record["kind"] == "truth":
+            truth[record["t"]] = -record["p"][2]
+    path.write_text("".join(f"{raw[t]!r},{truth[t]!r}\n" for t in raw if t in truth),
+                    encoding="utf-8")
+
+
 class TestSimulate:
     def test_record_count_matches_rate_arithmetic(self, noiseless_run):
         _, data = noiseless_run
@@ -207,7 +219,7 @@ class TestEstimate:
             text += f"marker_offset: {offset}\n"
         config.write_text(text, encoding="utf-8")
         src = os.path.dirname(os.path.dirname(aquapos.__file__))
-        datasets, outputs = [], []
+        datasets, outputs, fits = [], [], []
         for coretype in (None, "Prescott"):
             env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
             if coretype is not None:
@@ -215,8 +227,13 @@ class TestEstimate:
             env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
             data = tmp_path / f"run-{coretype}.jsonl"
             out = tmp_path / f"est-{coretype}.jsonl"
+            pairs = tmp_path / f"pairs-{coretype}.csv"
+            theta = tmp_path / f"theta-{coretype}.json"
             for command in (["simulate", "--out", str(data)],
-                            ["estimate", str(data), "--out", str(out)]):
+                            ["estimate", str(data), "--out", str(out)],
+                            ["calibrate-depth", str(pairs), "--out", str(theta)]):
+                if command[0] == "calibrate-depth":
+                    _write_depth_pairs(data, pairs)
                 proc = subprocess.run(
                     [sys.executable, "-m", "aquapos.cli", *command, "--config", str(config)],
                     env=env, capture_output=True, text=True,
@@ -224,9 +241,11 @@ class TestEstimate:
                 assert proc.returncode == 0, proc.stderr
             datasets.append(data.read_bytes())
             outputs.append(out.read_bytes())
+            fits.append(theta.read_bytes())
         assert datasets[0] == datasets[1]
         assert outputs[0].count(b"\n") == 600
         assert outputs[0] == outputs[1]
+        assert fits[0] == fits[1]
 
     def test_no_tag_records_warns_and_writes_empty(self, tmp_path, caplog):
         data = tmp_path / "quiet.jsonl"

@@ -422,6 +422,32 @@ class TestPipeline:
             else:
                 estimate_cd(bundle, rig, K, marker_offset=offset)
 
+    SLAM = {"kind": "slam", "x": 0.0, "y": 0.0, "yaw": 0.0}
+    TAG = {"kind": "tag", "corners": [[300.0, 200.0], [400.0, 200.0], [400.0, 300.0],
+                                      [300.0, 300.0]]}
+
+    @pytest.mark.parametrize("records, kind", [
+        pytest.param([{"t": 0.0, **SLAM, "x": math.nan}], "slam", id="nan-x"),
+        pytest.param([{"t": 0.5, **SLAM}, {"t": 0.4, **SLAM}], "slam", id="slam-backwards"),
+        pytest.param([{"t": 0.0, **TAG, "corners": TAG["corners"][:3]}], "tag",
+                     id="three-corners"),
+        # the pose is 0.5 s in the tag's future: a negative staleness
+        pytest.param([{"t": 1.0, **SLAM}, {"t": 0.5, **TAG}], "tag", id="tag-before-pose"),
+        pytest.param([{"t": "noon", "kind": "truth", "p": [0.0, 0.0, 0.0]}], "truth",
+                     id="truth-bad-t"),
+    ])
+    def test_unusable_record_is_counted_not_raised(self, records, kind):
+        pipe = EstimationPipeline(_down_camera_rig(), K, GEOM)
+        out = [pipe.process(rec) for rec in records]
+        assert out[-1] == []
+        assert {k: v for k, v in pipe.counters.items() if v} == {f"{kind}_rejected": 1}
+
+    @pytest.mark.parametrize("bound", [math.nan, 0.0, -0.1])
+    def test_staleness_bound_must_be_positive(self, bound):
+        # with a nan bound no sample would ever be stale
+        with pytest.raises(ValueError, match="staleness_bound must be positive"):
+            EstimationPipeline(_down_camera_rig(), K, GEOM, staleness_bound=bound)
+
     def test_unknown_kind_rejected(self):
         rig = _down_camera_rig()
         pipe = EstimationPipeline(rig, K, GEOM)
