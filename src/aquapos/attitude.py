@@ -9,10 +9,10 @@ The filter runs on Python floats: the state is (roll, pitch) plus the
 three distinct entries (p00, p01, p11) of its symmetric covariance, and
 one kernel runs a sample's predict and update as closed-form 2x2 algebra
 on those five floats. ``ImuSample`` stores its readings as float
-3-tuples. States made inside the filter pass the ``TiltState``
-constructor's checks in scalar form. The tracker returns a ``TiltState``
-per accepted sample that keeps the five floats and builds its covariance
-array only when it is read.
+3-tuples. A state made inside the filter, or by the ``TiltState``
+constructor, passes one scalar rule, ``_checked``. The tracker returns a
+``TiltState`` per accepted sample that keeps the five floats and builds
+its covariance array only when it is read.
 """
 
 from __future__ import annotations
@@ -30,6 +30,11 @@ GRAVITY = 9.81
 MAX_VARIANCE = 1e150  # the filter multiplies two covariance entries
 
 
+def _smaller_eigenvalue(p00, p01, p11) -> float:
+    """Smaller eigenvalue of [[p00, p01], [p01, p11]]; halving first cannot overflow."""
+    return 0.5 * p00 + 0.5 * p11 - math.hypot(0.5 * p00 - 0.5 * p11, p01)
+
+
 def _as_cov2(M, name: str, positive_definite: bool) -> np.ndarray:
     P = np.asarray(M, dtype=float)
     if P.shape != (2, 2) or not np.all(np.isfinite(P)):
@@ -37,11 +42,11 @@ def _as_cov2(M, name: str, positive_definite: bool) -> np.ndarray:
     if np.max(np.abs(P - P.T)) > 1e-12:
         raise ValueError(f"{name} must be symmetric")
     P = 0.5 * P + 0.5 * P.T  # halving first cannot overflow
-    eigs = np.linalg.eigvalsh(P)
+    smaller = _smaller_eigenvalue(*_entries(P))
     if positive_definite:
-        if eigs[0] <= 0:
+        if smaller <= 0:
             raise ValueError(f"{name} must be positive definite")
-    elif eigs[0] < -1e-12:
+    elif smaller < -1e-12:
         raise ValueError(f"{name} must be positive semi-definite")
     return P
 
@@ -82,11 +87,8 @@ class TiltState:
     covariance: np.ndarray
 
     def __post_init__(self):
-        if not (np.isfinite(self.roll) and np.isfinite(self.pitch)):
-            raise ValueError("angles must be finite")
-        if abs(self.pitch) >= np.pi / 2:
-            raise ValueError("pitch out of (-pi/2, pi/2)")
         P = _as_cov2(self.covariance, "covariance", positive_definite=False)
+        _checked(self.roll, self.pitch, *_entries(P))
         object.__setattr__(self, "covariance", P)
 
 
@@ -95,16 +97,15 @@ class TiltState:
 
 
 def _checked(roll, pitch, p00, p01, p11) -> tuple:
-    """The filter floats as a state tuple, after the TiltState constructor's
-    checks in scalar form."""
+    """The filter floats as a state tuple, after the one tilt-state rule: finite
+    angles, |pitch| < pi/2 and a finite positive semi-definite covariance."""
     if not (math.isfinite(roll) and math.isfinite(pitch)):
         raise ValueError("angles must be finite")
     if abs(pitch) >= math.pi / 2:
         raise ValueError("pitch out of (-pi/2, pi/2)")
     if not (math.isfinite(p00) and math.isfinite(p01) and math.isfinite(p11)):
         raise ValueError("covariance must be a finite 2x2 matrix")
-    # smaller eigenvalue of [[p00, p01], [p01, p11]]
-    if 0.5 * (p00 + p11) - math.hypot(0.5 * (p00 - p11), p01) < -1e-12:
+    if _smaller_eigenvalue(p00, p01, p11) < -1e-12:
         raise ValueError("covariance must be positive semi-definite")
     return roll, pitch, p00, p01, p11
 
@@ -190,7 +191,8 @@ def _step(x: tuple, gyro, dt: float, q, z, r) -> tuple:
     is None, corrects with the tilt observation z = (roll, pitch) from
     _tilt: gain K = P S^-1 with S = P + R inverted in closed form, then the
     Joseph-form covariance (I - K) P (I - K)^T + K R K^T, symmetrised; r
-    holds R's entries. Each half's state passes _checked.
+    holds R's entries. Only the state returned passes _checked: a predicted
+    state that breaks the rule stands when the same sample's update mends it.
     """
     if gyro is not None:
         if not (0 < dt <= 0.5):
@@ -208,15 +210,10 @@ def _step(x: tuple, gyro, dt: float, q, z, r) -> tuple:
         b11 = a10 * p01 + p11
         m01 = b00 * a10 + b01 + q01
         m10 = b10 * a00 + b11 * a01 + q01
-        x = _checked(
-            roll,
-            pitch,
-            b00 * a00 + b01 * a01 + q00,
-            0.5 * (m01 + m10),
-            b10 * a10 + b11 + q11,
-        )
+        x = (roll, pitch, b00 * a00 + b01 * a01 + q00, 0.5 * (m01 + m10),
+             b10 * a10 + b11 + q11)
     if z is None:
-        return x
+        return _checked(*x)
     z_roll, z_pitch = z
     roll, pitch, p00, p01, p11 = x
     r00, r01, r11 = r

@@ -73,12 +73,21 @@ def _pixel_ray(K: Intrinsics, u: float, v: float) -> tuple[float, float, float]:
     return x, y, 1.0
 
 
+def _project(K: Intrinsics, x: float, y: float, z: float) -> tuple[float, float] | None:
+    """The pinhole model: pixel (u, v) of the camera-frame point (x, y, z) as
+    floats, or None for z <= 1e-6, a point not in front of the camera."""
+    if z <= 1e-6:
+        return None
+    return K.fx * x / z + K.cx, K.fy * y / z + K.cy
+
+
 def project_point(K: Intrinsics, p_cam) -> np.ndarray:
     """Pixel (u, v) for a camera-frame point; raises BehindCamera for z <= 1e-6."""
-    p = np.asarray(p_cam, dtype=float)
-    if p[2] <= 1e-6:
-        raise BehindCamera(f"point depth {p[2]:.3g} m is not in front of the camera")
-    return np.array([K.fx * p[0] / p[2] + K.cx, K.fy * p[1] / p[2] + K.cy])
+    x, y, z = np.asarray(p_cam, dtype=float).tolist()
+    pixel = _project(K, x, y, z)
+    if pixel is None:
+        raise BehindCamera(f"point depth {z:.3g} m is not in front of the camera")
+    return np.array(pixel)
 
 
 def _float_quad(c):
@@ -154,9 +163,14 @@ class TagGeometry:
         if not 0 < self.side_length < math.inf:
             raise ValueError("tag side length must be positive and finite")
 
-    def corners(self) -> np.ndarray:
+    @cached_property
+    def corners_xy(self) -> tuple:
+        """Marker-plane (x, y) of each corner, in observation order, as floats."""
         h = self.side_length / 2.0
-        return np.array([[-h, -h, 0.0], [h, -h, 0.0], [h, h, 0.0], [-h, h, 0.0]])
+        return (-h, -h), (h, -h), (h, h), (-h, h)
+
+    def corners(self) -> np.ndarray:
+        return np.array([(x, y, 0.0) for x, y in self.corners_xy])
 
 
 @dataclass(frozen=True)
@@ -511,8 +525,7 @@ def solve_pnp_planar(K: Intrinsics, geom: TagGeometry, obs: TagObservation) -> T
     PnPDegenerate for corners that no pose of the tag explains (see _ippe_seed).
     """
     px = obs.px
-    h = 0.5 * geom.side_length
-    corners = ((-h, -h), (h, -h), (h, h), (-h, h))
+    corners = geom.corners_xy
     cands = [[R, t, *terms, 1e-3, False] for R, t in _ippe_seed(K, geom.side_length, px)
              if (terms := _normal_equations(K, corners, px, R, t)) is not None]
     for _ in range(_REFINE_MAX_ITERS):

@@ -14,6 +14,7 @@ import dataclasses
 import logging
 import math
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +26,7 @@ from .depth_calibration import PsoConfig
 from .errors import ConfigError
 from .estimators import DEFAULT_STALENESS_BOUND, RigExtrinsics, default_rig
 from .geometry import RigidTransform, euler_zyx_to_rotation
-from .simulator import NoiseModel, SceneConfig, TrajectorySpec
+from .simulator import NoiseModel, SceneConfig, TrajectorySpec, record_count
 
 log = logging.getLogger(__name__)
 
@@ -62,18 +63,29 @@ def _check_keys(mapping, allowed, where):
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
 
 
+# YAML 1.1 reads a number with an exponent only with a dot and a signed
+# exponent: 1e308 and 1.5e3 load as strings, 1.0e+308 and 1.5e+3 as floats
+_YAML11_EXPONENT = re.compile(r"([-+]?[0-9]+)(\.[0-9]*)?[eE]([-+]?)([0-9]+)")
+
+
 def _number(value, where) -> float:
     """value as a float; ConfigError naming where unless it is a YAML number.
 
     float() would take a bool as 0 or 1 and a numeric string as its number,
-    so both are rejected; other values keep float()'s own message.
+    so both are rejected, a number string that YAML 1.1 did not read for its
+    exponent's form with a hint at the form it reads; other values keep
+    float()'s own message.
     """
     try:
         number = float(value)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
     if isinstance(value, (bool, str)):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
+        hint = ""
+        m = isinstance(value, str) and _YAML11_EXPONENT.fullmatch(value)
+        if m and not (m[2] and m[3]):
+            hint = f"; write {m[1]}{m[2] or '.0'}e{m[3] or '+'}{m[4]} for YAML 1.1 to read it"
+        raise ConfigError(f"{where}: expected a number, got {value!r}{hint}")
     return number
 
 
@@ -209,13 +221,14 @@ def _load_simulation(section, cfg: RunConfig) -> RunConfig:
         cfg.follower, _section(section, "follower"), "simulation.follower"
     )
     noise = _load_noise(_section(section, "noise"))
-    # the simulator counts rate * duration records and takes sines of
-    # 2 pi * tilt_frequency * t for t up to duration; both must be finite
+    # the simulator writes record_count(rate, duration) records per stream and
+    # takes sines of 2 pi * tilt_frequency * t for t up to duration
     duration = trajectory.duration
     for name, rate in vars(rates).items():
-        if not math.isfinite(rate * duration):
-            raise ConfigError(f"simulation.rates.{name}: {rate!r} Hz over "
-                              f"{duration!r} s is not a finite record count")
+        try:
+            record_count(rate, duration)
+        except ValueError as exc:
+            raise ConfigError(f"simulation.rates.{name}: {exc}") from None
     if not math.isfinite(2.0 * math.pi * noise.tilt_frequency * duration):
         raise ConfigError(f"simulation.noise.tilt_frequency: {noise.tilt_frequency!r} Hz "
                           f"over {duration!r} s is not a finite tilt phase")

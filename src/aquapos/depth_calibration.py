@@ -21,6 +21,10 @@ from .errors import DegenerateData, InsufficientData
 # Per-step velocity clamp, as a fraction of each parameter's search range.
 _VELOCITY_CLAMP_FRACTION = 0.2
 
+# Particle-steps (swarm_size * iterations) one fit may take: 1,667 times the
+# default swarm's 6,000.
+MAX_PARTICLE_STEPS = 10**7
+
 
 def _is_int(value) -> bool:
     """True for an integer of any integral type except bool."""
@@ -72,6 +76,8 @@ class PsoConfig:
             raise ValueError("swarm_size must be an integer of at least 2")
         if not (_is_int(self.iterations) and self.iterations >= 1):
             raise ValueError("iterations must be a positive integer")
+        if self.swarm_size * self.iterations > MAX_PARTICLE_STEPS:
+            raise ValueError(f"swarm_size * iterations must not exceed {MAX_PARTICLE_STEPS:g}")
         if not 0.0 <= self.inertia <= 1.0:
             raise ValueError("inertia must lie in [0, 1]")
         for name in ("cognitive", "social"):

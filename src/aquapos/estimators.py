@@ -321,20 +321,12 @@ class SensorSynchronizer:
     def __init__(self):
         self._latest = {name: None for name in self._STREAMS}
 
-    def _push(self, stream: str, sample):
+    def push(self, stream: str, sample):
+        """Hold sample as the latest of stream, one of _STREAMS."""
         prev = self._latest[stream]
         if prev is not None and sample.timestamp < prev.timestamp:
             raise ValueError(f"{stream} timestamps must be non-decreasing")
         self._latest[stream] = sample
-
-    def push_pose(self, pose: SurfacePoseState):
-        self._push("pose", pose)
-
-    def push_tag(self, tag: TagObservation):
-        self._push("tag", tag)
-
-    def push_depth(self, depth: DepthMeasurement):
-        self._push("depth", depth)
 
     def synchronize(self, t: float) -> SensorFrameBundle:
         """Bundle the latest sample of each stream as of time t.
@@ -418,13 +410,13 @@ class EstimationPipeline:
                 self.tracker.feed(ImuSample(t, record["gyro"], record["accel"]))
             elif kind == "slam":
                 roll, pitch = self._current_tilt()
-                self.sync.push_pose(SurfacePoseState(t, record["x"], record["y"],
-                                                     record["yaw"], roll, pitch))
+                self.sync.push("pose", SurfacePoseState(t, record["x"], record["y"],
+                                                        record["yaw"], roll, pitch))
             elif kind == "depth":
-                self.sync.push_depth(
-                    DepthMeasurement(t, apply_calibration(self.calibration, record["raw"])))
+                self.sync.push("depth", DepthMeasurement(
+                    t, apply_calibration(self.calibration, record["raw"])))
             elif kind == "tag":
-                self.sync.push_tag(TagObservation(t, record["corners"]))
+                self.sync.push("tag", TagObservation(t, record["corners"]))
                 # one bundle for every method; each estimator checks its own streams
                 bundle = self.sync.synchronize(t)
         except (ValueError, AquaposError):

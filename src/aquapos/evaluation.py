@@ -182,24 +182,48 @@ def histogram(series, bin_width: float = DEFAULT_BIN_WIDTH):
     return edges, counts
 
 
+def _centred(values: list) -> tuple[float, list]:
+    """The mean of a float series, from its correctly rounded sum, and the series less it."""
+    mean = math.fsum(values) / len(values)
+    return mean, [v - mean for v in values]
+
+
 def tilt_error_regression(errors, pitch, roll) -> RegressionResult:
-    """OLS of the error series on pitch, roll and an intercept."""
+    """OLS of the error series on pitch, roll and an intercept, on Python floats.
+
+    No BLAS runs, so the bits do not depend on the kernel: math.fsum sums the
+    means and centred products, the slopes solve the centred 2x2 normal
+    equations in closed form and the intercept follows from the means. Raises
+    SingularDesign for fewer than 3 samples, or for a centred system whose
+    determinant, or either regressor's spread, is under 1e-12 of its scale.
+    """
     e = np.asarray(errors, dtype=float)
     p = np.asarray(pitch, dtype=float)
     r = np.asarray(roll, dtype=float)
     if not (e.ndim == p.ndim == r.ndim == 1 and e.size == p.size == r.size):
         raise ValueError("errors, pitch and roll must be 1-d series of equal length")
-    design = np.column_stack([p, r, np.ones(e.size)])
-    sol, _, rank, _ = np.linalg.lstsq(design, e, rcond=None)
-    if rank < 3:
+    e, p, r = e.tolist(), p.tolist(), r.tolist()
+    if not all(map(math.isfinite, e + p + r)):
+        raise ValueError("errors, pitch and roll must be finite")
+    if len(e) < 3:
+        raise SingularDesign("three coefficients need at least three samples")
+    fsum = math.fsum
+    (me, ce), (mp, cp), (mr, cr) = _centred(e), _centred(p), _centred(r)
+    spp, srr = fsum(a * a for a in cp), fsum(a * a for a in cr)
+    spr = fsum(a * b for a, b in zip(cp, cr))
+    spe, sre = fsum(a * b for a, b in zip(cp, ce)), fsum(a * b for a, b in zip(cr, ce))
+    det = spp * srr - spr * spr
+    if not (spp > 1e-12 * fsum(a * a for a in p) and srr > 1e-12 * fsum(a * a for a in r)
+            and det > 1e-12 * spp * srr):
         raise SingularDesign("regressors are constant or collinear")
-    residual = e - design @ sol
-    ss_res = float(residual @ residual)
-    centered = e - e.mean()
-    ss_tot = float(centered @ centered)
+    coef_pitch = (srr * spe - spr * sre) / det
+    coef_roll = (spp * sre - spr * spe) / det
+    residual = [a - coef_pitch * b - coef_roll * c for a, b, c in zip(ce, cp, cr)]
+    ss_res = fsum(a * a for a in residual)
+    ss_tot = fsum(a * a for a in ce)
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     r2 = min(max(r2, 0.0), 1.0)
-    return RegressionResult(float(sol[0]), float(sol[1]), float(sol[2]), r2)
+    return RegressionResult(coef_pitch, coef_roll, me - coef_pitch * mp - coef_roll * mr, r2)
 
 
 def build_error_report(pairs, dropped: int = 0,

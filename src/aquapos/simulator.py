@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attitude import GRAVITY
-from .camera import DEFAULT_INTRINSICS, Intrinsics, TagGeometry, _pixel_ray
+from .camera import (DEFAULT_INTRINSICS, Intrinsics, TagGeometry, _center, _pixel_ray,
+                     _project)
 from .depth_calibration import IDENTITY_CALIBRATION, CalibrationParams, _check_seed
 from .errors import BehindCamera, ParallelToPlane, RegionTooSmall
 from .estimators import RigExtrinsics, _camera_in_world, default_rig
@@ -41,6 +42,26 @@ _PATTERNS = ("square", "lawnmower", "random")
 # merge priority for records sharing a timestamp: sensors before the
 # camera so a frame never sees a stale sample that exists at its own time
 _STREAM_PRIORITY = {"imu": 0, "slam": 1, "depth": 2, "truth": 3, "camera": 4}
+
+# Records one stream may hold in a run: 833 times the quick start's largest
+# stream (12,000 IMU records), and about 1.6 GB of JSONL as IMU records.
+MAX_STREAM_RECORDS = 10**7
+
+
+def record_count(rate: float, duration: float) -> int:
+    """Records a stream of rate Hz writes over duration s, floor(rate * duration).
+
+    Raises ValueError for a count that is not finite or is above
+    MAX_STREAM_RECORDS.
+    """
+    n = rate * duration + 1e-9
+    if not math.isfinite(n):
+        raise ValueError(f"{rate!r} Hz over {duration!r} s is not a finite record count")
+    count = int(math.floor(n))
+    if count > MAX_STREAM_RECORDS:
+        raise ValueError(f"{rate!r} Hz over {duration!r} s is {count:.6g} records, "
+                         f"above the bound of {MAX_STREAM_RECORDS:g} per stream")
+    return count
 
 
 @dataclass(frozen=True)
@@ -379,6 +400,9 @@ class Simulator:
         self.spec = spec
         self.scene = scene if scene is not None else SceneConfig()
         self.noise = noise if noise is not None else NoiseModel()
+        rates = self.scene.rates
+        self._counts = {name: record_count(getattr(rates, name), spec.duration)
+                        for name in _STREAM_PRIORITY}
         self.trajectory = gen_trajectory(spec)
 
         streams = np.random.SeedSequence(self.noise.seed).spawn(6)
@@ -394,7 +418,6 @@ class Simulator:
         self._command = (0.0, 0.0)
         self._t_last = 0.0
         self._follower = Follower(self.scene.intrinsics, self.scene.follower)
-        self._tag_corners = [(x, y) for x, y, _ in self.scene.tag.corners().tolist()]
         self.stats = {"camera_frames": 0, "in_frustum": 0, "tags_emitted": 0}
 
     # --- analytic world state ---------------------------------------
@@ -479,29 +502,27 @@ class Simulator:
         c, s = math.cos(yaw), math.sin(yaw)
         K = self.scene.intrinsics
         pixels = []
-        for qx, qy in self._tag_corners:
+        for qx, qy in self.scene.tag.corners_xy:
             wx, wy, wz = c * qx - s * qy + mx - tx, s * qx + c * qy + my - ty, mz - tz
-            x, y, z = (r0 * wx + r3 * wy + r6 * wz, r1 * wx + r4 * wy + r7 * wz,
-                       r2 * wx + r5 * wy + r8 * wz)
-            if z <= 1e-6:
+            pixel = _project(K, r0 * wx + r3 * wy + r6 * wz, r1 * wx + r4 * wy + r7 * wz,
+                             r2 * wx + r5 * wy + r8 * wz)
+            if pixel is None:
                 break
-            px, py = K.fx * x / z + K.cx, K.fy * y / z + K.cy
+            px, py = pixel
             if not (0.0 <= px <= K.width and 0.0 <= py <= K.height):
                 break
-            pixels.append((px, py))
+            pixels.append(pixel)
 
         record = center = None
         if len(pixels) == 4:
             self.stats["in_frustum"] += 1
             if u >= self.noise.p_drop(self.trajectory.depth(t)):
                 # on Python floats a huge sigma overflows to inf without a
-                # numpy warning; write_records then names the record. The
-                # sums are numpy's mean over the corners, term for term.
+                # numpy warning; write_records then names the record
                 s = self.noise.pixel_sigma
                 corners = [[px + s * nx, py + s * ny]
                            for (px, py), (nx, ny) in zip(pixels, pixel_noise)]
-                (u0, v0), (u1, v1), (u2, v2), (u3, v3) = corners
-                center = ((u0 + u1 + u2 + u3) / 4, (v0 + v1 + v2 + v3) / 4)
+                center = _center(corners)
                 record = {"t": t, "kind": "tag", "corners": corners}
                 self.stats["tags_emitted"] += 1
         self._command = self._follower.step(center, cam, mz, dt)
@@ -511,11 +532,7 @@ class Simulator:
 
     def stream(self):
         """Yield the merged records in time order; self.stats counts the frames."""
-        rates = self.scene.rates
-        counts = {
-            name: int(math.floor(getattr(rates, name) * self.spec.duration + 1e-9))
-            for name in _STREAM_PRIORITY
-        }
+        rates, counts = self.scene.rates, self._counts
         gyro = _draws(self._rng_gyro.normal, counts["imu"], (3,))
         accel = _draws(self._rng_accel.normal, counts["imu"], (3,))
         slam = _draws(self._rng_slam.normal, counts["slam"], (3,))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from aquapos import attitude
 from aquapos.attitude import (
     GRAVITY,
     MAX_VARIANCE,
@@ -93,6 +94,31 @@ class TestPredict:
         s = TiltState(0.0, np.pi / 2 - 1e-4, np.eye(2) * 1e-4)
         with pytest.raises(PitchSingularity):
             _predict_state(s, [0, 0.1, 0], 0.01, TiltConfig())
+
+
+class TestOneRulePerStep:
+    # a pitch 2e-3 rad short of 90 deg at 1 rad/s predicts to 8e-3 rad past it
+    X = (0.0, math.pi / 2 - 2e-3, 1e-2, 0.0, 1e-2)
+    GYRO, DT = (0.0, 1.0, 0.0), 0.01
+
+    def test_update_that_mends_the_predicted_state_is_accepted(self):
+        cfg = TiltConfig()
+        q, r = _entries(cfg.q), _entries(cfg.r)
+        with pytest.raises(ValueError, match="pitch out of"):
+            _step(self.X, self.GYRO, self.DT, q, None, r)
+        # the same sample's level accelerometer pulls the pitch back inside
+        roll, pitch, *_ = _step(self.X, self.GYRO, self.DT, q, (0.0, 0.0), r)
+        assert abs(pitch) < 0.1 and roll == 0.0
+
+    def test_each_sample_checks_one_state(self, monkeypatch):
+        calls = []
+        checked = attitude._checked
+        monkeypatch.setattr(attitude, "_checked", lambda *x: calls.append(x) or checked(*x))
+        tracker = TiltTracker()
+        for k in range(50):
+            tracker.feed(ImuSample(0.01 * k, [0.0, 0.1, 0.0], _gravity_accel(0.0, 0.001 * k)))
+        assert len(calls) == 50
+        assert calls[-1] == tracker.state._x
 
 
 class TestAccelToTilt:

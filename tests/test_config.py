@@ -242,6 +242,21 @@ simulation:
         with pytest.raises(ConfigError, match="staleness_bound"):
             load_run_config(_write(tmp_path, "staleness_bound: .nan\n"))
 
+    @pytest.mark.parametrize("entry, message", [
+        ("simulation: {rates: {imu: 1.0e+30}}",
+         "simulation.rates.imu: 1e+30 Hz over 120.0 s is 1.2e+32 records, above the "
+         "bound of 1e+07 per stream"),
+        ("simulation: {trajectory: {duration: 1.0e+6}}",
+         "simulation.rates.camera: 30.0 Hz over 1000000.0 s is 3e+07 records, above the "
+         "bound of 1e+07 per stream"),
+        (f"pso: {{swarm_size: {10**30}}}", "pso: swarm_size * iterations must not exceed 1e+07"),
+        (f"pso: {{iterations: {10**30}}}", "pso: swarm_size * iterations must not exceed 1e+07"),
+    ])
+    def test_run_size_past_its_bound_rejected(self, tmp_path, entry, message):
+        with pytest.raises(ConfigError) as info:
+            load_run_config(_write(tmp_path, entry + "\n"))
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("entry", ["tag: {side_length: .inf}",
                                        "simulation: {follower: {deadband_px: .nan}}",
                                        "simulation: {follower: {gain_y: .nan}}",
@@ -313,6 +328,15 @@ class TestNumericKeysTakeNumbersOnly:
                                                                    entry, key):
         with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: (could not|float)"):
             load_run_config(_write(tmp_path, entry + "\n"))
+
+    @pytest.mark.parametrize("value, form", [("1e308", "1.0e+308"), ("-2E-5", "-2.0e-5"),
+                                             ("1.5e3", "1.5e+3"), ("1e+3", "1.0e+3")])
+    def test_yaml_11_exponent_string_gets_a_hint(self, tmp_path, value, form):
+        # YAML 1.1 reads an exponent as a number only after a dot and with a sign
+        with pytest.raises(ConfigError) as info:
+            load_run_config(_write(tmp_path, f"simulation: {{rates: {{imu: {value}}}}}\n"))
+        assert str(info.value) == (f"simulation.rates.imu: expected a number, got "
+                                   f"'{value}'; write {form} for YAML 1.1 to read it")
 
     def test_ints_and_floats_load_as_before(self, tmp_path):
         cfg = load_run_config(_write(tmp_path, """

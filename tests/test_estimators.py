@@ -290,9 +290,9 @@ class TestYawEquivariance:
 class TestSynchronizer:
     def test_single_sample_staleness(self):
         sync = SensorSynchronizer()
-        sync.push_pose(SurfacePoseState(0.0, 0.0, 0.0, 0.0))
-        sync.push_tag(TagObservation(0.0, np.zeros((4, 2))))
-        sync.push_depth(DepthMeasurement(0.0, 1.0))
+        sync.push("pose", SurfacePoseState(0.0, 0.0, 0.0, 0.0))
+        sync.push("tag", TagObservation(0.0, np.zeros((4, 2))))
+        sync.push("depth", DepthMeasurement(0.0, 1.0))
         bundle = sync.synchronize(0.05)
         assert bundle.staleness == {"pose": 0.05, "tag": 0.05, "depth": 0.05}
 
@@ -305,10 +305,10 @@ class TestSynchronizer:
         # each estimator requires its own streams: cpnp runs without depth, cd
         # reports the missing stream as stale
         sync = SensorSynchronizer()
-        sync.push_pose(SurfacePoseState(0.0, 0.0, 0.0, 0.0))
+        sync.push("pose", SurfacePoseState(0.0, 0.0, 0.0, 0.0))
         tag = _synthesize_tag(SurfacePoseState(0.0, 0.0, 0.0, 0.0), _down_camera_rig(),
                               [0.1, 0.0, -1.0], 0.0)
-        sync.push_tag(tag)
+        sync.push("tag", tag)
         bundle = sync.synchronize(0.01)
         assert bundle.depth is None
         assert set(bundle.staleness) == {"pose", "tag"}
@@ -318,13 +318,13 @@ class TestSynchronizer:
 
     def test_interleaved_rates_bound_staleness(self):
         sync = SensorSynchronizer()
-        sync.push_depth(DepthMeasurement(0.0, 1.0))
+        sync.push("depth", DepthMeasurement(0.0, 1.0))
         next_depth = 1
         for k in range(1, 301):  # 3 s of 100 Hz pose
             t = k / 100.0
-            sync.push_pose(SurfacePoseState(t, 0.0, 0.0, 0.0))
+            sync.push("pose", SurfacePoseState(t, 0.0, 0.0, 0.0))
             while next_depth / 15.0 <= t:
-                sync.push_depth(DepthMeasurement(next_depth / 15.0, 1.0))
+                sync.push("depth", DepthMeasurement(next_depth / 15.0, 1.0))
                 next_depth += 1
             bundle = sync.synchronize(t)
             assert bundle.staleness["depth"] <= 1 / 15 + 1e-12
@@ -332,13 +332,13 @@ class TestSynchronizer:
 
     def test_monotonic_push_enforced(self):
         sync = SensorSynchronizer()
-        sync.push_depth(DepthMeasurement(1.0, 1.0))
+        sync.push("depth", DepthMeasurement(1.0, 1.0))
         with pytest.raises(ValueError):
-            sync.push_depth(DepthMeasurement(0.5, 1.0))
+            sync.push("depth", DepthMeasurement(0.5, 1.0))
 
     def test_query_before_sample_rejected(self):
         sync = SensorSynchronizer()
-        sync.push_pose(SurfacePoseState(1.0, 0.0, 0.0, 0.0))
+        sync.push("pose", SurfacePoseState(1.0, 0.0, 0.0, 0.0))
         with pytest.raises(ValueError):
             sync.synchronize(0.5)
 

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import aquapos
 from aquapos.errors import EmptySeries, SingularDesign
 from aquapos.evaluation import (
     MAX_BINS,
@@ -213,6 +217,11 @@ class TestRegression:
         with pytest.raises(SingularDesign):
             tilt_error_regression([1.0, 2.0, 3.0], [0.1, 0.1, 0.1], [0.0, 0.1, 0.2])
 
+    def test_collinear_regressors_are_singular(self):
+        pitch = np.linspace(-0.1, 0.1, 50)
+        with pytest.raises(SingularDesign):
+            tilt_error_regression(np.sin(pitch), pitch, -3.0 * pitch)
+
     def test_too_few_samples_is_singular(self):
         with pytest.raises(SingularDesign):
             tilt_error_regression([1.0, 2.0], [0.1, 0.2], [0.0, 0.1])
@@ -228,6 +237,33 @@ class TestRegression:
         residual = errors - predicted
         design = np.column_stack([pitch, roll, np.ones(n)])
         assert np.max(np.abs(design.T @ residual)) <= 1e-9
+
+    def test_bits_do_not_depend_on_the_blas_kernel(self):
+        # OpenBLAS picks its kernel by CPU; Prescott's has no fused multiply-add
+        code = (
+            "import numpy as np\n"
+            "from aquapos.evaluation import tilt_error_regression\n"
+            "for n in (50, 333, 3600):\n"
+            "    rng = np.random.default_rng(n)\n"
+            "    pitch, roll = rng.normal(0, 0.05, n), rng.normal(0, 0.05, n)\n"
+            "    errors = 0.004 + 0.02 * pitch - 0.01 * roll + rng.normal(0, 0.003, n)\n"
+            "    fit = tilt_error_regression(errors, pitch, roll)\n"
+            "    print(*(v.hex() for v in (fit.coef_pitch, fit.coef_roll, fit.intercept,\n"
+            "                              fit.r_squared)))\n"
+        )
+        src = os.path.dirname(os.path.dirname(aquapos.__file__))
+        outputs = []
+        for coretype in (None, "Prescott"):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+            if coretype is not None:
+                env["OPENBLAS_CORETYPE"] = coretype
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0].count("\n") == 3
+        assert outputs[0] == outputs[1]
 
     def test_r_squared_validation(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from aquapos.estimators import EstimationPipeline, RigExtrinsics, _camera_in_wor
 from aquapos.evaluation import align, med
 from aquapos.geometry import RigidTransform, euler_zyx_to_rotation
 from aquapos.simulator import (
+    MAX_STREAM_RECORDS,
     Follower,
     FollowerConfig,
     MarkerTrajectory,
@@ -20,6 +21,7 @@ from aquapos.simulator import (
     Simulator,
     TrajectorySpec,
     gen_trajectory,
+    record_count,
 )
 
 
@@ -160,6 +162,18 @@ class TestRegionValidation:
         for value in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
                 NoiseModel(**{field: value})
+
+    def test_run_past_the_record_bound_is_a_value_error(self):
+        # rate * duration overflows float; no run that large ever starts
+        scene = SceneConfig(rates=SampleRates(imu=1e308))
+        with pytest.raises(ValueError, match="not a finite record count"):
+            Simulator(TrajectorySpec(duration=120.0), scene).run()
+
+    def test_record_count_bound(self):
+        assert record_count(30.0, 120.0) == 3600
+        assert record_count(1e5, 100.0) == MAX_STREAM_RECORDS
+        with pytest.raises(ValueError, match="above the bound of 1e\\+07 per stream"):
+            record_count(1e5, 100.001)
 
     def test_non_finite_yaw_wave(self):
         for kwargs in ({"yaw_period": math.nan}, {"yaw_period": math.inf},
