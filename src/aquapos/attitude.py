@@ -18,13 +18,12 @@ its covariance array only when it is read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
+from ._numpy import np
 from .errors import AccelOutOfRange, PitchSingularity
-from .geometry import _as_vec3, _floats3
+from .geometry import _as_vec3, _built_on_read, _floats3
 
 GRAVITY = 9.81
 MAX_VARIANCE = 1e150  # the filter multiplies two covariance entries
@@ -35,20 +34,48 @@ def _smaller_eigenvalue(p00, p01, p11) -> float:
     return 0.5 * p00 + 0.5 * p11 - math.hypot(0.5 * p00 - 0.5 * p11, p01)
 
 
-def _as_cov2(M, name: str, positive_definite: bool) -> np.ndarray:
-    P = np.asarray(M, dtype=float)
-    if P.shape != (2, 2) or not np.all(np.isfinite(P)):
+def _float_entries(M):
+    """(p00, p01, p10, p11) when M is a list or tuple of two list or tuple rows
+    of two floats each, else None."""
+    if type(M) in (list, tuple) and len(M) == 2 and all(
+            type(row) in (list, tuple) and len(row) == 2 for row in M):
+        (p00, p01), (p10, p11) = M
+        if type(p00) is type(p01) is type(p10) is type(p11) is float:
+            return p00, p01, p10, p11
+    return None
+
+
+def _as_cov2(M, name: str, positive_definite: bool) -> tuple[float, float, float]:
+    """(p00, p01, p11) of M, a finite 2x2 matrix symmetric within 1e-12, once
+    symmetrised and found positive semi-definite, or definite when asked.
+
+    Rows of floats (see _float_entries) are read as they are; any other
+    value goes through numpy. The checks run on floats.
+    """
+    entries = _float_entries(M)
+    if entries is None:
+        P = np.asarray(M, dtype=float)
+        if P.shape != (2, 2):
+            raise ValueError(f"{name} must be a finite 2x2 matrix")
+        entries = P.ravel().tolist()
+    p00, p01, p10, p11 = entries
+    if not all(map(math.isfinite, entries)):
         raise ValueError(f"{name} must be a finite 2x2 matrix")
-    if np.max(np.abs(P - P.T)) > 1e-12:
+    if abs(p01 - p10) > 1e-12:
         raise ValueError(f"{name} must be symmetric")
-    P = 0.5 * P + 0.5 * P.T  # halving first cannot overflow
-    smaller = _smaller_eigenvalue(*_entries(P))
+    p01 = 0.5 * p01 + 0.5 * p10  # halving first cannot overflow
+    smaller = _smaller_eigenvalue(p00, p01, p11)
     if positive_definite:
         if smaller <= 0:
             raise ValueError(f"{name} must be positive definite")
     elif smaller < -1e-12:
         raise ValueError(f"{name} must be positive semi-definite")
-    return P
+    return p00, p01, p11
+
+
+def _matrix(p00, p01, p11) -> np.ndarray:
+    """The symmetric 2x2 array with the distinct entries p00, p01 and p11."""
+    return np.array([[p00, p01], [p01, p11]])
 
 
 def _entries(P: np.ndarray) -> tuple[float, float, float]:
@@ -87,9 +114,9 @@ class TiltState:
     covariance: np.ndarray
 
     def __post_init__(self):
-        P = _as_cov2(self.covariance, "covariance", positive_definite=False)
-        _checked(self.roll, self.pitch, *_entries(P))
-        object.__setattr__(self, "covariance", P)
+        x = _checked(self.roll, self.pitch,
+                     *_as_cov2(self.covariance, "covariance", positive_definite=False))
+        object.__setattr__(self, "covariance", _matrix(*x[2:]))
 
 
 # Inside the filter a state is the float tuple (roll, pitch, p00, p01, p11):
@@ -119,30 +146,34 @@ class _FilterState(TiltState):
 
     @cached_property
     def covariance(self) -> np.ndarray:
-        _, _, p00, p01, p11 = self._x
-        return np.array([[p00, p01], [p01, p11]])
+        return _matrix(*self._x[2:])
 
 
+@_built_on_read("p0", lambda cfg: _matrix(*cfg._p0))
+@_built_on_read("r", lambda cfg: _matrix(*cfg._r))
+@_built_on_read("q", lambda cfg: _matrix(*cfg._q))
 @dataclass(frozen=True)
 class TiltConfig:
     """Noise settings for the tilt filter.
 
     r must be positive definite (it is inverted in the update); q and p0 may
     be semi-definite, which freezes the corresponding state directions, and
-    their entries may not exceed MAX_VARIANCE, whose square is finite.
+    their entries may not exceed MAX_VARIANCE, whose square is finite. Each
+    matrix is held as its entries (p00, p01, p11) from _as_cov2, in ``_q``,
+    ``_r`` and ``_p0``, and its array is built the first time it is read.
     """
 
-    q: np.ndarray = field(default_factory=lambda: np.diag([1e-6, 1e-6]))
-    r: np.ndarray = field(default_factory=lambda: np.diag([4e-4, 4e-4]))
-    p0: np.ndarray = field(default_factory=lambda: np.diag([1e-2, 1e-2]))
+    q: np.ndarray = ((1e-6, 0.0), (0.0, 1e-6))
+    r: np.ndarray = ((4e-4, 0.0), (0.0, 4e-4))
+    p0: np.ndarray = ((1e-2, 0.0), (0.0, 1e-2))
 
     def __post_init__(self):
-        object.__setattr__(self, "q", _as_cov2(self.q, "q", False))
-        object.__setattr__(self, "r", _as_cov2(self.r, "r", True))
-        object.__setattr__(self, "p0", _as_cov2(self.p0, "p0", False))
-        for name in ("q", "p0"):
-            if np.max(np.abs(getattr(self, name))) > MAX_VARIANCE:
+        fields = self.__dict__
+        q, r, p0 = (_as_cov2(fields.pop(name), name, name == "r") for name in ("q", "r", "p0"))
+        for name, entries in (("q", q), ("p0", p0)):
+            if max(map(abs, entries)) > MAX_VARIANCE:
                 raise ValueError(f"{name} entries must not exceed {MAX_VARIANCE:g}")
+        fields.update(_q=q, _r=r, _p0=p0)
 
 
 def _propagate(roll, pitch, wx, wy, wz, dt):
@@ -254,7 +285,7 @@ def _step(x: tuple, gyro, dt: float, q, z, r) -> tuple:
 def ekf_update(state: TiltState, accel, cfg: TiltConfig) -> TiltState:
     """Correct the state with the accelerometer tilt observation (H = I)."""
     x = _step((state.roll, state.pitch, *_entries(state.covariance)), None, 0.0,
-              None, _tilt(*_as_vec3(accel).tolist()), _entries(cfg.r))
+              None, _tilt(*_as_vec3(accel).tolist()), cfg._r)
     return _FilterState(x)
 
 
@@ -278,9 +309,7 @@ class TiltTracker:
         self.state: TiltState | None = None
         self._seed_next = True
         self._t_last: float | None = None
-        self._p0 = _entries(self.cfg.p0)
-        self._q = _entries(self.cfg.q)
-        self._r = _entries(self.cfg.r)
+        self._p0, self._q, self._r = self.cfg._p0, self.cfg._q, self.cfg._r
 
     def feed(self, sample: ImuSample) -> TiltState:
         t_last, self._t_last = self._t_last, sample.timestamp

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 
-import numpy as np
-
+from ._numpy import np
 from .errors import BehindCamera, PnPDegenerate, PnPNoConvergence
 from .geometry import RigidTransform, _built_on_read
 

@@ -17,7 +17,6 @@ import os
 import re
 from dataclasses import dataclass, field
 
-import numpy as np
 import yaml
 
 from .attitude import TiltConfig
@@ -25,8 +24,9 @@ from .camera import Intrinsics
 from .depth_calibration import PsoConfig
 from .errors import ConfigError
 from .estimators import DEFAULT_STALENESS_BOUND, RigExtrinsics, default_rig
-from .geometry import RigidTransform, euler_zyx_to_rotation
-from .simulator import NoiseModel, SceneConfig, TrajectorySpec, record_count
+from .geometry import RigidTransform, _euler_zyx
+from .simulator import (NoiseModel, SceneConfig, TrajectorySpec, random_path_length,
+                        record_count)
 
 log = logging.getLogger(__name__)
 
@@ -73,12 +73,12 @@ def _number(value, where) -> float:
 
     float() would take a bool as 0 or 1 and a numeric string as its number,
     so both are rejected, a number string that YAML 1.1 did not read for its
-    exponent's form with a hint at the form it reads; other values keep
-    float()'s own message.
+    exponent's form with a hint at the form it reads; other values, such as
+    an integer beyond float range, keep float()'s own message.
     """
     try:
         number = float(value)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
     if isinstance(value, (bool, str)):
         hint = ""
@@ -157,12 +157,10 @@ def _load_rig(section) -> RigExtrinsics:
         "rig",
     )
     base = default_rig()
-    translation = section.get(
-        "camera_translation", list(base.camera_in_body.translation)
-    )
+    translation = section.get("camera_translation", base.camera_in_body.t)
     if isinstance(translation, list):
-        for i, v in enumerate(translation):
-            _number(v, f"rig.camera_translation[{i}]")
+        translation = [_number(v, f"rig.camera_translation[{i}]")
+                       for i, v in enumerate(translation)]
     euler_deg = section.get("camera_euler_zyx_deg", [0.0, 0.0, 180.0])
     if not (isinstance(euler_deg, (list, tuple)) and len(euler_deg) == 3):
         raise ConfigError("rig.camera_euler_zyx_deg must be [yaw, pitch, roll]")
@@ -170,24 +168,25 @@ def _load_rig(section) -> RigExtrinsics:
                         for i, a in enumerate(euler_deg))
     body_height = _number(section.get("body_height", base.body_height), "rig.body_height")
     try:
-        cam = RigidTransform(euler_zyx_to_rotation(yaw, pitch, roll), translation)
+        cam = RigidTransform(_euler_zyx(yaw, pitch, roll), translation)
         return RigExtrinsics(cam, body_height=body_height)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"rig: {exc}")
 
 
 def _load_tilt(section) -> TiltConfig:
-    # each key is one matrix's diagonal, set on its own so that an error names it
+    # each key is one matrix's diagonal, checked on its own so that an error names it
     matrices = {"gyro_var": "q", "accel_var": "r", "initial_var": "p0"}
     _check_keys(section, matrices, "tilt_filter")
-    cfg = TiltConfig()
+    diagonals = {}
     for key, value in section.items():
         var = _number(value, f"tilt_filter.{key}")
+        diagonals[matrices[key]] = diagonal = ((var, 0.0), (0.0, var))
         try:
-            cfg = dataclasses.replace(cfg, **{matrices[key]: np.diag([var] * 2)})
-        except (ValueError, TypeError) as exc:
+            TiltConfig(**{matrices[key]: diagonal})
+        except ValueError as exc:
             raise ConfigError(f"tilt_filter.{key}: {exc}")
-    return cfg
+    return TiltConfig(**diagonals)
 
 
 def _load_noise(section) -> NoiseModel:
@@ -221,14 +220,20 @@ def _load_simulation(section, cfg: RunConfig) -> RunConfig:
         cfg.follower, _section(section, "follower"), "simulation.follower"
     )
     noise = _load_noise(_section(section, "noise"))
-    # the simulator writes record_count(rate, duration) records per stream and
-    # takes sines of 2 pi * tilt_frequency * t for t up to duration
+    # the simulator writes record_count(rate, duration) records per stream,
+    # lays a random path of random_path_length(speed, duration) and takes
+    # sines of 2 pi * tilt_frequency * t for t up to duration
     duration = trajectory.duration
     for name, rate in vars(rates).items():
         try:
             record_count(rate, duration)
         except ValueError as exc:
             raise ConfigError(f"simulation.rates.{name}: {exc}") from None
+    if trajectory.pattern == "random":
+        try:
+            random_path_length(trajectory.speed, duration)
+        except ValueError as exc:
+            raise ConfigError(f"simulation.trajectory.speed: {exc}") from None
     if not math.isfinite(2.0 * math.pi * noise.tilt_frequency * duration):
         raise ConfigError(f"simulation.noise.tilt_frequency: {noise.tilt_frequency!r} Hz "
                           f"over {duration!r} s is not a finite tilt phase")

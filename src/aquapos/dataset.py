@@ -20,8 +20,7 @@ import csv
 import json
 from math import isfinite
 
-import numpy as np
-
+from ._numpy import np
 from .camera import _float_quad
 from .errors import DatasetFormatError
 from .estimators import METHODS
@@ -343,7 +342,7 @@ def load_pairs_csv(path) -> np.ndarray:
                 if lineno == 1:
                     continue  # header
                 raise DatasetFormatError(f"{path}:{lineno}: non-numeric row")
-            if not all(np.isfinite(v) for v in pair):
+            if not all(map(isfinite, pair)):
                 raise DatasetFormatError(f"{path}:{lineno}: non-finite value")
             rows.append(pair)
     return np.array(rows, dtype=float).reshape(-1, 2)

@@ -14,9 +14,8 @@ import math
 import numbers
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import DegenerateData, InsufficientData
+from ._numpy import np
+from .errors import ConfigError, DegenerateData, InsufficientData
 
 # Per-step velocity clamp, as a fraction of each parameter's search range.
 _VELOCITY_CLAMP_FRACTION = 0.2
@@ -24,6 +23,10 @@ _VELOCITY_CLAMP_FRACTION = 0.2
 # Particle-steps (swarm_size * iterations) one fit may take: 1,667 times the
 # default swarm's 6,000.
 MAX_PARTICLE_STEPS = 10**7
+
+# Residuals (swarm_size * pairs) one step of a fit may hold: 80 MB as float64,
+# and the default swarm of 30 over 333,333 pairs.
+MAX_PARTICLE_PAIRS = 10**7
 
 
 def _is_int(value) -> bool:
@@ -46,7 +49,7 @@ class CalibrationParams:
     offset: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.scale) and np.isfinite(self.offset)):
+        if not (math.isfinite(self.scale) and math.isfinite(self.offset)):
             raise ValueError("calibration parameters must be finite")
         if self.scale == 0.0:
             raise ValueError("calibration scale must be nonzero")
@@ -84,7 +87,7 @@ class PsoConfig:
             if not 0.0 <= getattr(self, name) < math.inf:  # also rejects nan
                 raise ValueError(f"{name} must be non-negative and finite")
         for lo, hi in (self.scale_bounds, self.offset_bounds):
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValueError("bounds must be finite with lower < upper")
         _check_seed(self.seed)
 
@@ -187,13 +190,20 @@ def calibrate_with_trace(pairs, cfg: PsoConfig | None = None):
     config and data, which makes determinism cheap to assert. The pairs
     are checked once here; the swarm is held as arrays (see _pso_step).
     Raises DegenerateData for pairs whose cost can overflow somewhere in
-    the search bounds, before any numpy arithmetic on them.
+    the search bounds, before any numpy arithmetic on them, and ConfigError
+    for a swarm whose residuals over the pairs are above MAX_PARTICLE_PAIRS,
+    before the swarm is made.
     """
     if cfg is None:
         cfg = PsoConfig()
     arr = _as_pairs(pairs)
-    if arr.shape[0] < 2:
+    n = arr.shape[0]
+    if n < 2:
         raise InsufficientData("need at least 2 calibration pairs")
+    if cfg.swarm_size * n > MAX_PARTICLE_PAIRS:
+        raise ConfigError(f"pso.swarm_size: {cfg.swarm_size} particles over {n} pairs is "
+                          f"{cfg.swarm_size * n:.6g} residuals per step, above the bound "
+                          f"of {MAX_PARTICLE_PAIRS:g}")
     raw, truth = arr.T.tolist()
     # in the bounds a residual scale * raw + offset - truth is at most
     # a |raw| + b + |truth| in size

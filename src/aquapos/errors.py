@@ -46,7 +46,8 @@ class StaleSensor(AquaposError):
 
 
 class NonFiniteEstimate(AquaposError):
-    """Estimator arithmetic overflowed to a non-finite result."""
+    """Estimator arithmetic, or the error arithmetic that scores an estimate,
+    overflowed to a non-finite result."""
 
 
 class InsufficientData(AquaposError):

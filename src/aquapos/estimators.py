@@ -37,8 +37,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._numpy import np
 from .attitude import ImuSample, TiltConfig, TiltTracker
 from .camera import (
     Intrinsics,
@@ -52,12 +51,10 @@ from .depth_calibration import IDENTITY_CALIBRATION, CalibrationParams, apply_ca
 from .errors import AquaposError, NonFiniteEstimate, StaleSensor
 from .geometry import (
     RigidTransform,
-    _as_vec3,
     _built_on_read,
     _euler_zyx,
     _floats3,
     _line_zplane_hit,
-    euler_zyx_to_rotation,
 )
 
 log = logging.getLogger(__name__)
@@ -84,12 +81,10 @@ class RigExtrinsics:
     body_height: float
 
     def __post_init__(self):
-        if not np.isfinite(self.body_height):
+        if not math.isfinite(self.body_height):
             raise ValueError("body_height must be finite")
         H = self.camera_in_body
-        object.__setattr__(self, "_floats", (tuple(H.rotation.ravel().tolist()),
-                                             tuple(H.translation.tolist()),
-                                             float(self.body_height)))
+        object.__setattr__(self, "_floats", (H.R, H.t, float(self.body_height)))
 
 
 @dataclass(frozen=True)
@@ -177,8 +172,7 @@ def default_rig() -> RigExtrinsics:
     """Bench rig: camera 10 cm ahead of the body origin, 2 cm below it,
     rolled half a turn to look straight down; hull rides 5 cm above the
     water datum."""
-    rotation = euler_zyx_to_rotation(0.0, 0.0, math.pi)
-    camera_in_body = RigidTransform(rotation, np.array([0.10, 0.0, -0.02]))
+    camera_in_body = RigidTransform(_euler_zyx(0.0, 0.0, math.pi), (0.10, 0.0, -0.02))
     return RigExtrinsics(camera_in_body, body_height=0.05)
 
 
@@ -379,9 +373,7 @@ class EstimationPipeline:
         self.calibration = calibration
         self.methods = tuple(methods)
         self.staleness_bound = staleness_bound
-        self.marker_offset = (
-            None if marker_offset is None else tuple(_as_vec3(marker_offset).tolist())
-        )
+        self.marker_offset = None if marker_offset is None else _floats3(marker_offset)
         self.tracker = TiltTracker(tilt_config)
         self.sync = SensorSynchronizer()
         self.counters = dict.fromkeys([*(f"{kind}_rejected" for kind in KINDS),

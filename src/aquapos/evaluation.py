@@ -8,13 +8,13 @@ regression of error against platform tilt.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import EmptySeries, SingularDesign
+from ._numpy import np
+from .errors import EmptySeries, NonFiniteEstimate, SingularDesign
 from .geometry import _built_on_read
 
 DEFAULT_ALIGN_TOLERANCE = 0.02  # seconds
@@ -139,6 +139,18 @@ def align(est_times, est_points, truth_times, truth_points,
     return pairs, int(et.size - len(pairs))
 
 
+@contextlib.contextmanager
+def _finite_errors():
+    """Context manager and decorator: numpy overflow in the error arithmetic
+    as NonFiniteEstimate, where a huge but finite estimate would otherwise
+    make an inf error and a warning."""
+    with np.errstate(over="raise"):
+        try:
+            yield
+        except FloatingPointError as exc:
+            raise NonFiniteEstimate(f"estimate errors overflow: {exc}") from None
+
+
 def _error_series(pairs) -> tuple[np.ndarray, np.ndarray]:
     """Per-axis errors (n, 3), estimate - truth, and their norms (n,): the one
     error formula behind med, the report and evaluate's CSV."""
@@ -153,6 +165,7 @@ def _error_series(pairs) -> tuple[np.ndarray, np.ndarray]:
     return axis_err, np.linalg.norm(axis_err, axis=1)
 
 
+@_finite_errors()
 def med(pairs) -> float:
     """Mean Euclidean distance over aligned pairs."""
     return float(np.mean(_error_series(pairs)[1]))
@@ -226,9 +239,14 @@ def tilt_error_regression(errors, pitch, roll) -> RegressionResult:
     return RegressionResult(coef_pitch, coef_roll, me - coef_pitch * mp - coef_roll * mr, r2)
 
 
+@_finite_errors()
 def build_error_report(pairs, dropped: int = 0,
                        bin_width: float = DEFAULT_BIN_WIDTH) -> ErrorReport:
-    """Assemble the full metric set from aligned pairs."""
+    """Assemble the full metric set from aligned pairs.
+
+    Raises NonFiniteEstimate when an error, or a sum of them or of their
+    squares, overflows.
+    """
     axis_err, eucl = _error_series(pairs)
     edges, counts = histogram(eucl, bin_width)
     return ErrorReport(

@@ -10,8 +10,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
+from ._numpy import np
 from .errors import DegenerateLine, GimbalLockNear, ParallelToPlane
 
 ORTHONORMAL_TOL = 1e-9
@@ -30,10 +29,10 @@ def _as_vec3(p) -> np.ndarray:
 def _floats3(v) -> tuple[float, float, float]:
     """v as a float 3-tuple, with _as_vec3's checks and messages.
 
-    An exact list of three floats with a finite sum is taken as it is; any
-    other value goes through _as_vec3, which gives the verdict.
+    An exact list or tuple of three floats with a finite sum is taken as it
+    is; any other value goes through _as_vec3, which gives the verdict.
     """
-    if type(v) is list and len(v) == 3:
+    if (type(v) is list or type(v) is tuple) and len(v) == 3:
         x, y, z = v
         if type(x) is type(y) is type(z) is float and math.isfinite(x + y + z):
             return x, y, z
@@ -52,24 +51,54 @@ def _built_on_read(name: str, build):
     return decorate
 
 
+def _check_rotation(R: tuple) -> None:
+    """Raise ValueError unless the finite row-major 9-tuple R is a rotation:
+    R^T R within ORTHONORMAL_TOL of I in every entry, then det R of +1."""
+    r0, r1, r2, r3, r4, r5, r6, r7, r8 = R
+    # R^T R - I, diagonal first: a product that overflows makes a diagonal
+    # entry inf, and max keeps it over any nan that comes after it
+    worst = max(abs(r0 * r0 + r3 * r3 + r6 * r6 - 1.0),
+                abs(r1 * r1 + r4 * r4 + r7 * r7 - 1.0),
+                abs(r2 * r2 + r5 * r5 + r8 * r8 - 1.0),
+                abs(r0 * r1 + r3 * r4 + r6 * r7),
+                abs(r0 * r2 + r3 * r5 + r6 * r8),
+                abs(r1 * r2 + r4 * r5 + r7 * r8))
+    if worst > ORTHONORMAL_TOL:
+        raise ValueError("rotation matrix is not orthonormal")
+    det = r0 * (r4 * r8 - r5 * r7) - r1 * (r3 * r8 - r5 * r6) + r2 * (r3 * r7 - r4 * r6)
+    if abs(det - 1.0) > ORTHONORMAL_TOL:
+        raise ValueError("rotation determinant must be +1")
+
+
+@_built_on_read("translation", lambda H: np.array(H.t))
+@_built_on_read("rotation", lambda H: np.array(H.R).reshape(3, 3))
 @dataclass(frozen=True)
 class RigidTransform:
-    """Rotation plus translation; maps a point p to rotation @ p + translation."""
+    """Rotation plus translation; maps a point p to rotation @ p + translation.
+
+    The rotation is held row-major as the float 9-tuple ``R`` and the
+    translation as the float 3-tuple ``t`` (see _floats3); the ``rotation``
+    and ``translation`` arrays are built from them the first time they are
+    read. The rotation may be given as such a 9-tuple, as _euler_zyx returns
+    it; any other value goes through numpy and keeps the array it makes.
+    """
 
     rotation: np.ndarray
     translation: np.ndarray
 
     def __post_init__(self):
-        R = np.asarray(self.rotation, dtype=float)
-        t = _as_vec3(self.translation)
-        if R.shape != (3, 3) or not np.all(np.isfinite(R)):
-            raise ValueError("rotation must be a finite 3x3 matrix")
-        if np.max(np.abs(R.T @ R - np.eye(3))) > ORTHONORMAL_TOL:
-            raise ValueError("rotation matrix is not orthonormal")
-        if abs(np.linalg.det(R) - 1.0) > ORTHONORMAL_TOL:
-            raise ValueError("rotation determinant must be +1")
-        object.__setattr__(self, "rotation", R)
-        object.__setattr__(self, "translation", t)
+        fields = self.__dict__
+        t = _floats3(fields.pop("translation"))
+        R = fields.pop("rotation")
+        if not (type(R) is tuple and len(R) == 9 and all(type(r) is float for r in R)
+                and math.isfinite(sum(R))):
+            M = np.asarray(R, dtype=float)
+            if M.shape != (3, 3) or not all(map(math.isfinite, M.ravel().tolist())):
+                raise ValueError("rotation must be a finite 3x3 matrix")
+            fields["rotation"] = M
+            R = tuple(M.ravel().tolist())
+        _check_rotation(R)
+        fields.update(R=R, t=t)
 
 
 def transform_point(H: RigidTransform, p) -> np.ndarray:

@@ -20,8 +20,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._numpy import np
 from .attitude import GRAVITY
 from .camera import (DEFAULT_INTRINSICS, Intrinsics, TagGeometry, _center, _pixel_ray,
                      _project)
@@ -62,6 +61,26 @@ def record_count(rate: float, duration: float) -> int:
         raise ValueError(f"{rate!r} Hz over {duration!r} s is {count:.6g} records, "
                          f"above the bound of {MAX_STREAM_RECORDS:g} per stream")
     return count
+
+
+# Metres of waypoint chain the random pattern may lay: 4,167 times the quick
+# start's 24 m, or 10^5 s at 1 m/s. The default region takes about 53,000
+# waypoints and a second for it.
+MAX_RANDOM_PATH = 10**5
+
+
+def random_path_length(speed: float, duration: float) -> float:
+    """Metres of waypoint chain the random pattern lays for a run, the
+    speed * duration it travels plus 1 m.
+
+    Raises ValueError for a length that is not finite or is above
+    MAX_RANDOM_PATH.
+    """
+    length = speed * duration + 1.0
+    if not length <= MAX_RANDOM_PATH:  # also rejects inf
+        raise ValueError(f"{speed!r} m/s over {duration!r} s is a random path of "
+                         f"{length:.6g} m, above the bound of {MAX_RANDOM_PATH:g} m")
+    return length
 
 
 @dataclass(frozen=True)
@@ -194,7 +213,7 @@ class SceneConfig:
     yaw_period: float = 40.0
 
     def __post_init__(self):
-        if self.yaw_amplitude < 0 or not np.isfinite(self.yaw_amplitude):
+        if self.yaw_amplitude < 0 or not math.isfinite(self.yaw_amplitude):
             raise ValueError("yaw amplitude must be non-negative and finite")
         if not 0 < self.yaw_period < math.inf:
             raise ValueError("yaw period must be positive and finite")
@@ -299,7 +318,7 @@ def gen_trajectory(spec: TrajectorySpec) -> MarkerTrajectory:
         rng = np.random.default_rng(spec.seed)
         wp = [rng.uniform((-bx, -by), (bx, by))]
         total = 0.0
-        needed = spec.speed * spec.duration + 1.0
+        needed = random_path_length(spec.speed, spec.duration)
         while total < needed:
             for _ in range(1000):
                 cand = rng.uniform((-bx, -by), (bx, by))

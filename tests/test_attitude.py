@@ -294,6 +294,39 @@ class TestTypesAndTracker:
             TiltConfig(r=np.zeros((2, 2)))
         TiltConfig(q=np.zeros((2, 2)))  # semi-definite process noise is fine
 
+    def test_config_arrays_read_as_before(self):
+        cfg = TiltConfig()
+        for name, var in (("q", 1e-6), ("r", 4e-4), ("p0", 1e-2)):
+            assert name not in vars(cfg)
+            M = getattr(cfg, name)
+            assert M.dtype == np.float64 and np.array_equal(M, np.diag([var, var]))
+            assert getattr(cfg, name) is M
+        assert (cfg._q, cfg._r, cfg._p0) == ((1e-6, 0.0, 1e-6), (4e-4, 0.0, 4e-4),
+                                             (1e-2, 0.0, 1e-2))
+
+    def test_config_takes_float_rows_and_arrays_alike(self):
+        rows = ((2e-4, 1e-5), (1e-5, 3e-4))
+        from_rows = TiltConfig(r=rows)
+        from_array = TiltConfig(r=np.array(rows))
+        from_lists = TiltConfig(r=[list(row) for row in rows])
+        assert from_rows._r == from_array._r == from_lists._r == (2e-4, 1e-5, 3e-4)
+        assert np.array_equal(from_rows.r, np.array(rows))
+        # a matrix off symmetric within 1e-12 is symmetrised
+        near = TiltConfig(q=((1e-3, 1e-13), (0.0, 1e-3)))
+        assert near._q == (1e-3, 0.5e-13, 1e-3)
+
+    @pytest.mark.parametrize("value, message", [
+        (((1.0, 0.5), (0.0, 1.0)), "r must be symmetric"),
+        (((1.0, float("nan")), (float("nan"), 1.0)), "r must be a finite 2x2 matrix"),
+        (((1.0, 0.0), (0.0, 0.0)), "r must be positive definite"),
+        (((1.0, 0.0, 0.0),), "r must be a finite 2x2 matrix"),
+        (((1.0, 1e308), (-1e308, 1.0)), "r must be symmetric"),
+    ])
+    def test_config_float_rows_get_the_array_checks(self, value, message):
+        for r in (value, np.array(value)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                TiltConfig(r=r)
+
     def test_config_bounds_variances_whose_square_overflows(self):
         # above about 1.3e154 a product of two entries overflows, and the
         # filter would reject every sample after the first

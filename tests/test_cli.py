@@ -5,6 +5,7 @@ import logging
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,10 @@ class TestSimulate:
         ("surface_yaw_period: .nan", "simulation: yaw period must be positive and finite"),
         ("surface_yaw_period: -1.0", "simulation: yaw period must be positive and finite"),
         ("surface_yaw_amplitude: .inf", "simulation: yaw amplitude must be non-negative"),
+        (f"surface_yaw_period: {10**400}",
+         "simulation.surface_yaw_period: int too large to convert to float"),
+        ("trajectory: {pattern: random, speed: 1.0e+308}",
+         "simulation.trajectory.speed: 1e+308 m/s over 120.0 s is a random path of inf m"),
     ])
     def test_bad_simulation_value_is_usage_error(self, tmp_path, capsys, entry, message):
         config = tmp_path / "run.yaml"
@@ -432,6 +437,21 @@ class TestEvaluate:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("p", ["[1e200,0.0,-1.0]", "[1e154,1e154,-1.0]"])
+    def test_overflowing_error_exits_1_without_warnings(self, tmp_path, capsys, p):
+        est, data = _write_eval_inputs(tmp_path)
+        # the error's square overflows, or the sum of two squares does
+        est.write_text(f'{{"t":0.1,"method":"cd","p":{p}}}\n'
+                       f'{{"t":0.2,"method":"cd","p":[1e154,1e154,-1.0]}}\n',
+                       encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["evaluate", str(est), str(data), "--out", str(tmp_path / "r")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error: estimate errors overflow: ")
+        assert captured.out == "" and not (tmp_path / "r.json").exists()
+
     def test_integer_past_the_digit_limit_exits_1(self, tmp_path, capsys):
         est, data = _write_eval_inputs(tmp_path)
         huge = '{"t":' + "1" * 5000 + ',"kind":"truth","p":[0.0,0.0,0.0]}\n'
@@ -486,6 +506,18 @@ class TestCalibrateDepth:
         assert captured.err.startswith("error: calibration pairs are too large")
         assert "Traceback" not in captured.err and captured.out == ""
         assert not out.exists()
+
+    def test_swarm_too_large_for_the_pairs_is_usage_error(self, tmp_path, capsys):
+        # 10^6 particles over 600 pairs would hold 4.5 GiB of residuals per step
+        pairs = tmp_path / "pairs.csv"
+        self._write_pairs(pairs, n=600)
+        config = tmp_path / "run.yaml"
+        config.write_text("pso: {swarm_size: 1000000, iterations: 2}\n", encoding="utf-8")
+        rc = cli.main(["calibrate-depth", str(pairs), "--config", str(config)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == ("error: pso.swarm_size: 1000000 particles over 600 pairs "
+                                "is 6e+08 residuals per step, above the bound of 1e+07\n")
 
     def test_empty_csv_exits_1(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.csv"

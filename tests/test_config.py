@@ -10,6 +10,7 @@ import yaml
 
 from aquapos.config import DEFAULT_SEED, RunConfig, load_intrinsics, load_run_config
 from aquapos.errors import ConfigError
+from aquapos.geometry import euler_zyx_to_rotation
 from aquapos.simulator import SceneConfig, Simulator
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -153,6 +154,20 @@ marker_offset: [0.0, 0.1, 0.0]
         assert cfg.staleness_bound == 0.5
         assert cfg.marker_offset == (0.0, 0.1, 0.0)
 
+    def test_loaded_tilt_and_rig_arrays_read_as_before(self, tmp_path):
+        cfg = load_run_config(_write(tmp_path, """
+rig: {camera_translation: [0, 0.05, -0.02], camera_euler_zyx_deg: [10.0, 5.0, 170.0]}
+tilt_filter: {gyro_var: 2.0e-6, accel_var: 3.0e-4, initial_var: 0.5}
+"""))
+        for name, var in (("q", 2e-6), ("r", 3e-4), ("p0", 0.5)):
+            M = getattr(cfg.tilt, name)
+            assert M.dtype == np.float64 and np.array_equal(M, np.diag([var, var]))
+        H = cfg.rig.camera_in_body
+        assert np.array_equal(H.rotation, euler_zyx_to_rotation(
+            *(math.radians(a) for a in (10.0, 5.0, 170.0))))
+        assert np.array_equal(H.translation, [0.0, 0.05, -0.02])
+        assert cfg.rig._floats == (H.R, H.t, 0.05)
+
     def test_pso_overrides(self, tmp_path):
         cfg = load_run_config(_write(tmp_path, """
 pso:
@@ -251,6 +266,12 @@ simulation:
          "bound of 1e+07 per stream"),
         (f"pso: {{swarm_size: {10**30}}}", "pso: swarm_size * iterations must not exceed 1e+07"),
         (f"pso: {{iterations: {10**30}}}", "pso: swarm_size * iterations must not exceed 1e+07"),
+        ("simulation: {trajectory: {pattern: random, speed: 1.0e+308}}",
+         "simulation.trajectory.speed: 1e+308 m/s over 120.0 s is a random path of inf m, "
+         "above the bound of 100000 m"),
+        ("simulation: {trajectory: {pattern: random, speed: 1.0e+3, duration: 100.0}}",
+         "simulation.trajectory.speed: 1000.0 m/s over 100.0 s is a random path of "
+         "100001 m, above the bound of 100000 m"),
     ])
     def test_run_size_past_its_bound_rejected(self, tmp_path, entry, message):
         with pytest.raises(ConfigError) as info:
@@ -337,6 +358,21 @@ class TestNumericKeysTakeNumbersOnly:
             load_run_config(_write(tmp_path, f"simulation: {{rates: {{imu: {value}}}}}\n"))
         assert str(info.value) == (f"simulation.rates.imu: expected a number, got "
                                    f"'{value}'; write {form} for YAML 1.1 to read it")
+
+    @pytest.mark.parametrize("section, key", [
+        ("rig", "body_height"), ("tag", "side_length"), ("tilt_filter", "gyro_var"),
+        ("depth_calibration", "offset"),
+    ])
+    def test_integer_beyond_float_range_is_rejected_naming_the_key(self, tmp_path,
+                                                                   section, key):
+        with pytest.raises(ConfigError) as info:
+            load_run_config(_write(tmp_path, f"{section}: {{{key}: {10**400}}}\n"))
+        assert str(info.value) == f"{section}.{key}: int too large to convert to float"
+
+    def test_random_path_at_its_bound_loads(self, tmp_path):
+        cfg = load_run_config(_write(tmp_path, "simulation: {trajectory: "
+                                               "{pattern: random, speed: 833.0}}\n"))
+        assert cfg.trajectory.speed * cfg.trajectory.duration + 1.0 <= 1e5
 
     def test_ints_and_floats_load_as_before(self, tmp_path):
         cfg = load_run_config(_write(tmp_path, """

@@ -1,4 +1,4 @@
-"""Every README config key, set to each of 15 hostile values, ends cleanly.
+"""Every README config key, set to each of 16 hostile values, ends cleanly.
 
 A config is a boundary: whatever value a key holds, a command exits 0, 1 or
 2 with at most one ``error:`` line and no traceback. ``simulation.*`` keys
@@ -27,8 +27,9 @@ from aquapos import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
+# 10**400 is a YAML integer beyond float range
 HOSTILE = (True, "x", None, [], {}, -1, 0, 1.0e308, -1.0e308, math.nan, math.inf,
-           1e-300, [1, 2], 10**30, -0.0)
+           1e-300, [1, 2], 10**30, -0.0, 10**400)
 
 # a short run and a small swarm, so that the 900-odd cases take seconds
 BASE = {"simulation": {"trajectory": {"duration": 0.2}},

@@ -13,7 +13,7 @@ from aquapos.depth_calibration import (
     calibrate_with_trace,
     calibration_cost,
 )
-from aquapos.errors import DegenerateData, InsufficientData
+from aquapos.errors import ConfigError, DegenerateData, InsufficientData
 
 
 def _noisy_pairs(scale, offset, n, sigma, seed):
@@ -298,6 +298,17 @@ class TestCalibrate:
     def test_insufficient_pairs(self):
         with pytest.raises(InsufficientData):
             calibrate([(1.0, 1.0)])
+
+    def test_swarm_too_large_for_the_pairs_is_rejected_before_the_swarm_is_made(
+            self, monkeypatch):
+        pairs = _noisy_pairs(1.05, -0.03, 600, 0.001, seed=3)
+        made = []
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda *a: made.append(a) or pytest.fail("swarm made"))
+        with pytest.raises(ConfigError, match=r"^pso\.swarm_size: 1000000 particles over "
+                                              r"600 pairs is 6e\+08 residuals per step"):
+            calibrate_with_trace(pairs, PsoConfig(swarm_size=10**6, iterations=2))
+        assert made == []
 
 
 class TestApplyAndParams:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import aquapos
-from aquapos.errors import EmptySeries, SingularDesign
+from aquapos.errors import EmptySeries, NonFiniteEstimate, SingularDesign
 from aquapos.evaluation import (
     MAX_BINS,
     AlignedPair,
@@ -73,6 +73,17 @@ class TestMed:
     def test_empty_series(self):
         with pytest.raises(EmptySeries):
             med([])
+
+    @pytest.mark.parametrize("est, tru", [
+        ((1e200, 0.0, -1.0), (0.0, 0.0, 0.0)),  # its square overflows
+        ((1e154, 1e154, 0.0), (0.0, 0.0, 0.0)),  # the sum of its squares
+        ((1.5e308, 0.0, 0.0), (-1.5e308, 0.0, 0.0)),  # the error itself
+    ])
+    def test_overflowing_error_raises_without_a_warning(self, est, tru):
+        pairs = [_pair(est, tru)]
+        for score in (med, build_error_report):
+            with pytest.raises(NonFiniteEstimate, match="^estimate errors overflow: "):
+                score(pairs)
 
 
 class TestAlign:

@@ -1,10 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 
 from aquapos.errors import DegenerateLine, GimbalLockNear, ParallelToPlane
 from aquapos.geometry import (
+    ORTHONORMAL_TOL,
     PluckerLine,
     RigidTransform,
+    _euler_zyx,
     _line_zplane_hit,
     compose,
     euler_zyx_to_rotation,
@@ -244,6 +248,65 @@ class TestRigidTransformValidation:
     def test_rejects_nonfinite_translation(self):
         with pytest.raises(ValueError):
             RigidTransform(np.eye(3), [0.0, np.nan, 0.0])
+
+    @staticmethod
+    def _numpy_verdict(R):
+        """The checks as numpy formulas: None for a rotation, else the message."""
+        if np.max(np.abs(R.T @ R - np.eye(3))) > ORTHONORMAL_TOL:
+            return "rotation matrix is not orthonormal"
+        if abs(np.linalg.det(R) - 1.0) > ORTHONORMAL_TOL:
+            return "rotation determinant must be +1"
+        return None
+
+    def test_float_check_gives_the_numpy_formulas_verdict(self):
+        rng = np.random.default_rng(20)
+        cases = []
+        for _ in range(300):
+            R = _random_transform(rng).rotation
+            # a rotation, a reflection, a matrix scaled off the unit columns and a
+            # rotation a little off orthonormal, all well away from the tolerance
+            cases += [R, R @ np.diag(rng.choice([-1.0, 1.0], size=3)),
+                      R * rng.uniform(0.5, 2.0),
+                      R + rng.uniform(-1e-6, 1e-6, size=(3, 3))]
+        verdicts = set()
+        for R in cases:
+            want = self._numpy_verdict(R)
+            verdicts.add(want)
+            for rotation in (R, tuple(R.ravel().tolist())):
+                if want is None:
+                    RigidTransform(rotation, [0.0, 0.0, 0.0])
+                else:
+                    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                        RigidTransform(rotation, [0.0, 0.0, 0.0])
+        assert verdicts == {None, "rotation matrix is not orthonormal",
+                            "rotation determinant must be +1"}
+
+    def test_overflowing_entries_are_not_orthonormal(self):
+        for R in ((1e200, 1e200, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0),
+                  (1.0, 0.0, 0.0, 1e200, 1e200, 0.0, -1e200, 0.0, 1.0)):
+            with pytest.raises(ValueError, match="not orthonormal"):
+                RigidTransform(R, [0.0, 0.0, 0.0])
+
+    def test_float_rotation_builds_its_arrays_on_read(self):
+        R = _euler_zyx(0.3, -0.2, 1.1)
+        H = RigidTransform(R, [0.1, 0.0, -0.02])
+        assert "rotation" not in vars(H) and "translation" not in vars(H)
+        assert H.R == R and H.t == (0.1, 0.0, -0.02)
+        assert np.array_equal(H.rotation, euler_zyx_to_rotation(0.3, -0.2, 1.1))
+        assert np.array_equal(H.translation, [0.1, 0.0, -0.02])
+        assert H.rotation is H.rotation
+
+    def test_array_rotation_keeps_its_array(self):
+        R = euler_zyx_to_rotation(0.3, -0.2, 1.1)
+        H = RigidTransform(R, np.zeros(3))
+        assert H.R == tuple(R.ravel().tolist())
+        assert vars(H)["rotation"] is R
+
+    @pytest.mark.parametrize("rotation", [(1.0,) * 8, (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0,
+                                                       float("nan")), np.eye(2)])
+    def test_rejects_a_rotation_that_is_not_a_finite_3x3(self, rotation):
+        with pytest.raises(ValueError, match="finite 3x3"):
+            RigidTransform(rotation, [0.0, 0.0, 0.0])
 
 
 def _numpy_euler(yaw, pitch, roll):

@@ -11,6 +11,7 @@ from aquapos.estimators import EstimationPipeline, RigExtrinsics, _camera_in_wor
 from aquapos.evaluation import align, med
 from aquapos.geometry import RigidTransform, euler_zyx_to_rotation
 from aquapos.simulator import (
+    MAX_RANDOM_PATH,
     MAX_STREAM_RECORDS,
     Follower,
     FollowerConfig,
@@ -21,6 +22,7 @@ from aquapos.simulator import (
     Simulator,
     TrajectorySpec,
     gen_trajectory,
+    random_path_length,
     record_count,
 )
 
@@ -106,6 +108,12 @@ class TestRandomTrajectory:
         legs = np.linalg.norm(np.diff(wp, axis=0), axis=1)
         assert np.all(legs >= 0.5)
         assert traj.total_length >= 0.2 * 60.0
+
+    @pytest.mark.parametrize("speed, duration", [(1e308, 120.0), (1e3, 100.0)])
+    def test_path_past_its_bound_is_rejected(self, speed, duration):
+        with pytest.raises(ValueError, match=f"above the bound of {MAX_RANDOM_PATH:g} m"):
+            gen_trajectory(TrajectorySpec("random", speed=speed, duration=duration))
+        assert random_path_length(0.2, 120.0) == 25.0
 
     def test_seed_determinism(self):
         a = gen_trajectory(TrajectorySpec("random", seed=4))
