@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul
 
 from ._numpy import np
 from .errors import BehindCamera, PnPDegenerate, PnPNoConvergence
@@ -346,24 +345,31 @@ def _rotation(w0, w1, w2, R) -> tuple:
 
 
 def _normal_equations(K: Intrinsics, corners, px, R, t):
-    """Cost, J^T J and J^T r of the pixel residuals at the pose (R, t), in one pass.
+    """Cost, model Hessian H and gradient J^T r of the pixel residuals at the
+    pose (R, t), in one pass.
 
     corners holds the marker-plane (x, y) of each corner (z = 0), px the
     observed pixels, R the rotation row-major and t the translation. The
     residual of a corner is its projection minus its pixel, u then v. J is
     taken in a left rotation increment w, then the translation:
     exp([w]x) R moves the corner P = Q + t (Q = R X) by w x Q, so a
-    residual's w part is Q x (its gradient in P). Returns (cost, H, g) with
-    H the 21 upper-triangle entries of J^T J row by row (h34 is always 0: no
-    residual moves with both t_x and t_y), or None when a corner is not
-    in front of the camera or the cost is not finite.
+    residual's w part is Q x (its gradient in P). H is J^T J plus the
+    rotation step's own curvature: to second order the step moves Q by
+    w x Q + w x (w x Q) / 2, which adds sym([c]x [Q]x) to the (w0, w1)
+    block, c being the residuals' gradient in P (Absil, Mahony &
+    Sepulchre, "Optimization Algorithms on Matrix Manifolds", 2008, ch. 5).
+    That turns the damped step into a Newton-type step along the weakly
+    observed tilts, but H need not be positive semi-definite. Returns
+    (cost, H, g) with H's 21 upper-triangle entries row by row (h34 is
+    always 0: no residual moves with both t_x and t_y), or None when a
+    corner is not in front of the camera or the cost is not finite.
     """
     fx, fy, cx, cy = K.fx, K.fy, K.cx, K.cy
     r00, r01, _, r10, r11, _, r20, r21, _ = R
     tx, ty, tz = t
     cost = h00 = h01 = h02 = h03 = h04 = h05 = h11 = h12 = h13 = h14 = h15 = 0.0
     h22 = h23 = h24 = h25 = h33 = h35 = h44 = h45 = h55 = 0.0
-    g0 = g1 = g2 = g3 = g4 = g5 = 0.0
+    g0 = g1 = g2 = g3 = g4 = g5 = t00 = t01 = t11 = 0.0
     for (X, Y), (u, v) in zip(corners, px):
         qx = r00 * X + r01 * Y
         qy = r10 * X + r11 * Y
@@ -402,23 +408,33 @@ def _normal_equations(K: Intrinsics, corners, px, R, t):
         g0 += d0 * ru + e0 * rv
         g1 += d1 * ru + e1 * rv
         g2 += d2 * ru + e2 * rv
-        g3 += a * ru
-        g4 += b * rv
         g5 += d5 * ru + e5 * rv
+        # c = (A, B, -(A x + B y)) is the residuals' gradient in P, and
+        # t00, t01 / 2, t11 the (w0, w1) block of sym([c]x [Q]x)
+        A, B = a * ru, b * rv
+        g3 += A
+        g4 += B
+        Gz = (A * x + B * y) * qz
+        t00 += Gz - B * qy
+        t01 += A * qy + B * qx
+        t11 += Gz - A * qx
     if not cost < math.inf:
         return None
-    H = (h00, h01, h02, h03, h04, h05, h11, h12, h13, h14, h15,
+    H = (h00 + t00, h01 + 0.5 * t01, h02, h03, h04, h05, h11 + t11, h12, h13, h14, h15,
          h22, h23, h24, h25, h33, 0.0, h35, h44, h45, h55)
     return cost, H, (g0, g1, g2, g3, g4, g5)
 
 
 def _damped_step(H, g, lam):
-    """Solve (J^T J + lam I) step = -g by block elimination; returns (step, |step|^2).
+    """Solve (H + lam I) step = -g by block elimination; returns (step, |step|^2).
 
-    The translation block (h34 = 0) takes a symmetric cofactor inverse and
-    the rotation part comes from its 3x3 Schur complement. Returns None,
-    a failed solve, when a block determinant is zero or not finite or the
-    step is not finite.
+    H is _normal_equations' model. The translation block (h34 = 0) takes a
+    symmetric cofactor inverse and the rotation part comes from its 3x3
+    Schur complement. The step is a descent step only for a positive
+    definite system, so this returns None, a failed solve, unless both
+    blocks are: the translation block, J^T J's own plus lam, by a positive
+    determinant, the Schur complement by its leading minors. It also
+    returns None when a determinant or the step is not finite.
     """
     (h00, h01, h02, h03, h04, h05, h11, h12, h13, h14, h15,
      h22, h23, h24, h25, h33, _, h35, h44, h45, h55) = H
@@ -427,7 +443,7 @@ def _damped_step(H, g, lam):
     i33, i34, i35 = c44 * c55 - h45 * h45, h35 * h45, -c44 * h35
     i44, i45, i55 = c33 * c55 - h35 * h35, -c33 * h45, c33 * c44
     det = c33 * i33 + h35 * i35
-    if not 0.0 < abs(det) < math.inf:
+    if not 0.0 < det < math.inf:
         return None
     # M = B C^-1, row i of B being (h_i3, h_i4, h_i5)
     m03 = (h03 * i33 + h04 * i34 + h05 * i35) / det
@@ -452,7 +468,8 @@ def _damped_step(H, g, lam):
     k00, k01, k02 = s11 * s22 - s12 * s12, s02 * s12 - s01 * s22, s01 * s12 - s02 * s11
     k11, k12, k22 = s00 * s22 - s02 * s02, s01 * s02 - s00 * s12, s00 * s11 - s01 * s01
     det_s = s00 * k00 + s01 * k01 + s02 * k02
-    if not 0.0 < abs(det_s) < math.inf:
+    # Sylvester's criterion: every leading minor of S positive
+    if not (s00 > 0.0 and k22 > 0.0 and 0.0 < det_s < math.inf):
         return None
     w0 = (k00 * b0 + k01 * b1 + k02 * b2) / det_s
     w1 = (k01 * b0 + k11 * b1 + k12 * b2) / det_s
@@ -471,30 +488,40 @@ def _damped_step(H, g, lam):
 
 
 def _floor(c) -> float:
-    """The Gauss-Newton model floor of c, cost - g^T H^-1 g; -inf for a singular H."""
+    """The model floor of c, cost - g^T H^-1 g; -inf for an H that is not
+    positive definite, whose model has no floor."""
     solved = _damped_step(c[3], c[4], 0.0)
-    return -math.inf if solved is None else c[2] + sum(map(mul, c[4], solved[0]))
+    if solved is None:
+        return -math.inf
+    g0, g1, g2, g3, g4, g5 = c[4]
+    (w0, w1, w2, s0, s1, s2), _ = solved
+    # summed left to right by hand: from Python 3.12 on, sum() of floats
+    # compensates its rounding, and the bits would depend on the version
+    return c[2] + (g0 * w0 + g1 * w1 + g2 * w2 + g3 * s0 + g4 * s1 + g5 * s2)
 
 
 def _descend(K: Intrinsics, corners, px, c) -> bool:
-    """One damped Gauss-Newton iteration of c = [R, t, cost, H, g, lam, done].
+    """One damped iteration of c = [R, t, cost, H, g, lam, done] on the model
+    of _normal_equations, J^T J plus the rotation step's curvature.
 
     Returns True once c has converged: no retry, each ten times stiffer,
     lowers the cost, a step gains under _REFINE_FTOL of it, or the predicted
     decrease lam |step|^2 - g^T step is that small, which skips the trial
     pass (Madsen, Nielsen & Tingleff, "Methods for Non-Linear Least Squares
-    Problems", 2004). A taken step updates c in place; R and t are as for
-    _normal_equations. On Python floats: numpy's per-call cost outweighs 6x6 work.
+    Problems", 2004). A damped system that is not positive definite is a
+    failed solve and retries stiffer. A taken step updates c in place; R and
+    t are as for _normal_equations. On Python floats: numpy's per-call cost
+    outweighs 6x6 work.
     """
     R, t, cost, H, g, lam = c[:6]
+    g0, g1, g2, g3, g4, g5 = g
     tol = _REFINE_FTOL * (cost + 1e-20)
     for _ in range(_REFINE_MAX_RETRIES):
         solved = _damped_step(H, g, lam)
         if solved is not None:
-            step, norm2 = solved
-            if lam * norm2 - sum(map(mul, g, step)) < tol:
+            (w0, w1, w2, s0, s1, s2), norm2 = solved
+            if lam * norm2 - (g0 * w0 + g1 * w1 + g2 * w2 + g3 * s0 + g4 * s1 + g5 * s2) < tol:
                 return True
-            w0, w1, w2, s0, s1, s2 = step
             R_new, t_new = _rotation(w0, w1, w2, R), (t[0] + s0, t[1] + s1, t[2] + s2)
             terms = _normal_equations(K, corners, px, R_new, t_new)
             if terms is not None and terms[0] < cost:
@@ -518,33 +545,51 @@ def solve_pnp_planar(K: Intrinsics, geom: TagGeometry, obs: TagObservation) -> T
 
     IPPE reads both poses of the planar ambiguity (the tag normal mirrored
     about the viewing ray) off the closed-form homography between the marker
-    plane and normalized image coordinates. Damped Gauss-Newton polishes
-    both in lockstep, one _descend each per round, and the converged pose
-    with the tag face toward the camera and the lower RMS wins. Raises
-    PnPDegenerate for corners that no pose of the tag explains (see _ippe_seed).
+    plane and normalized image coordinates. Damped steps on J^T J plus the
+    rotation step's curvature, each solved only where that system is
+    positive definite, polish both in lockstep, one _descend each per
+    round, until the two merge or one is dropped; the last one left polishes
+    on alone. The converged pose with the tag face toward the camera and the
+    lower RMS wins. Raises PnPDegenerate for corners that no pose of the tag
+    explains (see _ippe_seed).
     """
     px = obs.px
     corners = geom.corners_xy
     cands = [[R, t, *terms, 1e-3, False] for R, t in _ippe_seed(K, geom.side_length, px)
              if (terms := _normal_equations(K, corners, px, R, t)) is not None]
-    for _ in range(_REFINE_MAX_ITERS):
-        if len(cands) == 2:
-            a, b = cands
-            # twins are one minimum: the lower-cost one, on a tie the first, goes on
-            if max(abs(x - y) for x, y in zip(a[0], b[0])) <= _MERGE_TOL:
-                cands = [b] if b[2] < a[2] else [a]
-            else:
-                for c, other in ((a, b), (b, a)):
-                    # descents never raise other's cost, so a costlier c cannot win
-                    # once its floor is above it, unless other faces away and c does not
-                    if (not c[6] and c[2] > other[2] and _floor(c) > other[2]
-                            and (_away(c) or not _away(other))):
-                        cands = [other]
-                        break
-        if all(c[6] for c in cands):
+    rounds = 0
+    while len(cands) == 2 and rounds < _REFINE_MAX_ITERS:
+        a, b = cands
+        a00, a01, a02, a10, a11, a12, a20, a21, a22 = a[0]
+        b00, b01, b02, b10, b11, b12, b20, b21, b22 = b[0]
+        # twins are one minimum: the lower-cost one, on a tie the first, goes on
+        if (abs(a00 - b00) <= _MERGE_TOL and abs(a01 - b01) <= _MERGE_TOL
+                and abs(a02 - b02) <= _MERGE_TOL and abs(a10 - b10) <= _MERGE_TOL
+                and abs(a11 - b11) <= _MERGE_TOL and abs(a12 - b12) <= _MERGE_TOL
+                and abs(a20 - b20) <= _MERGE_TOL and abs(a21 - b21) <= _MERGE_TOL
+                and abs(a22 - b22) <= _MERGE_TOL):
+            cands = [b] if b[2] < a[2] else [a]
             break
-        for c in cands:
-            c[6] = c[6] or _descend(K, corners, px, c)
+        # descents never raise other's cost, so a costlier c cannot win once
+        # its floor is above it, unless other faces away and c does not
+        if (not a[6] and a[2] > b[2] and _floor(a) > b[2]
+                and (_away(a) or not _away(b))):
+            cands = [b]
+            break
+        if (not b[6] and b[2] > a[2] and _floor(b) > a[2]
+                and (_away(b) or not _away(a))):
+            cands = [a]
+            break
+        if a[6] and b[6]:
+            break
+        a[6] = a[6] or _descend(K, corners, px, a)
+        b[6] = b[6] or _descend(K, corners, px, b)
+        rounds += 1
+    if len(cands) == 1:
+        c = cands[0]
+        while not c[6] and rounds < _REFINE_MAX_ITERS:
+            c[6] = _descend(K, corners, px, c)
+            rounds += 1
     # a finite cost puts every corner, and so the tag centre, in front
     found = [c for c in cands if c[6]]
     if not found:

@@ -126,8 +126,10 @@ def align(est_times, est_points, truth_times, truth_points,
     idx = np.searchsorted(tt, et)
     lo = np.maximum(idx - 1, 0)
     hi = np.minimum(idx, tt.size - 1)
-    d_lo = np.abs(tt[lo] - et)
-    d_hi = np.abs(tt[hi] - et)
+    # a distance past the float range is past any tolerance: inf, not a warning
+    with np.errstate(over="ignore"):
+        d_lo = np.abs(tt[lo] - et)
+        d_hi = np.abs(tt[hi] - et)
     later = d_hi < d_lo
     keep = np.where(later, d_hi, d_lo) <= max_dt
     t_kept = et[keep]

@@ -110,6 +110,20 @@ def _reference_jacobian(K, P, Q):
     return J.reshape(-1, 6)
 
 
+def _reference_curvature(K, P, Q, r):
+    """numpy reference: the rotation step's curvature, sum of sym([c]x [Q]x)
+    over the corners, c being a corner's residual gradient in P. exp([w]x)
+    moves Q by w x Q + w x (w x Q) / 2 to second order, and c . (w x (w x Q))
+    = w^T [c]x [Q]x w."""
+    T = np.zeros((3, 3))
+    for (px, py, pz), q, ru, rv in zip(P, Q, r[0::2], r[1::2]):
+        # rows: the gradients of the u and v residuals in P
+        dr = np.array([[K.fx / pz, 0.0, -K.fx * px / pz**2],
+                       [0.0, K.fy / pz, -K.fy * py / pz**2]])
+        T += _skew(dr.T @ (ru, rv)) @ _skew(q)
+    return 0.5 * (T + T.T)
+
+
 def _full(H):
     """The 6x6 symmetric matrix of 21 upper-triangle entries given row by row."""
     M = np.zeros((6, 6))
@@ -569,11 +583,14 @@ class TestPolishKernel:
             r = _reference_residuals(BENCH_K, P, obs.corners)
             J = _reference_jacobian(BENCH_K, P, Q)
             JtJ, Jtr = J.T @ J, J.T @ r
+            # the model: J^T J plus the rotation step's curvature in (w0, w1)
+            model = JtJ.copy()
+            model[:2, :2] += _reference_curvature(BENCH_K, P, Q, r)[:2, :2]
             assert cost == pytest.approx(r @ r, rel=1e-12)
             # scale-free bounds, d being diag(J^T J):
             # |(J^T J)_ij| <= sqrt(d_i d_j) and |(J^T r)_i| <= sqrt(d_i r.r)
             d = np.diag(JtJ)
-            assert np.all(np.abs(_full(H) - JtJ) <= 1e-12 * np.sqrt(np.outer(d, d)))
+            assert np.all(np.abs(_full(H) - model) <= 1e-12 * np.sqrt(np.outer(d, d)))
             assert np.all(np.abs(np.array(g) - Jtr) <= 1e-12 * np.sqrt(d * (r @ r)))
 
     def test_normal_equations_reject_a_corner_behind_the_camera(self):
@@ -609,6 +626,23 @@ class TestPolishKernel:
         assert _damped_step(H[:15] + (math.nan,) + H[16:], g, 1e-3) is None
         # a finite system whose step overflows
         assert _damped_step(H, (1e300,) * 6, 1e-300) is None
+
+    @pytest.mark.parametrize("rotation, translation", [
+        ((-1.0, 0.0, 0.0, -1.0, 0.0, 1.0), (1.0, 1.0, 1.0)),  # s00 < 0
+        ((1.0, 2.0, 0.0, 1.0, 0.0, -1.0), (1.0, 1.0, 1.0)),  # s00 s11 - s01^2 < 0
+        ((1.0, 0.0, 0.0, 1.0, 0.0, -1.0), (1.0, 1.0, 1.0)),  # det S < 0
+        ((1.0, 0.0, 0.0, 1.0, 0.0, 1.0), (-1.0, 1.0, 1.0)),  # det C < 0
+    ], ids=("s00", "minor2", "det_s", "det_c"))
+    def test_block_solve_fails_on_indefinite_systems(self, rotation, translation):
+        # nonsingular, so a solve exists, but with a negative eigenvalue: no
+        # damped step of an indefinite model is a descent step to trust
+        r00, r01, r02, r11, r12, r22 = rotation
+        t33, t44, t55 = translation
+        H = (r00, r01, r02, 0.0, 0.0, 0.0, r11, r12, 0.0, 0.0, 0.0,
+             r22, 0.0, 0.0, 0.0, t33, 0.0, 0.0, t44, 0.0, t55)
+        eig = np.linalg.eigvalsh(_full(H))
+        assert eig.min() < 0.0 and np.all(np.abs(eig) >= 1.0)
+        assert _damped_step(H, (1.0,) * 6, 0.0) is None
 
 
 class TestIppeSeed:
@@ -786,7 +820,7 @@ class TestLockstepPolish:
         monkeypatch.setattr(camera, "_normal_equations", None)  # any pass raises
         assert _descend(BENCH_K, corners, px, c)
 
-    def test_at_most_ten_passes_per_frame_on_square_noisy(self, run_frames, monkeypatch):
+    def test_passes_per_frame_on_square_noisy(self, run_frames, monkeypatch):
         passes = [0]
 
         def counted(*args):
@@ -794,10 +828,14 @@ class TestLockstepPolish:
             return _normal_equations(*args)
 
         monkeypatch.setattr(camera, "_normal_equations", counted)
-        frames = run_frames["square-noisy", 1]
-        for corners in frames:
+        per_frame = []
+        for corners in run_frames["square-noisy", 1]:
+            passes[0] = 0
             solve_pnp_planar(BENCH_K, TagGeometry(0.2), TagObservation(0.0, corners))
-        assert passes[0] / len(frames) <= 10.0
+            per_frame.append(passes[0])
+        # the crawl along the flat tilt valley is what the curvature term cuts
+        assert np.mean(per_frame) <= 6.5
+        assert np.percentile(per_frame, 99) <= 15
 
     def _polished(self, monkeypatch, seeds):
         """Solve an exact on-axis view from seeds; (candidate, R) of each _descend."""

@@ -452,6 +452,24 @@ class TestEvaluate:
         assert captured.err.startswith("error: estimate errors overflow: ")
         assert captured.out == "" and not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("t_est, t_truth", [("1.5e308", "-1.5e308"),
+                                                ("-1.5e308", "1.5e308")])
+    def test_time_gap_past_the_float_range_exits_cleanly(self, tmp_path, capsys,
+                                                         t_est, t_truth):
+        # the two timestamps' difference overflows: the estimate aligns with nothing
+        est, data = tmp_path / "est.jsonl", tmp_path / "data.jsonl"
+        est.write_text(f'{{"t":{t_est},"method":"cd","p":[0.0,0.0,0.0]}}\n',
+                       encoding="utf-8")
+        data.write_text(f'{{"t":{t_truth},"kind":"truth","p":[0.0,0.0,0.0]}}\n',
+                        encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["evaluate", str(est), str(data)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.count("error:") == 1 and "Traceback" not in err
+        assert "no estimate aligns" in err
+
     def test_integer_past_the_digit_limit_exits_1(self, tmp_path, capsys):
         est, data = _write_eval_inputs(tmp_path)
         huge = '{"t":' + "1" * 5000 + ',"kind":"truth","p":[0.0,0.0,0.0]}\n'
@@ -624,12 +642,15 @@ class TestValuesOnlyTheConstructorsCanReject:
 class TestRoundTrip:
     # The bytes of a 10 s run at seed 1 on every BLAS kernel. A change that
     # means to keep every output (a simplification or a speed-up) keeps them;
-    # one that moves them on purpose says why where it updates them.
+    # one that moves them on purpose says why where it updates them. The
+    # PnP model's rotation-step curvature moved the cpnp estimates in their
+    # last digits (cpnp MED 0.014433545 -> 0.014432419 m); the cd lines kept
+    # their bytes.
     DIGESTS = {
         "run.jsonl": "9847a96ef59555be7b2158abe296e39fa9ea8d8db7b9f1ae92d6d0c9b8380410",
-        "est.jsonl": "b265f8411fb5e79b154c871bb7acfb82bad017206e7a36dbd43302dc236e8a16",
-        "report.json": "ffe5ca0009105b532ee5140f4a10e8f5b86ab554c9494af631447a235963ca27",
-        "report.csv": "f9810be1cf042177560d24c223535cb929fe6248abb8b7dd90797492b182af56",
+        "est.jsonl": "ba9f80b4bbb604b36b2cbac991f94820efa8ed6d55866d994e2bca1a01225c38",
+        "report.json": "fd68ef97d37539c289b96f5915afdef9fafa82124288cd65309ce456e3911d16",
+        "report.csv": "0805ceb2a0b8001687bf6fcc95291311f5e7200615edf7417f537ca276602e7b",
     }
 
     def test_simulate_estimate_evaluate_on_defaults(self, tmp_path, capsys):
