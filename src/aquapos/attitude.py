@@ -23,7 +23,7 @@ from functools import cached_property
 
 from ._numpy import np
 from .errors import AccelOutOfRange, PitchSingularity
-from .geometry import _as_vec3, _built_on_read, _floats3
+from .geometry import _built_on_read, _float, _floats, _floats3
 
 GRAVITY = 9.81
 MAX_VARIANCE = 1e150  # the filter multiplies two covariance entries
@@ -34,33 +34,13 @@ def _smaller_eigenvalue(p00, p01, p11) -> float:
     return 0.5 * p00 + 0.5 * p11 - math.hypot(0.5 * p00 - 0.5 * p11, p01)
 
 
-def _float_entries(M):
-    """(p00, p01, p10, p11) when M is a list or tuple of two list or tuple rows
-    of two floats each, else None."""
-    if type(M) in (list, tuple) and len(M) == 2 and all(
-            type(row) in (list, tuple) and len(row) == 2 for row in M):
-        (p00, p01), (p10, p11) = M
-        if type(p00) is type(p01) is type(p10) is type(p11) is float:
-            return p00, p01, p10, p11
-    return None
-
-
 def _as_cov2(M, name: str, positive_definite: bool) -> tuple[float, float, float]:
     """(p00, p01, p11) of M, a finite 2x2 matrix symmetric within 1e-12, once
     symmetrised and found positive semi-definite, or definite when asked.
 
-    Rows of floats (see _float_entries) are read as they are; any other
-    value goes through numpy. The checks run on floats.
+    Each entry is a number by geometry._float's rule; the checks run on floats.
     """
-    entries = _float_entries(M)
-    if entries is None:
-        P = np.asarray(M, dtype=float)
-        if P.shape != (2, 2):
-            raise ValueError(f"{name} must be a finite 2x2 matrix")
-        entries = P.ravel().tolist()
-    p00, p01, p10, p11 = entries
-    if not all(map(math.isfinite, entries)):
-        raise ValueError(f"{name} must be a finite 2x2 matrix")
+    (p00, p01), (p10, p11) = _floats(M, (2, 2), f"{name} must be a finite 2x2 matrix")
     if abs(p01 - p10) > 1e-12:
         raise ValueError(f"{name} must be symmetric")
     p01 = 0.5 * p01 + 0.5 * p10  # halving first cannot overflow
@@ -86,7 +66,8 @@ def _entries(P: np.ndarray) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class ImuSample:
-    """One gyro + accelerometer reading, each a float 3-tuple.
+    """One gyro + accelerometer reading, each a float 3-tuple, at a float
+    timestamp; every number by geometry._float's rule.
 
     Rejects free-fall/garbage samples.
     """
@@ -101,8 +82,8 @@ class ImuSample:
         ax, ay, az = a
         if math.sqrt(ax * ax + ay * ay + az * az) <= 0.1 * GRAVITY:
             raise ValueError("accelerometer magnitude below 0.1 g")
-        object.__setattr__(self, "gyro", g)
-        object.__setattr__(self, "accel", a)
+        self.__dict__.update(timestamp=_float(self.timestamp, "timestamp must be finite"),
+                             gyro=g, accel=a)
 
 
 @dataclass(frozen=True)
@@ -114,9 +95,10 @@ class TiltState:
     covariance: np.ndarray
 
     def __post_init__(self):
-        x = _checked(self.roll, self.pitch,
+        roll, pitch = (_float(a, "angles must be finite") for a in (self.roll, self.pitch))
+        x = _checked(roll, pitch,
                      *_as_cov2(self.covariance, "covariance", positive_definite=False))
-        object.__setattr__(self, "covariance", _matrix(*x[2:]))
+        self.__dict__.update(roll=roll, pitch=pitch, covariance=_matrix(*x[2:]))
 
 
 # Inside the filter a state is the float tuple (roll, pitch, p00, p01, p11):
@@ -285,7 +267,7 @@ def _step(x: tuple, gyro, dt: float, q, z, r) -> tuple:
 def ekf_update(state: TiltState, accel, cfg: TiltConfig) -> TiltState:
     """Correct the state with the accelerometer tilt observation (H = I)."""
     x = _step((state.roll, state.pitch, *_entries(state.covariance)), None, 0.0,
-              None, _tilt(*_as_vec3(accel).tolist()), cfg._r)
+              None, _tilt(*_floats3(accel)), cfg._r)
     return _FilterState(x)
 
 

@@ -12,7 +12,7 @@ from functools import cached_property
 
 from ._numpy import np
 from .errors import BehindCamera, PnPDegenerate, PnPNoConvergence
-from .geometry import RigidTransform, _built_on_read
+from .geometry import RigidTransform, _built_on_read, _float, _floats, _floats3
 
 MIN_QUAD_AREA_PX2 = 1.0
 # a corner this many focal lengths off-axis sits within 1e-6 rad of the image
@@ -81,7 +81,7 @@ def _project(K: Intrinsics, x: float, y: float, z: float) -> tuple[float, float]
 
 def project_point(K: Intrinsics, p_cam) -> np.ndarray:
     """Pixel (u, v) for a camera-frame point; raises BehindCamera for z <= 1e-6."""
-    x, y, z = np.asarray(p_cam, dtype=float).tolist()
+    x, y, z = _floats3(p_cam)
     pixel = _project(K, x, y, z)
     if pixel is None:
         raise BehindCamera(f"point depth {z:.3g} m is not in front of the camera")
@@ -91,7 +91,8 @@ def project_point(K: Intrinsics, p_cam) -> np.ndarray:
 def _float_quad(c):
     """((u0, v0), ..., (u3, v3)) when c is an exact list of four exact [u, v]
     lists of floats whose sum is finite, else None; an inf or nan makes the
-    sum inf or nan."""
+    sum inf or nan. TagObservation's first line: corners it declines go
+    through _floats, by the same rule on the longer path."""
     if type(c) is list and len(c) == 4:
         c0, c1, c2, c3 = c
         if (type(c0) is type(c1) is type(c2) is type(c3) is list
@@ -111,27 +112,18 @@ def _float_quad(c):
 @dataclass(frozen=True, init=False)
 class TagObservation:
     """Four ordered corner pixels of a detected square tag, held in ``px`` as
-    four (u, v) float pairs. Corners that _float_quad accepts are kept as it
-    yields them, and the ``corners`` array is built the first time it is read;
-    every other value goes through the full checks, which decide and word
-    the verdict, and keeps the array they make.
+    four (u, v) float pairs, each a number by geometry._float's rule; the
+    ``corners`` array is built the first time it is read.
     """
 
     timestamp: float
     corners: np.ndarray
 
     def __init__(self, timestamp: float, corners):
-        px = _float_quad(corners)
-        if px is None:
-            c = np.asarray(corners, dtype=float)
-            if c.shape != (4, 2):
-                raise ValueError(f"expected 4 corner pixels, got shape {c.shape}")
-            if not all(map(math.isfinite, c.ravel().tolist())):
-                raise ValueError("corner pixels must be finite")
-            self.__dict__["corners"] = c
-            px = tuple(map(tuple, c.tolist()))
+        px = _float_quad(corners) or _floats(corners, (4, 2),
+                                             "corner pixels must be 4 finite (u, v) pairs")
         # one dict update; a frozen dataclass's __init__ calls object.__setattr__ per field
-        self.__dict__.update(timestamp=timestamp, px=px)
+        self.__dict__.update(timestamp=_float(timestamp, "timestamp must be finite"), px=px)
 
 
 def _center(px) -> tuple[float, float]:

@@ -126,7 +126,7 @@ def load_intrinsics(path) -> Intrinsics:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read intrinsics file {path}: {exc}")
     except yaml.YAMLError as exc:
         raise ConfigError(f"intrinsics file {path} is not valid YAML: {exc}")
@@ -282,7 +282,7 @@ def load_run_config(path=None) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     except yaml.YAMLError as exc:
         raise ConfigError(f"config {path} is not valid YAML: {exc}")

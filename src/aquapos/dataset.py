@@ -11,7 +11,9 @@ timestamp ``t``, a ``kind`` and the exact payload for that kind:
 
 Timestamps must be non-decreasing within a file (equal stamps are fine).
 The reader is strict and line-precise: any malformed line raises
-DatasetFormatError naming the line number.
+DatasetFormatError naming the line number. The readers decode a byte that
+is not UTF-8 as a lone surrogate (errors="surrogateescape"), which no valid
+line holds, so such a line is malformed too.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from ._numpy import np
 from .camera import _float_quad
 from .errors import DatasetFormatError
 from .estimators import METHODS
+from .geometry import _float
 
 _PAYLOAD_KEYS = {
     "imu": ("gyro", "accel"),
@@ -37,16 +40,13 @@ _KEY_SETS = {kind: frozenset(keys) for kind, keys in _KEY_ORDER.items()}
 
 
 def _is_number(v) -> bool:
-    """A finite JSON number: a float, or an int (not a bool) a float can hold."""
-    if isinstance(v, float):
-        return isfinite(v)
-    if isinstance(v, int) and not isinstance(v, bool):
-        try:
-            float(v)
-        except OverflowError:
-            return False
-        return True
-    return False
+    """True for a number by the constructors' rule, geometry._float: a real
+    number, not a bool, that a float holds as a finite value."""
+    try:
+        _float(v, "")
+    except ValueError:
+        return False
+    return True
 
 
 def _check_vector(value, length, what):
@@ -245,7 +245,7 @@ def read_records(path):
     failures, payload violations, or a timestamp regression.
     """
     last_t = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -309,7 +309,7 @@ def _valid_estimate(obj) -> bool:
 def read_estimates(path) -> list:
     """Read an estimate file back into a list of dicts."""
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -328,7 +328,7 @@ def load_pairs_csv(path) -> np.ndarray:
     an (n, 2) float array; n may be zero for an empty file.
     """
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or all(not cell.strip() for cell in row):
                 continue

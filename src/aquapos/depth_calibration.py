@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from ._numpy import np
 from .errors import ConfigError, DegenerateData, InsufficientData
+from .geometry import _float
 
 # Per-step velocity clamp, as a fraction of each parameter's search range.
 _VELOCITY_CLAMP_FRACTION = 0.2
@@ -239,5 +240,7 @@ def calibrate(pairs, cfg: PsoConfig | None = None) -> CalibrationParams:
 
 
 def apply_calibration(params: CalibrationParams, raw: float) -> float:
-    """Map one raw sensor reading to calibrated depth."""
-    return float(params.scale * raw + params.offset)
+    """Map one raw sensor reading, a number by geometry._float's rule, to
+    calibrated depth."""
+    return float(params.scale * _float(raw, "raw depth must be a finite number")
+                 + params.offset)

@@ -20,8 +20,9 @@ stream, with one bundle per tag frame for all its methods.
 A tag frame goes from its corner pixels to its estimate on Python floats
 and builds no array: ``TagObservation``, the PnP ``TagPose`` and
 ``PositionEstimate`` hold floats and build ``corners``, ``transform`` and
-``position`` when first read. The constructors keep their checks, with a
-fast path for exact floats that the estimators take. The camera-to-world
+``position`` when first read. The constructors keep their checks; the
+exact floats the estimators give them take the first line of the number
+rule's check (geometry._floats3, camera._float_quad). The camera-to-world
 rotation and translation are float tuples, composed by
 ``_camera_in_world``, as in the simulator, once per pose and shared by
 both methods, and every 3x3 product is summed row by column, left to
@@ -53,6 +54,7 @@ from .geometry import (
     RigidTransform,
     _built_on_read,
     _euler_zyx,
+    _float,
     _floats3,
     _line_zplane_hit,
 )
@@ -99,9 +101,9 @@ class SurfacePoseState:
     pitch: float = 0.0
 
     def __post_init__(self):
-        vals = (self.timestamp, self.x, self.y, self.yaw, self.roll, self.pitch)
-        if not all(map(math.isfinite, vals)):
-            raise ValueError("pose fields must be finite")
+        fields = self.__dict__
+        for name in ("timestamp", "x", "y", "yaw", "roll", "pitch"):
+            fields[name] = _float(fields[name], "pose fields must be finite")
         if abs(self.pitch) >= math.pi / 2:
             raise ValueError("pitch must satisfy |pitch| < pi/2")
 
@@ -114,8 +116,9 @@ class DepthMeasurement:
     depth: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.timestamp) and math.isfinite(self.depth)):
-            raise ValueError("depth measurement must be finite")
+        fields = self.__dict__
+        for name in ("timestamp", "depth"):
+            fields[name] = _float(fields[name], "depth measurement must be finite")
         if self.depth < 0:
             raise ValueError("depth is positive-down and cannot be negative")
 
@@ -250,7 +253,7 @@ def estimate_cpnp(
     y = r3 * u + r4 * v + r5 * w + ty
     z = r6 * u + r7 * v + r8 * w + tz
     if marker_offset is not None:
-        mx, my, mz = map(float, marker_offset)
+        mx, my, mz = _floats3(marker_offset)
         q0, q1, q2, q3, q4, q5, q6, q7, q8 = tag_pose.R
         # each entry of R R_tag is summed before it meets m
         x += ((r0 * q0 + r1 * q3 + r2 * q6) * mx + (r0 * q1 + r1 * q4 + r2 * q7) * my
@@ -291,7 +294,7 @@ def estimate_cd(
                     r6 * u + r7 * v + r8 + t[2])
     plane_z = -bundle.depth.depth
     if marker_offset is not None:
-        plane_z = plane_z + float(marker_offset[2])
+        plane_z = plane_z + _floats3(marker_offset)[2]
     # the line from the tag center's world point toward the camera origin
     x, y, k = _line_zplane_hit(t, center_world, plane_z)
     # x = b_x + k d_x, so a finite x and y imply a finite k (inf * 0 is nan)
@@ -397,7 +400,7 @@ class EstimationPipeline:
         if kind not in KINDS:
             raise ValueError(f"unknown record kind {kind!r}")
         try:
-            t = float(record["t"])
+            t = _float(record["t"], "t must be a finite number")
             if kind == "imu":
                 self.tracker.feed(ImuSample(t, record["gyro"], record["accel"]))
             elif kind == "slam":

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from ._numpy import np
 from .errors import EmptySeries, NonFiniteEstimate, SingularDesign
-from .geometry import _built_on_read
+from .geometry import _built_on_read, _float, _floats3
 
 DEFAULT_ALIGN_TOLERANCE = 0.02  # seconds
 DEFAULT_BIN_WIDTH = 0.01  # metres
@@ -23,22 +23,13 @@ DEFAULT_BIN_WIDTH = 0.01  # metres
 MAX_BINS = 1000
 
 
-def _vec3_or_none(v) -> tuple | None:
-    """v as a float 3-tuple, or None when it is not a 3-vector."""
-    if type(v) is tuple and len(v) == 3:
-        x, y, z = v
-        if type(x) is type(y) is type(z) is float:
-            return v
-    a = np.asarray(v, dtype=float)
-    return tuple(a.tolist()) if a.shape == (3,) else None
-
-
 @_built_on_read("truth", lambda pair: np.array(pair.truth_xyz))
 @_built_on_read("estimate", lambda pair: np.array(pair.estimate_xyz))
 @dataclass(frozen=True, init=False)
 class AlignedPair:
-    """One estimate matched to the nearest ground-truth sample. The positions
-    are the float 3-tuples ``estimate_xyz`` and ``truth_xyz``, which build the
+    """One estimate matched to the nearest ground-truth sample. The timestamp
+    is a float and the positions are the float 3-tuples ``estimate_xyz`` and
+    ``truth_xyz``, each number by geometry._float's rule; they build the
     ``estimate`` and ``truth`` arrays when first read."""
 
     timestamp: float
@@ -46,15 +37,10 @@ class AlignedPair:
     truth: np.ndarray
 
     def __init__(self, timestamp, estimate, truth):
-        est, tru = _vec3_or_none(estimate), _vec3_or_none(truth)
-        if est is None or tru is None:
-            raise ValueError("estimate and truth must be 3-vectors")
-        (x, y, z), (u, v, w) = est, tru
-        # a finite sum has finite terms; one that overflows is checked term by term
-        if not (math.isfinite(timestamp + x + y + z + u + v + w)
-                or all(map(math.isfinite, (timestamp, *est, *tru)))):
-            raise ValueError("aligned pair must be finite")
-        self.__dict__.update(timestamp=timestamp, estimate_xyz=est, truth_xyz=tru)
+        message = "aligned pair must be finite"
+        self.__dict__.update(timestamp=_float(timestamp, message),
+                             estimate_xyz=_floats3(estimate, message),
+                             truth_xyz=_floats3(truth, message))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
 
 from ._numpy import np
 from .errors import DegenerateLine, GimbalLockNear, ParallelToPlane
@@ -17,26 +18,57 @@ ORTHONORMAL_TOL = 1e-9
 PITCH_GUARD = 1e-6
 
 
-def _as_vec3(p) -> np.ndarray:
-    v = np.asarray(p, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    if not all(map(math.isfinite, v.tolist())):
-        raise ValueError("vector components must be finite")
-    return v
+def _float(x, message: str) -> float:
+    """x as a float by the one rule for a number, else ValueError(message).
+
+    A number is a real number that is not a bool (a string is not a number)
+    and that a float holds as a finite value: a float, an int within the
+    float range, or a numpy float or integer scalar. The dataset reader
+    takes numbers by this rule too (dataset._is_number).
+    """
+    if type(x) is not float:
+        if isinstance(x, bool) or not isinstance(x, Real):
+            raise ValueError(message)
+        try:
+            x = float(x)
+        except OverflowError:
+            raise ValueError(message) from None
+    if not math.isfinite(x):
+        raise ValueError(message)
+    return x
 
 
-def _floats3(v) -> tuple[float, float, float]:
-    """v as a float 3-tuple, with _as_vec3's checks and messages.
+def _floats(v, shape: tuple, message: str) -> tuple:
+    """v as a tuple of floats, each by _float's rule, else ValueError(message).
 
-    An exact list or tuple of three floats with a finite sum is taken as it
-    is; any other value goes through _as_vec3, which gives the verdict.
+    v is a list or a tuple, or an array read through its tolist(), of shape
+    (n,) or (n, m); a matrix comes back as a tuple of its rows' tuples.
+    """
+    if not isinstance(v, (list, tuple)):
+        tolist = getattr(v, "tolist", None)
+        v = tolist() if tolist is not None else None
+        if not isinstance(v, list):
+            raise ValueError(message)
+    n, *rest = shape
+    if len(v) != n:
+        raise ValueError(message)
+    if rest:
+        return tuple(_floats(row, rest, message) for row in v)
+    return tuple(_float(x, message) for x in v)
+
+
+def _floats3(v, message: str = "expected a 3-vector of finite numbers") -> tuple:
+    """v as a float 3-tuple by _floats' rule.
+
+    The first line takes an exact list or tuple of three floats whose sum is
+    finite as it is: the same rule on a shorter path, since an inf or nan
+    makes the sum inf or nan.
     """
     if (type(v) is list or type(v) is tuple) and len(v) == 3:
         x, y, z = v
         if type(x) is type(y) is type(z) is float and math.isfinite(x + y + z):
             return x, y, z
-    return tuple(_as_vec3(v).tolist())
+    return _floats(v, (3,), message)
 
 
 def _built_on_read(name: str, build):
@@ -79,8 +111,9 @@ class RigidTransform:
     The rotation is held row-major as the float 9-tuple ``R`` and the
     translation as the float 3-tuple ``t`` (see _floats3); the ``rotation``
     and ``translation`` arrays are built from them the first time they are
-    read. The rotation may be given as such a 9-tuple, as _euler_zyx returns
-    it; any other value goes through numpy and keeps the array it makes.
+    read. The rotation may be given as a 3x3 matrix or as a tuple of its
+    nine entries, row-major, as _euler_zyx returns it; either way each entry
+    is a number by _float's rule.
     """
 
     rotation: np.ndarray
@@ -90,20 +123,19 @@ class RigidTransform:
         fields = self.__dict__
         t = _floats3(fields.pop("translation"))
         R = fields.pop("rotation")
-        if not (type(R) is tuple and len(R) == 9 and all(type(r) is float for r in R)
-                and math.isfinite(sum(R))):
-            M = np.asarray(R, dtype=float)
-            if M.shape != (3, 3) or not all(map(math.isfinite, M.ravel().tolist())):
-                raise ValueError("rotation must be a finite 3x3 matrix")
-            fields["rotation"] = M
-            R = tuple(M.ravel().tolist())
+        message = "rotation must be a finite 3x3 matrix"
+        if type(R) is tuple and len(R) == 9:
+            R = _floats(R, (9,), message)
+        else:
+            r0, r1, r2 = _floats(R, (3, 3), message)
+            R = r0 + r1 + r2
         _check_rotation(R)
         fields.update(R=R, t=t)
 
 
 def transform_point(H: RigidTransform, p) -> np.ndarray:
     """Apply H to a point: R @ p + t."""
-    return H.rotation @ _as_vec3(p) + H.translation
+    return H.rotation @ np.array(_floats3(p)) + H.translation
 
 
 def compose(H_a: RigidTransform, H_b: RigidTransform) -> RigidTransform:
@@ -156,12 +188,12 @@ class PluckerLine:
     direction: np.ndarray
 
     def __post_init__(self):
-        p = _as_vec3(self.point)
-        d = _as_vec3(self.direction)
-        if np.linalg.norm(d) <= 1e-12:
+        p = _floats3(self.point)
+        d = _floats3(self.direction)
+        if math.hypot(*d) <= 1e-12:
             raise DegenerateLine("line direction is (near) zero")
-        object.__setattr__(self, "point", p)
-        object.__setattr__(self, "direction", d)
+        object.__setattr__(self, "point", np.array(p))
+        object.__setattr__(self, "direction", np.array(d))
 
 
 def _zplane_hit(px, py, pz, dx, dy, dz, z_plane) -> tuple[float, float, float]:

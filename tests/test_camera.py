@@ -306,12 +306,20 @@ class TestObservationFastPath:
     @pytest.mark.parametrize("corners", [
         [[1, 2], [3, 4], [5, 6], [7, 8]],  # ints
         [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8]],
-        [[True, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]],  # a bool
         np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]]),
         [np.array([1.0, 2.0]), [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]],
         [[np.float64(1.0), 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]],
         ((1.0, 2.0), (3.0, 4.0), (5.0, 6.0), (7.0, 8.0)),  # tuples
         [(1.0, 2.0), [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]],
+        # finite values whose sum overflows: declined, then accepted
+        [[1e308, 1e308], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]],
+        [[-1e308, 2.0], [-1e308, 4.0], [5.0, 6.0], [7.0, 8.0]],
+    ])
+    def test_other_inputs_get_todays_verdict(self, corners):
+        assert camera._float_quad(corners) is None
+        self._same(corners)
+
+    @pytest.mark.parametrize("corners", [
         [[math.nan, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]],
         [[1.0, 2.0], [3.0, math.inf], [5.0, 6.0], [7.0, 8.0]],
         [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, -math.inf]],
@@ -322,13 +330,11 @@ class TestObservationFastPath:
         [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0],
         [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], "ab"],
         [],
-        # finite values whose sum overflows: declined, then accepted
-        [[1e308, 1e308], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]],
-        [[-1e308, 2.0], [-1e308, 4.0], [5.0, 6.0], [7.0, 8.0]],
     ])
-    def test_other_inputs_get_todays_verdict(self, corners):
+    def test_other_inputs_get_the_constructors_message(self, corners):
         assert camera._float_quad(corners) is None
-        self._same(corners)
+        with pytest.raises(ValueError, match=r"^corner pixels must be 4 finite \(u, v\) pairs$"):
+            TagObservation(0.0, corners)
 
 
 class TestSolvePnp:

@@ -93,6 +93,18 @@ class TestSimulate:
         assert rc == 2
         assert "unknown key" in capsys.readouterr().err
 
+    def test_config_that_is_not_utf8_is_usage_error(self, tmp_path, capsys):
+        config, intrinsics = tmp_path / "run.yaml", tmp_path / "k.yaml"
+        intrinsics.write_bytes(b"fx: 500.0 # \xff\n")
+        for text, name in ((b"sims: {} # \xff\n", f"config {config}"),
+                           (b"intrinsics_file: k.yaml\n", f"intrinsics file {intrinsics}")):
+            config.write_bytes(text)
+            rc = cli.main(["simulate", "--config", str(config),
+                           "--out", str(tmp_path / "x.jsonl")])
+            assert rc == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"error: cannot read {name}: ")
+
     @pytest.mark.parametrize("entry, message", [
         ("rates: {camera: .nan}", "simulation.rates: sample rates must be positive and finite"),
         ("rates: {camera: .inf}", "simulation.rates: sample rates must be positive and finite"),

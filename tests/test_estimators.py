@@ -435,6 +435,18 @@ class TestPipeline:
         pytest.param([{"t": 1.0, **SLAM}, {"t": 0.5, **TAG}], "tag", id="tag-before-pose"),
         pytest.param([{"t": "noon", "kind": "truth", "p": [0.0, 0.0, 0.0]}], "truth",
                      id="truth-bad-t"),
+        # values that are not numbers by the one rule: a numeric string, a
+        # bool and an integer beyond the float range
+        pytest.param([{"t": "0.5", **SLAM}], "slam", id="string-t"),
+        pytest.param([{"t": 0.0, **SLAM, "x": "1.0"}], "slam", id="string-x"),
+        pytest.param([{"t": 0.0, **SLAM, "yaw": True}], "slam", id="bool-yaw"),
+        pytest.param([{"t": 0.0, **SLAM, "y": 10**400}], "slam", id="huge-y"),
+        pytest.param([{"t": 0.0, "kind": "depth", "raw": "1.5"}], "depth", id="string-raw"),
+        pytest.param([{"t": 0.0, "kind": "depth", "raw": True}], "depth", id="bool-raw"),
+        pytest.param([{"t": 0.0, "kind": "imu", "gyro": ["0", 0.0, 0.0],
+                       "accel": [0.0, 0.0, -9.81]}], "imu", id="string-gyro"),
+        pytest.param([{"t": 0.0, **TAG, "corners": [[True, 200.0], *TAG["corners"][1:]]}],
+                     "tag", id="bool-corner"),
     ])
     def test_unusable_record_is_counted_not_raised(self, records, kind):
         pipe = EstimationPipeline(_down_camera_rig(), K, GEOM)

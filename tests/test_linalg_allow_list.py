@@ -20,8 +20,6 @@ _KERNEL_FUNCTIONS = {"dot", "vdot", "inner", "matmul", "einsum", "tensordot"}
 
 # (module, enclosing function, operation): count
 ALLOWED = {
-    # a validity check at construction: a tolerance decides, no bit is kept
-    ("geometry", "PluckerLine.__post_init__", "np.linalg.norm"): 1,
     # array transforms that the acceptance tests import; no command calls them
     ("geometry", "transform_point", "@"): 1,
     ("geometry", "compose", "@"): 2,

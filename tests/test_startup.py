@@ -5,6 +5,7 @@ loaded on first use (``aquapos._numpy``), so a process that loads a config,
 builds an ``EstimationPipeline`` and estimates never imports it.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -50,10 +51,9 @@ def _readme_config(tmp_path) -> Path:
     return config
 
 
-def test_set_up_and_estimate_load_no_numpy(tmp_path, capsys):
-    config = _readme_config(tmp_path)
-    data, out = tmp_path / "run.jsonl", tmp_path / "est.jsonl"
-    assert cli.main(["simulate", "--config", str(config), "--out", str(data)]) == 0
+def _estimate_in_child(config, data, out) -> tuple:
+    """Set-up and estimate in a fresh process: its estimate line and the
+    numpy modules it loaded."""
     src = os.path.dirname(os.path.dirname(aquapos.__file__))
     env = dict(os.environ, PYTHONWARNINGS="error",
                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
@@ -61,7 +61,37 @@ def test_set_up_and_estimate_load_no_numpy(tmp_path, capsys):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     written, modules = proc.stdout.splitlines()
+    return written, modules
+
+
+def test_set_up_and_estimate_load_no_numpy(tmp_path, capsys):
+    config = _readme_config(tmp_path)
+    data, out = tmp_path / "run.jsonl", tmp_path / "est.jsonl"
+    assert cli.main(["simulate", "--config", str(config), "--out", str(data)]) == 0
+    written, modules = _estimate_in_child(config, data, out)
     assert written == "wrote 600 estimates to " + str(out)
+    assert modules == "[]"
+
+
+def _rounded(value):
+    """value with every number rounded to a JSON integer."""
+    return [_rounded(v) for v in value] if isinstance(value, list) else round(value)
+
+
+def test_integer_dataset_loads_no_numpy(tmp_path, capsys):
+    # JSON integers are numbers of the format, and the constructors take them
+    # by the reader's rule, without numpy
+    config = _readme_config(tmp_path)
+    data, out = tmp_path / "run.jsonl", tmp_path / "est.jsonl"
+    assert cli.main(["simulate", "--config", str(config), "--out", str(data)]) == 0
+    records = [json.loads(line) for line in data.read_text(encoding="utf-8").splitlines()]
+    kinds = {"imu", "slam", "tag", "depth"}
+    integers = [{k: _rounded(v) if k not in ("t", "kind") and r["kind"] in kinds else v
+                 for k, v in r.items()} for r in records]
+    data.write_text("".join(json.dumps(r) + "\n" for r in integers), encoding="utf-8")
+    assert all(type(r["raw"]) is int for r in integers if r["kind"] == "depth")
+    written, modules = _estimate_in_child(config, data, out)
+    assert written.startswith("wrote ") and not written.startswith("wrote 0 ")
     assert modules == "[]"
 
 
