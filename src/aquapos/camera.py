@@ -38,17 +38,24 @@ class Intrinsics:
     height: int
 
     def __post_init__(self):
-        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
-            raise ValueError("focal lengths must be positive and finite")
-        if not (0 < self.cx < self.width and 0 < self.cy < self.height):
-            raise ValueError("principal point must lie inside the image")
+        fields = self.__dict__
+        message = "focal lengths must be positive and finite"
+        for name in ("fx", "fy"):
+            fields[name] = focal = _float(fields[name], message)
+            if focal <= 0:
+                raise ValueError(message)
+        message = "principal point must lie inside the image"
+        for name, size in (("cx", self.width), ("cy", self.height)):
+            fields[name] = c = _float(fields[name], message)
+            if not 0 < c < size:
+                raise ValueError(message)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Intrinsics":
         size = d["width"], d["height"]
         if not all(int(v) == v and not isinstance(v, bool) for v in size):
             raise ValueError(f"width and height must be whole numbers, got {size}")
-        return cls(*(float(d[k]) for k in ("fx", "fy", "cx", "cy")), *map(int, size))
+        return cls(*(d[k] for k in ("fx", "fy", "cx", "cy")), *map(int, size))
 
 
 # bench-calibrated defaults used when no intrinsics file is configured
@@ -150,8 +157,10 @@ class TagGeometry:
     side_length: float = 0.2  # the bench tag, metres
 
     def __post_init__(self):
-        if not 0 < self.side_length < math.inf:
-            raise ValueError("tag side length must be positive and finite")
+        message = "tag side length must be positive and finite"
+        self.__dict__["side_length"] = side = _float(self.side_length, message)
+        if side <= 0:
+            raise ValueError(message)
 
     @cached_property
     def corners_xy(self) -> tuple:

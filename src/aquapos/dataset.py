@@ -10,10 +10,15 @@ timestamp ``t``, a ``kind`` and the exact payload for that kind:
     {"t": 0.0, "kind": "truth", "p": [x, y, z]}
 
 Timestamps must be non-decreasing within a file (equal stamps are fine).
-The reader is strict and line-precise: any malformed line raises
-DatasetFormatError naming the line number. The readers decode a byte that
-is not UTF-8 as a lone surrogate (errors="surrogateescape"), which no valid
-line holds, so such a line is malformed too.
+Every number must pass geometry._float's rule, the one the public
+constructors apply, and every list is a JSON list of its exact length.
+One check per record kind holds that rule: validate_record, which the
+writer and the reader call, words what it rejects, and read_estimates
+checks an estimate line by the same helpers. The reader is strict and line-precise: any
+malformed line raises DatasetFormatError naming the line number. The
+readers decode a byte that is not UTF-8 as a lone surrogate
+(errors="surrogateescape"), which no valid line holds, so such a line is
+malformed too.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from ._numpy import np
 from .camera import _float_quad
 from .errors import DatasetFormatError
 from .estimators import METHODS
-from .geometry import _float
+from .geometry import _float, _floats
 
 _PAYLOAD_KEYS = {
     "imu": ("gyro", "accel"),
@@ -39,28 +44,70 @@ _KEY_ORDER = {kind: ("t", "kind", *keys) for kind, keys in _PAYLOAD_KEYS.items()
 _KEY_SETS = {kind: frozenset(keys) for kind, keys in _KEY_ORDER.items()}
 
 
-def _is_number(v) -> bool:
-    """True for a number by the constructors' rule, geometry._float: a real
-    number, not a bool, that a float holds as a finite value."""
-    try:
-        _float(v, "")
-    except ValueError:
-        return False
-    return True
+def _list3(v, message) -> None:
+    """Raise ValueError(message) unless v is a list of three numbers by
+    geometry._float's rule.
+
+    The first line takes an exact list of three floats whose sum is finite,
+    as geometry._floats3 does: the same rule on a shorter path.
+    """
+    if type(v) is list and len(v) == 3:
+        x, y, z = v
+        if type(x) is type(y) is type(z) is float and isfinite(x + y + z):
+            return
+    if not isinstance(v, list):
+        raise ValueError(message)
+    _floats(v, (3,), message)
 
 
-def _check_vector(value, length, what):
-    if (not isinstance(value, list) or len(value) != length
-            or not all(map(_is_number, value))):
-        raise ValueError(f"{what} must be a list of {length} finite numbers")
+def _imu(r) -> None:
+    _list3(r["gyro"], "gyro must be a list of 3 finite numbers")
+    _list3(r["accel"], "accel must be a list of 3 finite numbers")
 
 
-def _check_record(obj) -> None:
-    """The format's full checks; raise ValueError naming the first violation."""
+def _slam(r) -> None:
+    _float(r["x"], "x must be a finite number")
+    _float(r["y"], "y must be a finite number")
+    _float(r["yaw"], "yaw must be a finite number")
+
+
+def _tag(r) -> None:
+    corners = r["corners"]
+    if _float_quad(corners) is not None:  # exact floats, the same rule's first line
+        return
+    if not isinstance(corners, list) or len(corners) != 4:
+        raise ValueError("corners must be a list of 4 pixel pairs")
+    message = "corner must be a list of 2 finite numbers"
+    for c in corners:
+        if not isinstance(c, list):
+            raise ValueError(message)
+        _floats(c, (2,), message)
+
+
+def _depth(r) -> None:
+    _float(r["raw"], "raw must be a finite number")
+
+
+def _truth(r) -> None:
+    _list3(r["p"], "p must be a list of 3 finite numbers")
+
+
+# Per kind, the check of its payload: every number by geometry._float's
+# rule, every list an exact list (a subclass of list too) of its length.
+_PAYLOAD_CHECKS = {"imu": _imu, "slam": _slam, "tag": _tag, "depth": _depth,
+                   "truth": _truth}
+
+
+def validate_record(obj) -> dict:
+    """Check one parsed record against the format; returns it unchanged.
+
+    Raises ValueError naming the first violation: not an object, an
+    unknown kind, keys other than the kind's, then t and the payload.
+    """
     if not isinstance(obj, dict):
         raise ValueError("record must be a JSON object")
     kind = obj.get("kind")
-    if not isinstance(kind, str) or kind not in _PAYLOAD_KEYS:
+    if not isinstance(kind, str) or kind not in _PAYLOAD_CHECKS:
         raise ValueError(f"unknown kind {kind!r}")
     expected = _KEY_SETS[kind]
     if obj.keys() != expected:
@@ -72,86 +119,8 @@ def _check_record(obj) -> None:
         if extra:
             parts.append(f"unexpected keys {sorted(extra)}")
         raise ValueError(f"{kind} record: " + ", ".join(parts))
-    if not _is_number(obj["t"]):
-        raise ValueError("t must be a finite number")
-    if kind == "imu":
-        _check_vector(obj["gyro"], 3, "gyro")
-        _check_vector(obj["accel"], 3, "accel")
-    elif kind == "slam":
-        for key in ("x", "y", "yaw"):
-            if not _is_number(obj[key]):
-                raise ValueError(f"{key} must be a finite number")
-    elif kind == "tag":
-        corners = obj["corners"]
-        if not isinstance(corners, list) or len(corners) != 4:
-            raise ValueError("corners must be a list of 4 pixel pairs")
-        for c in corners:
-            _check_vector(c, 2, "corner")
-    elif kind == "depth":
-        if not _is_number(obj["raw"]):
-            raise ValueError("raw must be a finite number")
-    else:  # truth
-        _check_vector(obj["p"], 3, "p")
-
-
-# Per kind, a fast acceptance test for a record whose keys are already the
-# kind's key set: every list an exact list of the right length, every number
-# an exact float, and the plain sum of the numbers finite. An inf or nan
-# makes the sum inf or nan; a sum that overflows from finite terms only
-# declines the record, and _check_record then accepts it.
-def _fast_imu(r) -> bool:
-    g, a = r["gyro"], r["accel"]
-    if type(g) is type(a) is list and len(g) == len(a) == 3:
-        t = r["t"]
-        g0, g1, g2 = g
-        a0, a1, a2 = a
-        return (type(t) is type(g0) is type(g1) is type(g2) is type(a0)
-                is type(a1) is type(a2) is float
-                and isfinite(t + g0 + g1 + g2 + a0 + a1 + a2))
-    return False
-
-
-def _fast_slam(r) -> bool:
-    t, x, y, yaw = r["t"], r["x"], r["y"], r["yaw"]
-    return type(t) is type(x) is type(y) is type(yaw) is float and isfinite(t + x + y + yaw)
-
-
-def _fast_tag(r) -> bool:
-    t = r["t"]
-    return type(t) is float and isfinite(t) and _float_quad(r["corners"]) is not None
-
-
-def _fast_depth(r) -> bool:
-    t, raw = r["t"], r["raw"]
-    return type(t) is type(raw) is float and isfinite(t + raw)
-
-
-def _fast_truth(r) -> bool:
-    p = r["p"]
-    if type(p) is list and len(p) == 3:
-        t = r["t"]
-        p0, p1, p2 = p
-        return type(t) is type(p0) is type(p1) is type(p2) is float and isfinite(t + p0 + p1 + p2)
-    return False
-
-
-_FAST_CHECKS = {"imu": _fast_imu, "slam": _fast_slam, "tag": _fast_tag,
-                "depth": _fast_depth, "truth": _fast_truth}
-
-
-def validate_record(obj) -> dict:
-    """Check one parsed record against the format; returns it unchanged.
-
-    Records the per-kind fast check accepts are valid. Every other record
-    goes through the full checks, which decide and word the verdict.
-    """
-    if type(obj) is dict:
-        kind = obj.get("kind")
-        if type(kind) is str:
-            fast = _FAST_CHECKS.get(kind)
-            if fast is not None and obj.keys() == _KEY_SETS[kind] and fast(obj):
-                return obj
-    _check_record(obj)
+    _float(obj["t"], "t must be a finite number")
+    _PAYLOAD_CHECKS[kind](obj)
     return obj
 
 
@@ -250,20 +219,11 @@ def read_records(path):
             line = line.strip()
             if not line:
                 continue
-            # validate_record's fast case inline: a whole line, a fast-checked record
+            obj = _parse(path, lineno, line)
             try:
-                obj, end = _scan_once(line, 0)
-            except (StopIteration, ValueError):
-                end = -1
-            if end != len(line):
-                obj = _parse(path, lineno, line)
-            if not (type(obj) is dict and type(kind := obj.get("kind")) is str
-                    and (fast := _FAST_CHECKS.get(kind)) is not None
-                    and obj.keys() == _KEY_SETS[kind] and fast(obj)):
-                try:
-                    _check_record(obj)
-                except ValueError as exc:
-                    raise DatasetFormatError(f"{path}:{lineno}: {exc}")
+                validate_record(obj)
+            except ValueError as exc:
+                raise DatasetFormatError(f"{path}:{lineno}: {exc}")
             if last_t is not None and obj["t"] < last_t:
                 raise DatasetFormatError(
                     f"{path}:{lineno}: timestamp {obj['t']} precedes {last_t}"
@@ -273,37 +233,25 @@ def read_records(path):
 
 
 def estimate_to_dict(est) -> dict:
-    """Serializable form of a PositionEstimate; `estimate` writes its
-    compact json.dumps, one line per estimate."""
-    out = {
-        "t": float(est.timestamp),
-        "method": est.method,
-        "p": list(est.xyz),
-        "roll": float(est.roll),
-        "pitch": float(est.pitch),
-    }
+    """Serializable form of a PositionEstimate, whose numbers are all floats;
+    `estimate` writes its compact json.dumps, one line per estimate."""
+    out = {"t": est.timestamp, "method": est.method, "p": list(est.xyz),
+           "roll": est.roll, "pitch": est.pitch}
     if est.reproj_rms is not None:
-        out["reproj_rms"] = float(est.reproj_rms)
+        out["reproj_rms"] = est.reproj_rms
     if est.ray_k is not None:
-        out["ray_k"] = float(est.ray_k)
+        out["ray_k"] = est.ray_k
     return out
 
 
-def _valid_estimate(obj) -> bool:
-    if type(obj) is dict:
-        t, p = obj.get("t"), obj.get("p")
-        if type(p) is list and len(p) == 3 and obj.get("method") in METHODS:
-            p0, p1, p2 = p
-            if type(t) is type(p0) is type(p1) is type(p2) is float and isfinite(t + p0 + p1 + p2):
-                return True
-    if (not isinstance(obj, dict) or not _is_number(obj.get("t"))
-            or obj.get("method") not in METHODS):
-        return False
-    try:
-        _check_vector(obj["p"], 3, "p")
-    except (KeyError, ValueError):
-        return False
-    return True
+def _check_estimate(obj) -> None:
+    """Raise ValueError unless obj is an estimate: an object with a method of
+    METHODS, a number t by geometry._float's rule and a list p of three."""
+    message = "malformed estimate"
+    if not (isinstance(obj, dict) and obj.get("method") in METHODS):
+        raise ValueError(message)
+    _float(obj.get("t"), message)
+    _list3(obj.get("p"), message)
 
 
 def read_estimates(path) -> list:
@@ -315,8 +263,10 @@ def read_estimates(path) -> list:
             if not line:
                 continue
             obj = _parse(path, lineno, line)
-            if not _valid_estimate(obj):
-                raise DatasetFormatError(f"{path}:{lineno}: malformed estimate")
+            try:
+                _check_estimate(obj)
+            except ValueError as exc:
+                raise DatasetFormatError(f"{path}:{lineno}: {exc}")
             out.append(obj)
     return out
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from ._numpy import np
 from .errors import ConfigError, DegenerateData, InsufficientData
-from .geometry import _float
+from .geometry import _float, _floats
 
 # Per-step velocity clamp, as a fraction of each parameter's search range.
 _VELOCITY_CLAMP_FRACTION = 0.2
@@ -50,8 +50,9 @@ class CalibrationParams:
     offset: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.scale) and math.isfinite(self.offset)):
-            raise ValueError("calibration parameters must be finite")
+        fields = self.__dict__
+        for name in ("scale", "offset"):
+            fields[name] = _float(fields[name], "calibration parameters must be finite")
         if self.scale == 0.0:
             raise ValueError("calibration scale must be nonzero")
 
@@ -82,14 +83,21 @@ class PsoConfig:
             raise ValueError("iterations must be a positive integer")
         if self.swarm_size * self.iterations > MAX_PARTICLE_STEPS:
             raise ValueError(f"swarm_size * iterations must not exceed {MAX_PARTICLE_STEPS:g}")
-        if not 0.0 <= self.inertia <= 1.0:
-            raise ValueError("inertia must lie in [0, 1]")
+        fields = self.__dict__
+        message = "inertia must lie in [0, 1]"
+        fields["inertia"] = inertia = _float(self.inertia, message)
+        if not 0.0 <= inertia <= 1.0:
+            raise ValueError(message)
         for name in ("cognitive", "social"):
-            if not 0.0 <= getattr(self, name) < math.inf:  # also rejects nan
-                raise ValueError(f"{name} must be non-negative and finite")
-        for lo, hi in (self.scale_bounds, self.offset_bounds):
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise ValueError("bounds must be finite with lower < upper")
+            message = f"{name} must be non-negative and finite"
+            fields[name] = weight = _float(fields[name], message)
+            if weight < 0.0:
+                raise ValueError(message)
+        message = "bounds must be finite with lower < upper"
+        for name in ("scale_bounds", "offset_bounds"):
+            fields[name] = lo, hi = _floats(fields[name], (2,), message)
+            if not lo < hi:
+                raise ValueError(message)
         _check_seed(self.seed)
 
     def lower(self) -> np.ndarray:

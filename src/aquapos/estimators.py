@@ -83,10 +83,10 @@ class RigExtrinsics:
     body_height: float
 
     def __post_init__(self):
-        if not math.isfinite(self.body_height):
-            raise ValueError("body_height must be finite")
+        fields = self.__dict__
+        fields["body_height"] = height = _float(self.body_height, "body_height must be finite")
         H = self.camera_in_body
-        object.__setattr__(self, "_floats", (H.R, H.t, float(self.body_height)))
+        fields["_floats"] = (H.R, H.t, height)
 
 
 @dataclass(frozen=True)
@@ -150,6 +150,9 @@ class PositionEstimate:
 
     ``xyz`` holds the position as a float 3-tuple (see _floats3); the
     float64 ``position`` array is built from it the first time it is read.
+    The timestamp, roll and pitch, and each diagnostic that is not None,
+    are floats by geometry._float's rule, so every estimate makes a line
+    that dataset.read_estimates reads back.
     """
 
     timestamp: float
@@ -165,10 +168,16 @@ class PositionEstimate:
                  reproj_rms=None, ray_k=None, staleness=None):
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
+        xyz = _floats3(position)
+        message = "estimate fields must be finite"
+        if reproj_rms is not None:
+            reproj_rms = _float(reproj_rms, message)
+        if ray_k is not None:
+            ray_k = _float(ray_k, message)
         # one dict update; a frozen dataclass's __init__ calls object.__setattr__ per field
-        self.__dict__.update(timestamp=timestamp, xyz=_floats3(position), method=method,
-                             roll=roll, pitch=pitch, reproj_rms=reproj_rms, ray_k=ray_k,
-                             staleness=staleness)
+        self.__dict__.update(timestamp=_float(timestamp, message), xyz=xyz, method=method,
+                             roll=_float(roll, message), pitch=_float(pitch, message),
+                             reproj_rms=reproj_rms, ray_k=ray_k, staleness=staleness)
 
 
 def default_rig() -> RigExtrinsics:
@@ -399,8 +408,10 @@ class EstimationPipeline:
         kind = record["kind"]
         if kind not in KINDS:
             raise ValueError(f"unknown record kind {kind!r}")
+        t = record["t"]
         try:
-            t = _float(record["t"], "t must be a finite number")
+            # one check of t per kind: the sample's constructor, or for a truth
+            # record, which makes no sample, the same rule here
             if kind == "imu":
                 self.tracker.feed(ImuSample(t, record["gyro"], record["accel"]))
             elif kind == "slam":
@@ -411,9 +422,12 @@ class EstimationPipeline:
                 self.sync.push("depth", DepthMeasurement(
                     t, apply_calibration(self.calibration, record["raw"])))
             elif kind == "tag":
-                self.sync.push("tag", TagObservation(t, record["corners"]))
+                obs = TagObservation(t, record["corners"])
+                self.sync.push("tag", obs)
                 # one bundle for every method; each estimator checks its own streams
-                bundle = self.sync.synchronize(t)
+                bundle = self.sync.synchronize(obs.timestamp)
+            else:
+                _float(t, "t must be a finite number")
         except (ValueError, AquaposError):
             self.counters[f"{kind}_rejected"] += 1
             return []
@@ -432,5 +446,5 @@ class EstimationPipeline:
                         self.staleness_bound, self.marker_offset))
             except AquaposError as exc:
                 self.counters[f"{method}_skipped"] += 1
-                log.debug("t=%.3f: %s skipped (%s)", t, method, exc)
+                log.debug("t=%.3f: %s skipped (%s)", bundle.timestamp, method, exc)
         return estimates

@@ -24,7 +24,7 @@ def _float(x, message: str) -> float:
     A number is a real number that is not a bool (a string is not a number)
     and that a float holds as a finite value: a float, an int within the
     float range, or a numpy float or integer scalar. The dataset reader
-    takes numbers by this rule too (dataset._is_number).
+    and the config types take numbers by this rule too.
     """
     if type(x) is not float:
         if isinstance(x, bool) or not isinstance(x, Real):

@@ -27,7 +27,7 @@ from .camera import (DEFAULT_INTRINSICS, Intrinsics, TagGeometry, _center, _pixe
 from .depth_calibration import IDENTITY_CALIBRATION, CalibrationParams, _check_seed
 from .errors import BehindCamera, ParallelToPlane, RegionTooSmall
 from .estimators import RigExtrinsics, _camera_in_world, default_rig
-from .geometry import _zplane_hit
+from .geometry import _float, _floats, _zplane_hit
 
 MARGIN = 0.4  # trajectory inset from the region walls, metres
 
@@ -99,12 +99,15 @@ class TrajectorySpec:
     def __post_init__(self):
         if self.pattern not in _PATTERNS:
             raise ValueError(f"unknown pattern {self.pattern!r}")
-        if len(self.region) != 3 or any(r <= 0 for r in self.region):
+        fields = self.__dict__
+        message = "trajectory values must be finite"
+        if len(self.region) != 3:
             raise ValueError("region must be three positive extents")
-        numbers = (*self.region, self.speed, self.duration, self.depth_mean,
-                   self.depth_amplitude, self.depth_period)
-        if not all(map(math.isfinite, numbers)):
-            raise ValueError("trajectory values must be finite")
+        fields["region"] = region = _floats(self.region, (3,), message)
+        if any(r <= 0 for r in region):
+            raise ValueError("region must be three positive extents")
+        for name in ("speed", "duration", "depth_mean", "depth_amplitude", "depth_period"):
+            fields[name] = _float(fields[name], message)
         if self.speed <= 0:
             raise ValueError("speed must be positive")
         if self.duration <= 0:
@@ -137,15 +140,17 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        sigmas = (self.pixel_sigma, self.gyro_sigma, self.accel_sigma,
-                  self.depth_sigma, self.slam_xy_sigma, self.slam_yaw_sigma)
-        if any(s < 0 for s in sigmas):
+        fields = self.__dict__
+        sigmas = ("pixel_sigma", "gyro_sigma", "accel_sigma", "depth_sigma",
+                  "slam_xy_sigma", "slam_yaw_sigma")
+        for name in (*sigmas, "tilt_frequency", "dropout_base", "dropout_per_metre"):
+            fields[name] = _float(fields[name], "noise values must be finite")
+        if any(fields[name] < 0 for name in sigmas):
             raise ValueError("noise sigmas must be non-negative")
-        numbers = (*sigmas, self.tilt_frequency, self.dropout_base, self.dropout_per_metre)
-        if not all(map(math.isfinite, numbers)):
-            raise ValueError("noise values must be finite")
-        if not 0.0 <= self.tilt_amplitude <= math.radians(10.0) + 1e-12:
-            raise ValueError("tilt amplitude must lie in [0, 10] degrees")
+        message = "tilt amplitude must lie in [0, 10] degrees"
+        fields["tilt_amplitude"] = amplitude = _float(self.tilt_amplitude, message)
+        if not 0.0 <= amplitude <= math.radians(10.0) + 1e-12:
+            raise ValueError(message)
         if self.tilt_frequency < 0:
             raise ValueError("tilt frequency must be non-negative")
         if self.dropout_base < 0 or self.dropout_per_metre < 0:
@@ -172,9 +177,12 @@ class SampleRates:
     truth: float = 100.0
 
     def __post_init__(self):
-        for r in (self.camera, self.imu, self.depth, self.slam, self.truth):
-            if not 0 < r < math.inf:
-                raise ValueError("sample rates must be positive and finite")
+        fields = self.__dict__
+        message = "sample rates must be positive and finite"
+        for name in ("camera", "imu", "depth", "slam", "truth"):
+            fields[name] = rate = _float(fields[name], message)
+            if rate <= 0:
+                raise ValueError(message)
 
 
 @dataclass(frozen=True)
@@ -188,15 +196,18 @@ class FollowerConfig:
     hold_decay: float = 1.0
 
     def __post_init__(self):
-        # the negated forms also reject nan
-        if not (self.gain_x >= 0 and self.gain_y >= 0):
-            raise ValueError("gains must be non-negative")
-        if not self.deadband_px >= 0:
-            raise ValueError("deadband must be non-negative")
-        if not self.max_speed > 0:
-            raise ValueError("max speed must be positive")
-        if not self.hold_decay > 0:
-            raise ValueError("hold decay time must be positive")
+        fields = self.__dict__
+        for name, message in (("gain_x", "gains must be non-negative"),
+                              ("gain_y", "gains must be non-negative"),
+                              ("deadband_px", "deadband must be non-negative")):
+            fields[name] = value = _float(fields[name], message)
+            if value < 0:
+                raise ValueError(message)
+        for name, message in (("max_speed", "max speed must be positive"),
+                              ("hold_decay", "hold decay time must be positive")):
+            fields[name] = value = _float(fields[name], message)
+            if value <= 0:
+                raise ValueError(message)
 
 
 @dataclass(frozen=True)
@@ -213,10 +224,15 @@ class SceneConfig:
     yaw_period: float = 40.0
 
     def __post_init__(self):
-        if self.yaw_amplitude < 0 or not math.isfinite(self.yaw_amplitude):
-            raise ValueError("yaw amplitude must be non-negative and finite")
-        if not 0 < self.yaw_period < math.inf:
-            raise ValueError("yaw period must be positive and finite")
+        fields = self.__dict__
+        message = "yaw amplitude must be non-negative and finite"
+        fields["yaw_amplitude"] = amplitude = _float(self.yaw_amplitude, message)
+        if amplitude < 0:
+            raise ValueError(message)
+        message = "yaw period must be positive and finite"
+        fields["yaw_period"] = period = _float(self.yaw_period, message)
+        if period <= 0:
+            raise ValueError(message)
 
 
 class MarkerTrajectory:

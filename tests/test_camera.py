@@ -23,10 +23,8 @@ from aquapos.camera import (
     quad_area,
     solve_pnp_planar,
 )
-from aquapos.config import load_run_config
 from aquapos.errors import BehindCamera, PnPDegenerate, PnPNoConvergence
 from aquapos.geometry import RigidTransform
-from aquapos.simulator import Simulator
 
 BENCH_K = Intrinsics(
     fx=514.177765, fy=513.054629, cx=346.861136, cy=220.015799, width=800, height=600
@@ -714,33 +712,12 @@ class TestIntrinsicsValidation:
             Intrinsics(fx=1, fy=focal, cx=0.5, cy=0.5, width=1, height=1)
 
 
-# The benchmark's square-noisy and noiseless-exact run configurations.
-SQUARE_NOISY_YAML = "simulation: {trajectory: {duration: 40.0}}\n"
-NOISELESS_EXACT_YAML = """
-simulation:
-  trajectory: {pattern: lawnmower, duration: 34.0}
-  rates: {camera: 30, imu: 30, depth: 30, slam: 30, truth: 30}
-  noise: {pixel_sigma: 0.0, gyro_sigma: 0.0, accel_sigma: 0.0, depth_sigma: 0.0,
-          slam_xy_sigma: 0.0, slam_yaw_sigma_deg: 0.0, tilt_amplitude_deg: 0.0}
-"""
-
-
 @pytest.fixture(scope="module")
-def run_frames(tmp_path_factory):
+def run_frames(workload_run):
     """Tag corner pixels of seeds 1-3 of each run, keyed (run, seed)."""
-    frames = {}
-    root = tmp_path_factory.mktemp("lockstep")
-    for run, text in (("square-noisy", SQUARE_NOISY_YAML),
-                      ("noiseless-exact", NOISELESS_EXACT_YAML)):
-        path = root / f"{run}.yaml"
-        path.write_text(text, encoding="utf-8")
-        cfg = load_run_config(path)
-        for seed in (1, 2, 3):
-            sim = Simulator(dataclasses.replace(cfg.trajectory, seed=seed), cfg,
-                            dataclasses.replace(cfg.noise, seed=seed))
-            frames[run, seed] = [rec["corners"] for rec in sim.stream()
-                                 if rec["kind"] == "tag"]
-    return frames
+    return {(run, seed): [rec["corners"] for rec in workload_run(run, seed)[2]
+                          if rec["kind"] == "tag"]
+            for run in ("square-noisy", "noiseless-exact") for seed in (1, 2, 3)}
 
 
 def _oblique_views(n, rng):

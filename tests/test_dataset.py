@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -6,7 +5,6 @@ import numpy as np
 import pytest
 
 from aquapos import cli
-from aquapos.config import load_run_config
 from aquapos.dataset import (
     estimate_to_dict,
     load_pairs_csv,
@@ -18,6 +16,8 @@ from aquapos.dataset import (
 from aquapos.errors import DatasetFormatError
 from aquapos.estimators import EstimationPipeline, PositionEstimate
 from aquapos.simulator import NoiseModel, Simulator, TrajectorySpec
+
+from conftest import WORKLOAD_CONFIGS
 
 
 def _sample_records():
@@ -520,26 +520,13 @@ class TestReaderMatchesReference:
                     == _outcome(lambda o: [_ref_validate(o)], obj)), obj
 
 
-# the benchmark's three workload configurations
-_WORKLOAD_CONFIGS = {
-    "square-noisy": "simulation: {trajectory: {duration: 40.0}}\n",
-    "cd-dense-imu": ("depth_calibration: {scale: 1.05, offset: -0.03}\n"
-                     "simulation: {trajectory: {duration: 34.0}, rates: {imu: 400}}\n"),
-    "noiseless-exact": (
-        "simulation:\n"
-        "  trajectory: {pattern: lawnmower, duration: 34.0}\n"
-        "  rates: {camera: 30, imu: 30, depth: 30, slam: 30, truth: 30}\n"
-        "  noise: {pixel_sigma: 0.0, gyro_sigma: 0.0, accel_sigma: 0.0, depth_sigma: 0.0,\n"
-        "          slam_xy_sigma: 0.0, slam_yaw_sigma_deg: 0.0, tilt_amplitude_deg: 0.0}\n"),
-}
-
-
 def _json_line(d):
     return json.dumps(d, separators=(",", ":")) + "\n"
 
 
-def _estimates_with(value):
-    """Estimates of each diagnostic shape, with value in each number slot in turn."""
+def _estimate_args(value):
+    """PositionEstimate's arguments for each diagnostic shape, with value in
+    each number slot in turn."""
     base = dict(timestamp=1.5, position=[0.25, -0.5, -1.25], roll=0.01, pitch=-0.02)
     for extra in ({}, {"reproj_rms": 0.3}, {"ray_k": -0.6},
                   {"reproj_rms": 0.3, "ray_k": -0.6}):
@@ -552,24 +539,18 @@ def _estimates_with(value):
             else:
                 case[slot] = value
             method = "cd" if "ray_k" in extra else "cpnp"
-            yield PositionEstimate(case.pop("timestamp"), np.array(case.pop("position")),
-                                   method, **case)
+            yield (case.pop("timestamp"), np.array(case.pop("position")), method), case
 
 
 class TestEstimateLine:
     """estimate's lines, the compact json.dumps of estimate_to_dict, read
     back by read_estimates bit for bit."""
 
-    @pytest.mark.parametrize("workload", sorted(_WORKLOAD_CONFIGS))
-    def test_every_estimate_of_the_workload_runs(self, tmp_path, workload):
-        path = tmp_path / "run.yaml"
-        path.write_text(_WORKLOAD_CONFIGS[workload], encoding="utf-8")
-        cfg = load_run_config(path)
+    @pytest.mark.parametrize("workload", sorted(WORKLOAD_CONFIGS))
+    def test_every_estimate_of_the_workload_runs(self, tmp_path, workload_run, workload):
         methods = set()
         for seed in (1, 2, 3):
-            spec = dataclasses.replace(cfg.trajectory, seed=seed)
-            noise = dataclasses.replace(cfg.noise, seed=seed)
-            records, _ = Simulator(spec, cfg, noise).run()
+            path, cfg, records = workload_run(workload, seed)
             pipe = EstimationPipeline(cfg.rig, cfg.intrinsics, cfg.tag,
                                       calibration=cfg.calibration, tilt_config=cfg.tilt)
             dicts = [estimate_to_dict(e) for rec in records for e in pipe.process(rec)]
@@ -583,12 +564,25 @@ class TestEstimateLine:
             methods |= {d["method"] for d in dicts}
         assert methods == {"cpnp", "cd"}
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, "0.5", True, None, 10**400, 3,
+                                       np.float32(0.5)])
+    def test_every_estimate_the_constructor_takes_reads_back(self, tmp_path, value):
+        path = tmp_path / "est.jsonl"
+        for args, kwargs in _estimate_args(value):
+            try:
+                est = PositionEstimate(*args, **kwargs)
+            except ValueError:
+                continue
+            d = estimate_to_dict(est)
+            path.write_text(_json_line(d), encoding="utf-8")
+            assert repr(read_estimates(path)) == repr([d]), d
+
     @pytest.mark.parametrize("value", [-0.0, 5e-324, -5e-324, 1e308, -1e308, 1e16,
                                        1e-7, 0.1, 123456789.125])
     def test_hand_picked_floats_in_every_slot(self, tmp_path, value):
         path = tmp_path / "est.jsonl"
-        for est in _estimates_with(value):
-            d = estimate_to_dict(est)
+        for args, kwargs in _estimate_args(value):
+            d = estimate_to_dict(PositionEstimate(*args, **kwargs))
             path.write_text(_json_line(d), encoding="utf-8")
             [back] = read_estimates(path)
             assert repr(back) == repr(d), d

@@ -13,11 +13,16 @@ import numpy as np
 import pytest
 
 from aquapos.attitude import ImuSample, TiltConfig, TiltState
-from aquapos.camera import DEFAULT_INTRINSICS, TagObservation, project_point
+from aquapos.camera import (DEFAULT_INTRINSICS, Intrinsics, TagGeometry, TagObservation,
+                            project_point)
 from aquapos.dataset import validate_record
-from aquapos.estimators import DepthMeasurement, PositionEstimate, SurfacePoseState
+from aquapos.depth_calibration import CalibrationParams, PsoConfig
+from aquapos.estimators import (DepthMeasurement, PositionEstimate, RigExtrinsics,
+                                SurfacePoseState, default_rig)
 from aquapos.evaluation import AlignedPair
 from aquapos.geometry import PluckerLine, RigidTransform
+from aquapos.simulator import (FollowerConfig, NoiseModel, SampleRates, SceneConfig,
+                               TrajectorySpec)
 
 # (name, make, base, read): make builds the object from one vector or
 # matrix of numbers, base is that value as exact floats, and read gives the
@@ -82,10 +87,46 @@ SCALARS = [
      lambda pose: pose.timestamp),
     ("DepthMeasurement.depth", lambda d: DepthMeasurement(0.0, d), 1.25,
      lambda m: m.depth),
+    ("PositionEstimate.timestamp", lambda t: PositionEstimate(t, [0.0, 0.0, -1.0], "cd"),
+     4.0, lambda e: e.timestamp),
+    ("PositionEstimate.roll", lambda a: PositionEstimate(0.0, [0.0, 0.0, -1.0], "cd", roll=a),
+     0.125, lambda e: e.roll),
+    ("PositionEstimate.pitch",
+     lambda a: PositionEstimate(0.0, [0.0, 0.0, -1.0], "cd", pitch=a), -0.25,
+     lambda e: e.pitch),
+    ("PositionEstimate.reproj_rms",
+     lambda r: PositionEstimate(0.0, [0.0, 0.0, -1.0], "cpnp", reproj_rms=r), 2.0,
+     lambda e: e.reproj_rms),
+    ("PositionEstimate.ray_k",
+     lambda k: PositionEstimate(0.0, [0.0, 0.0, -1.0], "cd", ray_k=k), -0.5,
+     lambda e: e.ray_k),
 ]
 
 # a numeric string, a bool and an int beyond the float range
 NOT_NUMBERS = ["1.0", True, 10**400]
+
+# (name, make) for the numbers of the config types: make builds the type
+# with one number, or one entry of a pair or a triple, set to its argument
+CONFIG_NUMBERS = [
+    ("CalibrationParams.scale", lambda x: CalibrationParams(x, 0.0)),
+    ("CalibrationParams.offset", lambda x: CalibrationParams(1.0, x)),
+    ("PsoConfig.inertia", lambda x: PsoConfig(inertia=x)),
+    ("PsoConfig.social", lambda x: PsoConfig(social=x)),
+    ("PsoConfig.scale_bounds", lambda x: PsoConfig(scale_bounds=(x, 2.0))),
+    ("RigExtrinsics.body_height",
+     lambda x: RigExtrinsics(default_rig().camera_in_body, x)),
+    ("Intrinsics.fx", lambda x: Intrinsics(x, 500.0, 320.0, 240.0, 640, 480)),
+    ("Intrinsics.cy", lambda x: Intrinsics(500.0, 500.0, 320.0, x, 640, 480)),
+    ("TagGeometry.side_length", lambda x: TagGeometry(x)),
+    ("TrajectorySpec.speed", lambda x: TrajectorySpec(speed=x)),
+    ("TrajectorySpec.region", lambda x: TrajectorySpec(region=(x, 3.6, 2.0))),
+    ("NoiseModel.pixel_sigma", lambda x: NoiseModel(pixel_sigma=x)),
+    ("NoiseModel.tilt_amplitude", lambda x: NoiseModel(tilt_amplitude=x)),
+    ("SampleRates.imu", lambda x: SampleRates(imu=x)),
+    ("FollowerConfig.max_speed", lambda x: FollowerConfig(max_speed=x)),
+    ("FollowerConfig.gain_x", lambda x: FollowerConfig(gain_x=x)),
+    ("SceneConfig.yaw_period", lambda x: SceneConfig(yaw_period=x)),
+]
 
 
 def _map(value, f):
@@ -162,3 +203,10 @@ def test_the_reader_and_the_constructors_agree():
         else:
             built = True
         assert read is built, x
+
+
+@pytest.mark.parametrize("value", [True, "1"])
+@pytest.mark.parametrize("name, make", CONFIG_NUMBERS, ids=[c[0] for c in CONFIG_NUMBERS])
+def test_config_types_take_numbers_by_one_rule(name, make, value):
+    with pytest.raises(ValueError):
+        make(value)
