@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
 
 from ._numpy import np
 from .errors import BehindCamera, PnPDegenerate, PnPNoConvergence
@@ -28,7 +29,9 @@ _MERGE_TOL = 1e-3
 
 @dataclass(frozen=True)
 class Intrinsics:
-    """Pinhole intrinsics in pixels plus the image size."""
+    """Pinhole intrinsics in pixels plus the image size. Width and height are
+    whole numbers (an int or a float with no fraction, not a bool), held as
+    ints; the other four are floats by geometry._float's rule."""
 
     fx: float
     fy: float
@@ -39,6 +42,12 @@ class Intrinsics:
 
     def __post_init__(self):
         fields = self.__dict__
+        message = f"width and height must be whole numbers, got {(self.width, self.height)}"
+        for name in ("width", "height"):
+            size = fields[name]
+            if isinstance(size, bool) or not isinstance(size, Real) or int(size) != size:
+                raise ValueError(message)
+            fields[name] = int(size)
         message = "focal lengths must be positive and finite"
         for name in ("fx", "fy"):
             fields[name] = focal = _float(fields[name], message)
@@ -52,10 +61,7 @@ class Intrinsics:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Intrinsics":
-        size = d["width"], d["height"]
-        if not all(int(v) == v and not isinstance(v, bool) for v in size):
-            raise ValueError(f"width and height must be whole numbers, got {size}")
-        return cls(*(d[k] for k in ("fx", "fy", "cx", "cy")), *map(int, size))
+        return cls(*(d[k] for k in ("fx", "fy", "cx", "cy", "width", "height")))
 
 
 # bench-calibrated defaults used when no intrinsics file is configured

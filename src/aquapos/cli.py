@@ -8,7 +8,6 @@ for fixed seeds, so reruns produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import logging
@@ -134,7 +133,7 @@ def cmd_evaluate(args) -> int:
         raise NoOverlap(f"dataset {args.dataset} has no truth records")
 
     reports = {}
-    series = []
+    aligned = []
     for method in METHODS:
         subset = [e for e in estimates if e["method"] == method]
         if not subset:
@@ -149,10 +148,7 @@ def cmd_evaluate(args) -> int:
             continue
         report = build_error_report(pairs, dropped)
         reports[method] = report.to_dict()
-        series.extend(
-            (method, pair.timestamp, *err, eucl)
-            for pair, err, eucl in zip(pairs, report.axis_errors.tolist(),
-                                       report.euclidean.tolist()))
+        aligned.append((method, pairs, report))
         print(f"{method} MED {report.med:.9f} m over {report.n} pairs")
     if not reports:
         raise NoOverlap("no estimate aligns with a truth sample within tolerance")
@@ -161,11 +157,14 @@ def cmd_evaluate(args) -> int:
         with open(args.out + ".json", "w", encoding="utf-8") as fh:
             json.dump(reports, fh, indent=2, sort_keys=True)
             fh.write("\n")
+        # csv's default dialect: no field here needs quoting, rows end in \r\n
         with open(args.out + ".csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("method", "t", "err_x", "err_y", "err_z", "euclidean"))
-            for row in series:
-                writer.writerow((row[0],) + tuple(repr(v) for v in row[1:]))
+            fh.write("method,t,err_x,err_y,err_z,euclidean\r\n")
+            for method, pairs, report in aligned:
+                fh.writelines(
+                    "%s,%r,%r,%r,%r,%r\r\n" % (method, pair.timestamp, x, y, z, e)
+                    for pair, (x, y, z), e in zip(pairs, report.axis_errors.tolist(),
+                                                  report.euclidean.tolist()))
     return 0
 
 

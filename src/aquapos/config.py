@@ -134,12 +134,13 @@ def load_intrinsics(path) -> Intrinsics:
         raise ConfigError(f"intrinsics file {path} must be a mapping")
     _check_keys(raw, ("fx", "fy", "cx", "cy", "width", "height", "distortion"), path)
     distortion = raw.pop("distortion", None)
-    try:
-        nonzero = bool(distortion) and any(abs(float(d)) > 0 for d in distortion)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"intrinsics file {path}: distortion must be a list "
-                          f"of numbers: {exc}")
-    if nonzero:
+    if distortion is None:
+        distortion = []
+    where = f"intrinsics file {path}: distortion must be a list of numbers"
+    if not isinstance(distortion, list):
+        raise ConfigError(f"{where}, got {distortion!r}")
+    distortion = [_number(d, f"{where}; distortion[{i}]") for i, d in enumerate(distortion)]
+    if any(abs(d) > 0 for d in distortion):
         log.warning("ignoring nonzero distortion in %s (pinhole model only)", path)
     missing = {"fx", "fy", "cx", "cy", "width", "height"} - set(raw)
     if missing:

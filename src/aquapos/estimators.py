@@ -37,6 +37,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 from ._numpy import np
 from .attitude import ImuSample, TiltConfig, TiltTracker
@@ -377,14 +378,18 @@ class EstimationPipeline:
         for m in methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
-        if not staleness_bound > 0:  # also rejects nan, with which no sample is stale
-            raise ValueError(f"staleness_bound must be positive, got {staleness_bound!r}")
+        # the number rule's type test, but +inf is a bound: no sample is ever stale
+        message = f"staleness_bound must be positive, got {staleness_bound!r}"
+        if (isinstance(staleness_bound, bool) or not isinstance(staleness_bound, Real)
+                or not staleness_bound > 0):  # also rejects nan, with which no sample is stale
+            raise ValueError(message)
         self.rig = rig
         self.intrinsics = intrinsics
         self.tag_geometry = tag_geometry
         self.calibration = calibration
         self.methods = tuple(methods)
-        self.staleness_bound = staleness_bound
+        self.staleness_bound = (math.inf if staleness_bound == math.inf
+                                else _float(staleness_bound, message))
         self.marker_offset = None if marker_offset is None else _floats3(marker_offset)
         self.tracker = TiltTracker(tilt_config)
         self.sync = SensorSynchronizer()

@@ -65,8 +65,10 @@ def record_count(rate: float, duration: float) -> int:
 
 # Metres of waypoint chain the random pattern may lay: 4,167 times the quick
 # start's 24 m, or 10^5 s at 1 m/s. The default region takes about 53,000
-# waypoints and a second for it.
+# waypoints and a fifth of a second for it.
 MAX_RANDOM_PATH = 10**5
+# random-pattern leg candidates per numpy call; 1,000 per leg is 125 calls
+_LEG_BATCH = 8
 
 
 def random_path_length(speed: float, duration: float) -> float:
@@ -299,6 +301,16 @@ class MarkerTrajectory:
         return self._headings[self._segment(self._arc(t))]
 
 
+def _leg_candidates(rng, bx, by):
+    """The random pattern's candidates for one leg: at most 1,000 uniform
+    points of [-bx, bx) x [-by, by), drawn _LEG_BATCH at a time from rng. The
+    rest of a batch is dropped once a leg is placed, so each candidate is
+    still an independent uniform point."""
+    for _ in range(1000 // _LEG_BATCH):
+        for u, v in rng.random((_LEG_BATCH, 2)).tolist():
+            yield (2.0 * u - 1.0) * bx, (2.0 * v - 1.0) * by
+
+
 def gen_trajectory(spec: TrajectorySpec) -> MarkerTrajectory:
     """Build the marker path for a spec; raises RegionTooSmall if it cannot fit."""
     rx, ry, _ = spec.region
@@ -332,19 +344,20 @@ def gen_trajectory(spec: TrajectorySpec) -> MarkerTrajectory:
         if math.hypot(2 * bx, 2 * by) < 0.5:
             raise RegionTooSmall("region cannot host 0.5 m waypoint legs")
         rng = np.random.default_rng(spec.seed)
-        wp = [rng.uniform((-bx, -by), (bx, by))]
+        x, y = next(_leg_candidates(rng, bx, by))  # the first waypoint may lie anywhere
+        wp = [(x, y)]
         total = 0.0
         needed = random_path_length(spec.speed, spec.duration)
         while total < needed:
-            for _ in range(1000):
-                cand = rng.uniform((-bx, -by), (bx, by))
-                dx, dy = (cand - wp[-1]).tolist()
+            for cx, cy in _leg_candidates(rng, bx, by):
+                dx, dy = cx - x, cy - y
                 leg = math.sqrt(dx * dx + dy * dy)
                 if leg >= 0.5:
                     break
             else:
                 raise RegionTooSmall("could not place a 0.5 m leg")
-            wp.append(cand)
+            x, y = cx, cy
+            wp.append((x, y))
             total += leg
         mode = "clamp"
     return MarkerTrajectory(wp, mode, spec.speed, spec.depth_mean,

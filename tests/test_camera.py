@@ -700,6 +700,17 @@ class TestIntrinsicsValidation:
         with pytest.raises(ValueError):
             Intrinsics(fx=1, fy=1, cx=2.0, cy=0.5, width=1, height=1)
 
+    @pytest.mark.parametrize("size", [(True, True), (640.5, 480), ("640", 480), (640, None)])
+    def test_image_size_that_is_not_a_whole_number(self, size):
+        with pytest.raises(ValueError, match="width and height must be whole numbers"):
+            Intrinsics(500.0, 500.0, 0.5, 0.5, *size)
+
+    @pytest.mark.parametrize("size", [(640.0, 480), (np.int64(640), np.float64(480.0))])
+    def test_image_size_is_held_as_ints(self, size):
+        K = Intrinsics(500.0, 500.0, 320.0, 240.0, *size)
+        assert (K.width, K.height) == (640, 480)
+        assert type(K.width) is int and type(K.height) is int
+
     def test_dict_round_trip(self):
         K = Intrinsics.from_dict(dataclasses.asdict(BENCH_K))
         assert K == BENCH_K

@@ -419,7 +419,8 @@ class TestEvaluate:
         assert csv_lines[0] == "method,t,err_x,err_y,err_z,euclidean"
         assert len(csv_lines) == 21
 
-    def test_csv_is_the_series_med_averages(self, tmp_path, capsys):
+    @pytest.mark.parametrize("method, methods", [("both", ["cd", "cpnp"]), ("cd", ["cd"])])
+    def test_csv_is_the_series_med_averages(self, tmp_path, capsys, method, methods):
         config = tmp_path / "run.yaml"
         config.write_text("simulation:\n  trajectory: {duration: 4.0}\n",
                           encoding="utf-8")
@@ -428,12 +429,13 @@ class TestEvaluate:
         assert cli.main(["simulate", "--config", str(config), "--seed", "2",
                          "--out", str(data)]) == 0
         assert cli.main(["estimate", str(data), "--config", str(config),
-                         "--out", str(est)]) == 0
+                         "--method", method, "--out", str(est)]) == 0
         assert cli.main(["evaluate", str(est), str(data), "--out", str(prefix)]) == 0
         report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
         with open(tmp_path / "report.csv", encoding="utf-8", newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert sorted(report) == ["cd", "cpnp"]
+        assert sorted(report) == methods
+        assert len(rows) == sum(summary["n"] for summary in report.values())
         for method, summary in report.items():
             mine = [r for r in rows if r["method"] == method]
             assert len(mine) == summary["n"]

@@ -201,6 +201,31 @@ class TestIntrinsicsFile:
         assert "distortion" in caplog.text
         assert intr.fx == 500.0
 
+    @pytest.mark.parametrize("entries, index", [("['0.1', 0.0]", 0), ("[0.0, true]", 1),
+                                                 ("[0.0, 0.0, [0.1]]", 2)])
+    def test_distortion_entry_that_is_not_a_number_rejected(self, tmp_path, entries, index):
+        path = _write(
+            tmp_path,
+            "fx: 500.0\nfy: 500.0\ncx: 320.0\ncy: 240.0\nwidth: 640\nheight: 480\n"
+            f"distortion: {entries}\n",
+            name="cam.yaml",
+        )
+        with pytest.raises(ConfigError, match=rf"distortion\[{index}\]"):
+            load_intrinsics(path)
+
+    @pytest.mark.parametrize("distortion", ["distortion: null\n", "distortion: []\n",
+                                            "distortion: [0.0, 0, -0.0]\n", ""])
+    def test_zero_or_no_distortion_is_silent(self, tmp_path, caplog, distortion):
+        path = _write(
+            tmp_path,
+            "fx: 500.0\nfy: 500.0\ncx: 320.0\ncy: 240.0\nwidth: 640\nheight: 480\n"
+            + distortion,
+            name="cam.yaml",
+        )
+        with caplog.at_level(logging.WARNING):
+            load_intrinsics(path)
+        assert caplog.text == ""
+
     @pytest.mark.parametrize("size", ["width: 640.9\nheight: 480\n",
                                       "width: 640\nheight: 480.5\n",
                                       "width: '640'\nheight: 480\n",

@@ -454,11 +454,19 @@ class TestPipeline:
         assert out[-1] == []
         assert {k: v for k, v in pipe.counters.items() if v} == {f"{kind}_rejected": 1}
 
-    @pytest.mark.parametrize("bound", [math.nan, 0.0, -0.1])
+    @pytest.mark.parametrize("bound", [math.nan, 0.0, -0.1, True, "1", None, -math.inf])
     def test_staleness_bound_must_be_positive(self, bound):
-        # with a nan bound no sample would ever be stale
+        # with a nan bound no sample would ever be stale; a bool or a string
+        # is not a number
         with pytest.raises(ValueError, match="staleness_bound must be positive"):
             EstimationPipeline(_down_camera_rig(), K, GEOM, staleness_bound=bound)
+
+    @pytest.mark.parametrize("bound, held", [(0.2, 0.2), (1, 1.0), (np.float32(0.5), 0.5),
+                                             (math.inf, math.inf), (np.float64(math.inf), math.inf)])
+    def test_staleness_bound_is_held_as_a_float(self, bound, held):
+        pipe = EstimationPipeline(_down_camera_rig(), K, GEOM, staleness_bound=bound)
+        assert type(pipe.staleness_bound) is float
+        assert pipe.staleness_bound == held
 
     def test_unknown_kind_rejected(self):
         rig = _down_camera_rig()

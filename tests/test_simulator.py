@@ -99,12 +99,13 @@ class TestLawnmowerTrajectory:
 
 
 class TestRandomTrajectory:
-    def test_waypoints_inside_region_with_min_legs(self):
-        spec = TrajectorySpec("random", duration=60.0, seed=9)
+    @pytest.mark.parametrize("region", [(4.8, 3.6, 2.0), (1.6, 1.6, 2.0)])
+    def test_waypoints_inside_region_with_min_legs(self, region):
+        spec = TrajectorySpec("random", region, duration=60.0, seed=9)
         traj = gen_trajectory(spec)
         wp = traj.waypoints
-        assert np.all(np.abs(wp[:, 0]) <= 4.8 / 2 - 0.4 + 1e-12)
-        assert np.all(np.abs(wp[:, 1]) <= 3.6 / 2 - 0.4 + 1e-12)
+        assert np.all(np.abs(wp[:, 0]) <= region[0] / 2 - 0.4 + 1e-12)
+        assert np.all(np.abs(wp[:, 1]) <= region[1] / 2 - 0.4 + 1e-12)
         legs = np.linalg.norm(np.diff(wp, axis=0), axis=1)
         assert np.all(legs >= 0.5)
         assert traj.total_length >= 0.2 * 60.0
@@ -136,6 +137,12 @@ class TestRegionValidation:
     def test_random_region_too_small(self):
         with pytest.raises(RegionTooSmall):
             gen_trajectory(TrajectorySpec("random", (0.9, 0.9, 2.0)))
+
+    def test_random_region_that_barely_holds_a_leg(self):
+        # the inset square's diagonal is 0.5 m plus 0.21 mm, so all 1,000
+        # candidates of the first leg fall short of 0.5 m
+        with pytest.raises(RegionTooSmall, match="could not place a 0.5 m leg"):
+            gen_trajectory(TrajectorySpec("random", (1.1537, 1.1537, 2.0)))
 
     def test_depth_profile_bounds(self):
         with pytest.raises(ValueError):
