@@ -27,6 +27,7 @@ from .geometry import _built_on_read, _float, _floats, _floats3
 
 GRAVITY = 9.81
 MAX_VARIANCE = 1e150  # the filter multiplies two covariance entries
+MAX_PREDICT_DT = 0.5  # seconds: the longest gap one predict step spans
 
 
 def _smaller_eigenvalue(p00, p01, p11) -> float:
@@ -208,8 +209,8 @@ def _step(x: tuple, gyro, dt: float, q, z, r) -> tuple:
     state that breaks the rule stands when the same sample's update mends it.
     """
     if gyro is not None:
-        if not (0 < dt <= 0.5):
-            raise ValueError(f"dt {dt:.4g} s outside (0, 0.5]")
+        if not (0 < dt <= MAX_PREDICT_DT):
+            raise ValueError(f"dt {dt:.4g} s outside (0, {MAX_PREDICT_DT:g}]")
         roll, pitch, p00, p01, p11 = x
         if abs(pitch) >= math.pi / 2 - 1e-3:
             raise PitchSingularity("pitch too close to +/-90 deg for tan(pitch)")

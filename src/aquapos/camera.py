@@ -13,7 +13,7 @@ from numbers import Real
 
 from ._numpy import np
 from .errors import BehindCamera, PnPDegenerate, PnPNoConvergence
-from .geometry import RigidTransform, _built_on_read, _float, _floats, _floats3
+from .geometry import RigidTransform, _built_on_read, _float, _floats, _floats3, _mat_mul
 
 MIN_QUAD_AREA_PX2 = 1.0
 # a corner this many focal lengths off-axis sits within 1e-6 rad of the image
@@ -30,8 +30,8 @@ _MERGE_TOL = 1e-3
 @dataclass(frozen=True)
 class Intrinsics:
     """Pinhole intrinsics in pixels plus the image size. Width and height are
-    whole numbers (an int or a float with no fraction, not a bool), held as
-    ints; the other four are floats by geometry._float's rule."""
+    whole numbers (an int or a finite float with no fraction, not a bool),
+    held as ints; the other four are floats by geometry._float's rule."""
 
     fx: float
     fy: float
@@ -45,7 +45,8 @@ class Intrinsics:
         message = f"width and height must be whole numbers, got {(self.width, self.height)}"
         for name in ("width", "height"):
             size = fields[name]
-            if isinstance(size, bool) or not isinstance(size, Real) or int(size) != size:
+            if (isinstance(size, bool) or not isinstance(size, Real)
+                    or not -math.inf < size < math.inf or int(size) != size):
                 raise ValueError(message)
             fields[name] = int(size)
         message = "focal lengths must be positive and finite"
@@ -182,7 +183,7 @@ class TagGeometry:
 class TagPose:
     """Recovered tag pose in the camera frame plus its reprojection RMS: R
     row-major as a float 9-tuple and t a float 3-tuple, which ``transform``
-    holds as a RigidTransform of arrays, built the first time it is read."""
+    holds as a RigidTransform, built the first time it is read."""
 
     R: tuple
     t: tuple
@@ -190,7 +191,7 @@ class TagPose:
 
     @cached_property
     def transform(self) -> RigidTransform:
-        return RigidTransform(np.array(self.R).reshape(3, 3), np.array(self.t))
+        return RigidTransform(self.R, self.t)
 
 
 def quad_area(corners) -> float:
@@ -285,7 +286,8 @@ def _ippe_seed(K: Intrinsics, side: float, px) -> list:
     # Rv Rp with Rp = [[r00, r01, c0], [r10, r11, c1], [b0, b1, c2]]: entry
     # ij is t_ij, from Rp's top two rows, plus B_ij, from its third row.
     # Negating b0 and b1 mirrors the tag normal, diag(1, 1, -1) Rp
-    # diag(1, 1, -1), which flips B in columns 0 and 1 and t in column 2.
+    # diag(1, 1, -1), which flips B in columns 0 and 1 and t in column 2:
+    # both poses share these hand-written products, which _mat_mul cannot.
     t00, t01, t02 = v00 * r00 + v01 * r10, v00 * r01 + v01 * r11, v00 * c0 + v01 * c1
     t10, t11, t12 = v01 * r00 + v11 * r10, v01 * r01 + v11 * r11, v01 * c0 + v11 * c1
     t20, t21, t22 = -ax * r00 - ay * r10, -ax * r01 - ay * r11, -ax * c0 - ay * c1
@@ -337,18 +339,7 @@ def _rotation(w0, w1, w2, R) -> tuple:
     e00, e01, e02 = 1.0 - b * (w1 * w1 + w2 * w2), bxy - a * w2, bxz + a * w1
     e10, e11, e12 = bxy + a * w2, 1.0 - b * (w0 * w0 + w2 * w2), byz - a * w0
     e20, e21, e22 = bxz - a * w1, byz + a * w0, 1.0 - b * (w0 * w0 + w1 * w1)
-    r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
-    return (
-        e00 * r00 + e01 * r10 + e02 * r20,
-        e00 * r01 + e01 * r11 + e02 * r21,
-        e00 * r02 + e01 * r12 + e02 * r22,
-        e10 * r00 + e11 * r10 + e12 * r20,
-        e10 * r01 + e11 * r11 + e12 * r21,
-        e10 * r02 + e11 * r12 + e12 * r22,
-        e20 * r00 + e21 * r10 + e22 * r20,
-        e20 * r01 + e21 * r11 + e22 * r21,
-        e20 * r02 + e21 * r12 + e22 * r22,
-    )
+    return _mat_mul((e00, e01, e02, e10, e11, e12, e20, e21, e22), R)
 
 
 def _normal_equations(K: Intrinsics, corners, px, R, t):
@@ -544,6 +535,7 @@ def _descend(K: Intrinsics, corners, px, c) -> bool:
 def _away(c) -> bool:
     """True when candidate c's tag faces away: marker +z along the viewing ray."""
     R, t = c[0], c[1]
+    # one entry of R^T t, by hand: _mat_t_vec would take all three
     return R[2] * t[0] + R[5] * t[1] + R[8] * t[2] >= 0
 
 

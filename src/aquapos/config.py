@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .attitude import TiltConfig
+from .attitude import MAX_PREDICT_DT, TiltConfig
 from .camera import Intrinsics
 from .depth_calibration import PsoConfig
 from .errors import ConfigError
@@ -147,7 +147,7 @@ def load_intrinsics(path) -> Intrinsics:
         raise ConfigError(f"intrinsics file {path} missing {sorted(missing)}")
     try:
         return Intrinsics.from_dict(raw)
-    except (ValueError, TypeError, OverflowError) as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"intrinsics file {path}: {exc}")
 
 
@@ -230,6 +230,10 @@ def _load_simulation(section, cfg: RunConfig) -> RunConfig:
             record_count(rate, duration)
         except ValueError as exc:
             raise ConfigError(f"simulation.rates.{name}: {exc}") from None
+    if 1.0 / rates.imu > MAX_PREDICT_DT:  # the filter would reject every later sample
+        raise ConfigError(f"simulation.rates.imu: {rates.imu!r} Hz samples every "
+                          f"{1.0 / rates.imu:.4g} s, above the tilt filter's bound of "
+                          f"{MAX_PREDICT_DT:g} s")
     if trajectory.pattern == "random":
         try:
             random_path_length(trajectory.speed, duration)

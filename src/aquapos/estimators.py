@@ -25,11 +25,8 @@ exact floats the estimators give them take the first line of the number
 rule's check (geometry._floats3, camera._float_quad). The camera-to-world
 rotation and translation are float tuples, composed by
 ``_camera_in_world``, as in the simulator, once per pose and shared by
-both methods, and every 3x3 product is summed row by column, left to
-right. numpy would hand those products to the BLAS kernel the CPU
-selects, whose fused multiply-adds round differently from one CPU to the
-next; the scalar sums give the same bits on every host, the bits numpy's
-own products give on a kernel without FMA.
+both methods; every 3x3 product goes through geometry's float kernels
+(see geometry._mat_mul).
 """
 
 from __future__ import annotations
@@ -58,6 +55,8 @@ from .geometry import (
     _float,
     _floats3,
     _line_zplane_hit,
+    _mat_mul,
+    _mat_vec,
 )
 
 log = logging.getLogger(__name__)
@@ -75,19 +74,14 @@ class RigExtrinsics:
 
     ``body_height`` is the z of the body origin above the water datum;
     it enters the chain as the fixed z component of the body-in-world
-    translation. The floats the pose chain reads, the camera-in-body
-    rotation (row-major) and translation and the body height, are read
-    here once.
+    translation.
     """
 
     camera_in_body: RigidTransform
     body_height: float
 
     def __post_init__(self):
-        fields = self.__dict__
-        fields["body_height"] = height = _float(self.body_height, "body_height must be finite")
-        H = self.camera_in_body
-        fields["_floats"] = (H.R, H.t, height)
+        self.__dict__["body_height"] = _float(self.body_height, "body_height must be finite")
 
 
 @dataclass(frozen=True)
@@ -195,23 +189,12 @@ def _camera_in_world(yaw: float, pitch: float, roll: float, x: float, y: float,
 
     R is the body's Z-Y-X Euler rotation times the rig's camera-in-body
     rotation and t that rotation applied to the camera-in-body translation
-    plus (x, y, body_height); each product is summed row by column, left
-    to right. The estimators and the simulator both see the camera through
-    this one composition.
+    plus (x, y, body_height), by geometry's float kernels. The estimators
+    and the simulator both see the camera through this one composition.
     """
-    a0, a1, a2, a3, a4, a5, a6, a7, a8 = _euler_zyx(yaw, pitch, roll)
-    (b0, b1, b2, b3, b4, b5, b6, b7, b8), (u, v, w), height = rig._floats
-    return (
-        (a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7,
-         a0 * b2 + a1 * b5 + a2 * b8,
-         a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7,
-         a3 * b2 + a4 * b5 + a5 * b8,
-         a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7,
-         a6 * b2 + a7 * b5 + a8 * b8),
-        (a0 * u + a1 * v + a2 * w + x,
-         a3 * u + a4 * v + a5 * w + y,
-         a6 * u + a7 * v + a8 * w + height),
-    )
+    R, H = _euler_zyx(yaw, pitch, roll), rig.camera_in_body
+    u, v, w = _mat_vec(R, H.t)
+    return _mat_mul(R, H.R), (u + x, v + y, w + rig.body_height)
 
 
 def _camera_to_world(pose: SurfacePoseState, rig: RigExtrinsics) -> tuple:
@@ -257,21 +240,11 @@ def estimate_cpnp(
     _check_fresh(bundle, ("pose", "tag"), staleness_bound)
     tag_pose = solve_pnp_planar(intrinsics, geom, bundle.tag)
     R, (tx, ty, tz) = _camera_to_world(bundle.pose, rig)
-    r0, r1, r2, r3, r4, r5, r6, r7, r8 = R
-    u, v, w = tag_pose.t
-    x = r0 * u + r1 * v + r2 * w + tx
-    y = r3 * u + r4 * v + r5 * w + ty
-    z = r6 * u + r7 * v + r8 * w + tz
+    x, y, z = _mat_vec(R, tag_pose.t)
+    x, y, z = x + tx, y + ty, z + tz
     if marker_offset is not None:
-        mx, my, mz = _floats3(marker_offset)
-        q0, q1, q2, q3, q4, q5, q6, q7, q8 = tag_pose.R
-        # each entry of R R_tag is summed before it meets m
-        x += ((r0 * q0 + r1 * q3 + r2 * q6) * mx + (r0 * q1 + r1 * q4 + r2 * q7) * my
-              + (r0 * q2 + r1 * q5 + r2 * q8) * mz)
-        y += ((r3 * q0 + r4 * q3 + r5 * q6) * mx + (r3 * q1 + r4 * q4 + r5 * q7) * my
-              + (r3 * q2 + r4 * q5 + r5 * q8) * mz)
-        z += ((r6 * q0 + r7 * q3 + r8 * q6) * mx + (r6 * q1 + r7 * q4 + r8 * q7) * my
-              + (r6 * q2 + r7 * q5 + r8 * q8) * mz)
+        dx, dy, dz = _mat_vec(_mat_mul(R, tag_pose.R), _floats3(marker_offset))
+        x, y, z = x + dx, y + dy, z + dz
     try:
         # every field by position: a keyword call to the class builds a dict
         return PositionEstimate(bundle.timestamp, [x, y, z], "cpnp", bundle.pose.roll,
@@ -296,12 +269,10 @@ def estimate_cd(
     be compensated (it shifts the intersection plane).
     """
     _check_fresh(bundle, ("pose", "tag", "depth"), staleness_bound)
-    (r0, r1, r2, r3, r4, r5, r6, r7, r8), t = _camera_to_world(bundle.pose, rig)
-    u, v, _ = _pixel_ray(intrinsics, *_center(bundle.tag.px))
+    R, t = _camera_to_world(bundle.pose, rig)
     # the tag center's ray, at unit camera depth, in the world
-    center_world = (r0 * u + r1 * v + r2 + t[0],
-                    r3 * u + r4 * v + r5 + t[1],
-                    r6 * u + r7 * v + r8 + t[2])
+    x, y, z = _mat_vec(R, _pixel_ray(intrinsics, *_center(bundle.tag.px)))
+    center_world = (x + t[0], y + t[1], z + t[2])
     plane_z = -bundle.depth.depth
     if marker_offset is not None:
         plane_z = plane_z + _floats3(marker_offset)[2]

@@ -87,8 +87,8 @@ def _check_rotation(R: tuple) -> None:
     """Raise ValueError unless the finite row-major 9-tuple R is a rotation:
     R^T R within ORTHONORMAL_TOL of I in every entry, then det R of +1."""
     r0, r1, r2, r3, r4, r5, r6, r7, r8 = R
-    # R^T R - I, diagonal first: a product that overflows makes a diagonal
-    # entry inf, and max keeps it over any nan that comes after it
+    # R^T R - I by hand, diagonal first: a product that overflows makes a
+    # diagonal entry inf, and max keeps it over any nan that comes after it
     worst = max(abs(r0 * r0 + r3 * r3 + r6 * r6 - 1.0),
                 abs(r1 * r1 + r4 * r4 + r7 * r7 - 1.0),
                 abs(r2 * r2 + r5 * r5 + r8 * r8 - 1.0),
@@ -133,21 +133,51 @@ class RigidTransform:
         fields.update(R=R, t=t)
 
 
+def _mat_mul(A: tuple, B: tuple) -> tuple:
+    """A B for row-major float 9-tuples. Every 3x3 rotation product in the
+    package goes through this, _mat_vec or _mat_t_vec: each entry summed row
+    by column, left to right, on Python floats. numpy's BLAS kernel would
+    round with fused multiply-adds that differ from CPU to CPU; these sums
+    give every host the bits numpy gives on a kernel without FMA."""
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = A
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = B
+    return (
+        a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8,
+        a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8,
+        a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8,
+    )
+
+
+def _mat_vec(A: tuple, v) -> tuple:
+    """A v for a row-major float 9-tuple A and a float 3-vector v, by _mat_mul's rule."""
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = A
+    x, y, z = v
+    return a0 * x + a1 * y + a2 * z, a3 * x + a4 * y + a5 * z, a6 * x + a7 * y + a8 * z
+
+
+def _mat_t_vec(A: tuple, v) -> tuple:
+    """A^T v for a row-major float 9-tuple A and a float 3-vector v, by _mat_mul's rule."""
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = A
+    x, y, z = v
+    return a0 * x + a3 * y + a6 * z, a1 * x + a4 * y + a7 * z, a2 * x + a5 * y + a8 * z
+
+
 def transform_point(H: RigidTransform, p) -> np.ndarray:
-    """Apply H to a point: R @ p + t."""
-    return H.rotation @ np.array(_floats3(p)) + H.translation
+    """Apply H to a point: R p + t."""
+    (x, y, z), (tx, ty, tz) = _mat_vec(H.R, _floats3(p)), H.t
+    return np.array([x + tx, y + ty, z + tz])
 
 
 def compose(H_a: RigidTransform, H_b: RigidTransform) -> RigidTransform:
     """Chain two transforms so compose(A, B) applied to p equals A applied to (B applied to p)."""
-    R = H_a.rotation
-    return RigidTransform(R @ H_b.rotation, R @ H_b.translation + H_a.translation)
+    (x, y, z), (tx, ty, tz) = _mat_vec(H_a.R, H_b.t), H_a.t
+    return RigidTransform(_mat_mul(H_a.R, H_b.R), (x + tx, y + ty, z + tz))
 
 
 def invert(H: RigidTransform) -> RigidTransform:
     """Inverse transform: (R^T, -R^T t)."""
-    Rt = H.rotation.T
-    return RigidTransform(Rt, -Rt @ H.translation)
+    R, (x, y, z) = H.R, _mat_t_vec(H.R, H.t)
+    return RigidTransform(R[0::3] + R[1::3] + R[2::3], (-x, -y, -z))
 
 
 def _euler_zyx(yaw: float, pitch: float, roll: float) -> tuple:

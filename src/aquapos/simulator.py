@@ -7,7 +7,7 @@ on the tag's center pixel. Sensor records (tag corners, IMU, depth,
 SLAM pose, ground truth) are synthesized at configurable rates from the
 analytic world state, with each noise source drawing from its own
 seeded stream so that runs are bit-reproducible. Every record is computed
-on Python floats, so no BLAS kernel rounds it and the bytes match on any CPU.
+on Python floats (see geometry._mat_mul), so the bytes match on any CPU.
 
 World frame: z up, water surface at z = 0, tank centered on the origin.
 The marker holds its tag flat, normal up; the camera looks down.
@@ -27,7 +27,7 @@ from .camera import (DEFAULT_INTRINSICS, Intrinsics, TagGeometry, _center, _pixe
 from .depth_calibration import IDENTITY_CALIBRATION, CalibrationParams, _check_seed
 from .errors import BehindCamera, ParallelToPlane, RegionTooSmall
 from .estimators import RigExtrinsics, _camera_in_world, default_rig
-from .geometry import _float, _floats, _zplane_hit
+from .geometry import _float, _floats, _mat_t_vec, _mat_vec, _zplane_hit
 
 MARGIN = 0.4  # trajectory inset from the region walls, metres
 
@@ -393,7 +393,7 @@ class Follower:
         self._blind_time = 0.0
         u, v = center_pixel
         try:
-            x, y, _ = _pixel_ray(self.intrinsics, u, v)
+            ray = _pixel_ray(self.intrinsics, u, v)
         except BehindCamera:
             # a center too far off axis, or not finite, has no ground point:
             # keep the last command, as for a grazing ray
@@ -402,10 +402,9 @@ class Follower:
         if math.sqrt(ex * ex + ey * ey) <= self.cfg.deadband_px:
             self._command = (0.0, 0.0)
             return self._command
-        (r0, r1, r2, r3, r4, r5, r6, r7, r8), (ox, oy, oz) = camera_to_world
+        R, (ox, oy, oz) = camera_to_world
         try:
-            gx, gy, _ = _zplane_hit(ox, oy, oz, r0 * x + r1 * y + r2,
-                                    r3 * x + r4 * y + r5, r6 * x + r7 * y + r8, plane_z)
+            gx, gy, _ = _zplane_hit(ox, oy, oz, *_mat_vec(R, ray), plane_z)
         except ParallelToPlane:
             # grazing ray, no usable ground point: keep the last command
             return self._command
@@ -510,8 +509,8 @@ class Simulator:
         sr, cr = math.sin(roll), math.cos(roll)
         sp, cp = math.sin(pitch), math.cos(pitch)
         gs, acs = self.noise.gyro_sigma, self.noise.accel_sigma
-        # specific force R_wb^T (0, 0, -g) is the third row of R_wb times -g.
-        # The matrix product this replaces sums onto +0.0, so an all-zero
+        # specific force R_wb^T (0, 0, -g), by hand: the third row of R_wb times
+        # -g. The numpy product this replaced sums onto +0.0, so an all-zero
         # component is +0.0 whatever its terms' signs: hence the + 0.0
         return {"t": t, "kind": "imu",
                 "gyro": [roll_rate - yaw_rate * sp + gs * gn[0],
@@ -540,11 +539,11 @@ class Simulator:
     def _camera_record(self, t: float, dt: float, pixel_noise, u: float):
         """The tag record, or None when the tag is out of view or dropped.
 
-        Corner c sits at R^T (R_wm c + m - t) in the camera frame, summed left
-        to right; the terms in c's z, 0 in the tag's plane, drop out."""
+        Corner c sits at R^T (R_wm c + m - t) in the camera frame; the terms
+        in c's z, 0 in the tag's plane, drop out."""
         self.stats["camera_frames"] += 1
         cam = self._camera_to_world(t)
-        (r0, r1, r2, r3, r4, r5, r6, r7, r8), (tx, ty, tz) = cam
+        R, (tx, ty, tz) = cam
         mx, my, mz = self.trajectory.position(t)
         yaw = self.trajectory.yaw(t)
         c, s = math.cos(yaw), math.sin(yaw)
@@ -552,8 +551,7 @@ class Simulator:
         pixels = []
         for qx, qy in self.scene.tag.corners_xy:
             wx, wy, wz = c * qx - s * qy + mx - tx, s * qx + c * qy + my - ty, mz - tz
-            pixel = _project(K, r0 * wx + r3 * wy + r6 * wz, r1 * wx + r4 * wy + r7 * wz,
-                             r2 * wx + r5 * wy + r8 * wz)
+            pixel = _project(K, *_mat_t_vec(R, (wx, wy, wz)))
             if pixel is None:
                 break
             px, py = pixel

@@ -633,7 +633,7 @@ class TestValuesOnlyTheConstructorsCanReject:
         ("distortion: 0.1\n", "distortion must be a list of numbers"),
         ("distortion: [abc]\n", "distortion must be a list of numbers"),
         ("fx: [500.0\n", "is not valid YAML"),
-        ("width: .inf\n", "cannot convert float infinity to integer"),
+        ("width: .inf\n", "width and height must be whole numbers, got (inf, 480)"),
         ("width: 640.9\n", "width and height must be whole numbers"),
     ])
     def test_bad_intrinsics_file_is_usage_error(self, tmp_path, capsys,
@@ -666,11 +666,29 @@ class TestRoundTrip:
         "report.json": "fd68ef97d37539c289b96f5915afdef9fafa82124288cd65309ce456e3911d16",
         "report.csv": "0805ceb2a0b8001687bf6fcc95291311f5e7200615edf7417f537ca276602e7b",
     }
+    # The same run through estimate_cpnp's marker-offset branch and a
+    # camera-in-body composition other than the default rig's.
+    OFFSET_RIG_DIGESTS = {
+        "run.jsonl": "e0dceeaef189697f844340e3ea36bd64878ef78fd10ba11ac058a51386d068fc",
+        "est.jsonl": "2a6fa72fcba35a04ba666dd6396fee0c4140c92c4d1e18e6b2f2dba0d3df3e1e",
+        "report.json": "3a3a606ed3b91ceac6302dbd2ed150dcf4da355f13df60ed6b1369c4a99925a4",
+        "report.csv": "0e064f98143eea6e245e3f3b4d5c71d1e14361f9586b2d69bd8b903a471f7879",
+    }
 
     def test_simulate_estimate_evaluate_on_defaults(self, tmp_path, capsys):
+        self._assert_chain(tmp_path, capsys, "", self.DIGESTS)
+
+    def test_simulate_estimate_evaluate_with_offset_and_rig(self, tmp_path, capsys):
+        self._assert_chain(tmp_path, capsys,
+                           "marker_offset: [0.01, -0.02, 0.03]\n"
+                           "rig: {camera_translation: [0.08, 0.01, -0.03],\n"
+                           "      camera_euler_zyx_deg: [10.0, 5.0, 170.0]}\n",
+                           self.OFFSET_RIG_DIGESTS)
+
+    def _assert_chain(self, tmp_path, capsys, config_text, expected):
         config = tmp_path / "run.yaml"
         config.write_text(
-            "simulation:\n  trajectory:\n    duration: 10.0\n", encoding="utf-8"
+            config_text + "simulation:\n  trajectory:\n    duration: 10.0\n", encoding="utf-8"
         )
         data = tmp_path / "run.jsonl"
         est = tmp_path / "est.jsonl"
@@ -683,8 +701,8 @@ class TestRoundTrip:
         out = capsys.readouterr().out
         assert "cpnp MED" in out and "cd MED" in out
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-                   for name in self.DIGESTS}
-        assert digests == self.DIGESTS
+                   for name in expected}
+        assert digests == expected
 
 
 class TestUsage:

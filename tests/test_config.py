@@ -10,6 +10,7 @@ import yaml
 
 from aquapos.config import DEFAULT_SEED, RunConfig, load_intrinsics, load_run_config
 from aquapos.errors import ConfigError
+from aquapos.estimators import EstimationPipeline
 from aquapos.geometry import euler_zyx_to_rotation
 from aquapos.simulator import SceneConfig, Simulator
 
@@ -166,7 +167,6 @@ tilt_filter: {gyro_var: 2.0e-6, accel_var: 3.0e-4, initial_var: 0.5}
         assert np.array_equal(H.rotation, euler_zyx_to_rotation(
             *(math.radians(a) for a in (10.0, 5.0, 170.0))))
         assert np.array_equal(H.translation, [0.0, 0.05, -0.02])
-        assert cfg.rig._floats == (H.R, H.t, 0.05)
 
     def test_pso_overrides(self, tmp_path):
         cfg = load_run_config(_write(tmp_path, """
@@ -302,6 +302,19 @@ simulation:
         with pytest.raises(ConfigError) as info:
             load_run_config(_write(tmp_path, entry + "\n"))
         assert str(info.value) == message
+
+    def test_imu_rate_the_tilt_filter_cannot_use_rejected(self, tmp_path):
+        with pytest.raises(ConfigError) as info:
+            load_run_config(_write(tmp_path, "simulation: {rates: {imu: 1.5}}\n"))
+        assert str(info.value) == ("simulation.rates.imu: 1.5 Hz samples every 0.6667 s, "
+                                   "above the tilt filter's bound of 0.5 s")
+        # at 2 Hz each predict spans the bound exactly, and the filter takes every sample
+        cfg = load_run_config(_write(tmp_path, "simulation: {rates: {imu: 2}, "
+                                               "trajectory: {duration: 4.0}}\n"))
+        pipe = EstimationPipeline(cfg.rig, cfg.intrinsics, cfg.tag)
+        for rec in Simulator(cfg.trajectory, cfg, cfg.noise).stream():
+            pipe.process(rec)
+        assert pipe.counters["imu_rejected"] == 0
 
     @pytest.mark.parametrize("entry", ["tag: {side_length: .inf}",
                                        "simulation: {follower: {deadband_px: .nan}}",

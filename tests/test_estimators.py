@@ -920,14 +920,22 @@ class TestConstructionCounts:
                 value = getattr(obj, name)
             with _numpy_calls() as again:
                 assert getattr(obj, name) is value
-            # the transform's public constructor checks its arrays
-            assert first == ["array"] or name == "transform" and first
+            # the transform takes the pose's float tuples as they are
+            assert first == ([] if name == "transform" else ["array"])
             assert again == []
+        # its arrays are built once, when read
+        T = tag_pose.transform
+        for name, calls in (("rotation", ["array", "reshape"]), ("translation", ["array"])):
+            assert name not in vars(T)
+            with _numpy_calls() as first:
+                value = getattr(T, name)
+            with _numpy_calls() as again:
+                assert getattr(T, name) is value
+            assert first == calls and again == []
         assert all("position" not in vars(e) for e in estimates[:-2])
         # each array holds its floats' bits
         assert _hex(estimates[-1].position) == _hex(estimates[-1].xyz)
         assert [_hex(c) for c in tag.corners] == [_hex(c) for c in tag.px]
-        T = tag_pose.transform
         assert _hex(T.rotation.ravel()) == _hex(tag_pose.R)
         assert _hex(T.translation) == _hex(tag_pose.t)
 

@@ -10,6 +10,9 @@ from aquapos.geometry import (
     RigidTransform,
     _euler_zyx,
     _line_zplane_hit,
+    _mat_mul,
+    _mat_t_vec,
+    _mat_vec,
     compose,
     euler_zyx_to_rotation,
     intersect_with_zplane,
@@ -339,3 +342,37 @@ class TestEulerMatchesNumpy:
             want = _numpy_euler(yaw, pitch, roll)
             assert [v.hex() for v in got.ravel().tolist()] == \
                 [v.hex() for v in want.ravel().tolist()]
+
+
+def _left_to_right(A, B):
+    """A B for 3x3 A and 3xk B as nested lists: each entry starts from its
+    first product and adds the next two in turn, so a sum of -0.0 stays -0.0."""
+    return [[(A[i][0] * B[0][j] + A[i][1] * B[1][j]) + A[i][2] * B[2][j]
+             for j in range(len(B[0]))] for i in range(3)]
+
+
+class TestFloatKernels:
+    """geometry's three 3x3 kernels against a plain left-to-right sum, bit for bit."""
+
+    @staticmethod
+    def _draws(rng, n):
+        # zeros of both signs, so that many sums are all-zero products, whose
+        # sign the summation order decides
+        pool = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+        pool[rng.random(n) < 0.25] = 0.0
+        pool[rng.random(n) < 0.25] = -0.0
+        return pool.tolist()
+
+    def test_each_kernel_sums_left_to_right(self):
+        rng = np.random.default_rng(41)
+        for _ in range(2000):
+            a, b, v = self._draws(rng, 9), self._draws(rng, 9), self._draws(rng, 3)
+            A = [a[0:3], a[3:6], a[6:9]]
+            At = [list(row) for row in zip(*A)]
+            cases = [
+                (_mat_mul(a, b), _left_to_right(A, [b[0:3], b[3:6], b[6:9]])),
+                (_mat_vec(a, v), _left_to_right(A, [[x] for x in v])),
+                (_mat_t_vec(a, v), _left_to_right(At, [[x] for x in v])),
+            ]
+            for got, want in cases:
+                assert [x.hex() for x in got] == [x.hex() for row in want for x in row]

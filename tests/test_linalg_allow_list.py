@@ -20,10 +20,6 @@ _KERNEL_FUNCTIONS = {"dot", "vdot", "inner", "matmul", "einsum", "tensordot"}
 
 # (module, enclosing function, operation): count
 ALLOWED = {
-    # array transforms that the acceptance tests import; no command calls them
-    ("geometry", "transform_point", "@"): 1,
-    ("geometry", "compose", "@"): 2,
-    ("geometry", "invert", "@"): 1,
     # the per-row error norm: a 3-element sum, which numpy computes without BLAS
     ("evaluation", "_error_series", "np.linalg.norm"): 1,
 }
