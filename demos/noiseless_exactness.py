@@ -11,7 +11,7 @@ here as a bias.
 import numpy as np
 
 from aquapos import EstimationPipeline, NoiseModel, Simulator, TrajectorySpec
-from aquapos.simulator import SampleRates, SceneConfig
+from aquapos.config import SampleRates, SceneConfig
 
 
 def main():

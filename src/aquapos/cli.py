@@ -3,29 +3,30 @@
 Exit codes: 0 success, 1 runtime failure (bad data, estimator errors,
 I/O), 2 usage or configuration errors. All commands are deterministic
 for fixed seeds, so reruns produce byte-identical outputs.
+
+Importing this module loads only what setting up the estimator needs. Each
+command imports the modules only it uses (the simulator, the dataset
+codec, the evaluator, json) when it runs, and looks every function up at
+that time, so a wrapper put on a module attribute is the one it calls.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import json
 import logging
 import sys
 
-from . import dataset
-from .config import load_run_config
-from .depth_calibration import calibrate_with_trace
+from . import config
 from .errors import (AquaposError, ConfigError, DatasetFormatError, NoOverlap,
                      RegionTooSmall)
 from .estimators import EstimationPipeline, METHODS
-from .evaluation import align, build_error_report
-from .simulator import Simulator
 
 log = logging.getLogger(__name__)
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="aquapos",
         description="Collaborative surface/underwater positioning toolkit.",
@@ -62,18 +63,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _reseed(config, seed):
-    """config with --seed in place of its seed; the constructor checks it."""
+def _reseed(settings, seed):
+    """settings with --seed in place of its seed; the constructor checks it."""
     if seed is None:
-        return config
+        return settings
     try:
-        return dataclasses.replace(config, seed=seed)
+        return dataclasses.replace(settings, seed=seed)
     except ValueError as exc:
         raise ConfigError(f"--seed: {exc}") from None
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_run_config(args.config)
+    from . import dataset
+    from .simulator import Simulator
+
+    cfg = config.load_run_config(args.config)
     spec = _reseed(cfg.trajectory, args.seed)
     noise = _reseed(cfg.noise, args.seed)
     sim = Simulator(spec, cfg, noise)
@@ -91,7 +95,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    cfg = load_run_config(args.config)
+    import json
+
+    from . import dataset
+
+    cfg = config.load_run_config(args.config)
     methods = METHODS if args.method == "both" else (args.method,)
     pipeline = EstimationPipeline(
         cfg.rig,
@@ -103,6 +111,8 @@ def cmd_estimate(args) -> int:
         staleness_bound=cfg.staleness_bound,
         marker_offset=cfg.marker_offset,
     )
+    # json.dumps with separators builds this encoder anew for every line
+    encode = json.JSONEncoder(separators=(",", ":")).encode
     written = 0
     tags_seen = 0
     with open(args.out, "w", encoding="utf-8") as out:
@@ -110,8 +120,7 @@ def cmd_estimate(args) -> int:
             if record["kind"] == "tag":
                 tags_seen += 1
             for est in pipeline.process(record):
-                out.write(json.dumps(dataset.estimate_to_dict(est), separators=(",", ":"))
-                          + "\n")
+                out.write(encode(dataset.estimate_to_dict(est)) + "\n")
                 written += 1
     if tags_seen == 0:
         log.warning("dataset %s contains no tag records; output is empty",
@@ -123,6 +132,11 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    import json
+
+    from . import dataset
+    from .evaluation import align, build_error_report
+
     estimates = dataset.read_estimates(args.estimates)
     truth_t, truth_p = [], []
     for record in dataset.read_records(args.dataset):
@@ -169,8 +183,13 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_calibrate_depth(args) -> int:
+    import json
+
+    from . import dataset
+    from .depth_calibration import calibrate_with_trace
+
     pairs = dataset.load_pairs_csv(args.pairs)
-    cfg = load_run_config(args.config)
+    cfg = config.load_run_config(args.config)
     params, trace = calibrate_with_trace(pairs, _reseed(cfg.pso, args.seed))
     result = {**params.to_dict(), "cost": trace[-1]}
     print(f"scale {params.scale:.9f} offset {params.offset:.9f} "

@@ -6,6 +6,12 @@ the PSO search. Every section is optional; omitted values fall back to
 the bench defaults, so `load_run_config(None)` is a complete, runnable
 setup. Angles in the file are degrees where the key says so; everything
 in the loaded objects is radians and metres.
+
+The simulation settings (TrajectorySpec, NoiseModel, SampleRates,
+FollowerConfig, SceneConfig) and their run-size bounds are defined here,
+not in the simulator: loading a config, as every command's set-up does,
+then imports no simulator code, and `aquapos.simulator` takes them from
+this module.
 """
 
 from __future__ import annotations
@@ -20,17 +26,212 @@ from dataclasses import dataclass, field
 import yaml
 
 from .attitude import MAX_PREDICT_DT, TiltConfig
-from .camera import Intrinsics
-from .depth_calibration import PsoConfig
+from .camera import DEFAULT_INTRINSICS, Intrinsics, TagGeometry
+from .depth_calibration import IDENTITY_CALIBRATION, CalibrationParams, PsoConfig, _check_seed
 from .errors import ConfigError
 from .estimators import DEFAULT_STALENESS_BOUND, RigExtrinsics, default_rig
-from .geometry import RigidTransform, _euler_zyx
-from .simulator import (NoiseModel, SceneConfig, TrajectorySpec, random_path_length,
-                        record_count)
+from .geometry import RigidTransform, _euler_zyx, _float, _floats
 
 log = logging.getLogger(__name__)
 
 DEFAULT_SEED = 1
+
+# --- simulation settings, which aquapos.simulator runs from ----------------
+
+# the marker paths simulator.gen_trajectory lays
+_PATTERNS = ("square", "lawnmower", "random")
+
+# Records one stream may hold in a run: 833 times the quick start's largest
+# stream (12,000 IMU records), and about 1.6 GB of JSONL as IMU records.
+MAX_STREAM_RECORDS = 10**7
+
+
+def record_count(rate: float, duration: float) -> int:
+    """Records a stream of rate Hz writes over duration s, floor(rate * duration).
+
+    Raises ValueError for a count that is not finite or is above
+    MAX_STREAM_RECORDS.
+    """
+    n = rate * duration + 1e-9
+    if not math.isfinite(n):
+        raise ValueError(f"{rate!r} Hz over {duration!r} s is not a finite record count")
+    count = int(math.floor(n))
+    if count > MAX_STREAM_RECORDS:
+        raise ValueError(f"{rate!r} Hz over {duration!r} s is {count:.6g} records, "
+                         f"above the bound of {MAX_STREAM_RECORDS:g} per stream")
+    return count
+
+
+# Metres of waypoint chain the random pattern may lay: 4,167 times the quick
+# start's 24 m, or 10^5 s at 1 m/s. The default region takes about 53,000
+# waypoints and a fifth of a second for it.
+MAX_RANDOM_PATH = 10**5
+
+
+def random_path_length(speed: float, duration: float) -> float:
+    """Metres of waypoint chain the random pattern lays for a run, the
+    speed * duration it travels plus 1 m.
+
+    Raises ValueError for a length that is not finite or is above
+    MAX_RANDOM_PATH.
+    """
+    length = speed * duration + 1.0
+    if not length <= MAX_RANDOM_PATH:  # also rejects inf
+        raise ValueError(f"{speed!r} m/s over {duration!r} s is a random path of "
+                         f"{length:.6g} m, above the bound of {MAX_RANDOM_PATH:g} m")
+    return length
+
+
+@dataclass(frozen=True)
+class TrajectorySpec:
+    """Marker path description inside the tank region."""
+
+    pattern: str = "square"
+    region: tuple = (4.8, 3.6, 2.0)
+    speed: float = 0.2
+    duration: float = 120.0
+    depth_mean: float = 1.2
+    depth_amplitude: float = 0.5
+    depth_period: float = 25.0
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.pattern not in _PATTERNS:
+            raise ValueError(f"unknown pattern {self.pattern!r}")
+        fields = self.__dict__
+        message = "trajectory values must be finite"
+        if len(self.region) != 3:
+            raise ValueError("region must be three positive extents")
+        fields["region"] = region = _floats(self.region, (3,), message)
+        if any(r <= 0 for r in region):
+            raise ValueError("region must be three positive extents")
+        for name in ("speed", "duration", "depth_mean", "depth_amplitude", "depth_period"):
+            fields[name] = _float(fields[name], message)
+        if self.speed <= 0:
+            raise ValueError("speed must be positive")
+        if self.duration <= 0:
+            raise ValueError("duration must be positive")
+        if not 0.0 <= self.depth_amplitude <= 1.0:
+            raise ValueError("depth amplitude must lie in [0, 1] m")
+        if self.depth_period <= 0:
+            raise ValueError("depth period must be positive")
+        if self.depth_mean - self.depth_amplitude <= 0:
+            raise ValueError("depth profile must stay below the surface")
+        if self.depth_mean + self.depth_amplitude > self.region[2]:
+            raise ValueError("depth profile exceeds the region depth")
+        _check_seed(self.seed)
+
+
+@dataclass(frozen=True)
+class NoiseModel:
+    """Per-sensor noise sigmas, scripted tilt wave, and detection dropout."""
+
+    pixel_sigma: float = 0.5
+    gyro_sigma: float = 0.005
+    accel_sigma: float = 0.05
+    depth_sigma: float = 0.002
+    slam_xy_sigma: float = 0.005
+    slam_yaw_sigma: float = math.radians(0.2)
+    tilt_amplitude: float = math.radians(8.0)
+    tilt_frequency: float = 0.3
+    dropout_base: float = 0.0
+    dropout_per_metre: float = 0.0
+    seed: int = 0
+
+    def __post_init__(self):
+        fields = self.__dict__
+        sigmas = ("pixel_sigma", "gyro_sigma", "accel_sigma", "depth_sigma",
+                  "slam_xy_sigma", "slam_yaw_sigma")
+        for name in (*sigmas, "tilt_frequency", "dropout_base", "dropout_per_metre"):
+            fields[name] = _float(fields[name], "noise values must be finite")
+        if any(fields[name] < 0 for name in sigmas):
+            raise ValueError("noise sigmas must be non-negative")
+        message = "tilt amplitude must lie in [0, 10] degrees"
+        fields["tilt_amplitude"] = amplitude = _float(self.tilt_amplitude, message)
+        if not 0.0 <= amplitude <= math.radians(10.0) + 1e-12:
+            raise ValueError(message)
+        if self.tilt_frequency < 0:
+            raise ValueError("tilt frequency must be non-negative")
+        if self.dropout_base < 0 or self.dropout_per_metre < 0:
+            raise ValueError("dropout coefficients must be non-negative")
+        _check_seed(self.seed)
+
+    @classmethod
+    def zero(cls, seed: int = 0) -> "NoiseModel":
+        """All sigmas, the tilt wave, and dropout switched off."""
+        return cls(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, seed)
+
+    def p_drop(self, depth: float) -> float:
+        return min(max(self.dropout_base + self.dropout_per_metre * depth, 0.0), 1.0)
+
+
+@dataclass(frozen=True)
+class SampleRates:
+    """Per-stream sample rates, Hz."""
+
+    camera: float = 30.0
+    imu: float = 100.0
+    depth: float = 15.0
+    slam: float = 40.0
+    truth: float = 100.0
+
+    def __post_init__(self):
+        fields = self.__dict__
+        message = "sample rates must be positive and finite"
+        for name in ("camera", "imu", "depth", "slam", "truth"):
+            fields[name] = rate = _float(fields[name], message)
+            if rate <= 0:
+                raise ValueError(message)
+
+
+@dataclass(frozen=True)
+class FollowerConfig:
+    """Center-pixel proportional servo parameters."""
+
+    gain_x: float = 2.5
+    gain_y: float = 2.5
+    deadband_px: float = 5.0
+    max_speed: float = 0.6
+    hold_decay: float = 1.0
+
+    def __post_init__(self):
+        fields = self.__dict__
+        for name, message in (("gain_x", "gains must be non-negative"),
+                              ("gain_y", "gains must be non-negative"),
+                              ("deadband_px", "deadband must be non-negative")):
+            fields[name] = value = _float(fields[name], message)
+            if value < 0:
+                raise ValueError(message)
+        for name, message in (("max_speed", "max speed must be positive"),
+                              ("hold_decay", "hold decay time must be positive")):
+            fields[name] = value = _float(fields[name], message)
+            if value <= 0:
+                raise ValueError(message)
+
+
+@dataclass(frozen=True)
+class SceneConfig:
+    """Everything about the rig and world that is not the trajectory."""
+
+    intrinsics: Intrinsics = field(default_factory=lambda: DEFAULT_INTRINSICS)
+    rig: RigExtrinsics = field(default_factory=default_rig)
+    tag: TagGeometry = field(default_factory=TagGeometry)
+    calibration: CalibrationParams = IDENTITY_CALIBRATION
+    follower: FollowerConfig = field(default_factory=FollowerConfig)
+    rates: SampleRates = field(default_factory=SampleRates)
+    yaw_amplitude: float = 0.15
+    yaw_period: float = 40.0
+
+    def __post_init__(self):
+        fields = self.__dict__
+        message = "yaw amplitude must be non-negative and finite"
+        fields["yaw_amplitude"] = amplitude = _float(self.yaw_amplitude, message)
+        if amplitude < 0:
+            raise ValueError(message)
+        message = "yaw period must be positive and finite"
+        fields["yaw_period"] = period = _float(self.yaw_period, message)
+        if period <= 0:
+            raise ValueError(message)
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 import yaml
 
-from aquapos.config import DEFAULT_SEED, RunConfig, load_intrinsics, load_run_config
+from aquapos.config import (DEFAULT_SEED, RunConfig, SceneConfig, load_intrinsics,
+                            load_run_config)
 from aquapos.errors import ConfigError
 from aquapos.estimators import EstimationPipeline
 from aquapos.geometry import euler_zyx_to_rotation
-from aquapos.simulator import SceneConfig, Simulator
+from aquapos.simulator import Simulator
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 

@@ -15,14 +15,14 @@ import pytest
 from aquapos.attitude import ImuSample, TiltConfig, TiltState
 from aquapos.camera import (DEFAULT_INTRINSICS, Intrinsics, TagGeometry, TagObservation,
                             project_point)
+from aquapos.config import (FollowerConfig, NoiseModel, SampleRates, SceneConfig,
+                            TrajectorySpec)
 from aquapos.dataset import validate_record
 from aquapos.depth_calibration import CalibrationParams, PsoConfig
 from aquapos.estimators import (DepthMeasurement, PositionEstimate, RigExtrinsics,
                                 SurfacePoseState, default_rig)
 from aquapos.evaluation import AlignedPair
 from aquapos.geometry import PluckerLine, RigidTransform
-from aquapos.simulator import (FollowerConfig, NoiseModel, SampleRates, SceneConfig,
-                               TrajectorySpec)
 
 # (name, make, base, read): make builds the object from one vector or
 # matrix of numbers, base is that value as exact floats, and read gives the

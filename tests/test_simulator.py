@@ -10,21 +10,18 @@ from aquapos.errors import RegionTooSmall
 from aquapos.estimators import EstimationPipeline, RigExtrinsics, _camera_in_world
 from aquapos.evaluation import align, med
 from aquapos.geometry import RigidTransform, euler_zyx_to_rotation
-from aquapos.simulator import (
+from aquapos.config import (
     MAX_RANDOM_PATH,
     MAX_STREAM_RECORDS,
-    Follower,
     FollowerConfig,
-    MarkerTrajectory,
     NoiseModel,
     SampleRates,
     SceneConfig,
-    Simulator,
     TrajectorySpec,
-    gen_trajectory,
     random_path_length,
     record_count,
 )
+from aquapos.simulator import Follower, MarkerTrajectory, Simulator, gen_trajectory
 
 
 def _rx(a):
