@@ -11,8 +11,9 @@ one kernel runs a sample's predict and update as closed-form 2x2 algebra
 on those five floats. ``ImuSample`` stores its readings as float
 3-tuples. A state made inside the filter, or by the ``TiltState``
 constructor, passes one scalar rule, ``_checked``. The tracker returns a
-``TiltState`` per accepted sample that keeps the five floats and builds
-its covariance array only when it is read.
+``TiltState`` per accepted sample that holds only the five floats: its
+roll and pitch read them, and its covariance array is built the first
+time it is read.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def _entries(P: np.ndarray) -> tuple[float, float, float]:
     return p00, p01, p11
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ImuSample:
     """One gyro + accelerometer reading, each a float 3-tuple, at a float
     timestamp; every number by geometry._float's rule.
@@ -77,13 +78,13 @@ class ImuSample:
     gyro: tuple
     accel: tuple
 
-    def __post_init__(self):
-        g = _floats3(self.gyro)
-        a = _floats3(self.accel)
+    def __init__(self, timestamp, gyro, accel):
+        g = _floats3(gyro)
+        a = _floats3(accel)
         ax, ay, az = a
         if math.sqrt(ax * ax + ay * ay + az * az) <= 0.1 * GRAVITY:
             raise ValueError("accelerometer magnitude below 0.1 g")
-        self.__dict__.update(timestamp=_float(self.timestamp, "timestamp must be finite"),
+        self.__dict__.update(timestamp=_float(timestamp, "timestamp must be finite"),
                              gyro=g, accel=a)
 
 
@@ -122,10 +123,19 @@ def _checked(roll, pitch, p00, p01, p11) -> tuple:
 
 class _FilterState(TiltState):
     """A TiltState made inside the filter from a state tuple x that _checked
-    returned, whose covariance array is built the first time it is read."""
+    returned. It holds only x, the five filter floats: roll and pitch read
+    x, and the covariance array is built the first time it is read."""
 
     def __init__(self, x: tuple):
-        self.__dict__.update(roll=x[0], pitch=x[1], _x=x)
+        self.__dict__["_x"] = x
+
+    @property
+    def roll(self) -> float:
+        return self._x[0]
+
+    @property
+    def pitch(self) -> float:
+        return self._x[1]
 
     @cached_property
     def covariance(self) -> np.ndarray:

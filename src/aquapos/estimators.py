@@ -84,7 +84,7 @@ class RigExtrinsics:
         self.__dict__["body_height"] = _float(self.body_height, "body_height must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SurfacePoseState:
     """Planar pose from SLAM fused with the tilt filter's roll/pitch."""
 
@@ -92,30 +92,31 @@ class SurfacePoseState:
     x: float
     y: float
     yaw: float
-    roll: float = 0.0
-    pitch: float = 0.0
+    roll: float
+    pitch: float
 
-    def __post_init__(self):
-        fields = self.__dict__
-        for name in ("timestamp", "x", "y", "yaw", "roll", "pitch"):
-            fields[name] = _float(fields[name], "pose fields must be finite")
-        if abs(self.pitch) >= math.pi / 2:
+    def __init__(self, timestamp, x, y, yaw, roll=0.0, pitch=0.0):
+        message = "pose fields must be finite"
+        timestamp, x, y = _float(timestamp, message), _float(x, message), _float(y, message)
+        yaw, roll, pitch = _float(yaw, message), _float(roll, message), _float(pitch, message)
+        if abs(pitch) >= math.pi / 2:
             raise ValueError("pitch must satisfy |pitch| < pi/2")
+        self.__dict__.update(timestamp=timestamp, x=x, y=y, yaw=yaw, roll=roll, pitch=pitch)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DepthMeasurement:
     """Calibrated marker depth, metres, positive down."""
 
     timestamp: float
     depth: float
 
-    def __post_init__(self):
-        fields = self.__dict__
-        for name in ("timestamp", "depth"):
-            fields[name] = _float(fields[name], "depth measurement must be finite")
-        if self.depth < 0:
+    def __init__(self, timestamp, depth):
+        message = "depth measurement must be finite"
+        timestamp, depth = _float(timestamp, message), _float(depth, message)
+        if depth < 0:
             raise ValueError("depth is positive-down and cannot be negative")
+        self.__dict__.update(timestamp=timestamp, depth=depth)
 
 
 @dataclass(frozen=True, init=False)

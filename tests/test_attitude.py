@@ -723,3 +723,23 @@ class TestFilterStates:
                                                 cov).covariance, cov)
         with pytest.raises(AttributeError):
             states[-1].covariance = np.eye(2)
+
+    def test_a_state_holds_only_the_filter_floats(self, monkeypatch):
+        tracker = TiltTracker()
+        for k in range(50):
+            t = 0.01 * k
+            state = tracker.feed(ImuSample(t, [0.2 * math.cos(2 * t), -0.15, 0.01],
+                                           _gravity_accel(0.1 * math.sin(t), -0.05)))
+        x = state._x
+        assert list(vars(state)) == ["_x"]
+        assert len(x) == 5 and all(type(v) is float for v in x)
+        assert (state.roll.hex(), state.pitch.hex()) == (x[0].hex(), x[1].hex())
+        with pytest.raises(AttributeError):
+            state.roll = 0.0
+        built = []
+        matrix = attitude._matrix
+        monkeypatch.setattr(attitude, "_matrix", lambda *p: built.append(p) or matrix(*p))
+        cov = state.covariance
+        assert state.covariance is cov and built == [x[2:]]
+        assert sorted(vars(state)) == ["_x", "covariance"]
+        assert cov.tolist() == [[x[2], x[3]], [x[3], x[4]]]

@@ -549,7 +549,10 @@ class TestEstimateLine:
     @pytest.mark.parametrize("workload", sorted(WORKLOAD_CONFIGS))
     def test_every_estimate_of_the_workload_runs(self, tmp_path, workload_run, workload):
         methods = set()
-        for seed in (1, 2, 3):
+        # noiseless-exact's seeds differ only in the sign of zero gyro entries,
+        # which seed 1 already holds, and give byte-identical estimates
+        seeds = (1,) if workload == "noiseless-exact" else (1, 2, 3)
+        for seed in seeds:
             path, cfg, records = workload_run(workload, seed)
             pipe = EstimationPipeline(cfg.rig, cfg.intrinsics, cfg.tag,
                                       calibration=cfg.calibration, tilt_config=cfg.tilt)

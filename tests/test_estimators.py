@@ -1,6 +1,7 @@
 import collections
 import contextlib
 import dataclasses
+import itertools
 import math
 import os
 import sys
@@ -9,8 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_number_rule import NOT_NUMBERS, _first_replaced
+from test_number_rule import _hex as _float_hex
 
-from aquapos.attitude import _FilterState
+from aquapos.attitude import ImuSample, _FilterState
 from aquapos.camera import (
     Intrinsics,
     TagGeometry,
@@ -475,7 +478,69 @@ class TestPipeline:
             pipe.process({"t": 0.0, "kind": "sonar"})
 
 
+# (type, arguments in field order, checks): the arguments mix ints, numpy
+# scalars and -0.0, and checks lists in the constructor's order each
+# (field, bad value, message), where a bad value of None stands for the
+# field's first number replaced by each of test_number_rule's NOT_NUMBERS
+_SAMPLE_TYPES = [
+    (ImuSample, (np.float64(0.5), [1, -0.0, 0.25], [0.0, np.float32(0.5), -9.75]),
+     [("gyro", None, "expected a 3-vector of finite numbers"),
+      ("accel", None, "expected a 3-vector of finite numbers"),
+      ("accel", [0.0, 0.0, -0.9], "accelerometer magnitude below 0.1 g"),
+      ("timestamp", None, "timestamp must be finite")]),
+    (SurfacePoseState, (3, -1.5, -0.0, np.float32(0.5), 0.125, np.float64(-0.25)),
+     [*((name, None, "pose fields must be finite")
+        for name in ("timestamp", "x", "y", "yaw", "roll", "pitch")),
+      ("pitch", math.pi / 2, "pitch must satisfy |pitch| < pi/2")]),
+    (DepthMeasurement, (np.int64(2), -0.0),
+     [("timestamp", None, "depth measurement must be finite"),
+      ("depth", None, "depth measurement must be finite"),
+      ("depth", -0.01, "depth is positive-down and cannot be negative")]),
+]
+
+
+def _bad_values(base, checks):
+    """(index, field, value, message) for each bad value of checks."""
+    for i, (field, value, message) in enumerate(checks):
+        values = [value] if value is not None else [_first_replaced(base[field], x)
+                                                    for x in NOT_NUMBERS]
+        for bad in values:
+            yield i, field, bad, message
+
+
+def _message(make):
+    with pytest.raises(ValueError) as info:
+        make()
+    return str(info.value)
+
+
 class TestTypes:
+    @pytest.mark.parametrize("cls, args, checks", _SAMPLE_TYPES,
+                             ids=[t[0].__name__ for t in _SAMPLE_TYPES])
+    def test_sample_calls_agree_and_keep_their_messages(self, cls, args, checks):
+        names = [f.name for f in dataclasses.fields(cls)]
+        base = dict(zip(names, args))
+        built = cls(*args)
+        for other in (cls(**base), dataclasses.replace(built),
+                      dataclasses.replace(cls(**base), **{names[0]: args[0]})):
+            assert other == built and hash(other) == hash(built)
+            assert repr(other) == repr(built)
+            assert ([_float_hex(getattr(other, n)) for n in names]
+                    == [_float_hex(getattr(built, n)) for n in names])
+        bad = list(_bad_values(base, checks))
+        for _, field, value, message in bad:
+            assert _message(lambda: cls(**{**base, field: value})) == message, field
+            assert _message(lambda: dataclasses.replace(built, **{field: value})) == message
+        # with two fields bad, the one checked first speaks
+        for (i, field, value, message), (j, other, value2, _) in itertools.product(bad, bad):
+            if i < j and field != other:
+                assert _message(lambda: cls(**{**base, field: value, other: value2})) == message
+
+    def test_pose_tilt_defaults_to_positive_zero(self):
+        pose = SurfacePoseState(0.0, 1.0, 2.0, 0.5)
+        assert (pose.roll.hex(), pose.pitch.hex()) == ((0.0).hex(), (0.0).hex())
+        assert pose == SurfacePoseState(0.0, 1.0, 2.0, 0.5, roll=0.0, pitch=0.0)
+
     def test_depth_must_be_non_negative(self):
         with pytest.raises(ValueError):
             DepthMeasurement(0.0, -0.01)
@@ -859,13 +924,19 @@ class TestConstructionCounts:
                                                       monkeypatch):
         cfg, records = dense_imu_records
         inits = collections.Counter()
-        for cls in (SensorFrameBundle, _FilterState, AlignedPair):
+        for cls in (SensorFrameBundle, _FilterState, AlignedPair, ImuSample,
+                    SurfacePoseState, DepthMeasurement):
             monkeypatch.setattr(cls, "__init__",
                                 lambda self, *a, _name=cls.__name__, _init=cls.__init__:
                                 inits.update([_name]) or _init(self, *a))
         pipe = EstimationPipeline(cfg.rig, cfg.intrinsics, cfg.tag)
         estimates = [e for rec in records for e in pipe.process(rec)]
         kinds = collections.Counter(rec["kind"] for rec in records)
+        # every sample record of the run is accepted, so each builds one sample
+        assert not any(pipe.counters[f"{kind}_rejected"] for kind in ("imu", "slam", "depth"))
+        assert inits["ImuSample"] == kinds["imu"] > 0
+        assert inits["SurfacePoseState"] == kinds["slam"] > 0
+        assert inits["DepthMeasurement"] == kinds["depth"] > 0
         assert inits["SensorFrameBundle"] == kinds["tag"]
         assert inits["_FilterState"] == kinds["imu"] - pipe.counters["imu_rejected"] > 0
         truth = [rec for rec in records if rec["kind"] == "truth"]
