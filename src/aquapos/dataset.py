@@ -13,8 +13,11 @@ Timestamps must be non-decreasing within a file (equal stamps are fine).
 Every number must pass geometry._float's rule, the one the public
 constructors apply, and every list is a JSON list of its exact length.
 One check per record kind holds that rule: validate_record, which the
-writer and the reader call, words what it rejects, and read_estimates
-checks an estimate line by the same helpers. The reader is strict and line-precise: any
+reader calls on every line, words what it rejects, and read_estimates
+checks an estimate line by the same helpers. The writer checks and prints
+a record of exact floats in the format's key order in one pass, by the
+rule's first line, and hands any other record to validate_record before
+json.dumps prints it. The reader is strict and line-precise: any
 malformed line raises DatasetFormatError naming the line number. The
 readers decode a byte that is not UTF-8 as a lone surrogate
 (errors="surrogateescape"), which no valid line holds, so such a line is
@@ -124,52 +127,85 @@ def validate_record(obj) -> dict:
     return obj
 
 
-_repr = float.__repr__
+# The writer's one pass, per kind: the line's template and the function that
+# takes a record's values, in the format's key order, and applies the number
+# rule's first line to them as _list3, geometry._floats3 and
+# camera._float_quad do: exact lists of their exact lengths, every number a
+# float and a finite sum. It returns the numbers in the line's order, or None
+# for a record it declines, which validate_record and json.dumps take. json.dumps
+# prints a float with float.__repr__, and so does %r on an exact float.
 
-# Per kind: the compact JSON line, keys in the format's order, and the
-# record's numbers printed in the order the line takes them.
+
+def _imu_numbers(t, _kind, gyro, accel):
+    if type(gyro) is list and type(accel) is list and len(gyro) == 3 and len(accel) == 3:
+        g0, g1, g2 = gyro
+        a0, a1, a2 = accel
+        if (type(t) is type(g0) is type(g1) is type(g2) is type(a0) is type(a1)
+                is type(a2) is float and isfinite(t + g0 + g1 + g2 + a0 + a1 + a2)):
+            return t, g0, g1, g2, a0, a1, a2
+    return None
+
+
+def _slam_numbers(t, _kind, x, y, yaw):
+    if type(t) is type(x) is type(y) is type(yaw) is float and isfinite(t + x + y + yaw):
+        return t, x, y, yaw
+    return None
+
+
+def _tag_numbers(t, _kind, corners):
+    quad = _float_quad(corners)
+    if quad is not None and type(t) is float and isfinite(t):
+        (u0, v0), (u1, v1), (u2, v2), (u3, v3) = quad
+        return t, u0, v0, u1, v1, u2, v2, u3, v3
+    return None
+
+
+def _depth_numbers(t, _kind, raw):
+    if type(t) is type(raw) is float and isfinite(t + raw):
+        return t, raw
+    return None
+
+
+def _truth_numbers(t, _kind, p):
+    if type(p) is list and len(p) == 3:
+        x, y, z = p
+        if type(t) is type(x) is type(y) is type(z) is float and isfinite(t + x + y + z):
+            return t, x, y, z
+    return None
+
+
 _LINES = {
-    "imu": ('{"t":%s,"kind":"imu","gyro":[%s,%s,%s],"accel":[%s,%s,%s]}\n',
-            lambda r: (_repr(r["t"]), *map(_repr, r["gyro"]), *map(_repr, r["accel"]))),
-    "slam": ('{"t":%s,"kind":"slam","x":%s,"y":%s,"yaw":%s}\n',
-             lambda r: (_repr(r["t"]), _repr(r["x"]), _repr(r["y"]), _repr(r["yaw"]))),
-    "tag": ('{"t":%s,"kind":"tag","corners":[[%s,%s],[%s,%s],[%s,%s],[%s,%s]]}\n',
-            lambda r: (_repr(r["t"]), *(_repr(v) for c in r["corners"] for v in c))),
-    "depth": ('{"t":%s,"kind":"depth","raw":%s}\n',
-              lambda r: (_repr(r["t"]), _repr(r["raw"]))),
-    "truth": ('{"t":%s,"kind":"truth","p":[%s,%s,%s]}\n',
-              lambda r: (_repr(r["t"]), *map(_repr, r["p"]))),
+    "imu": ('{"t":%r,"kind":"imu","gyro":[%r,%r,%r],"accel":[%r,%r,%r]}\n', _imu_numbers),
+    "slam": ('{"t":%r,"kind":"slam","x":%r,"y":%r,"yaw":%r}\n', _slam_numbers),
+    "tag": ('{"t":%r,"kind":"tag","corners":[[%r,%r],[%r,%r],[%r,%r],[%r,%r]]}\n',
+            _tag_numbers),
+    "depth": ('{"t":%r,"kind":"depth","raw":%r}\n', _depth_numbers),
+    "truth": ('{"t":%r,"kind":"truth","p":[%r,%r,%r]}\n', _truth_numbers),
 }
-
-
-def _line(rec: dict) -> str:
-    """A valid record's line: json.dumps(rec, separators=(",", ":")) and a newline.
-
-    Records with their keys in the format's order and only float numbers,
-    as the simulator writes them, take their kind's template. json.dumps
-    prints a float, numpy's float64 included, with float.__repr__, and so
-    does the template; plain repr would print np.float64(...) under numpy 2.
-    """
-    kind = rec["kind"]
-    if tuple(rec) == _KEY_ORDER[kind]:
-        template, numbers = _LINES[kind]
-        try:
-            return template % numbers(rec)
-        except TypeError:  # an int among the numbers
-            pass
-    return json.dumps(rec, separators=(",", ":")) + "\n"
 
 
 def write_records(path, records):
     """Write records as compact JSONL; returns the number written.
 
-    Each record is validated first: an invalid one raises ValueError
-    naming it, and the lines before it stay written.
+    Each line is json.dumps(record, separators=(",", ":")) and a newline. A
+    record of exact floats in the format's key order, as the simulator makes,
+    is checked and printed in one pass by its kind's template; any other
+    record goes to validate_record first. An invalid record raises
+    ValueError naming it, and the lines before it stay written.
     """
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
+        write = fh.write
         for rec in records:
             n += 1
+            if type(rec) is dict:
+                kind = rec.get("kind")
+                if type(kind) is str and tuple(rec) == _KEY_ORDER.get(kind):
+                    template, numbers = _LINES[kind]
+                    values = numbers(*rec.values())
+                    if values is not None:
+                        write(template % values)
+                        continue
             try:
                 validate_record(rec)
             except ValueError as exc:
@@ -177,7 +213,7 @@ def write_records(path, records):
                 if isinstance(rec, dict) and "kind" in rec and "t" in rec:
                     where += f" ({rec['kind']} at t={rec['t']})"
                 raise ValueError(f"{where}: {exc}") from None
-            fh.write(_line(rec))
+            write(json.dumps(rec, separators=(",", ":")) + "\n")
     return n
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
+from itertools import chain
 
 from ._numpy import np
 from .attitude import GRAVITY
@@ -240,8 +241,8 @@ def _draws(draw, n: int, shape: tuple = ()):
     A generator's stream runs in order, so the k-th item equals what the
     k-th of n draw(size=shape) calls would return.
     """
-    for start in range(0, n, _DRAW_CHUNK):
-        yield from draw(size=(min(_DRAW_CHUNK, n - start), *shape)).tolist()
+    return chain.from_iterable(draw(size=(min(_DRAW_CHUNK, n - start), *shape)).tolist()
+                               for start in range(0, n, _DRAW_CHUNK))
 
 
 class Simulator:
@@ -250,7 +251,8 @@ class Simulator:
     Every record is computed on Python floats. Each noise stream is drawn
     in batches (see _draws), and the k-th record of a stream gets what it
     would have drawn alone, so the records match a record-by-record draw
-    bit for bit.
+    bit for bit. Each stream() starts the noise streams and the world over,
+    so every run of one simulator is the seeded run.
     """
 
     def __init__(self, spec: TrajectorySpec, scene: SceneConfig | None = None,
@@ -259,18 +261,27 @@ class Simulator:
         self.scene = scene if scene is not None else SceneConfig()
         self.noise = noise if noise is not None else NoiseModel()
         rates = self.scene.rates
-        self._counts = {name: record_count(getattr(rates, name), spec.duration)
-                        for name in _STREAM_PRIORITY}
+        self._rates = {name: getattr(rates, name) for name in _STREAM_PRIORITY}
+        self._counts = {name: record_count(rate, spec.duration)
+                        for name, rate in self._rates.items()}
         self.trajectory = gen_trajectory(spec)
+        # pixel, gyro, accel, depth, slam and dropout noise, in that order
+        self._seeds = np.random.SeedSequence(self.noise.seed).spawn(6)
 
-        streams = np.random.SeedSequence(self.noise.seed).spawn(6)
-        self._rng_pixel = np.random.default_rng(streams[0])
-        self._rng_gyro = np.random.default_rng(streams[1])
-        self._rng_accel = np.random.default_rng(streams[2])
-        self._rng_depth = np.random.default_rng(streams[3])
-        self._rng_slam = np.random.default_rng(streams[4])
-        self._rng_drop = np.random.default_rng(streams[5])
+        # the wave rates and their amplitude products, in the order the
+        # per-sample formulas multiply them, so each sample's bits stay put
+        a, f = self.noise.tilt_amplitude, self.noise.tilt_frequency
+        self._w_roll = 2.0 * math.pi * f
+        self._w_pitch = 2.0 * math.pi * _TILT_PITCH_RATE_RATIO * f
+        self._w_yaw = 2.0 * math.pi / self.scene.yaw_period
+        self._roll_rate_amplitude = a * self._w_roll
+        self._pitch_rate_amplitude = a * self._w_pitch
+        self._yaw_rate_amplitude = self.scene.yaw_amplitude * self._w_yaw
+        self._reset()
 
+    def _reset(self) -> None:
+        """Put the surface vehicle, its follower and the frame counts back to
+        their start."""
         x, y, _ = self.trajectory.position(0.0)
         self._surface_xy = (x + 0.15, y - 0.10)
         self._command = (0.0, 0.0)
@@ -280,33 +291,15 @@ class Simulator:
 
     # --- analytic world state ---------------------------------------
 
-    def _tilt(self, t: float):
-        a = self.noise.tilt_amplitude
-        f = self.noise.tilt_frequency
-        roll = a * math.sin(2.0 * math.pi * f * t)
-        pitch = a * math.sin(
-            2.0 * math.pi * _TILT_PITCH_RATE_RATIO * f * t + _TILT_PITCH_PHASE
-        )
-        return roll, pitch
-
-    def _tilt_rates(self, t: float):
-        a = self.noise.tilt_amplitude
-        f = self.noise.tilt_frequency
-        wr = 2.0 * math.pi * f
-        wp = 2.0 * math.pi * _TILT_PITCH_RATE_RATIO * f
-        return a * wr * math.cos(wr * t), a * wp * math.cos(wp * t + _TILT_PITCH_PHASE)
-
     def _yaw(self, t: float) -> float:
         return self.scene.yaw_amplitude * math.sin(
             2.0 * math.pi * t / self.scene.yaw_period
         )
 
-    def _yaw_rate(self, t: float) -> float:
-        w = 2.0 * math.pi / self.scene.yaw_period
-        return self.scene.yaw_amplitude * w * math.cos(w * t)
-
     def _camera_to_world(self, t: float) -> tuple:
-        roll, pitch = self._tilt(t)
+        a = self.noise.tilt_amplitude
+        roll = a * math.sin(self._w_roll * t)
+        pitch = a * math.sin(self._w_pitch * t + _TILT_PITCH_PHASE)
         return _camera_in_world(self._yaw(t), pitch, roll, *self._surface_xy,
                                 self.scene.rig)
 
@@ -314,22 +307,29 @@ class Simulator:
     # gn, an, n, pixel_noise: this record's standard-normal draws; u: its uniform draw
 
     def _imu_record(self, t: float, gn, an) -> dict:
-        roll, pitch = self._tilt(t)
-        roll_rate, pitch_rate = self._tilt_rates(t)
-        yaw_rate = self._yaw_rate(t)
+        # each wave's phase once, for its angle and its rate
+        roll_phase = self._w_roll * t
+        pitch_phase = self._w_pitch * t + _TILT_PITCH_PHASE
+        a = self.noise.tilt_amplitude
+        roll, pitch = a * math.sin(roll_phase), a * math.sin(pitch_phase)
+        roll_rate = self._roll_rate_amplitude * math.cos(roll_phase)
+        pitch_rate = self._pitch_rate_amplitude * math.cos(pitch_phase)
+        yaw_rate = self._yaw_rate_amplitude * math.cos(self._w_yaw * t)
         sr, cr = math.sin(roll), math.cos(roll)
         sp, cp = math.sin(pitch), math.cos(pitch)
         gs, acs = self.noise.gyro_sigma, self.noise.accel_sigma
+        gn0, gn1, gn2 = gn
+        an0, an1, an2 = an
         # specific force R_wb^T (0, 0, -g), by hand: the third row of R_wb times
         # -g. The numpy product this replaced sums onto +0.0, so an all-zero
         # component is +0.0 whatever its terms' signs: hence the + 0.0
         return {"t": t, "kind": "imu",
-                "gyro": [roll_rate - yaw_rate * sp + gs * gn[0],
-                         pitch_rate * cr + yaw_rate * cp * sr + gs * gn[1],
-                         -pitch_rate * sr + yaw_rate * cp * cr + gs * gn[2]],
-                "accel": [-sp * -GRAVITY + 0.0 + acs * an[0],
-                          cp * sr * -GRAVITY + 0.0 + acs * an[1],
-                          cp * cr * -GRAVITY + 0.0 + acs * an[2]]}
+                "gyro": [roll_rate - yaw_rate * sp + gs * gn0,
+                         pitch_rate * cr + yaw_rate * cp * sr + gs * gn1,
+                         -pitch_rate * sr + yaw_rate * cp * cr + gs * gn2],
+                "accel": [-sp * -GRAVITY + 0.0 + acs * an0,
+                          cp * sr * -GRAVITY + 0.0 + acs * an1,
+                          cp * cr * -GRAVITY + 0.0 + acs * an2]}
 
     def _slam_record(self, t: float, n) -> dict:
         x, y = self._surface_xy
@@ -388,15 +388,23 @@ class Simulator:
     # --- main loop ----------------------------------------------------
 
     def stream(self):
-        """Yield the merged records in time order; self.stats counts the frames."""
-        rates, counts = self.scene.rates, self._counts
-        gyro = _draws(self._rng_gyro.normal, counts["imu"], (3,))
-        accel = _draws(self._rng_accel.normal, counts["imu"], (3,))
-        slam = _draws(self._rng_slam.normal, counts["slam"], (3,))
-        depth = _draws(self._rng_depth.normal, counts["depth"])
+        """Yield the merged records in time order; self.stats counts the frames.
+
+        Each call starts from the seeds and the world's start, so it yields
+        the seeded run again. The streams of one simulator share its world
+        state, so read them one at a time."""
+        self._reset()
+        rates, counts = self._rates, self._counts
+        rng_pixel, rng_gyro, rng_accel, rng_depth, rng_slam, rng_drop = (
+            np.random.default_rng(seed) for seed in self._seeds)
+        gyro = _draws(rng_gyro.normal, counts["imu"], (3,))
+        accel = _draws(rng_accel.normal, counts["imu"], (3,))
+        slam = _draws(rng_slam.normal, counts["slam"], (3,))
+        depth = _draws(rng_depth.normal, counts["depth"])
         # camera frames draw from both streams whether or not a tag is emitted
-        pixel = _draws(self._rng_pixel.normal, counts["camera"], (4, 2))
-        drop = _draws(self._rng_drop.uniform, counts["camera"])
+        pixel = _draws(rng_pixel.normal, counts["camera"], (4, 2))
+        drop = _draws(rng_drop.uniform, counts["camera"])
+        frame_dt = 1.0 / rates["camera"]
 
         heap = [(0.0, prio, name, 0)
                 for name, prio in _STREAM_PRIORITY.items() if counts[name] > 0]
@@ -417,12 +425,11 @@ class Simulator:
             elif name == "truth":
                 yield self._truth_record(t)
             else:
-                rec = self._camera_record(t, 1.0 / rates.camera, next(pixel), next(drop))
+                rec = self._camera_record(t, frame_dt, next(pixel), next(drop))
                 if rec is not None:
                     yield rec
             if k + 1 < counts[name]:
-                rate = getattr(rates, name)
-                heapq.heappush(heap, ((k + 1) / rate, prio, name, k + 1))
+                heapq.heappush(heap, ((k + 1) / rates[name], prio, name, k + 1))
 
     def run(self):
         """Produce the merged record stream; returns (records, stats)."""

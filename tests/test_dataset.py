@@ -137,8 +137,10 @@ class TestRecordValidation:
     def test_writer_error_names_the_record(self, tmp_path):
         recs = _sample_records()
         recs[2] = {"t": 0.01, "kind": "depth", "raw": float("inf")}
+        path = tmp_path / "x.jsonl"
         with pytest.raises(ValueError, match=r"^record 3 \(depth at t=0.01\): raw"):
-            write_records(tmp_path / "x.jsonl", recs)
+            write_records(path, recs)
+        assert path.read_bytes() == _dumps_lines(recs[:2])
 
     def test_unhashable_kind_names_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -149,6 +151,48 @@ class TestRecordValidation:
 def _dumps_lines(records) -> bytes:
     return "".join(json.dumps(r, separators=(",", ":")) + "\n"
                    for r in records).encode("utf-8")
+
+
+class _List(list):
+    pass
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not json"
+
+
+# exact floats that print oddly or sit at the ends of the range
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2e-308, -1.5e-310, 1e308, -1e308,
+                1.7976931348623157e308, 0.1, -9.81]
+
+
+def _random_exact_records(rng, n):
+    """n records, each of a random kind, in the format's key order and of
+    exact floats: each number an edge float or a normal draw at a random scale."""
+    def number():
+        if rng.random() < 0.6:
+            return _EDGE_FLOATS[rng.integers(len(_EDGE_FLOATS))]
+        return float(rng.normal() * 10.0 ** rng.integers(-300, 300))
+
+    def numbers(k):
+        return [number() for _ in range(k)]
+
+    kinds = ("imu", "slam", "tag", "depth", "truth")
+    for _ in range(n):
+        kind = kinds[rng.integers(len(kinds))]
+        rec = {"t": number(), "kind": kind}
+        if kind == "imu":
+            rec.update(gyro=numbers(3), accel=numbers(3))
+        elif kind == "slam":
+            rec.update(zip(("x", "y", "yaw"), numbers(3)))
+        elif kind == "tag":
+            rec["corners"] = [numbers(2) for _ in range(4)]
+        elif kind == "depth":
+            rec["raw"] = number()
+        else:
+            rec["p"] = numbers(3)
+        yield rec
 
 
 class TestWriterBytes:
@@ -177,11 +221,59 @@ class TestWriterBytes:
             # keys out of the format's order keep their order, as in json.dumps
             {"kind": "depth", "raw": 1.5, "t": 3.0},
             {"p": [1.0, 2.0, 3.0], "t": 4.0, "kind": "truth"},
+            # finite numbers whose sum overflows
+            {"t": 5.0, "kind": "imu", "gyro": [1e308, 1e308, 0.0], "accel": [0.0, 0.0, -9.81]},
+            {"t": 5.0, "kind": "slam", "x": -1e308, "y": -1e308, "yaw": 0.0},
+            # subclasses of list and float, printed as the list and the float
+            {"t": 6.0, "kind": "truth", "p": _List([0.5, -0.5, -1.2])},
+            {"t": 6.0, "kind": "tag",
+             "corners": [[1.0, 2.0], _List([3.0, 4.0]), [5.0, 6.0], [7.0, 8.0]]},
+            {"t": _Float(7.0), "kind": "depth", "raw": 1.25},
+            {"t": 7.0, "kind": "imu", "gyro": [0.0, _Float(0.5), 0.0],
+             "accel": [0.0, 0.0, -9.81]},
+            *_random_exact_records(np.random.default_rng(29), 200),
         ]
         path = tmp_path / "edge.jsonl"
         assert write_records(path, records) == len(records)
         assert path.read_bytes() == _dumps_lines(records)
         assert b"np." not in path.read_bytes()
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"t": 0.5, "kind": "imu", "gyro": (0.0, 0.1, 0.2), "accel": [0.0, 0.0, -9.81]},
+         "record 2 (imu at t=0.5): gyro must be a list of 3 finite numbers"),
+        ({"t": 1.0, "kind": "slam", "x": 1.0, "y": True, "yaw": 0.3},
+         "record 2 (slam at t=1.0): y must be a finite number"),
+        ({"t": True, "kind": "depth", "raw": 1.0},
+         "record 2 (depth at t=True): t must be a finite number"),
+        ({"t": 1.5, "kind": "depth", "raw": float("nan")},
+         "record 2 (depth at t=1.5): raw must be a finite number"),
+        ({"t": float("nan"), "kind": "depth", "raw": 1.0},
+         "record 2 (depth at t=nan): t must be a finite number"),
+        ({"t": 2.0, "kind": "truth", "p": [0.5, -0.5, -1.2, 0.0]},
+         "record 2 (truth at t=2.0): p must be a list of 3 finite numbers"),
+        ({"t": 2.5, "kind": "tag",
+          "corners": [[1.0, 2.0], [3.0, 4.0], [5.0, float("inf")], [7.0, 8.0]]},
+         "record 2 (tag at t=2.5): corner must be a list of 2 finite numbers"),
+        ({"t": 3.0, "kind": "imu", "gyro": [0.0, 0.1, 0.2], "accel": [0.0, float("nan"), -9.81]},
+         "record 2 (imu at t=3.0): accel must be a list of 3 finite numbers"),
+        ({"t": 3.0, "kind": "imu", "gyro": [0.0, 0.1, 0.2], "accel": [0.0, -9.81]},
+         "record 2 (imu at t=3.0): accel must be a list of 3 finite numbers"),
+        ({"t": 3.5, "kind": "slam", "x": 1.0, "y": 2.0, "yaw": -float("inf")},
+         "record 2 (slam at t=3.5): yaw must be a finite number"),
+        ({"t": 4.0, "kind": "truth", "p": [0.5, float("inf"), -1.2]},
+         "record 2 (truth at t=4.0): p must be a list of 3 finite numbers"),
+        ({"t": float("inf"), "kind": "tag",
+          "corners": [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]]},
+         "record 2 (tag at t=inf): t must be a finite number"),
+    ], ids=["tuple-gyro", "bool", "bool-t", "nan", "nan-t", "p-of-4", "inf-corner",
+            "nan-accel", "accel-of-2", "inf-yaw", "inf-p", "inf-tag-t"])
+    def test_rejected_records(self, tmp_path, bad, message):
+        good = {"t": 0.0, "kind": "depth", "raw": 1.0}
+        path = tmp_path / "bad.jsonl"
+        with pytest.raises(ValueError) as info:
+            write_records(path, [good, bad, good])
+        assert str(info.value) == message
+        assert path.read_bytes() == _dumps_lines([good])
 
 
 class TestEstimateIO:

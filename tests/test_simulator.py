@@ -365,6 +365,18 @@ class TestSimulatorStreams:
         r2, s2 = Simulator(spec, SceneConfig(), noise).run()
         assert r1 == r2 and s1 == s2
 
+    def test_each_run_of_one_simulator_is_the_seeded_run(self):
+        spec = TrajectorySpec(duration=2.0, seed=3)
+        fresh, fresh_stats = Simulator(spec).run()
+        sim = Simulator(spec)
+        next(sim.stream())  # a stream left part way does not carry over
+        for _ in range(2):
+            records, stats = sim.run()
+            # repr tells -0.0 from 0.0, where == does not
+            assert repr(records) == repr(fresh)
+            assert stats == fresh_stats
+        assert fresh_stats["camera_frames"] == 60
+
     def test_different_noise_seed_changes_stream(self):
         spec = TrajectorySpec("square", (2.8, 2.8, 2.0), 0.2, 2.0)
         r1, _ = Simulator(spec, noise=NoiseModel(seed=1)).run()
