@@ -100,17 +100,21 @@ class MarkerTrajectory:
             2.0 * math.pi * t / self._depth_period
         )
 
-    def position(self, t: float) -> tuple:
-        """The marker's (x, y, z) at time t, as Python floats."""
+    def pose(self, t: float) -> tuple:
+        """The marker's (x, y, z, heading) at time t, as Python floats, from
+        one arc and segment lookup."""
         s = self._arc(t)
         i = self._segment(s)
         c0 = self._cum[i]
         frac = (s - c0) / (self._cum[i + 1] - c0)
         (x0, y0), (x1, y1) = self._wp[i], self._wp[i + 1]
-        return x0 + frac * (x1 - x0), y0 + frac * (y1 - y0), -self.depth(t)
+        return (x0 + frac * (x1 - x0), y0 + frac * (y1 - y0), -self.depth(t),
+                self._headings[i])
 
-    def yaw(self, t: float) -> float:
-        return self._headings[self._segment(self._arc(t))]
+    def position(self, t: float) -> tuple:
+        """The marker's (x, y, z) at time t, as Python floats."""
+        x, y, z, _ = self.pose(t)
+        return x, y, z
 
 
 def _leg_candidates(rng, bx, by):
@@ -229,20 +233,33 @@ class Follower:
         return self._command
 
 
-# Rows per numpy call. Keep it small: 64-row chunks raised the cd-dense-imu
-# benchmark's peak RSS by about 2.7 MB, where 8-row chunks match the
-# per-record draws.
-_DRAW_CHUNK = 8
+# Rows per numpy call. A chunk is read through a memoryview, which makes each
+# float only as its row is taken, so a chunk holds just its float64 buffer
+# (16 KB at most). The cd-dense-imu benchmark's peak RSS read 51.03 MB at 256
+# rows (median of 10 runs), within 0.2 MB of 8-row chunks of nested lists, and
+# 32 to 512 rows read within 0.3 MB of each other. Nested lists cost about
+# 2.7 MB at 64 rows.
+_DRAW_CHUNK = 256
+
+# the frame counts a stream keeps, as Simulator.stats
+_FRAME_COUNTS = ("camera_frames", "in_frustum", "tags_emitted")
 
 
-def _draws(draw, n: int, shape: tuple = ()):
-    """n draws of the given shape as Python floats, _DRAW_CHUNK per call.
+def _draws(draw, n: int, width: int = 1):
+    """n draws of width values each, _DRAW_CHUNK draws per numpy call: a
+    Python float per draw for width 1, else a tuple of width floats.
 
     A generator's stream runs in order, so the k-th item equals what the
-    k-th of n draw(size=shape) calls would return.
+    k-th of n draw(size=width) calls would return.
     """
-    return chain.from_iterable(draw(size=(min(_DRAW_CHUNK, n - start), *shape)).tolist()
-                               for start in range(0, n, _DRAW_CHUNK))
+    def rows(start):
+        flat = memoryview(draw(size=min(_DRAW_CHUNK, n - start) * width))
+        if width == 1:
+            return flat
+        values = iter(flat)
+        return zip(*[values] * width)
+
+    return chain.from_iterable(map(rows, range(0, n, _DRAW_CHUNK)))
 
 
 class Simulator:
@@ -264,30 +281,23 @@ class Simulator:
         self._rates = {name: getattr(rates, name) for name in _STREAM_PRIORITY}
         self._counts = {name: record_count(rate, spec.duration)
                         for name, rate in self._rates.items()}
+        self._frame_dt = 1.0 / self._rates["camera"]
         self.trajectory = gen_trajectory(spec)
         # pixel, gyro, accel, depth, slam and dropout noise, in that order
         self._seeds = np.random.SeedSequence(self.noise.seed).spawn(6)
+        self.stats = dict.fromkeys(_FRAME_COUNTS, 0)
 
-        # the wave rates and their amplitude products, in the order the
-        # per-sample formulas multiply them, so each sample's bits stay put
+        # the tilt wave's amplitude and rates, the wave rates' amplitude
+        # products in the order the per-sample formulas multiply them, so each
+        # sample's bits stay put, and the IMU sigmas: one tuple, read once a
+        # sample
         a, f = self.noise.tilt_amplitude, self.noise.tilt_frequency
-        self._w_roll = 2.0 * math.pi * f
-        self._w_pitch = 2.0 * math.pi * _TILT_PITCH_RATE_RATIO * f
-        self._w_yaw = 2.0 * math.pi / self.scene.yaw_period
-        self._roll_rate_amplitude = a * self._w_roll
-        self._pitch_rate_amplitude = a * self._w_pitch
-        self._yaw_rate_amplitude = self.scene.yaw_amplitude * self._w_yaw
-        self._reset()
-
-    def _reset(self) -> None:
-        """Put the surface vehicle, its follower and the frame counts back to
-        their start."""
-        x, y, _ = self.trajectory.position(0.0)
-        self._surface_xy = (x + 0.15, y - 0.10)
-        self._command = (0.0, 0.0)
-        self._t_last = 0.0
-        self._follower = Follower(self.scene.intrinsics, self.scene.follower)
-        self.stats = {"camera_frames": 0, "in_frustum": 0, "tags_emitted": 0}
+        w_roll = 2.0 * math.pi * f
+        w_pitch = 2.0 * math.pi * _TILT_PITCH_RATE_RATIO * f
+        w_yaw = 2.0 * math.pi / self.scene.yaw_period
+        self._imu_constants = (a, w_roll, w_pitch, w_yaw, a * w_roll, a * w_pitch,
+                               self.scene.yaw_amplitude * w_yaw,
+                               self.noise.gyro_sigma, self.noise.accel_sigma)
 
     # --- analytic world state ---------------------------------------
 
@@ -296,28 +306,30 @@ class Simulator:
             2.0 * math.pi * t / self.scene.yaw_period
         )
 
-    def _camera_to_world(self, t: float) -> tuple:
-        a = self.noise.tilt_amplitude
-        roll = a * math.sin(self._w_roll * t)
-        pitch = a * math.sin(self._w_pitch * t + _TILT_PITCH_PHASE)
-        return _camera_in_world(self._yaw(t), pitch, roll, *self._surface_xy,
-                                self.scene.rig)
+    def _camera_to_world(self, t: float, sx: float, sy: float) -> tuple:
+        """The camera's (R, origin) in the world at time t, with the surface
+        vehicle at (sx, sy)."""
+        a, w_roll, w_pitch = self._imu_constants[:3]
+        roll = a * math.sin(w_roll * t)
+        pitch = a * math.sin(w_pitch * t + _TILT_PITCH_PHASE)
+        return _camera_in_world(self._yaw(t), pitch, roll, sx, sy, self.scene.rig)
 
     # --- per-stream record synthesis --------------------------------
-    # gn, an, n, pixel_noise: this record's standard-normal draws; u: its uniform draw
+    # gn, an, n, pixel_noise: this record's standard-normal draws; u: its
+    # uniform draw; (sx, sy): the surface vehicle's position at t
 
     def _imu_record(self, t: float, gn, an) -> dict:
+        (a, w_roll, w_pitch, w_yaw, roll_rate_amplitude, pitch_rate_amplitude,
+         yaw_rate_amplitude, gs, acs) = self._imu_constants
         # each wave's phase once, for its angle and its rate
-        roll_phase = self._w_roll * t
-        pitch_phase = self._w_pitch * t + _TILT_PITCH_PHASE
-        a = self.noise.tilt_amplitude
+        roll_phase = w_roll * t
+        pitch_phase = w_pitch * t + _TILT_PITCH_PHASE
         roll, pitch = a * math.sin(roll_phase), a * math.sin(pitch_phase)
-        roll_rate = self._roll_rate_amplitude * math.cos(roll_phase)
-        pitch_rate = self._pitch_rate_amplitude * math.cos(pitch_phase)
-        yaw_rate = self._yaw_rate_amplitude * math.cos(self._w_yaw * t)
+        roll_rate = roll_rate_amplitude * math.cos(roll_phase)
+        pitch_rate = pitch_rate_amplitude * math.cos(pitch_phase)
+        yaw_rate = yaw_rate_amplitude * math.cos(w_yaw * t)
         sr, cr = math.sin(roll), math.cos(roll)
         sp, cp = math.sin(pitch), math.cos(pitch)
-        gs, acs = self.noise.gyro_sigma, self.noise.accel_sigma
         gn0, gn1, gn2 = gn
         an0, an1, an2 = an
         # specific force R_wb^T (0, 0, -g), by hand: the third row of R_wb times
@@ -331,13 +343,13 @@ class Simulator:
                           cp * sr * -GRAVITY + 0.0 + acs * an1,
                           cp * cr * -GRAVITY + 0.0 + acs * an2]}
 
-    def _slam_record(self, t: float, n) -> dict:
-        x, y = self._surface_xy
+    def _slam_record(self, t: float, sx: float, sy: float, n) -> dict:
+        n0, n1, n2 = n
         xy_sigma = self.noise.slam_xy_sigma
         return {"t": t, "kind": "slam",
-                "x": x + xy_sigma * n[0],
-                "y": y + xy_sigma * n[1],
-                "yaw": self._yaw(t) + self.noise.slam_yaw_sigma * n[2]}
+                "x": sx + xy_sigma * n0,
+                "y": sy + xy_sigma * n1,
+                "yaw": self._yaw(t) + self.noise.slam_yaw_sigma * n2}
 
     def _depth_record(self, t: float, n: float) -> dict:
         d = self.trajectory.depth(t)
@@ -345,18 +357,21 @@ class Simulator:
         return {"t": t, "kind": "depth", "raw": raw + self.noise.depth_sigma * n}
 
     def _truth_record(self, t: float) -> dict:
-        return {"t": t, "kind": "truth", "p": list(self.trajectory.position(t))}
+        x, y, z, _ = self.trajectory.pose(t)
+        return {"t": t, "kind": "truth", "p": [x, y, z]}
 
-    def _camera_record(self, t: float, dt: float, pixel_noise, u: float):
-        """The tag record, or None when the tag is out of view or dropped.
+    def _camera_record(self, t: float, sx: float, sy: float, pixel_noise, u: float,
+                       follower: Follower, stats: dict) -> tuple:
+        """One camera frame: the tag record, or None when the tag is out of
+        view or dropped, and the follower's command after the frame; stats
+        counts the frame.
 
         Corner c sits at R^T (R_wm c + m - t) in the camera frame; the terms
         in c's z, 0 in the tag's plane, drop out."""
-        self.stats["camera_frames"] += 1
-        cam = self._camera_to_world(t)
+        stats["camera_frames"] += 1
+        cam = self._camera_to_world(t, sx, sy)
         R, (tx, ty, tz) = cam
-        mx, my, mz = self.trajectory.position(t)
-        yaw = self.trajectory.yaw(t)
+        mx, my, mz, yaw = self.trajectory.pose(t)
         c, s = math.cos(yaw), math.sin(yaw)
         K = self.scene.intrinsics
         pixels = []
@@ -372,64 +387,75 @@ class Simulator:
 
         record = center = None
         if len(pixels) == 4:
-            self.stats["in_frustum"] += 1
-            if u >= self.noise.p_drop(self.trajectory.depth(t)):
+            stats["in_frustum"] += 1
+            # -mz is the depth, exactly: the position negates it
+            if u >= self.noise.p_drop(-mz):
                 # on Python floats a huge sigma overflows to inf without a
                 # numpy warning; write_records then names the record
                 s = self.noise.pixel_sigma
+                noise = iter(pixel_noise)  # x, y of each corner in turn
                 corners = [[px + s * nx, py + s * ny]
-                           for (px, py), (nx, ny) in zip(pixels, pixel_noise)]
+                           for (px, py), nx, ny in zip(pixels, noise, noise)]
                 center = _center(corners)
                 record = {"t": t, "kind": "tag", "corners": corners}
-                self.stats["tags_emitted"] += 1
-        self._command = self._follower.step(center, cam, mz, dt)
-        return record
+                stats["tags_emitted"] += 1
+        return record, follower.step(center, cam, mz, self._frame_dt)
 
     # --- main loop ----------------------------------------------------
 
     def stream(self):
-        """Yield the merged records in time order; self.stats counts the frames.
+        """Yield the merged records in time order.
 
         Each call starts from the seeds and the world's start, so it yields
-        the seeded run again. The streams of one simulator share its world
-        state, so read them one at a time."""
-        self._reset()
+        the seeded run again. The run's state (the surface vehicle, its
+        follower and command, the clock and the frame counts) lives in the
+        stream itself, so streams of one simulator are independent and may
+        be read in any interleaving. When a stream starts, self.stats becomes
+        its frame counts; they are final once it ends."""
+        stats = self.stats = dict.fromkeys(_FRAME_COUNTS, 0)
         rates, counts = self._rates, self._counts
+        x, y, _ = self.trajectory.position(0.0)
+        sx, sy = x + 0.15, y - 0.10
+        vx = vy = t_last = 0.0
+        follower = Follower(self.scene.intrinsics, self.scene.follower)
         rng_pixel, rng_gyro, rng_accel, rng_depth, rng_slam, rng_drop = (
             np.random.default_rng(seed) for seed in self._seeds)
-        gyro = _draws(rng_gyro.normal, counts["imu"], (3,))
-        accel = _draws(rng_accel.normal, counts["imu"], (3,))
-        slam = _draws(rng_slam.normal, counts["slam"], (3,))
+        gyro = _draws(rng_gyro.normal, counts["imu"], 3)
+        accel = _draws(rng_accel.normal, counts["imu"], 3)
+        slam = _draws(rng_slam.normal, counts["slam"], 3)
         depth = _draws(rng_depth.normal, counts["depth"])
         # camera frames draw from both streams whether or not a tag is emitted
-        pixel = _draws(rng_pixel.normal, counts["camera"], (4, 2))
+        pixel = _draws(rng_pixel.normal, counts["camera"], 8)
         drop = _draws(rng_drop.uniform, counts["camera"])
-        frame_dt = 1.0 / rates["camera"]
+        imu_record, slam_record, depth_record, truth_record, camera_record = (
+            self._imu_record, self._slam_record, self._depth_record,
+            self._truth_record, self._camera_record)
+        heappop, heappush = heapq.heappop, heapq.heappush
 
         heap = [(0.0, prio, name, 0)
                 for name, prio in _STREAM_PRIORITY.items() if counts[name] > 0]
         heapq.heapify(heap)
         while heap:
-            t, prio, name, k = heapq.heappop(heap)
-            dt = t - self._t_last
+            t, prio, name, k = heappop(heap)
+            dt = t - t_last
             if dt > 0:
-                (x, y), (vx, vy) = self._surface_xy, self._command
-                self._surface_xy = (x + vx * dt, y + vy * dt)
-                self._t_last = t
+                sx, sy = sx + vx * dt, sy + vy * dt
+                t_last = t
             if name == "imu":
-                yield self._imu_record(t, next(gyro), next(accel))
+                yield imu_record(t, next(gyro), next(accel))
             elif name == "slam":
-                yield self._slam_record(t, next(slam))
+                yield slam_record(t, sx, sy, next(slam))
             elif name == "depth":
-                yield self._depth_record(t, next(depth))
+                yield depth_record(t, next(depth))
             elif name == "truth":
-                yield self._truth_record(t)
+                yield truth_record(t)
             else:
-                rec = self._camera_record(t, frame_dt, next(pixel), next(drop))
-                if rec is not None:
-                    yield rec
+                record, (vx, vy) = camera_record(t, sx, sy, next(pixel), next(drop),
+                                                 follower, stats)
+                if record is not None:
+                    yield record
             if k + 1 < counts[name]:
-                heapq.heappush(heap, ((k + 1) / rates[name], prio, name, k + 1))
+                heappush(heap, ((k + 1) / rates[name], prio, name, k + 1))
 
     def run(self):
         """Produce the merged record stream; returns (records, stats)."""

@@ -142,6 +142,23 @@ class TestRecordValidation:
             write_records(path, recs)
         assert path.read_bytes() == _dumps_lines(recs[:2])
 
+    def test_source_failing_part_way_keeps_the_lines_before(self, tmp_path):
+        # the outcome a streamed simulate must share: the source's exception
+        # passes through as it is, and the records before it stay written
+        recs = _sample_records()[:3]
+        failure = RuntimeError("the source failed")
+
+        def source():
+            yield from recs
+            raise failure
+
+        path = tmp_path / "x.jsonl"
+        with pytest.raises(RuntimeError) as info:
+            write_records(path, source())
+        assert info.value is failure
+        assert info.value.__cause__ is None and info.value.__context__ is None
+        assert path.read_bytes() == _dumps_lines(recs)
+
     def test_unhashable_kind_names_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"t":0.0,"kind":["depth"],"raw":1.0}\n', encoding="utf-8")

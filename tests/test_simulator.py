@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from aquapos.config import (
     random_path_length,
     record_count,
 )
-from aquapos.simulator import Follower, MarkerTrajectory, Simulator, gen_trajectory
+from aquapos.simulator import (_DRAW_CHUNK, Follower, MarkerTrajectory, Simulator, _draws,
+                               gen_trajectory)
 
 
 def _rx(a):
@@ -55,10 +57,10 @@ class TestSquareTrajectory:
     def test_mid_leg_and_heading(self):
         traj = gen_trajectory(self.SPEC)
         np.testing.assert_allclose(traj.position(5.0)[:2], [0, -1], atol=1e-12)
-        assert traj.yaw(5.0) == pytest.approx(0.0)
-        assert traj.yaw(15.0) == pytest.approx(np.pi / 2)
-        assert traj.yaw(25.0) == pytest.approx(np.pi)
-        assert traj.yaw(35.0) == pytest.approx(-np.pi / 2)
+        assert traj.pose(5.0)[3] == pytest.approx(0.0)
+        assert traj.pose(15.0)[3] == pytest.approx(np.pi / 2)
+        assert traj.pose(25.0)[3] == pytest.approx(np.pi)
+        assert traj.pose(35.0)[3] == pytest.approx(-np.pi / 2)
 
     def test_fixed_depth(self):
         traj = gen_trajectory(self.SPEC)
@@ -265,6 +267,27 @@ class TestFollower:
         np.testing.assert_array_equal(v1, v0)
 
 
+@pytest.mark.parametrize("method", ["normal", "uniform"])
+@pytest.mark.parametrize("width", [1, 3, 8])
+@pytest.mark.parametrize("n", [0, 1, _DRAW_CHUNK - 1, _DRAW_CHUNK, _DRAW_CHUNK + 1,
+                               3 * _DRAW_CHUNK + 5])
+def test_draws_equal_one_call_per_row(n, width, method):
+    rng, reference = np.random.default_rng(17), np.random.default_rng(17)
+    rows = list(_draws(getattr(rng, method), n, width))
+    expected = [getattr(reference, method)(size=width).tolist() for _ in range(n)]
+    assert len(rows) == n
+    for row, values in zip(rows, expected):
+        if width == 1:
+            assert type(row) is float
+            row = (row,)
+        else:
+            assert type(row) is tuple and len(row) == width
+        assert all(type(v) is float for v in row)
+        assert [v.hex() for v in row] == [v.hex() for v in values]
+    # no draw past the n-th: the generators stand at the same place
+    assert getattr(rng, method)() == getattr(reference, method)()
+
+
 class TestSimulatorStreams:
     def test_record_counts_and_merge_order(self):
         spec = TrajectorySpec("square", (2.8, 2.8, 2.0), 0.2, 2.0)
@@ -369,13 +392,32 @@ class TestSimulatorStreams:
         spec = TrajectorySpec(duration=2.0, seed=3)
         fresh, fresh_stats = Simulator(spec).run()
         sim = Simulator(spec)
-        next(sim.stream())  # a stream left part way does not carry over
+        left = sim.stream()  # a stream left half way does not carry over
+        head = list(islice(left, len(fresh) // 2))
         for _ in range(2):
             records, stats = sim.run()
             # repr tells -0.0 from 0.0, where == does not
             assert repr(records) == repr(fresh)
             assert stats == fresh_stats
         assert fresh_stats["camera_frames"] == 60
+        # and the runs leave it where it was
+        assert repr(head + list(left)) == repr(fresh)
+
+    def test_streams_of_one_simulator_are_independent(self):
+        spec = TrajectorySpec(duration=2.0, seed=3)
+        fresh, fresh_stats = Simulator(spec).run()
+        sim = Simulator(spec)
+        # the first stream runs ahead, then the two alternate record by record
+        first, second = sim.stream(), sim.stream()
+        a, b = list(islice(first, 100)), []
+        for record in second:
+            b.append(record)
+            a.extend(islice(first, 1))
+        a.extend(first)
+        assert repr(a) == repr(fresh)
+        assert repr(b) == repr(fresh)
+        # stats are the counts of the stream started last
+        assert sim.stats == fresh_stats
 
     def test_different_noise_seed_changes_stream(self):
         spec = TrajectorySpec("square", (2.8, 2.8, 2.0), 0.2, 2.0)
@@ -403,16 +445,16 @@ class TestSimulatorStreams:
 
 
 class _SurfaceRecorder(Simulator):
-    """Keeps the surface position each SLAM sample reads, and the time and
-    surface position of each camera frame."""
+    """Keeps the surface position each SLAM sample is handed, and the time and
+    surface position each camera frame is handed."""
 
-    def _slam_record(self, t, n):
-        self.surfaces.append(self._surface_xy)
-        return super()._slam_record(t, n)
+    def _slam_record(self, t, sx, sy, n):
+        self.surfaces.append((sx, sy))
+        return super()._slam_record(t, sx, sy, n)
 
-    def _camera_record(self, t, dt, pixel_noise, u):
-        self.frames.append((t, self._surface_xy))
-        return super()._camera_record(t, dt, pixel_noise, u)
+    def _camera_record(self, t, sx, sy, pixel_noise, u, follower, stats):
+        self.frames.append((t, (sx, sy)))
+        return super()._camera_record(t, sx, sy, pixel_noise, u, follower, stats)
 
 
 def _bits(values):
@@ -466,7 +508,7 @@ def _reference_tags(sim):
         origin = [A[i][0] * b[0] + A[i][1] * b[1] + A[i][2] * b[2] + o
                   for i, o in enumerate((sx, sy, scene.rig.body_height))]
         m = _numpy_position(sim.spec, t).tolist()
-        heading = sim.trajectory.yaw(t)
+        heading = sim.trajectory.pose(t)[3]
         c, s = math.cos(heading), math.sin(heading)
         R_wm = [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]
         pixels = []
