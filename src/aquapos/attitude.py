@@ -24,7 +24,7 @@ from functools import cached_property
 
 from ._numpy import np
 from .errors import AccelOutOfRange, PitchSingularity
-from .geometry import _built_on_read, _float, _floats, _floats3
+from .geometry import _float, _floats, _floats3
 
 GRAVITY = 9.81
 MAX_VARIANCE = 1e150  # the filter multiplies two covariance entries
@@ -60,12 +60,6 @@ def _matrix(p00, p01, p11) -> np.ndarray:
     return np.array([[p00, p01], [p01, p11]])
 
 
-def _entries(P: np.ndarray) -> tuple[float, float, float]:
-    """(p00, p01, p11) of a symmetric 2x2 matrix."""
-    (p00, p01), (_, p11) = P.tolist()
-    return p00, p01, p11
-
-
 @dataclass(frozen=True, init=False)
 class ImuSample:
     """One gyro + accelerometer reading, each a float 3-tuple, at a float
@@ -88,19 +82,22 @@ class ImuSample:
                              gyro=g, accel=a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TiltState:
-    """Filter state: roll and pitch with their 2x2 covariance."""
+    """Filter state: roll and pitch with their 2x2 covariance, held as its
+    entries (p00, p01, p11) in ``_cov``; the ``covariance`` array is built
+    the first time it is read."""
 
     roll: float
     pitch: float
-    covariance: np.ndarray
+    _cov: tuple
 
-    def __post_init__(self):
-        roll, pitch = (_float(a, "angles must be finite") for a in (self.roll, self.pitch))
-        x = _checked(roll, pitch,
-                     *_as_cov2(self.covariance, "covariance", positive_definite=False))
-        self.__dict__.update(roll=roll, pitch=pitch, covariance=_matrix(*x[2:]))
+    def __init__(self, roll, pitch, covariance):
+        roll, pitch = (_float(a, "angles must be finite") for a in (roll, pitch))
+        x = _checked(roll, pitch, *_as_cov2(covariance, "covariance", positive_definite=False))
+        self.__dict__.update(roll=roll, pitch=pitch, _cov=x[2:])
+
+    covariance = cached_property(lambda state: _matrix(*state._cov))
 
 
 # Inside the filter a state is the float tuple (roll, pitch, p00, p01, p11):
@@ -121,31 +118,24 @@ def _checked(roll, pitch, p00, p01, p11) -> tuple:
     return roll, pitch, p00, p01, p11
 
 
+@dataclass(frozen=True, init=False, repr=False, eq=False)
 class _FilterState(TiltState):
     """A TiltState made inside the filter from a state tuple x that _checked
-    returned. It holds only x, the five filter floats: roll and pitch read
-    x, and the covariance array is built the first time it is read."""
+    returned. It holds only x, the five filter floats: roll, pitch and the
+    covariance entries read x. It compares, hashes and prints as a TiltState
+    does, by those floats."""
+
+    _x: tuple
 
     def __init__(self, x: tuple):
         self.__dict__["_x"] = x
 
-    @property
-    def roll(self) -> float:
-        return self._x[0]
-
-    @property
-    def pitch(self) -> float:
-        return self._x[1]
-
-    @cached_property
-    def covariance(self) -> np.ndarray:
-        return _matrix(*self._x[2:])
+    roll = property(lambda state: state._x[0])
+    pitch = property(lambda state: state._x[1])
+    _cov = property(lambda state: state._x[2:])
 
 
-@_built_on_read("p0", lambda cfg: _matrix(*cfg._p0))
-@_built_on_read("r", lambda cfg: _matrix(*cfg._r))
-@_built_on_read("q", lambda cfg: _matrix(*cfg._q))
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TiltConfig:
     """Noise settings for the tilt filter.
 
@@ -156,17 +146,21 @@ class TiltConfig:
     ``_r`` and ``_p0``, and its array is built the first time it is read.
     """
 
-    q: np.ndarray = ((1e-6, 0.0), (0.0, 1e-6))
-    r: np.ndarray = ((4e-4, 0.0), (0.0, 4e-4))
-    p0: np.ndarray = ((1e-2, 0.0), (0.0, 1e-2))
+    _q: tuple
+    _r: tuple
+    _p0: tuple
 
-    def __post_init__(self):
-        fields = self.__dict__
-        q, r, p0 = (_as_cov2(fields.pop(name), name, name == "r") for name in ("q", "r", "p0"))
+    def __init__(self, q=((1e-6, 0.0), (0.0, 1e-6)), r=((4e-4, 0.0), (0.0, 4e-4)),
+                 p0=((1e-2, 0.0), (0.0, 1e-2))):
+        q, r, p0 = _as_cov2(q, "q", False), _as_cov2(r, "r", True), _as_cov2(p0, "p0", False)
         for name, entries in (("q", q), ("p0", p0)):
             if max(map(abs, entries)) > MAX_VARIANCE:
                 raise ValueError(f"{name} entries must not exceed {MAX_VARIANCE:g}")
-        fields.update(_q=q, _r=r, _p0=p0)
+        self.__dict__.update(_q=q, _r=r, _p0=p0)
+
+    q = cached_property(lambda cfg: _matrix(*cfg._q))
+    r = cached_property(lambda cfg: _matrix(*cfg._r))
+    p0 = cached_property(lambda cfg: _matrix(*cfg._p0))
 
 
 def _propagate(roll, pitch, wx, wy, wz, dt):
@@ -277,7 +271,7 @@ def _step(x: tuple, gyro, dt: float, q, z, r) -> tuple:
 
 def ekf_update(state: TiltState, accel, cfg: TiltConfig) -> TiltState:
     """Correct the state with the accelerometer tilt observation (H = I)."""
-    x = _step((state.roll, state.pitch, *_entries(state.covariance)), None, 0.0,
+    x = _step((state.roll, state.pitch, *state._cov), None, 0.0,
               None, _tilt(*_floats3(accel)), cfg._r)
     return _FilterState(x)
 

@@ -13,7 +13,7 @@ from numbers import Real
 
 from ._numpy import np
 from .errors import BehindCamera, PnPDegenerate, PnPNoConvergence
-from .geometry import RigidTransform, _built_on_read, _float, _floats, _floats3, _mat_mul
+from .geometry import RigidTransform, _float, _floats, _floats3, _mat_mul
 
 MIN_QUAD_AREA_PX2 = 1.0
 # a corner this many focal lengths off-axis sits within 1e-6 rad of the image
@@ -122,7 +122,6 @@ def _float_quad(c):
     return None
 
 
-@_built_on_read("corners", lambda obs: np.array(obs.px))
 @dataclass(frozen=True, init=False)
 class TagObservation:
     """Four ordered corner pixels of a detected square tag, held in ``px`` as
@@ -131,13 +130,15 @@ class TagObservation:
     """
 
     timestamp: float
-    corners: np.ndarray
+    px: tuple
 
     def __init__(self, timestamp: float, corners):
         px = _float_quad(corners) or _floats(corners, (4, 2),
                                              "corner pixels must be 4 finite (u, v) pairs")
         # one dict update; a frozen dataclass's __init__ calls object.__setattr__ per field
         self.__dict__.update(timestamp=_float(timestamp, "timestamp must be finite"), px=px)
+
+    corners = cached_property(lambda obs: np.array(obs.px))
 
 
 def _center(px) -> tuple[float, float]:

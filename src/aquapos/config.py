@@ -317,6 +317,18 @@ def _replace(instance, mapping, where):
         raise ConfigError(f"{where}: {exc}")
 
 
+def _load_yaml(path, what: str):
+    """The YAML document in the file at path; ConfigError, naming the file
+    as what, when it cannot be read or is not valid YAML."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return yaml.safe_load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}")
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{what} {path} is not valid YAML: {exc}")
+
+
 def load_intrinsics(path) -> Intrinsics:
     """Read a camera intrinsics YAML (fx, fy, cx, cy, width, height).
 
@@ -324,13 +336,7 @@ def load_intrinsics(path) -> Intrinsics:
     calibration dumps but ignored with a warning when nonzero; the
     projection model here is a plain pinhole.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read intrinsics file {path}: {exc}")
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"intrinsics file {path} is not valid YAML: {exc}")
+    raw = _load_yaml(path, "intrinsics file")
     if not isinstance(raw, dict):
         raise ConfigError(f"intrinsics file {path} must be a mapping")
     _check_keys(raw, ("fx", "fy", "cx", "cy", "width", "height", "distortion"), path)
@@ -485,13 +491,7 @@ def load_run_config(path=None) -> RunConfig:
     cfg = RunConfig()
     if path is None:
         return cfg
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}")
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config {path} is not valid YAML: {exc}")
+    raw = _load_yaml(path, "config")
     if raw is None:
         return cfg
     if not isinstance(raw, dict):

@@ -243,12 +243,11 @@ def _parse(path, lineno, line):
         raise DatasetFormatError(f"{path}:{lineno}: invalid JSON ({msg})") from None
 
 
-def read_records(path):
-    """Yield validated records one line at a time (constant memory).
-
-    Raises DatasetFormatError with the offending line number on parse
-    failures, payload violations, or a timestamp regression.
-    """
+def _read(path, check, ordered: bool):
+    """Yield the value of each non-blank line of a JSONL file once check
+    passes it. Raises DatasetFormatError naming the line for a parse
+    failure, for a ValueError from check and, when ordered, for a timestamp
+    that precedes the one before it."""
     last_t = None
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -257,15 +256,25 @@ def read_records(path):
                 continue
             obj = _parse(path, lineno, line)
             try:
-                validate_record(obj)
+                check(obj)
             except ValueError as exc:
                 raise DatasetFormatError(f"{path}:{lineno}: {exc}")
-            if last_t is not None and obj["t"] < last_t:
-                raise DatasetFormatError(
-                    f"{path}:{lineno}: timestamp {obj['t']} precedes {last_t}"
-                )
-            last_t = obj["t"]
+            if ordered:
+                if last_t is not None and obj["t"] < last_t:
+                    raise DatasetFormatError(
+                        f"{path}:{lineno}: timestamp {obj['t']} precedes {last_t}"
+                    )
+                last_t = obj["t"]
             yield obj
+
+
+def read_records(path):
+    """Yield validated records one line at a time (constant memory).
+
+    Raises DatasetFormatError with the offending line number on parse
+    failures, payload violations, or a timestamp regression.
+    """
+    return _read(path, validate_record, True)
 
 
 def estimate_to_dict(est) -> dict:
@@ -292,19 +301,7 @@ def _check_estimate(obj) -> None:
 
 def read_estimates(path) -> list:
     """Read an estimate file back into a list of dicts."""
-    out = []
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            obj = _parse(path, lineno, line)
-            try:
-                _check_estimate(obj)
-            except ValueError as exc:
-                raise DatasetFormatError(f"{path}:{lineno}: {exc}")
-            out.append(obj)
-    return out
+    return list(_read(path, _check_estimate, False))
 
 
 def load_pairs_csv(path) -> np.ndarray:

@@ -20,7 +20,8 @@ stream, with one bundle per tag frame for all its methods.
 A tag frame goes from its corner pixels to its estimate on Python floats
 and builds no array: ``TagObservation``, the PnP ``TagPose`` and
 ``PositionEstimate`` hold floats and build ``corners``, ``transform`` and
-``position`` when first read. The constructors keep their checks; the
+``position`` when first read; their dataclass fields are those floats, so
+they compare, hash and print by them. The constructors keep their checks; the
 exact floats the estimators give them take the first line of the number
 rule's check (geometry._floats3, camera._float_quad). The camera-to-world
 rotation and translation are float tuples, composed by
@@ -34,6 +35,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from numbers import Real
 
 from ._numpy import np
@@ -50,7 +52,6 @@ from .depth_calibration import IDENTITY_CALIBRATION, CalibrationParams, apply_ca
 from .errors import AquaposError, NonFiniteEstimate, StaleSensor
 from .geometry import (
     RigidTransform,
-    _built_on_read,
     _euler_zyx,
     _float,
     _floats3,
@@ -139,7 +140,6 @@ class SensorFrameBundle:
                              staleness=staleness)
 
 
-@_built_on_read("position", lambda est: np.array(est.xyz))
 @dataclass(frozen=True, init=False)
 class PositionEstimate:
     """One world-frame marker position with method diagnostics.
@@ -152,7 +152,7 @@ class PositionEstimate:
     """
 
     timestamp: float
-    position: np.ndarray
+    xyz: tuple
     method: str
     roll: float = 0.0
     pitch: float = 0.0
@@ -174,6 +174,8 @@ class PositionEstimate:
         self.__dict__.update(timestamp=_float(timestamp, message), xyz=xyz, method=method,
                              roll=_float(roll, message), pitch=_float(pitch, message),
                              reproj_rms=reproj_rms, ray_k=ray_k, staleness=staleness)
+
+    position = cached_property(lambda est: np.array(est.xyz))
 
 
 def default_rig() -> RigExtrinsics:

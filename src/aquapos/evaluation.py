@@ -12,10 +12,11 @@ import contextlib
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from ._numpy import np
 from .errors import EmptySeries, NonFiniteEstimate, SingularDesign
-from .geometry import _built_on_read, _float, _floats3
+from .geometry import _float, _floats3
 
 DEFAULT_ALIGN_TOLERANCE = 0.02  # seconds
 DEFAULT_BIN_WIDTH = 0.01  # metres
@@ -23,8 +24,6 @@ DEFAULT_BIN_WIDTH = 0.01  # metres
 MAX_BINS = 1000
 
 
-@_built_on_read("truth", lambda pair: np.array(pair.truth_xyz))
-@_built_on_read("estimate", lambda pair: np.array(pair.estimate_xyz))
 @dataclass(frozen=True, init=False)
 class AlignedPair:
     """One estimate matched to the nearest ground-truth sample. The timestamp
@@ -33,14 +32,17 @@ class AlignedPair:
     ``estimate`` and ``truth`` arrays when first read."""
 
     timestamp: float
-    estimate: np.ndarray
-    truth: np.ndarray
+    estimate_xyz: tuple
+    truth_xyz: tuple
 
     def __init__(self, timestamp, estimate, truth):
         message = "aligned pair must be finite"
         self.__dict__.update(timestamp=_float(timestamp, message),
                              estimate_xyz=_floats3(estimate, message),
                              truth_xyz=_floats3(truth, message))
+
+    estimate = cached_property(lambda pair: np.array(pair.estimate_xyz))
+    truth = cached_property(lambda pair: np.array(pair.truth_xyz))
 
 
 @dataclass(frozen=True)

@@ -71,18 +71,6 @@ def _floats3(v, message: str = "expected a 3-vector of finite numbers") -> tuple
     return _floats(v, (3,), message)
 
 
-def _built_on_read(name: str, build):
-    """Class decorator for a dataclass field that the constructor may leave out
-    of the instance dict: its first read then makes build(self) and keeps it.
-    It goes over @dataclass, which would take a class attribute as the default."""
-    def decorate(cls):
-        attr = cached_property(build)
-        attr.__set_name__(cls, name)
-        setattr(cls, name, attr)
-        return cls
-    return decorate
-
-
 def _check_rotation(R: tuple) -> None:
     """Raise ValueError unless the finite row-major 9-tuple R is a rotation:
     R^T R within ORTHONORMAL_TOL of I in every entry, then det R of +1."""
@@ -102,9 +90,7 @@ def _check_rotation(R: tuple) -> None:
         raise ValueError("rotation determinant must be +1")
 
 
-@_built_on_read("translation", lambda H: np.array(H.t))
-@_built_on_read("rotation", lambda H: np.array(H.R).reshape(3, 3))
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RigidTransform:
     """Rotation plus translation; maps a point p to rotation @ p + translation.
 
@@ -116,21 +102,22 @@ class RigidTransform:
     is a number by _float's rule.
     """
 
-    rotation: np.ndarray
-    translation: np.ndarray
+    R: tuple
+    t: tuple
 
-    def __post_init__(self):
-        fields = self.__dict__
-        t = _floats3(fields.pop("translation"))
-        R = fields.pop("rotation")
+    def __init__(self, rotation, translation):
+        t = _floats3(translation)
         message = "rotation must be a finite 3x3 matrix"
-        if type(R) is tuple and len(R) == 9:
-            R = _floats(R, (9,), message)
+        if type(rotation) is tuple and len(rotation) == 9:
+            R = _floats(rotation, (9,), message)
         else:
-            r0, r1, r2 = _floats(R, (3, 3), message)
+            r0, r1, r2 = _floats(rotation, (3, 3), message)
             R = r0 + r1 + r2
         _check_rotation(R)
-        fields.update(R=R, t=t)
+        self.__dict__.update(R=R, t=t)
+
+    rotation = cached_property(lambda H: np.array(H.R).reshape(3, 3))
+    translation = cached_property(lambda H: np.array(H.t))
 
 
 def _mat_mul(A: tuple, B: tuple) -> tuple:

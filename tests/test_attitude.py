@@ -11,7 +11,6 @@ from aquapos.attitude import (
     TiltConfig,
     TiltState,
     TiltTracker,
-    _entries,
     _propagate,
     _step,
     _tilt,
@@ -47,8 +46,8 @@ def _body_rates(roll, pitch, roll_rate, pitch_rate, yaw_rate):
 def _predict_state(state, gyro, dt, cfg):
     """The filter kernel's predict half on a TiltState, the type ekf_update takes."""
     roll, pitch, p00, p01, p11 = _step(
-        (state.roll, state.pitch, *_entries(state.covariance)),
-        [float(w) for w in gyro], dt, _entries(cfg.q), None, None)
+        (state.roll, state.pitch, *state._cov),
+        [float(w) for w in gyro], dt, cfg._q, None, None)
     return TiltState(roll, pitch, [[p00, p01], [p01, p11]])
 
 
@@ -103,7 +102,7 @@ class TestOneRulePerStep:
 
     def test_update_that_mends_the_predicted_state_is_accepted(self):
         cfg = TiltConfig()
-        q, r = _entries(cfg.q), _entries(cfg.r)
+        q, r = cfg._q, cfg._r
         with pytest.raises(ValueError, match="pitch out of"):
             _step(self.X, self.GYRO, self.DT, q, None, r)
         # the same sample's level accelerometer pulls the pitch back inside

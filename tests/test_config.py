@@ -68,19 +68,6 @@ class TestDefaults:
         assert scene_fields.isdisjoint(RunConfig.__annotations__)
 
 
-def _assert_fields_equal(got, want, where):
-    """Dataclasses compared field by field, arrays by value."""
-    if dataclasses.is_dataclass(want):
-        assert type(got) is type(want), where
-        for f in dataclasses.fields(want):
-            _assert_fields_equal(getattr(got, f.name), getattr(want, f.name),
-                                 f"{where}.{f.name}")
-    elif isinstance(want, np.ndarray):
-        assert np.array_equal(got, want), where
-    else:
-        assert got == want, (where, got, want)
-
-
 class TestReadmeSchema:
     def test_documented_schema_is_the_default_configuration(self, tmp_path):
         text = README.read_text(encoding="utf-8")
@@ -89,8 +76,7 @@ class TestReadmeSchema:
         del raw["intrinsics_file"]  # the default intrinsics are built in
         cfg = load_run_config(_write(tmp_path, yaml.safe_dump(raw)))
         assert cfg.marker_offset == (0.0, 0.0, 0.0)
-        _assert_fields_equal(dataclasses.replace(cfg, marker_offset=None), RunConfig(),
-                             "config")
+        assert dataclasses.replace(cfg, marker_offset=None) == RunConfig()
 
 
 class TestSections:

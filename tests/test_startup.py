@@ -62,6 +62,18 @@ sys.exit(code)
 """
 
 
+# the loaded config's value operations, which a run's config digest needs
+_CONFIG_VALUES = """
+import dataclasses, json, sys
+from aquapos.config import RunConfig, load_run_config
+cfg = load_run_config(None)
+assert cfg == RunConfig() and hash(cfg) == hash(RunConfig())
+assert repr(cfg.rig.camera_in_body.R) in repr(cfg)
+print(json.dumps(dataclasses.asdict(cfg), sort_keys=True))
+print(sorted(name for name in sys.modules if name.startswith("numpy.")))
+"""
+
+
 def _child(code, *args, cwd=None) -> subprocess.CompletedProcess:
     """code run in a fresh interpreter on this package, warnings as errors."""
     src = os.path.dirname(os.path.dirname(aquapos.__file__))
@@ -124,6 +136,17 @@ def test_integer_dataset_loads_no_numpy(tmp_path, capsys):
     written, modules = _estimate_in_child(config, data, out)
     assert written.startswith("wrote ") and not written.startswith("wrote 0 ")
     assert modules == "[]"
+
+
+def test_config_compares_hashes_prints_and_dumps_without_numpy():
+    proc = _child(_CONFIG_VALUES)
+    assert proc.returncode == 0, proc.stderr
+    dumped, modules = proc.stdout.splitlines()
+    assert modules == "[]"
+    raw = json.loads(dumped)
+    assert raw["rig"]["camera_in_body"]["R"][5] == -1.2246467991473532e-16
+    assert raw["tilt"] == {"_q": [1e-6, 0.0, 1e-6], "_r": [4e-4, 0.0, 4e-4],
+                           "_p0": [1e-2, 0.0, 1e-2]}
 
 
 def test_lazy_module_is_the_module_already_imported():
