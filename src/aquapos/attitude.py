@@ -97,6 +97,12 @@ class TiltState:
         x = _checked(roll, pitch, *_as_cov2(covariance, "covariance", positive_definite=False))
         self.__dict__.update(roll=roll, pitch=pitch, _cov=x[2:])
 
+    def __eq__(self, other):
+        # a filter state equals the TiltState of the same floats
+        if not isinstance(other, TiltState):
+            return NotImplemented
+        return (self.roll, self.pitch, self._cov) == (other.roll, other.pitch, other._cov)
+
     covariance = cached_property(lambda state: _matrix(*state._cov))
 
 
@@ -122,10 +128,9 @@ def _checked(roll, pitch, p00, p01, p11) -> tuple:
 class _FilterState(TiltState):
     """A TiltState made inside the filter from a state tuple x that _checked
     returned. It holds only x, the five filter floats: roll, pitch and the
-    covariance entries read x. It compares, hashes and prints as a TiltState
-    does, by those floats."""
-
-    _x: tuple
+    covariance entries read x. It compares and hashes as the TiltState of
+    the same floats does; its repr names _FilterState. Being a frozen
+    dataclass of its own, it refuses every attribute assignment."""
 
     def __init__(self, x: tuple):
         self.__dict__["_x"] = x

@@ -113,8 +113,13 @@ class RigidTransform:
         else:
             r0, r1, r2 = _floats(rotation, (3, 3), message)
             R = r0 + r1 + r2
-        _check_rotation(R)
         self.__dict__.update(R=R, t=t)
+        self.__post_init__()
+
+    def __post_init__(self):
+        # Every construction ends here, as under a generated __init__: the
+        # rotation check on the stored floats.
+        _check_rotation(self.R)
 
     rotation = cached_property(lambda H: np.array(H.R).reshape(3, 3))
     translation = cached_property(lambda H: np.array(H.t))

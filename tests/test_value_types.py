@@ -133,6 +133,10 @@ def test_filter_states_compare_hash_and_print_by_their_floats():
     assert list(vars(state)) == ["_x"]
     x = state._x
     assert repr(state) == f"_FilterState(roll={x[0]!r}, pitch={x[1]!r}, _cov={x[2:]!r})"
-    # the public constructor takes its floats and holds the same ones
+    # the public constructor takes its floats and holds the same ones, so
+    # the filter state and its public rebuild compare and hash equal
     public = TiltState(state.roll, state.pitch, state.covariance)
     assert (public.roll, public.pitch, public._cov) == (state.roll, state.pitch, state._cov)
+    assert state == public and public == state and hash(state) == hash(public)
+    assert state != TiltState(state.roll, math.nextafter(state.pitch, 1.0), state.covariance)
+    assert dataclasses.asdict(state) == dataclasses.asdict(public)
