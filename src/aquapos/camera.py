@@ -571,7 +571,11 @@ def solve_pnp_planar(K: Intrinsics, geom: TagGeometry, obs: TagObservation) -> T
             cands = [b] if b[2] < a[2] else [a]
             break
         # descents never raise other's cost, so a costlier c cannot win once
-        # its floor is above it, unless other faces away and c does not
+        # its floor is above it, unless other faces away and c does not. The
+        # floor is the local model's, so the rule assumes seeds near a minimum,
+        # as IPPE's are; tests/test_camera.py's TestLockstepPolish pins that
+        # scope: test_same_choice_as_the_reference_on_oblique_views (2,000
+        # noisy views) and test_same_choice_as_the_reference_on_the_runs
         if (not a[6] and a[2] > b[2] and _floor(a) > b[2]
                 and (_away(a) or not _away(b))):
             cands = [b]

@@ -30,7 +30,7 @@ from .camera import DEFAULT_INTRINSICS, Intrinsics, TagGeometry
 from .depth_calibration import IDENTITY_CALIBRATION, CalibrationParams, PsoConfig, _check_seed
 from .errors import ConfigError
 from .estimators import DEFAULT_STALENESS_BOUND, RigExtrinsics, default_rig
-from .geometry import RigidTransform, _euler_zyx, _float, _floats
+from .geometry import RigidTransform, _euler_zyx, _float, _floats, _floats3
 
 log = logging.getLogger(__name__)
 
@@ -248,6 +248,20 @@ class RunConfig(SceneConfig):
     noise: NoiseModel = field(default_factory=lambda: NoiseModel(seed=DEFAULT_SEED))
     pso: PsoConfig = field(default_factory=PsoConfig)
 
+    def __post_init__(self):
+        super().__post_init__()
+        fields = self.__dict__
+        # the number rule, but +inf is a bound: no sample is ever stale
+        bound = self.staleness_bound
+        message = f"staleness_bound must be positive, got {bound!r}"
+        fields["staleness_bound"] = bound = (
+            math.inf if bound == math.inf else _float(bound, message))
+        if not bound > 0:
+            raise ValueError(message)
+        if self.marker_offset is not None:
+            fields["marker_offset"] = _floats3(
+                self.marker_offset, "marker_offset must be three finite numbers")
+
 
 def _section(raw, name) -> dict:
     value = raw.get(name, {})
@@ -369,14 +383,17 @@ def _load_rig(section) -> RigExtrinsics:
     if isinstance(translation, list):
         translation = [_number(v, f"rig.camera_translation[{i}]")
                        for i, v in enumerate(translation)]
-    euler_deg = section.get("camera_euler_zyx_deg", [0.0, 0.0, 180.0])
-    if not (isinstance(euler_deg, (list, tuple)) and len(euler_deg) == 3):
-        raise ConfigError("rig.camera_euler_zyx_deg must be [yaw, pitch, roll]")
-    yaw, pitch, roll = (math.radians(_number(a, f"rig.camera_euler_zyx_deg[{i}]"))
-                        for i, a in enumerate(euler_deg))
+    angles = None  # the default rig's rotation
+    if "camera_euler_zyx_deg" in section:
+        euler_deg = section["camera_euler_zyx_deg"]
+        if not (isinstance(euler_deg, (list, tuple)) and len(euler_deg) == 3):
+            raise ConfigError("rig.camera_euler_zyx_deg must be [yaw, pitch, roll]")
+        angles = [math.radians(_number(a, f"rig.camera_euler_zyx_deg[{i}]"))
+                  for i, a in enumerate(euler_deg)]
     body_height = _number(section.get("body_height", base.body_height), "rig.body_height")
     try:
-        cam = RigidTransform(_euler_zyx(yaw, pitch, roll), translation)
+        rotation = base.camera_in_body.R if angles is None else _euler_zyx(*angles)
+        cam = RigidTransform(rotation, translation)
         return RigExtrinsics(cam, body_height=body_height)
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"rig: {exc}")
@@ -397,14 +414,14 @@ def _load_tilt(section) -> TiltConfig:
     return TiltConfig(**diagonals)
 
 
-def _load_noise(section) -> NoiseModel:
+def _load_noise(section, base: NoiseModel) -> NoiseModel:
     # degree-valued keys are converted here; everything else passes through
     section = dict(section)
     for key in ("slam_yaw_sigma_deg", "tilt_amplitude_deg"):
         if key in section:
             section[key.removesuffix("_deg")] = math.radians(
                 _number(section.pop(key), f"simulation.noise.{key}"))
-    return _replace(NoiseModel(seed=DEFAULT_SEED), section, "simulation.noise")
+    return _replace(base, section, "simulation.noise")
 
 
 def _load_simulation(section, cfg: RunConfig) -> RunConfig:
@@ -427,7 +444,7 @@ def _load_simulation(section, cfg: RunConfig) -> RunConfig:
     follower = _replace(
         cfg.follower, _section(section, "follower"), "simulation.follower"
     )
-    noise = _load_noise(_section(section, "noise"))
+    noise = _load_noise(_section(section, "noise"), cfg.noise)
     # the simulator writes record_count(rate, duration) records per stream,
     # lays a random path of random_path_length(speed, duration) and takes
     # sines of 2 pi * tilt_frequency * t for t up to duration

@@ -12,13 +12,15 @@ timestamp ``t``, a ``kind`` and the exact payload for that kind:
 Timestamps must be non-decreasing within a file (equal stamps are fine).
 Every number must pass geometry._float's rule, the one the public
 constructors apply, and every list is a JSON list of its exact length.
-One check per record kind holds that rule: validate_record, which the
-reader calls on every line, words what it rejects, and read_estimates
-checks an estimate line by the same helpers. The writer checks and prints
-a record of exact floats in the format's key order in one pass, by the
-rule's first line, and hands any other record to validate_record before
-json.dumps prints it. The reader is strict and line-precise: any
-malformed line raises DatasetFormatError naming the line number. The
+The reader and the writer share one description per record kind, and so
+one first line of that rule: exact floats, exact list lengths and a
+finite sum. validate_record, which the reader calls on every line,
+accepts what the first line takes and words what the kind's check
+rejects. The writer prints a record in the format's key order that the
+first line takes by the kind's template, and hands any other record to
+validate_record before json.dumps prints it. read_estimates checks an
+estimate line by the same helpers. The reader is strict and line-precise:
+any malformed line raises DatasetFormatError naming the line number. The
 readers decode a byte that is not UTF-8 as a lone surrogate
 (errors="surrogateescape"), which no valid line holds, so such a line is
 malformed too.
@@ -34,33 +36,66 @@ from ._numpy import np
 from .camera import _float_quad
 from .errors import DatasetFormatError
 from .estimators import METHODS
-from .geometry import _float, _floats
-
-_PAYLOAD_KEYS = {
-    "imu": ("gyro", "accel"),
-    "slam": ("x", "y", "yaw"),
-    "tag": ("corners",),
-    "depth": ("raw",),
-    "truth": ("p",),
-}
-_KEY_ORDER = {kind: ("t", "kind", *keys) for kind, keys in _PAYLOAD_KEYS.items()}
-_KEY_SETS = {kind: frozenset(keys) for kind, keys in _KEY_ORDER.items()}
+from .geometry import _float, _floats, _floats3
 
 
 def _list3(v, message) -> None:
     """Raise ValueError(message) unless v is a list of three numbers by
-    geometry._float's rule.
-
-    The first line takes an exact list of three floats whose sum is finite,
-    as geometry._floats3 does: the same rule on a shorter path.
-    """
-    if type(v) is list and len(v) == 3:
-        x, y, z = v
-        if type(x) is type(y) is type(z) is float and isfinite(x + y + z):
-            return
+    geometry._float's rule."""
     if not isinstance(v, list):
         raise ValueError(message)
-    _floats(v, (3,), message)
+    _floats3(v, message)
+
+
+# Per kind, the number rule's first line, as in geometry._floats3 and
+# camera._float_quad: it reads a record's values by key and returns its
+# numbers in line order, or None for a record the worded check must decide.
+
+
+def _imu_numbers(r):
+    t, gyro, accel = r["t"], r["gyro"], r["accel"]
+    if type(gyro) is list and type(accel) is list and len(gyro) == 3 and len(accel) == 3:
+        g0, g1, g2 = gyro
+        a0, a1, a2 = accel
+        if (type(t) is type(g0) is type(g1) is type(g2) is type(a0) is type(a1)
+                is type(a2) is float and isfinite(t + g0 + g1 + g2 + a0 + a1 + a2)):
+            return t, g0, g1, g2, a0, a1, a2
+    return None
+
+
+def _slam_numbers(r):
+    t, x, y, yaw = r["t"], r["x"], r["y"], r["yaw"]
+    if type(t) is type(x) is type(y) is type(yaw) is float and isfinite(t + x + y + yaw):
+        return t, x, y, yaw
+    return None
+
+
+def _tag_numbers(r):
+    t, quad = r["t"], _float_quad(r["corners"])
+    if quad is not None and type(t) is float and isfinite(t):
+        (u0, v0), (u1, v1), (u2, v2), (u3, v3) = quad
+        return t, u0, v0, u1, v1, u2, v2, u3, v3
+    return None
+
+
+def _depth_numbers(r):
+    t, raw = r["t"], r["raw"]
+    if type(t) is type(raw) is float and isfinite(t + raw):
+        return t, raw
+    return None
+
+
+def _truth_numbers(r):
+    t, p = r["t"], r["p"]
+    if type(p) is list and len(p) == 3:
+        x, y, z = p
+        if type(t) is type(x) is type(y) is type(z) is float and isfinite(t + x + y + z):
+            return t, x, y, z
+    return None
+
+
+# Per kind, the worded check: every number by geometry._float's rule, every
+# list an exact list (a subclass of list too) of its length.
 
 
 def _imu(r) -> None:
@@ -76,8 +111,6 @@ def _slam(r) -> None:
 
 def _tag(r) -> None:
     corners = r["corners"]
-    if _float_quad(corners) is not None:  # exact floats, the same rule's first line
-        return
     if not isinstance(corners, list) or len(corners) != 4:
         raise ValueError("corners must be a list of 4 pixel pairs")
     message = "corner must be a list of 2 finite numbers"
@@ -95,10 +128,22 @@ def _truth(r) -> None:
     _list3(r["p"], "p must be a list of 3 finite numbers")
 
 
-# Per kind, the check of its payload: every number by geometry._float's
-# rule, every list an exact list (a subclass of list too) of its length.
-_PAYLOAD_CHECKS = {"imu": _imu, "slam": _slam, "tag": _tag, "depth": _depth,
-                   "truth": _truth}
+# Each record kind, described once: its keys in the format's order (their
+# set is derived from them), its first line, its worded check and the line
+# template the writer fills with the first line's numbers. json.dumps prints
+# a float with float.__repr__, and so does %r on an exact float.
+_FORMAT = {kind: (frozenset(keys), keys, *rest) for kind, (keys, *rest) in {
+    "imu": (("t", "kind", "gyro", "accel"), _imu_numbers, _imu,
+            '{"t":%r,"kind":"imu","gyro":[%r,%r,%r],"accel":[%r,%r,%r]}\n'),
+    "slam": (("t", "kind", "x", "y", "yaw"), _slam_numbers, _slam,
+             '{"t":%r,"kind":"slam","x":%r,"y":%r,"yaw":%r}\n'),
+    "tag": (("t", "kind", "corners"), _tag_numbers, _tag,
+            '{"t":%r,"kind":"tag","corners":[[%r,%r],[%r,%r],[%r,%r],[%r,%r]]}\n'),
+    "depth": (("t", "kind", "raw"), _depth_numbers, _depth,
+              '{"t":%r,"kind":"depth","raw":%r}\n'),
+    "truth": (("t", "kind", "p"), _truth_numbers, _truth,
+              '{"t":%r,"kind":"truth","p":[%r,%r,%r]}\n'),
+}.items()}
 
 
 def validate_record(obj) -> dict:
@@ -110,9 +155,9 @@ def validate_record(obj) -> dict:
     if not isinstance(obj, dict):
         raise ValueError("record must be a JSON object")
     kind = obj.get("kind")
-    if not isinstance(kind, str) or kind not in _PAYLOAD_CHECKS:
+    if not isinstance(kind, str) or kind not in _FORMAT:
         raise ValueError(f"unknown kind {kind!r}")
-    expected = _KEY_SETS[kind]
+    expected, _, numbers, check, _ = _FORMAT[kind]
     if obj.keys() != expected:
         missing = expected - obj.keys()
         extra = obj.keys() - expected
@@ -122,74 +167,18 @@ def validate_record(obj) -> dict:
         if extra:
             parts.append(f"unexpected keys {sorted(extra)}")
         raise ValueError(f"{kind} record: " + ", ".join(parts))
-    _float(obj["t"], "t must be a finite number")
-    _PAYLOAD_CHECKS[kind](obj)
+    if numbers(obj) is None:
+        _float(obj["t"], "t must be a finite number")
+        check(obj)
     return obj
-
-
-# The writer's one pass, per kind: the line's template and the function that
-# takes a record's values, in the format's key order, and applies the number
-# rule's first line to them as _list3, geometry._floats3 and
-# camera._float_quad do: exact lists of their exact lengths, every number a
-# float and a finite sum. It returns the numbers in the line's order, or None
-# for a record it declines, which validate_record and json.dumps take. json.dumps
-# prints a float with float.__repr__, and so does %r on an exact float.
-
-
-def _imu_numbers(t, _kind, gyro, accel):
-    if type(gyro) is list and type(accel) is list and len(gyro) == 3 and len(accel) == 3:
-        g0, g1, g2 = gyro
-        a0, a1, a2 = accel
-        if (type(t) is type(g0) is type(g1) is type(g2) is type(a0) is type(a1)
-                is type(a2) is float and isfinite(t + g0 + g1 + g2 + a0 + a1 + a2)):
-            return t, g0, g1, g2, a0, a1, a2
-    return None
-
-
-def _slam_numbers(t, _kind, x, y, yaw):
-    if type(t) is type(x) is type(y) is type(yaw) is float and isfinite(t + x + y + yaw):
-        return t, x, y, yaw
-    return None
-
-
-def _tag_numbers(t, _kind, corners):
-    quad = _float_quad(corners)
-    if quad is not None and type(t) is float and isfinite(t):
-        (u0, v0), (u1, v1), (u2, v2), (u3, v3) = quad
-        return t, u0, v0, u1, v1, u2, v2, u3, v3
-    return None
-
-
-def _depth_numbers(t, _kind, raw):
-    if type(t) is type(raw) is float and isfinite(t + raw):
-        return t, raw
-    return None
-
-
-def _truth_numbers(t, _kind, p):
-    if type(p) is list and len(p) == 3:
-        x, y, z = p
-        if type(t) is type(x) is type(y) is type(z) is float and isfinite(t + x + y + z):
-            return t, x, y, z
-    return None
-
-
-_LINES = {
-    "imu": ('{"t":%r,"kind":"imu","gyro":[%r,%r,%r],"accel":[%r,%r,%r]}\n', _imu_numbers),
-    "slam": ('{"t":%r,"kind":"slam","x":%r,"y":%r,"yaw":%r}\n', _slam_numbers),
-    "tag": ('{"t":%r,"kind":"tag","corners":[[%r,%r],[%r,%r],[%r,%r],[%r,%r]]}\n',
-            _tag_numbers),
-    "depth": ('{"t":%r,"kind":"depth","raw":%r}\n', _depth_numbers),
-    "truth": ('{"t":%r,"kind":"truth","p":[%r,%r,%r]}\n', _truth_numbers),
-}
 
 
 def write_records(path, records):
     """Write records as compact JSONL; returns the number written.
 
     Each line is json.dumps(record, separators=(",", ":")) and a newline. A
-    record of exact floats in the format's key order, as the simulator makes,
-    is checked and printed in one pass by its kind's template; any other
+    record in the format's key order that its kind's first line takes, as
+    the simulator makes them, is printed by its kind's template; any other
     record goes to validate_record first. An invalid record raises
     ValueError naming it, and the lines before it stay written.
     """
@@ -200,10 +189,9 @@ def write_records(path, records):
             n += 1
             if type(rec) is dict:
                 kind = rec.get("kind")
-                if type(kind) is str and tuple(rec) == _KEY_ORDER.get(kind):
-                    template, numbers = _LINES[kind]
-                    values = numbers(*rec.values())
-                    if values is not None:
+                if type(kind) is str and kind in _FORMAT:
+                    _, keys, numbers, _, template = _FORMAT[kind]
+                    if tuple(rec) == keys and (values := numbers(rec)) is not None:
                         write(template % values)
                         continue
             try:

@@ -202,20 +202,24 @@ def euler_zyx_to_rotation(yaw: float, pitch: float, roll: float) -> np.ndarray:
     return np.array(_euler_zyx(yaw, pitch, roll)).reshape(3, 3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PluckerLine:
-    """3D line held as an anchor point and a direction vector."""
+    """3D line held as an anchor point and a direction vector, the float
+    3-tuples ``point_xyz`` and ``direction_xyz`` (see _floats3); they build
+    the ``point`` and ``direction`` arrays when first read."""
 
-    point: np.ndarray
-    direction: np.ndarray
+    point_xyz: tuple
+    direction_xyz: tuple
 
-    def __post_init__(self):
-        p = _floats3(self.point)
-        d = _floats3(self.direction)
+    def __init__(self, point, direction):
+        p = _floats3(point)
+        d = _floats3(direction)
         if math.hypot(*d) <= 1e-12:
             raise DegenerateLine("line direction is (near) zero")
-        object.__setattr__(self, "point", np.array(p))
-        object.__setattr__(self, "direction", np.array(d))
+        self.__dict__.update(point_xyz=p, direction_xyz=d)
+
+    point = cached_property(lambda line: np.array(line.point_xyz))
+    direction = cached_property(lambda line: np.array(line.direction_xyz))
 
 
 def _zplane_hit(px, py, pz, dx, dy, dz, z_plane) -> tuple[float, float, float]:
@@ -249,5 +253,5 @@ def intersect_with_zplane(line: PluckerLine, z_plane: float) -> np.ndarray:
     The returned z component is exactly z_plane. Raises ParallelToPlane when
     the line has (near) zero z slope.
     """
-    x, y, _ = _zplane_hit(*line.point.tolist(), *line.direction.tolist(), z_plane)
+    x, y, _ = _zplane_hit(*line.point_xyz, *line.direction_xyz, z_plane)
     return np.array([x, y, z_plane], dtype=float)

@@ -68,6 +68,33 @@ class TestDefaults:
         assert scene_fields.isdisjoint(RunConfig.__annotations__)
 
 
+class TestConstructedRunConfig:
+    """A RunConfig built in code is checked as a loaded one is."""
+
+    @pytest.mark.parametrize("name, value", [
+        ("staleness_bound", -1.0), ("staleness_bound", 0.0), ("staleness_bound", -math.inf),
+        ("staleness_bound", math.nan), ("staleness_bound", True), ("staleness_bound", "0.3"),
+        ("marker_offset", (math.nan, 0.0, 0.0)), ("marker_offset", [0.0, math.inf, 0.0]),
+        ("marker_offset", (0.0, 0.1)), ("marker_offset", (True, 0.0, 0.0)),
+        ("marker_offset", "abc"),
+    ])
+    def test_bad_run_setting_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            RunConfig(**{name: value})
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(RunConfig(), **{name: value})
+
+    def test_run_settings_are_held_as_floats(self, tmp_path):
+        built = RunConfig(staleness_bound=np.float64(0.5), marker_offset=[0, np.float64(0.1), 0])
+        assert type(built.staleness_bound) is float
+        assert [type(x) for x in built.marker_offset] == [float] * 3
+        loaded = load_run_config(_write(tmp_path, (
+            "staleness_bound: 0.5\nmarker_offset: [0.0, 0.1, 0.0]\n")))
+        assert built == loaded and hash(built) == hash(loaded) and repr(built) == repr(loaded)
+        # +inf is a bound, as EstimationPipeline and the loader take it
+        assert RunConfig(staleness_bound=np.float64(math.inf)).staleness_bound is math.inf
+
+
 class TestReadmeSchema:
     def test_documented_schema_is_the_default_configuration(self, tmp_path):
         text = README.read_text(encoding="utf-8")

@@ -583,6 +583,26 @@ def _estimate_lines():
     yield json.dumps({k: v for k, v in rec.items() if k not in ("roll", "pitch", "ray_k")})
 
 
+class _F(float):
+    pass
+
+
+def _object_mutations():
+    """Objects json never yields, from the simulated records: tuples, numpy
+    floats, float subclasses, ints, bools and None in place of a value."""
+    objects = []
+    for rec in _simulated_records():
+        for path in _numbers(rec):
+            for value in (np.float64(1.5), _F(1.5), 2, 10**400, True, None):
+                objects.append(_replaced(rec, path, value))
+        for path in _lists(rec):
+            target = rec
+            for key in path:
+                target = target[key]
+            objects.append(_replaced(rec, path, tuple(target)))
+    return objects
+
+
 class TestReaderMatchesReference:
     """read_records and read_estimates against the plain json.loads reader."""
 
@@ -610,23 +630,32 @@ class TestReaderMatchesReference:
             assert _outcome(read_estimates, path) == _outcome(_ref_read_estimates, path), (i, line)
 
     def test_validate_record_on_objects(self):
-        # objects json never yields: tuples, numpy floats, float subclasses
-        class F(float):
-            pass
-
-        objects = []
-        for rec in _simulated_records():
-            for path in _numbers(rec):
-                for value in (np.float64(1.5), F(1.5), 2, 10**400, True, None):
-                    objects.append(_replaced(rec, path, value))
-            for path in _lists(rec):
-                target = rec
-                for key in path:
-                    target = target[key]
-                objects.append(_replaced(rec, path, tuple(target)))
-        for obj in objects:
+        for obj in _object_mutations():
             assert (_outcome(lambda o: [validate_record(o)], obj)
                     == _outcome(lambda o: [_ref_validate(o)], obj)), obj
+
+    def test_writer_agrees_with_the_reader(self, tmp_path):
+        # the parsed mutation lines and the objects json never yields: the
+        # writer rejects exactly what validate_record rejects, in its words,
+        # and writes the rest as json.dumps does
+        objects = _object_mutations()
+        for rec in _simulated_records():
+            for line in _record_mutations(rec):
+                try:
+                    objects.append(json.loads(line))
+                except ValueError:
+                    pass
+        path = tmp_path / "out.jsonl"
+        for obj in objects:
+            try:
+                validate_record(obj)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as info:
+                    write_records(path, [obj])
+                assert str(info.value).endswith(f": {exc}"), obj
+            else:
+                assert write_records(path, [obj]) == 1, obj
+                assert path.read_bytes() == _dumps_lines([obj]), obj
 
 
 def _json_line(d):

@@ -16,7 +16,7 @@ from aquapos.attitude import ImuSample, TiltConfig, TiltState, TiltTracker
 from aquapos.camera import TagObservation
 from aquapos.estimators import PositionEstimate
 from aquapos.evaluation import AlignedPair
-from aquapos.geometry import RigidTransform
+from aquapos.geometry import PluckerLine, RigidTransform
 
 CORNERS = [[300.5, 200.25], [340.0, 201.0], [339.5, 240.75], [301.0, 239.5]]
 COV = [[1e-3, 1e-5], [1e-5, 2e-3]]
@@ -35,6 +35,11 @@ CASES = {
         lambda: RigidTransform((1, 0, 0, 0, 1, 0, 0, 0, 1.0), [0.1, 0, -0.02]),
         lambda: RigidTransform(np.eye(3), [0.1, 0.0, _up(-0.02)]),
         ("rotation", "translation")),
+    "PluckerLine": (
+        lambda: PluckerLine([0.1, 0.0, -0.9], [-0.1, 0.0, 1.0]),
+        lambda: PluckerLine(np.array([0.1, 0, -0.9]), (np.float64(-0.1), 0, 1)),
+        lambda: PluckerLine([0.1, 0.0, -0.9], [-0.1, 0.0, _up(1.0)]),
+        ("point", "direction")),
     "TagObservation": (
         lambda: TagObservation(0.5, CORNERS),
         lambda: TagObservation(np.float64(0.5), np.array(CORNERS)),
