@@ -60,10 +60,6 @@ class Intrinsics:
             if not 0 < c < size:
                 raise ValueError(message)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Intrinsics":
-        return cls(*(d[k] for k in ("fx", "fy", "cx", "cy", "width", "height")))
-
 
 # bench-calibrated defaults used when no intrinsics file is configured
 DEFAULT_INTRINSICS = Intrinsics(

@@ -27,14 +27,13 @@ import yaml
 
 from .attitude import MAX_PREDICT_DT, TiltConfig
 from .camera import DEFAULT_INTRINSICS, Intrinsics, TagGeometry
-from .depth_calibration import IDENTITY_CALIBRATION, CalibrationParams, PsoConfig, _check_seed
+from .depth_calibration import (DEFAULT_SEED, IDENTITY_CALIBRATION, CalibrationParams,
+                                PsoConfig, _check_seed)
 from .errors import ConfigError
-from .estimators import DEFAULT_STALENESS_BOUND, RigExtrinsics, default_rig
+from .estimators import DEFAULT_STALENESS_BOUND, RigExtrinsics, _staleness_bound, default_rig
 from .geometry import RigidTransform, _euler_zyx, _float, _floats, _floats3
 
 log = logging.getLogger(__name__)
-
-DEFAULT_SEED = 1
 
 # --- simulation settings, which aquapos.simulator runs from ----------------
 
@@ -93,7 +92,7 @@ class TrajectorySpec:
     depth_mean: float = 1.2
     depth_amplitude: float = 0.5
     depth_period: float = 25.0
-    seed: int = 0
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         if self.pattern not in _PATTERNS:
@@ -136,7 +135,7 @@ class NoiseModel:
     tilt_frequency: float = 0.3
     dropout_base: float = 0.0
     dropout_per_metre: float = 0.0
-    seed: int = 0
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         fields = self.__dict__
@@ -157,7 +156,7 @@ class NoiseModel:
         _check_seed(self.seed)
 
     @classmethod
-    def zero(cls, seed: int = 0) -> "NoiseModel":
+    def zero(cls, seed: int = DEFAULT_SEED) -> "NoiseModel":
         """All sigmas, the tilt wave, and dropout switched off."""
         return cls(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, seed)
 
@@ -213,7 +212,7 @@ class FollowerConfig:
 class SceneConfig:
     """Everything about the rig and world that is not the trajectory."""
 
-    intrinsics: Intrinsics = field(default_factory=lambda: DEFAULT_INTRINSICS)
+    intrinsics: Intrinsics = DEFAULT_INTRINSICS
     rig: RigExtrinsics = field(default_factory=default_rig)
     tag: TagGeometry = field(default_factory=TagGeometry)
     calibration: CalibrationParams = IDENTITY_CALIBRATION
@@ -242,22 +241,14 @@ class RunConfig(SceneConfig):
     tilt: TiltConfig = field(default_factory=TiltConfig)
     staleness_bound: float = DEFAULT_STALENESS_BOUND
     marker_offset: tuple | None = None
-    trajectory: TrajectorySpec = field(
-        default_factory=lambda: TrajectorySpec(seed=DEFAULT_SEED)
-    )
-    noise: NoiseModel = field(default_factory=lambda: NoiseModel(seed=DEFAULT_SEED))
+    trajectory: TrajectorySpec = field(default_factory=TrajectorySpec)
+    noise: NoiseModel = field(default_factory=NoiseModel)
     pso: PsoConfig = field(default_factory=PsoConfig)
 
     def __post_init__(self):
         super().__post_init__()
         fields = self.__dict__
-        # the number rule, but +inf is a bound: no sample is ever stale
-        bound = self.staleness_bound
-        message = f"staleness_bound must be positive, got {bound!r}"
-        fields["staleness_bound"] = bound = (
-            math.inf if bound == math.inf else _float(bound, message))
-        if not bound > 0:
-            raise ValueError(message)
+        fields["staleness_bound"] = _staleness_bound(self.staleness_bound)
         if self.marker_offset is not None:
             fields["marker_offset"] = _floats3(
                 self.marker_offset, "marker_offset must be three finite numbers")
@@ -304,31 +295,33 @@ def _number(value, where) -> float:
     return number
 
 
-def _replace(instance, mapping, where):
+def _replace(instance, mapping, where=None):
     """dataclasses.replace with key checking and error translation.
 
-    A field annotated float must hold a YAML number (see _number), and a
-    list for a field annotated tuple must hold YAML numbers; it becomes a
-    tuple. Other values reach the dataclass as loaded. The annotations are
-    strings: every config module imports annotations from __future__.
+    A field annotated float must hold a YAML number (see _number), and a list
+    for one annotated tuple or tuple | None YAML numbers; it becomes a tuple.
+    Other values reach the dataclass, which words their errors. Without where
+    the keys are top-level. The annotations are strings: every config module
+    imports annotations from __future__.
     """
     fields = dataclasses.fields(instance)
     _check_keys(mapping, [f.name for f in fields], where)
+    prefix = "" if where is None else f"{where}."
     changes = dict(mapping)
     for f in fields:
         if f.name not in mapping:
             continue
         value = mapping[f.name]
         if f.type == "float":
-            _number(value, f"{where}.{f.name}")
-        elif f.type == "tuple" and isinstance(value, list):
+            _number(value, prefix + f.name)
+        elif f.type in ("tuple", "tuple | None") and isinstance(value, list):
             for i, v in enumerate(value):
-                _number(v, f"{where}.{f.name}[{i}]")
+                _number(v, f"{prefix}{f.name}[{i}]")
             changes[f.name] = tuple(value)
     try:
         return dataclasses.replace(instance, **changes)
     except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{where}: {exc}")
+        raise ConfigError(str(exc) if where is None else f"{where}: {exc}")
 
 
 def _load_yaml(path, what: str):
@@ -367,7 +360,7 @@ def load_intrinsics(path) -> Intrinsics:
     if missing:
         raise ConfigError(f"intrinsics file {path} missing {sorted(missing)}")
     try:
-        return Intrinsics.from_dict(raw)
+        return Intrinsics(**raw)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"intrinsics file {path}: {exc}")
 
@@ -520,19 +513,7 @@ def load_run_config(path=None) -> RunConfig:
         if not os.path.isabs(ipath):
             ipath = os.path.join(os.path.dirname(os.path.abspath(path)), ipath)
         cfg = dataclasses.replace(cfg, intrinsics=load_intrinsics(ipath))
-    if "staleness_bound" in raw:
-        bound = _number(raw["staleness_bound"], "staleness_bound")
-        if not bound > 0:
-            raise ConfigError("staleness_bound must be positive")
-        cfg = dataclasses.replace(cfg, staleness_bound=bound)
-    if raw.get("marker_offset") is not None:
-        offset = raw["marker_offset"]
-        if not (isinstance(offset, (list, tuple)) and len(offset) == 3):
-            raise ConfigError("marker_offset must be [dx, dy, dz]")
-        offset = tuple(_number(v, f"marker_offset[{i}]") for i, v in enumerate(offset))
-        if not all(map(math.isfinite, offset)):
-            raise ConfigError("marker_offset entries must be finite")
-        cfg = dataclasses.replace(cfg, marker_offset=offset)
+    cfg = _replace(cfg, {k: raw[k] for k in ("staleness_bound", "marker_offset") if k in raw})
 
     cfg = dataclasses.replace(
         cfg,

@@ -295,14 +295,16 @@ def read_estimates(path) -> list:
 def load_pairs_csv(path) -> np.ndarray:
     """Load (raw, truth) calibration pairs from a two-column CSV.
 
-    A non-numeric first row is treated as a header and skipped. Returns
-    an (n, 2) float array; n may be zero for an empty file.
+    Blank rows are skipped, and so is a non-numeric first non-blank row, a
+    header. Returns an (n, 2) float array; n may be zero for an empty file.
     """
     rows = []
+    first = 0  # the line of the first non-blank row, which may be a header
     with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or all(not cell.strip() for cell in row):
                 continue
+            first = first or lineno
             if len(row) != 2:
                 raise DatasetFormatError(
                     f"{path}:{lineno}: expected 2 columns, got {len(row)}"
@@ -310,7 +312,7 @@ def load_pairs_csv(path) -> np.ndarray:
             try:
                 pair = (float(row[0]), float(row[1]))
             except ValueError:
-                if lineno == 1:
+                if lineno == first:
                     continue  # header
                 raise DatasetFormatError(f"{path}:{lineno}: non-numeric row")
             if not all(map(isfinite, pair)):

@@ -29,6 +29,8 @@ MAX_PARTICLE_STEPS = 10**7
 # and the default swarm of 30 over 333,333 pairs.
 MAX_PARTICLE_PAIRS = 10**7
 
+DEFAULT_SEED = 1  # of every config type that holds a seed, unless one is given
+
 
 def _is_int(value) -> bool:
     """True for an integer of any integral type except bool."""
@@ -74,7 +76,7 @@ class PsoConfig:
     social: float = 1.5
     scale_bounds: tuple = (0.5, 2.0)
     offset_bounds: tuple = (-1.0, 1.0)
-    seed: int = 1
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         if not (_is_int(self.swarm_size) and self.swarm_size >= 2):

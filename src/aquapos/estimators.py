@@ -36,7 +36,6 @@ import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from numbers import Real
 
 from ._numpy import np
 from .attitude import ImuSample, TiltConfig, TiltTracker
@@ -63,6 +62,16 @@ from .geometry import (
 log = logging.getLogger(__name__)
 
 DEFAULT_STALENESS_BOUND = 0.2  # seconds
+
+
+def _staleness_bound(bound) -> float:
+    """bound by the number rule, +inf allowed as no sample is ever stale, if > 0."""
+    message = f"staleness_bound must be positive, got {bound!r}"
+    bound = math.inf if isinstance(bound, float) and bound == math.inf else _float(bound, message)
+    if not bound > 0:
+        raise ValueError(message)
+    return bound
+
 
 METHODS = ("cpnp", "cd")
 
@@ -352,18 +361,12 @@ class EstimationPipeline:
         for m in methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
-        # the number rule's type test, but +inf is a bound: no sample is ever stale
-        message = f"staleness_bound must be positive, got {staleness_bound!r}"
-        if (isinstance(staleness_bound, bool) or not isinstance(staleness_bound, Real)
-                or not staleness_bound > 0):  # also rejects nan, with which no sample is stale
-            raise ValueError(message)
         self.rig = rig
         self.intrinsics = intrinsics
         self.tag_geometry = tag_geometry
         self.calibration = calibration
         self.methods = tuple(methods)
-        self.staleness_bound = (math.inf if staleness_bound == math.inf
-                                else _float(staleness_bound, message))
+        self.staleness_bound = _staleness_bound(staleness_bound)
         self.marker_offset = None if marker_offset is None else _floats3(marker_offset)
         self.tracker = TiltTracker(tilt_config)
         self.sync = SensorSynchronizer()

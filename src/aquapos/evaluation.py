@@ -168,19 +168,23 @@ def histogram(series, bin_width: float = DEFAULT_BIN_WIDTH):
     an open last bin that takes the rest; its right edge is the series
     maximum. Returns (edges, counts); counts always sum to len(series).
     """
-    if bin_width <= 0:
-        raise ValueError("bin_width must be positive")
+    message = f"bin_width must be a positive number, got {bin_width!r}"
+    bin_width = _float(bin_width, message)
+    if not bin_width > 0:
+        raise ValueError(message)
     x = np.asarray(series, dtype=float)
     if x.size == 0:
         raise EmptySeries("cannot histogram an empty series")
     lo, hi = float(np.min(x)), float(np.max(x))
-    span = (hi - lo) / bin_width
+    span = (hi - lo) / bin_width  # inf for a tiny width, which takes MAX_BINS
     n_bins = int(np.floor(span)) + 1 if span < MAX_BINS else MAX_BINS
     edges = lo + bin_width * np.arange(n_bins + 1)
     if span >= MAX_BINS:
         edges[-1] = hi
-    # capped before the cast, so a far-off error cannot overflow the index
-    index = np.floor(np.minimum((x - lo) / bin_width, n_bins - 1)).astype(int)
+    # capped before the cast, so a far-off error cannot overflow the index; a
+    # quotient past the float range is inf, which the cap takes as well
+    with np.errstate(over="ignore"):
+        index = np.floor(np.minimum((x - lo) / bin_width, n_bins - 1)).astype(int)
     counts = np.bincount(index, minlength=n_bins)
     return edges, counts
 

@@ -7,7 +7,8 @@ on the tag's center pixel. Sensor records (tag corners, IMU, depth,
 SLAM pose, ground truth) are synthesized at configurable rates from the
 analytic world state, with each noise source drawing from its own
 seeded stream so that runs are bit-reproducible. Every record is computed
-on Python floats (see geometry._mat_mul), so the bytes match on any CPU.
+on Python floats (see geometry._mat_mul) and every angle, the path's
+headings too, by libm's math functions, so the bytes match on any CPU.
 
 The settings it runs from (TrajectorySpec, NoiseModel, SampleRates,
 FollowerConfig, SceneConfig) and the run-size bounds are defined in
@@ -59,8 +60,8 @@ class MarkerTrajectory:
             raise ValueError("need at least two 2-d waypoints")
         if mode not in ("loop", "pingpong", "clamp"):
             raise ValueError(f"unknown mode {mode!r}")
-        segs = np.diff(wp, axis=0)
-        lengths = [math.sqrt(dx * dx + dy * dy) for dx, dy in segs.tolist()]
+        segs = np.diff(wp, axis=0).tolist()
+        lengths = [math.sqrt(dx * dx + dy * dy) for dx, dy in segs]
         if min(lengths) <= 1e-12:
             raise ValueError("degenerate zero-length segment")
         # the per-sample lookups run on Python floats
@@ -68,7 +69,8 @@ class MarkerTrajectory:
         self._mode = mode
         self._speed = speed
         self._cum = np.concatenate([[0.0], np.cumsum(lengths)]).tolist()
-        self._headings = np.arctan2(segs[:, 1], segs[:, 0]).tolist()
+        # libm's atan2: numpy's arctan2 loop is chosen by CPU, its last bit too
+        self._headings = [math.atan2(dy, dx) for dx, dy in segs]
         self._depth_mean = depth_mean
         self._depth_amplitude = depth_amplitude
         self._depth_period = depth_period

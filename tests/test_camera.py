@@ -714,7 +714,7 @@ class TestIntrinsicsValidation:
         assert type(K.width) is int and type(K.height) is int
 
     def test_dict_round_trip(self):
-        K = Intrinsics.from_dict(dataclasses.asdict(BENCH_K))
+        K = Intrinsics(**dataclasses.asdict(BENCH_K))
         assert K == BENCH_K
 
     @pytest.mark.parametrize("focal", [math.inf, math.nan])

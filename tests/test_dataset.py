@@ -342,6 +342,15 @@ class TestPairsCsv:
         path.write_text("raw,truth\n1.0,1.5\n", encoding="utf-8")
         assert load_pairs_csv(path).shape == (1, 2)
 
+    def test_header_after_blank_lines_skipped(self, tmp_path):
+        # the header is the first non-blank row, not line 1
+        path = tmp_path / "pairs.csv"
+        path.write_text("\n \nraw,truth\n1.0,1.1\n2.0,2.2\n", encoding="utf-8")
+        assert load_pairs_csv(path).tolist() == [[1.0, 1.1], [2.0, 2.2]]
+        path.write_text("\nraw,truth\n1.0,1.1\nraw,truth\n", encoding="utf-8")
+        with pytest.raises(DatasetFormatError, match=":4: non-numeric row"):
+            load_pairs_csv(path)
+
     def test_empty_file_gives_empty_array(self, tmp_path):
         path = tmp_path / "pairs.csv"
         path.write_text("", encoding="utf-8")

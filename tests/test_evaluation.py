@@ -306,8 +306,16 @@ class TestHistogram:
         np.testing.assert_allclose(edges, [0.0, 0.01, 0.02], atol=1e-15)
 
     def test_bad_width(self):
-        with pytest.raises(ValueError):
-            histogram([1.0], bin_width=0.0)
+        # the number rule, then > 0: one message for every width it rejects
+        for width in [0.0, -0.01, math.nan, math.inf, -math.inf, True, "0.1", None]:
+            with pytest.raises(ValueError, match=r"^bin_width must be a positive number, got "):
+                histogram([1.0, 2.0], bin_width=width)
+
+    def test_tiny_width_takes_the_open_last_bin(self):
+        # the spread is past the float range in widths; no overflow warning
+        edges, counts = histogram([0.0, 0.5, 1.0], bin_width=1e-320)
+        assert len(counts) == MAX_BINS and edges[-1] == 1.0
+        assert counts[0] == 1 and counts[-1] == 2
 
     def test_spread_under_the_cap_keeps_fixed_width_bins(self):
         # 999.5 bin widths of spread: MAX_BINS bins, none of them open

@@ -115,6 +115,19 @@ class TestRandomTrajectory:
             gen_trajectory(TrajectorySpec("random", speed=speed, duration=duration))
         assert random_path_length(0.2, 120.0) == 25.0
 
+    def test_headings_are_libm_atan2(self):
+        # numpy's arctan2 loop is chosen by CPU and may differ from libm in
+        # the last bit, which would make a random-pattern dataset depend on it
+        spec = TrajectorySpec("random", duration=60.0, speed=1.0, seed=1)
+        traj = gen_trajectory(spec)
+        wp = traj.waypoints.tolist()
+        s = 0.0
+        for (x0, y0), (x1, y1) in zip(wp, wp[1:]):
+            leg = math.sqrt((x1 - x0) ** 2 + (y1 - y0) ** 2)
+            heading = traj.pose((s + leg / 2.0) / spec.speed)[3]
+            assert heading.hex() == math.atan2(y1 - y0, x1 - x0).hex()
+            s += leg
+
     def test_seed_determinism(self):
         a = gen_trajectory(TrajectorySpec("random", seed=4))
         b = gen_trajectory(TrajectorySpec("random", seed=4))
