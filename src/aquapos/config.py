@@ -30,8 +30,9 @@ from .camera import DEFAULT_INTRINSICS, Intrinsics, TagGeometry
 from .depth_calibration import (DEFAULT_SEED, IDENTITY_CALIBRATION, CalibrationParams,
                                 PsoConfig, _check_seed)
 from .errors import ConfigError
-from .estimators import DEFAULT_STALENESS_BOUND, RigExtrinsics, _staleness_bound, default_rig
-from .geometry import RigidTransform, _euler_zyx, _float, _floats, _floats3
+from .estimators import (DEFAULT_STALENESS_BOUND, RigExtrinsics, _marker_offset,
+                         _staleness_bound, default_rig)
+from .geometry import RigidTransform, _euler_zyx, _float, _floats
 
 log = logging.getLogger(__name__)
 
@@ -249,9 +250,7 @@ class RunConfig(SceneConfig):
         super().__post_init__()
         fields = self.__dict__
         fields["staleness_bound"] = _staleness_bound(self.staleness_bound)
-        if self.marker_offset is not None:
-            fields["marker_offset"] = _floats3(
-                self.marker_offset, "marker_offset must be three finite numbers")
+        fields["marker_offset"] = _marker_offset(self.marker_offset)
 
 
 def _section(raw, name) -> dict:

@@ -73,6 +73,13 @@ def _staleness_bound(bound) -> float:
     return bound
 
 
+def _marker_offset(offset) -> tuple | None:
+    """offset as a float 3-tuple by the number rule; None is no offset."""
+    if offset is None:
+        return None
+    return _floats3(offset, "marker_offset must be three finite numbers")
+
+
 METHODS = ("cpnp", "cd")
 
 KINDS = ("imu", "slam", "depth", "truth", "tag")
@@ -367,7 +374,7 @@ class EstimationPipeline:
         self.calibration = calibration
         self.methods = tuple(methods)
         self.staleness_bound = _staleness_bound(staleness_bound)
-        self.marker_offset = None if marker_offset is None else _floats3(marker_offset)
+        self.marker_offset = _marker_offset(marker_offset)
         self.tracker = TiltTracker(tilt_config)
         self.sync = SensorSynchronizer()
         self.counters = dict.fromkeys([*(f"{kind}_rejected" for kind in KINDS),

@@ -107,10 +107,25 @@ def align(est_times, est_points, truth_times, truth_points,
     if tt.size and np.any(np.diff(tt) < 0):
         raise ValueError("truth timestamps must be non-decreasing")
 
+    keep, nearest = _match(et, tt, max_dt)
+    t_kept = et[keep]
+    e_kept = ep[keep]
+    p_kept = tp[nearest]
+    # each row a float tuple, read by columns: no list per row
+    pairs = [AlignedPair(t, e, p) for t, e, p in
+             zip(t_kept.tolist(), zip(*e_kept.T.tolist()), zip(*p_kept.T.tolist()))]
+    return pairs, int(et.size - len(pairs))
+
+
+def _match(et, tt, max_dt: float):
+    """The nearest-truth rule on float arrays: estimate times et (n,) and
+    sorted truth times tt (m,). Returns the mask of the estimates kept,
+    those within max_dt of a truth sample, and for each kept one the index
+    of its nearest truth sample; the earlier sample wins a tie."""
     if tt.size == 0:
-        return [], int(et.size)
+        return np.zeros(et.size, dtype=bool), np.zeros(0, dtype=np.intp)
     # the truth samples either side of each estimate; at either end both
-    # indices clip to the same sample. The earlier sample wins a tie.
+    # indices clip to the same sample
     idx = np.searchsorted(tt, et)
     lo = np.maximum(idx - 1, 0)
     hi = np.minimum(idx, tt.size - 1)
@@ -120,13 +135,7 @@ def align(est_times, est_points, truth_times, truth_points,
         d_hi = np.abs(tt[hi] - et)
     later = d_hi < d_lo
     keep = np.where(later, d_hi, d_lo) <= max_dt
-    t_kept = et[keep]
-    e_kept = ep[keep]
-    p_kept = tp[np.where(later, hi, lo)[keep]]
-    # each row a float tuple, read by columns: no list per row
-    pairs = [AlignedPair(t, e, p) for t, e, p in
-             zip(t_kept.tolist(), zip(*e_kept.T.tolist()), zip(*p_kept.T.tolist()))]
-    return pairs, int(et.size - len(pairs))
+    return keep, np.where(later, hi, lo)[keep]
 
 
 @contextlib.contextmanager
@@ -141,9 +150,17 @@ def _finite_errors():
             raise NonFiniteEstimate(f"estimate errors overflow: {exc}") from None
 
 
+@_finite_errors()
+def _errors(est, tru) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis errors (n, 3), estimate - truth, of two (n, 3) position
+    arrays, and their norms (n,): the one error formula behind med, the
+    report and evaluate's CSV."""
+    axis_err = est - tru
+    return axis_err, np.linalg.norm(axis_err, axis=1)
+
+
 def _error_series(pairs) -> tuple[np.ndarray, np.ndarray]:
-    """Per-axis errors (n, 3), estimate - truth, and their norms (n,): the one
-    error formula behind med, the report and evaluate's CSV."""
+    """_errors of the aligned pairs."""
     n = len(pairs)
     if n == 0:
         raise EmptySeries("no aligned pairs")
@@ -151,8 +168,7 @@ def _error_series(pairs) -> tuple[np.ndarray, np.ndarray]:
     flat = itertools.chain.from_iterable
     est = np.fromiter(flat(p.estimate_xyz for p in pairs), float, 3 * n)
     tru = np.fromiter(flat(p.truth_xyz for p in pairs), float, 3 * n)
-    axis_err = (est - tru).reshape(n, 3)
-    return axis_err, np.linalg.norm(axis_err, axis=1)
+    return _errors(est.reshape(n, 3), tru.reshape(n, 3))
 
 
 @_finite_errors()
@@ -233,7 +249,6 @@ def tilt_error_regression(errors, pitch, roll) -> RegressionResult:
     return RegressionResult(coef_pitch, coef_roll, me - coef_pitch * mp - coef_roll * mr, r2)
 
 
-@_finite_errors()
 def build_error_report(pairs, dropped: int = 0,
                        bin_width: float = DEFAULT_BIN_WIDTH) -> ErrorReport:
     """Assemble the full metric set from aligned pairs.
@@ -241,10 +256,17 @@ def build_error_report(pairs, dropped: int = 0,
     Raises NonFiniteEstimate when an error, or a sum of them or of their
     squares, overflows.
     """
-    axis_err, eucl = _error_series(pairs)
+    return _report(*_error_series(pairs), dropped, bin_width)
+
+
+@_finite_errors()
+def _report(axis_err, eucl, dropped: int,
+            bin_width: float = DEFAULT_BIN_WIDTH) -> ErrorReport:
+    """The metric set of the errors _errors returns, and the count of
+    estimates dropped."""
     edges, counts = histogram(eucl, bin_width)
     return ErrorReport(
-        n=len(pairs),
+        n=len(eucl),
         dropped=int(dropped),
         med=float(np.mean(eucl)),
         rmse_xyz=np.sqrt(np.mean(np.square(axis_err), axis=0)),

@@ -13,7 +13,7 @@ import pytest
 import aquapos
 from aquapos import cli, dataset
 from aquapos.estimators import PositionEstimate
-from aquapos.evaluation import align, med
+from aquapos.evaluation import AlignedPair, align, med
 
 NOISELESS_YAML = """
 simulation:
@@ -444,6 +444,24 @@ class TestEvaluate:
             euclidean = np.array([float(r["euclidean"]) for r in mine])
             np.testing.assert_array_equal(euclidean, np.linalg.norm(err, axis=1))
             assert float(np.mean(euclidean)) == summary["med"]
+
+    def test_scores_a_run_without_building_a_pair(self, tmp_path, capsys, monkeypatch):
+        config = tmp_path / "run.yaml"
+        config.write_text("simulation:\n  trajectory: {duration: 10.0}\n", encoding="utf-8")
+        data, est = tmp_path / "run.jsonl", tmp_path / "est.jsonl"
+        assert cli.main(["simulate", "--config", str(config), "--out", str(data)]) == 0
+        assert cli.main(["estimate", str(data), "--out", str(est)]) == 0
+        built = []
+        init = AlignedPair.__init__
+        monkeypatch.setattr(AlignedPair, "__init__",
+                            lambda self, *a: built.append(a) or init(self, *a))
+        # the wrapper counts: align builds one pair per match
+        assert len(align([0.0], [[0.0, 0.0, 0.0]], [0.0], [[0.0, 0.0, 0.0]])[0]) == len(built) == 1
+        built.clear()
+        assert cli.main(["evaluate", str(est), str(data), "--out", str(tmp_path / "r")]) == 0
+        report = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
+        assert sorted(report) == ["cd", "cpnp"] and min(r["n"] for r in report.values()) > 0
+        assert built == []
 
     def test_disjoint_ranges_exit_1(self, tmp_path, capsys):
         est, data = _write_eval_inputs(tmp_path, time_shift=100.0)

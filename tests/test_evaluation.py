@@ -13,6 +13,9 @@ from aquapos.evaluation import (
     MAX_BINS,
     AlignedPair,
     RegressionResult,
+    _errors,
+    _match,
+    _report,
     align,
     build_error_report,
     histogram,
@@ -152,44 +155,74 @@ def _same_alignment(args, **kwargs):
     return pairs, dropped
 
 
+def _random_cases():
+    """200 random alignments, as (align's arguments, max_dt)."""
+    rng = np.random.default_rng(37)
+    for _ in range(200):
+        m = int(rng.integers(1, 40))
+        n = int(rng.integers(0, 40))
+        # coarse stamps make ties, duplicates and exact tolerances common
+        tt = np.sort(rng.integers(0, 60, size=m) * 0.01)
+        et = rng.integers(-10, 70, size=n) * 0.005
+        args = (et, rng.normal(size=(n, 3)), tt, rng.normal(size=(m, 3)))
+        yield args, float(rng.choice([0.0, 0.005, 0.01, 0.02, 1.0]))
+
+
+_DUPLICATE_TRUTH = ([0.0, 0.0, 0.01, 0.01, 0.01, 0.02, 0.02], np.arange(21.0).reshape(7, 3))
+
+# (align's arguments, max_dt) at the rule's edges
+EDGE_CASES = {
+    "midway estimate": (([0.5], [[0, 0, 0]], [0.0, 1.0], [[1, 1, 1], [2, 2, 2]]), 0.5),
+    "duplicate truth stamps": (([-0.005, 0.01, 0.006, 0.014, 0.02, 0.025], np.zeros((6, 3)),
+                                *_DUPLICATE_TRUTH), 0.02),
+    # every stamp the same, with estimates either side of it
+    "one truth stamp": (([-0.005, 0.0, 0.005], np.zeros((3, 3)), [0.0, 0.0, 0.0],
+                         _DUPLICATE_TRUTH[1][:3]), 0.02),
+    "dt equal to the tolerance": (([0.25, 0.75], np.zeros((2, 3)), [0.5], [[1, 2, 3]]), 0.25),
+    "outside the truth span": (([-1.0, -0.01, 0.0, 1.0, 1.01, 5.0], np.ones((6, 3)),
+                                [0.0, 0.5, 1.0], np.eye(3)), 0.02),
+    "every estimate dropped": (([0.5, 2.0], np.ones((2, 3)), [0.0, 1.0], np.eye(3)[:2]), 0.02),
+    "empty truth": (([0.1, 0.2], np.zeros((2, 3)), [], np.zeros((0, 3))), 0.02),
+    "empty estimates": (([], np.zeros((0, 3)), [0.0], [[1, 2, 3]]), 0.02),
+    "non-finite stamps": (([np.nan, np.inf, -np.inf, 0.0], np.zeros((4, 3)), [0.0],
+                           [[1, 2, 3]]), 0.02),
+}
+
+
 class TestAlignMatchesLoop:
     def test_random_inputs(self):
-        rng = np.random.default_rng(37)
-        for trial in range(200):
-            m = int(rng.integers(1, 40))
-            n = int(rng.integers(0, 40))
-            # coarse stamps make ties, duplicates and exact tolerances common
-            tt = np.sort(rng.integers(0, 60, size=m) * 0.01)
-            et = rng.integers(-10, 70, size=n) * 0.005
-            _same_alignment((et, rng.normal(size=(n, 3)), tt, rng.normal(size=(m, 3))),
-                            max_dt=float(rng.choice([0.0, 0.005, 0.01, 0.02, 1.0])))
+        for args, max_dt in _random_cases():
+            _same_alignment(args, max_dt=max_dt)
+
+    @staticmethod
+    def _edge(case):
+        args, max_dt = EDGE_CASES[case]
+        return _same_alignment(args, max_dt=max_dt)
 
     def test_midway_estimate_takes_the_earlier_sample(self):
-        pairs, dropped = _same_alignment(([0.5], [[0, 0, 0]], [0.0, 1.0],
-                                          [[1, 1, 1], [2, 2, 2]]), max_dt=0.5)
+        pairs, dropped = self._edge("midway estimate")
         assert dropped == 0 and pairs[0].truth.tolist() == [1, 1, 1]
 
     def test_duplicate_truth_stamps(self):
-        tt = [0.0, 0.0, 0.01, 0.01, 0.01, 0.02, 0.02]
-        tp = np.arange(21.0).reshape(7, 3)
-        _same_alignment(([-0.005, 0.01, 0.006, 0.014, 0.02, 0.025], np.zeros((6, 3)), tt, tp))
-        # every stamp the same, with estimates either side of it
-        _same_alignment(([-0.005, 0.0, 0.005], np.zeros((3, 3)), [0.0, 0.0, 0.0], tp[:3]))
+        self._edge("duplicate truth stamps")
+        self._edge("one truth stamp")
 
     def test_dt_equal_to_tolerance_is_kept(self):
-        pairs, dropped = _same_alignment(([0.25, 0.75], np.zeros((2, 3)), [0.5],
-                                          [[1, 2, 3]]), max_dt=0.25)
+        pairs, dropped = self._edge("dt equal to the tolerance")
         assert dropped == 0 and len(pairs) == 2
 
     def test_estimates_outside_the_truth_span(self):
-        _same_alignment(([-1.0, -0.01, 0.0, 1.0, 1.01, 5.0], np.ones((6, 3)),
-                         [0.0, 0.5, 1.0], np.eye(3)))
+        self._edge("outside the truth span")
+
+    def test_every_estimate_dropped(self):
+        pairs, dropped = self._edge("every estimate dropped")
+        assert pairs == [] and dropped == 2
 
     def test_empty_truth(self):
-        _same_alignment(([0.1, 0.2], np.zeros((2, 3)), [], np.zeros((0, 3))))
+        self._edge("empty truth")
 
     def test_empty_estimates(self):
-        _same_alignment(([], np.zeros((0, 3)), [0.0], [[1, 2, 3]]))
+        self._edge("empty estimates")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_estimate_raises(self, bad):
@@ -199,8 +232,72 @@ class TestAlignMatchesLoop:
                 fn(*args)
 
     def test_non_finite_stamps_are_dropped(self):
-        _same_alignment(([np.nan, np.inf, -np.inf, 0.0], np.zeros((4, 3)), [0.0],
-                         [[1, 2, 3]]))
+        self._edge("non-finite stamps")
+
+
+def _hex(value):
+    """value with every float as its float.hex, so that two values compare
+    equal only bit for bit."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {k: _hex(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_hex(v) for v in value]
+    return value
+
+
+def _pair_path(args, max_dt):
+    """The report dict, the CSV rows and the drop count from aligned pairs,
+    through align, checked against the loop, and build_error_report."""
+    pairs, dropped = _same_alignment(args, max_dt=max_dt)
+    if not pairs:
+        return None, [], dropped
+    report = build_error_report(pairs, dropped)
+    # estimate - truth, by float subtraction: no numpy
+    assert _hex(report.axis_errors.tolist()) == _hex(
+        [[e - t for e, t in zip(p.estimate_xyz, p.truth_xyz)] for p in pairs])
+    rows = [(p.timestamp, *axis, e) for p, axis, e in
+            zip(pairs, report.axis_errors.tolist(), report.euclidean.tolist())]
+    return report.to_dict(), rows, dropped
+
+
+def _column_path(args, max_dt):
+    """The same from float columns, as evaluate scores them: no pair is built."""
+    et, ep, tt, tp = (np.asarray(a, dtype=float) for a in args)
+    keep, nearest = _match(et, tt, max_dt)
+    dropped = et.size - nearest.size
+    if not nearest.size:
+        return None, [], dropped
+    report = _report(*_errors(ep[keep], tp[nearest]), dropped)
+    rows = [(t, *axis, e) for t, axis, e in
+            zip(et[keep].tolist(), report.axis_errors.tolist(), report.euclidean.tolist())]
+    return report.to_dict(), rows, dropped
+
+
+class TestColumnsMatchPairs:
+    """evaluate's column path gives the pair path's report and rows, bit for bit."""
+
+    def test_random_inputs(self):
+        for args, max_dt in _random_cases():
+            assert _hex(_column_path(args, max_dt)) == _hex(_pair_path(args, max_dt))
+
+    @pytest.mark.parametrize("case", EDGE_CASES)
+    def test_edge_cases(self, case):
+        args, max_dt = EDGE_CASES[case]
+        assert _hex(_column_path(args, max_dt)) == _hex(_pair_path(args, max_dt))
+
+    @pytest.mark.parametrize("p", [(1e200, 0.0, -1.0), (1e154, 1e154, -1.0)])
+    def test_overflow_raises_the_same_text(self, p):
+        # the inputs of test_cli's TestEvaluate overflow test
+        args = ([0.1, 0.2], [p, (1e154, 1e154, -1.0)], [0.1, 0.2],
+                [[0.1, 1.0, -1.5], [0.2, 1.0, -1.5]])
+        messages = set()
+        for path in (_column_path, _pair_path):
+            with pytest.raises(NonFiniteEstimate, match="^estimate errors overflow: ") as info:
+                path(args, 0.02)
+            messages.add(str(info.value))
+        assert len(messages) == 1
 
 
 class TestRegression:

@@ -33,11 +33,10 @@ def test_loaded_and_constructed_settings_are_rejected_alike(tmp_path, name, text
     with pytest.raises(ValueError) as built:
         RunConfig(**{name: value})
     messages = {str(built.value)}
-    if name == "staleness_bound":
-        cfg = RunConfig()
-        with pytest.raises(ValueError) as piped:
-            EstimationPipeline(cfg.rig, cfg.intrinsics, cfg.tag, staleness_bound=value)
-        messages.add(str(piped.value))
+    cfg = RunConfig()
+    with pytest.raises(ValueError) as piped:
+        EstimationPipeline(cfg.rig, cfg.intrinsics, cfg.tag, **{name: value})
+    messages.add(str(piped.value))
     with pytest.raises(ConfigError) as loaded:
         _load(tmp_path, f"{name}: {text}")
     messages.add(str(loaded.value))
