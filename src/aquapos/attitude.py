@@ -24,7 +24,7 @@ from functools import cached_property
 
 from ._numpy import np
 from .errors import AccelOutOfRange, PitchSingularity
-from .geometry import _float, _floats, _floats3
+from .geometry import _float, _floats, _floats3, _Value
 
 GRAVITY = 9.81
 MAX_VARIANCE = 1e150  # the filter multiplies two covariance entries
@@ -60,8 +60,8 @@ def _matrix(p00, p01, p11) -> np.ndarray:
     return np.array([[p00, p01], [p01, p11]])
 
 
-@dataclass(frozen=True, init=False)
-class ImuSample:
+@dataclass(init=False, eq=False, repr=False)
+class ImuSample(_Value):
     """One gyro + accelerometer reading, each a float 3-tuple, at a float
     timestamp; every number by geometry._float's rule.
 
@@ -82,8 +82,8 @@ class ImuSample:
                              gyro=g, accel=a)
 
 
-@dataclass(frozen=True, init=False)
-class TiltState:
+@dataclass(init=False, eq=False, repr=False)
+class TiltState(_Value):
     """Filter state: roll and pitch with their 2x2 covariance, held as its
     entries (p00, p01, p11) in ``_cov``; the ``covariance`` array is built
     the first time it is read."""
@@ -102,6 +102,9 @@ class TiltState:
         if not isinstance(other, TiltState):
             return NotImplemented
         return (self.roll, self.pitch, self._cov) == (other.roll, other.pitch, other._cov)
+
+    # a class body that defines __eq__ sets __hash__ to None
+    __hash__ = _Value.__hash__
 
     covariance = cached_property(lambda state: _matrix(*state._cov))
 
@@ -124,13 +127,13 @@ def _checked(roll, pitch, p00, p01, p11) -> tuple:
     return roll, pitch, p00, p01, p11
 
 
-@dataclass(frozen=True, init=False, repr=False, eq=False)
+@dataclass(init=False, eq=False, repr=False)
 class _FilterState(TiltState):
     """A TiltState made inside the filter from a state tuple x that _checked
     returned. It holds only x, the five filter floats: roll, pitch and the
     covariance entries read x. It compares and hashes as the TiltState of
-    the same floats does; its repr names _FilterState. Being a frozen
-    dataclass of its own, it refuses every attribute assignment."""
+    the same floats does; its repr names _FilterState. Like every value
+    type it refuses every attribute assignment."""
 
     def __init__(self, x: tuple):
         self.__dict__["_x"] = x
@@ -140,8 +143,8 @@ class _FilterState(TiltState):
     _cov = property(lambda state: state._x[2:])
 
 
-@dataclass(frozen=True, init=False)
-class TiltConfig:
+@dataclass(init=False, eq=False, repr=False)
+class TiltConfig(_Value):
     """Noise settings for the tilt filter.
 
     r must be positive definite (it is inverted in the update); q and p0 may

@@ -13,7 +13,7 @@ from numbers import Real
 
 from ._numpy import np
 from .errors import BehindCamera, PnPDegenerate, PnPNoConvergence
-from .geometry import RigidTransform, _float, _floats, _floats3, _mat_mul
+from .geometry import RigidTransform, _float, _floats, _floats3, _mat_mul, _Value
 
 MIN_QUAD_AREA_PX2 = 1.0
 # a corner this many focal lengths off-axis sits within 1e-6 rad of the image
@@ -27,8 +27,8 @@ _REFINE_FTOL = 1e-6
 _MERGE_TOL = 1e-3
 
 
-@dataclass(frozen=True)
-class Intrinsics:
+@dataclass(frozen=True, eq=False, repr=False)
+class Intrinsics(_Value):
     """Pinhole intrinsics in pixels plus the image size. Width and height are
     whole numbers (an int or a finite float with no fraction, not a bool),
     held as ints; the other four are floats by geometry._float's rule."""
@@ -118,8 +118,8 @@ def _float_quad(c):
     return None
 
 
-@dataclass(frozen=True, init=False)
-class TagObservation:
+@dataclass(init=False, eq=False, repr=False)
+class TagObservation(_Value):
     """Four ordered corner pixels of a detected square tag, held in ``px`` as
     four (u, v) float pairs, each a number by geometry._float's rule; the
     ``corners`` array is built the first time it is read.
@@ -150,8 +150,8 @@ def _center(px) -> tuple[float, float]:
     )
 
 
-@dataclass(frozen=True)
-class TagGeometry:
+@dataclass(frozen=True, eq=False, repr=False)
+class TagGeometry(_Value):
     """Square tag of known side length; corner order is fixed.
 
     Marker-frame corners sit at (-s/2,-s/2), (s/2,-s/2), (s/2,s/2), (-s/2,s/2)
@@ -176,8 +176,8 @@ class TagGeometry:
         return np.array([(x, y, 0.0) for x, y in self.corners_xy])
 
 
-@dataclass(frozen=True)
-class TagPose:
+@dataclass(frozen=True, eq=False, repr=False)
+class TagPose(_Value):
     """Recovered tag pose in the camera frame plus its reprojection RMS: R
     row-major as a float 9-tuple and t a float 3-tuple, which ``transform``
     holds as a RigidTransform, built the first time it is read."""

@@ -32,7 +32,7 @@ from .depth_calibration import (DEFAULT_SEED, IDENTITY_CALIBRATION, CalibrationP
 from .errors import ConfigError
 from .estimators import (DEFAULT_STALENESS_BOUND, RigExtrinsics, _marker_offset,
                          _staleness_bound, default_rig)
-from .geometry import RigidTransform, _euler_zyx, _float, _floats
+from .geometry import RigidTransform, _euler_zyx, _float, _floats, _Value
 
 log = logging.getLogger(__name__)
 
@@ -82,8 +82,8 @@ def random_path_length(speed: float, duration: float) -> float:
     return length
 
 
-@dataclass(frozen=True)
-class TrajectorySpec:
+@dataclass(frozen=True, eq=False, repr=False)
+class TrajectorySpec(_Value):
     """Marker path description inside the tank region."""
 
     pattern: str = "square"
@@ -122,8 +122,8 @@ class TrajectorySpec:
         _check_seed(self.seed)
 
 
-@dataclass(frozen=True)
-class NoiseModel:
+@dataclass(frozen=True, eq=False, repr=False)
+class NoiseModel(_Value):
     """Per-sensor noise sigmas, scripted tilt wave, and detection dropout."""
 
     pixel_sigma: float = 0.5
@@ -165,8 +165,8 @@ class NoiseModel:
         return min(max(self.dropout_base + self.dropout_per_metre * depth, 0.0), 1.0)
 
 
-@dataclass(frozen=True)
-class SampleRates:
+@dataclass(frozen=True, eq=False, repr=False)
+class SampleRates(_Value):
     """Per-stream sample rates, Hz."""
 
     camera: float = 30.0
@@ -184,8 +184,8 @@ class SampleRates:
                 raise ValueError(message)
 
 
-@dataclass(frozen=True)
-class FollowerConfig:
+@dataclass(frozen=True, eq=False, repr=False)
+class FollowerConfig(_Value):
     """Center-pixel proportional servo parameters."""
 
     gain_x: float = 2.5
@@ -209,8 +209,8 @@ class FollowerConfig:
                 raise ValueError(message)
 
 
-@dataclass(frozen=True)
-class SceneConfig:
+@dataclass(frozen=True, eq=False, repr=False)
+class SceneConfig(_Value):
     """Everything about the rig and world that is not the trajectory."""
 
     intrinsics: Intrinsics = DEFAULT_INTRINSICS
@@ -234,7 +234,7 @@ class SceneConfig:
             raise ValueError(message)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class RunConfig(SceneConfig):
     """Everything a command needs, already validated: the bench the
     simulator takes as its scene, plus the estimator and fit settings."""

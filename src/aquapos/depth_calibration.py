@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from ._numpy import np
 from .errors import ConfigError, DegenerateData, InsufficientData
-from .geometry import _float, _floats
+from .geometry import _float, _floats, _Value
 
 # Per-step velocity clamp, as a fraction of each parameter's search range.
 _VELOCITY_CLAMP_FRACTION = 0.2
@@ -44,8 +44,8 @@ def _check_seed(seed) -> None:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
-@dataclass(frozen=True)
-class CalibrationParams:
+@dataclass(frozen=True, eq=False, repr=False)
+class CalibrationParams(_Value):
     """Affine depth correction: true depth = scale * raw + offset."""
 
     scale: float
@@ -65,8 +65,8 @@ class CalibrationParams:
 IDENTITY_CALIBRATION = CalibrationParams(1.0, 0.0)
 
 
-@dataclass(frozen=True)
-class PsoConfig:
+@dataclass(frozen=True, eq=False, repr=False)
+class PsoConfig(_Value):
     """Swarm hyperparameters and search bounds for the calibration fit."""
 
     swarm_size: int = 30

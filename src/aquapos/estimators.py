@@ -57,6 +57,7 @@ from .geometry import (
     _line_zplane_hit,
     _mat_mul,
     _mat_vec,
+    _Value,
 )
 
 log = logging.getLogger(__name__)
@@ -85,8 +86,8 @@ METHODS = ("cpnp", "cd")
 KINDS = ("imu", "slam", "depth", "truth", "tag")
 
 
-@dataclass(frozen=True)
-class RigExtrinsics:
+@dataclass(frozen=True, eq=False, repr=False)
+class RigExtrinsics(_Value):
     """Static surface-vehicle geometry: camera mount and hull height.
 
     ``body_height`` is the z of the body origin above the water datum;
@@ -101,8 +102,8 @@ class RigExtrinsics:
         self.__dict__["body_height"] = _float(self.body_height, "body_height must be finite")
 
 
-@dataclass(frozen=True, init=False)
-class SurfacePoseState:
+@dataclass(init=False, eq=False, repr=False)
+class SurfacePoseState(_Value):
     """Planar pose from SLAM fused with the tilt filter's roll/pitch."""
 
     timestamp: float
@@ -121,8 +122,8 @@ class SurfacePoseState:
         self.__dict__.update(timestamp=timestamp, x=x, y=y, yaw=yaw, roll=roll, pitch=pitch)
 
 
-@dataclass(frozen=True, init=False)
-class DepthMeasurement:
+@dataclass(init=False, eq=False, repr=False)
+class DepthMeasurement(_Value):
     """Calibrated marker depth, metres, positive down."""
 
     timestamp: float
@@ -136,8 +137,8 @@ class DepthMeasurement:
         self.__dict__.update(timestamp=timestamp, depth=depth)
 
 
-@dataclass(frozen=True, init=False)
-class SensorFrameBundle:
+@dataclass(init=False, eq=False, repr=False)
+class SensorFrameBundle(_Value):
     """Latest sample from each stream at a reference time."""
 
     timestamp: float
@@ -156,8 +157,8 @@ class SensorFrameBundle:
                              staleness=staleness)
 
 
-@dataclass(frozen=True, init=False)
-class PositionEstimate:
+@dataclass(init=False, eq=False, repr=False)
+class PositionEstimate(_Value):
     """One world-frame marker position with method diagnostics.
 
     ``xyz`` holds the position as a float 3-tuple (see _floats3); the

@@ -16,7 +16,7 @@ from functools import cached_property
 
 from ._numpy import np
 from .errors import EmptySeries, NonFiniteEstimate, SingularDesign
-from .geometry import _float, _floats3
+from .geometry import _float, _floats3, _Value
 
 DEFAULT_ALIGN_TOLERANCE = 0.02  # seconds
 DEFAULT_BIN_WIDTH = 0.01  # metres
@@ -24,8 +24,8 @@ DEFAULT_BIN_WIDTH = 0.01  # metres
 MAX_BINS = 1000
 
 
-@dataclass(frozen=True, init=False)
-class AlignedPair:
+@dataclass(init=False, eq=False, repr=False)
+class AlignedPair(_Value):
     """One estimate matched to the nearest ground-truth sample. The timestamp
     is a float and the positions are the float 3-tuples ``estimate_xyz`` and
     ``truth_xyz``, each number by geometry._float's rule; they build the
@@ -45,8 +45,8 @@ class AlignedPair:
     truth = cached_property(lambda pair: np.array(pair.truth_xyz))
 
 
-@dataclass(frozen=True)
-class RegressionResult:
+@dataclass(frozen=True, eq=False, repr=False)
+class RegressionResult(_Value):
     """OLS fit of error against (pitch, roll, 1)."""
 
     coef_pitch: float
@@ -59,7 +59,7 @@ class RegressionResult:
             raise ValueError("r_squared must lie in [0, 1]")
 
 
-@dataclass
+@dataclass(eq=False)
 class ErrorReport:
     """Summary statistics plus the raw error series for export."""
 

@@ -7,7 +7,7 @@ submerged points at z < 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 from functools import cached_property
 from numbers import Real
 
@@ -71,6 +71,45 @@ def _floats3(v, message: str = "expected a 3-vector of finite numbers") -> tuple
     return _floats(v, (3,), message)
 
 
+class _Value:
+    """Base of the value types: ``==``, ``hash`` and ``repr`` by every
+    dataclass field in field order, and no assignment or deletion of any
+    attribute, each as ``@dataclass(frozen=True)`` generates it.
+
+    A value type is declared ``@dataclass(eq=False, repr=False)`` over this
+    base, so importing the package compiles these methods once rather than
+    once per type. A type whose ``__init__`` is hand-written fills
+    ``__dict__`` directly and is frozen by this base alone; a type whose
+    ``__init__`` the dataclass writes stays ``frozen=True``, since that
+    ``__init__`` sets its fields through ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return _field_values(self) == _field_values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(_field_values(self))
+
+    def __repr__(self):
+        args = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self))
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _field_values(value: _Value) -> tuple:
+    """The values of value's dataclass fields, in field order."""
+    return tuple([getattr(value, f.name) for f in fields(value)])
+
+
 def _check_rotation(R: tuple) -> None:
     """Raise ValueError unless the finite row-major 9-tuple R is a rotation:
     R^T R within ORTHONORMAL_TOL of I in every entry, then det R of +1."""
@@ -90,8 +129,8 @@ def _check_rotation(R: tuple) -> None:
         raise ValueError("rotation determinant must be +1")
 
 
-@dataclass(frozen=True, init=False)
-class RigidTransform:
+@dataclass(init=False, eq=False, repr=False)
+class RigidTransform(_Value):
     """Rotation plus translation; maps a point p to rotation @ p + translation.
 
     The rotation is held row-major as the float 9-tuple ``R`` and the
@@ -202,8 +241,8 @@ def euler_zyx_to_rotation(yaw: float, pitch: float, roll: float) -> np.ndarray:
     return np.array(_euler_zyx(yaw, pitch, roll)).reshape(3, 3)
 
 
-@dataclass(frozen=True, init=False)
-class PluckerLine:
+@dataclass(init=False, eq=False, repr=False)
+class PluckerLine(_Value):
     """3D line held as an anchor point and a direction vector, the float
     3-tuples ``point_xyz`` and ``direction_xyz`` (see _floats3); they build
     the ``point`` and ``direction`` arrays when first read."""

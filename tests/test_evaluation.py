@@ -455,6 +455,14 @@ class TestReport:
         with pytest.raises(EmptySeries):
             build_error_report([])
 
+    def test_reports_compare_by_identity(self):
+        # a report holds arrays, which a field-by-field == cannot compare
+        e = np.array([[0.003, 0.004, 0.0], [0.0, 0.0, 0.0]])
+        t = np.zeros((2, 3))
+        first, second = _report(*_errors(e, t), 0), _report(*_errors(e, t), 0)
+        assert first != second
+        assert first == first
+
     def test_pair_validation(self):
         with pytest.raises(ValueError):
             AlignedPair(0.0, np.array([np.nan, 0, 0]), np.zeros(3))
